@@ -150,12 +150,15 @@ def cmd_consistency(args) -> int:
     grid = default_sigma_grid(cc.sigma_theta_deg_max)
     if grid.size == 0:
         raise ConfigError("consistency sweep grid is empty")
-    geometry = SphericalMeasurement(
-        r=cc.geometry.r_m,
-        theta=math.radians(cc.geometry.theta_deg),
-        rdot=cc.geometry.rdot_mps,
-        dim=2,
-    )
+    try:
+        geometry = SphericalMeasurement(
+            r=cc.geometry.r_m,
+            theta=math.radians(cc.geometry.theta_deg),
+            rdot=cc.geometry.rdot_mps,
+            dim=2,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid consistency geometry: {exc}") from exc
     noise = build_noise(cc.noise)
 
     # Same seed for both methods: they score identical measurement draws.
@@ -205,22 +208,30 @@ def cmd_golden(args) -> int:
         + [f"r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
         + [f"se_r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
     )
+    try:
+        inputs = [
+            (
+                SphericalMeasurement(
+                    r=pt.r_m,
+                    theta=math.radians(pt.theta_deg),
+                    phi=math.radians(pt.phi_deg),
+                    rdot=pt.rdot_mps,
+                    dim=3,
+                ),
+                NoiseSpec(
+                    sigma_r=pt.sigma_r_m,
+                    sigma_theta=math.radians(pt.sigma_theta_deg),
+                    sigma_phi=math.radians(pt.sigma_phi_deg),
+                    sigma_rdot=pt.sigma_rdot_mps,
+                    rho=pt.rho,
+                ),
+            )
+            for pt in points
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"invalid golden point: {exc}") from exc
     rows = []
-    for pt, seed in zip(points, seeds):
-        m = SphericalMeasurement(
-            r=pt.r_m,
-            theta=math.radians(pt.theta_deg),
-            phi=math.radians(pt.phi_deg),
-            rdot=pt.rdot_mps,
-            dim=3,
-        )
-        noise = NoiseSpec(
-            sigma_r=pt.sigma_r_m,
-            sigma_theta=math.radians(pt.sigma_theta_deg),
-            sigma_phi=math.radians(pt.sigma_phi_deg),
-            sigma_rdot=pt.sigma_rdot_mps,
-            rho=pt.rho,
-        )
+    for pt, (m, noise), seed in zip(points, inputs, seeds):
         est = mc_moment_oracle(m, noise, cfg.golden.samples, np.random.default_rng(seed))
         rows.append(
             [pt.r_m, pt.theta_deg, pt.phi_deg, pt.rdot_mps, pt.sigma_r_m, pt.sigma_theta_deg,

@@ -93,10 +93,7 @@ def convert_position(m: SphericalMeasurement) -> np.ndarray:
     returned z is 0.
     """
     phi = m.phi if m.dim == 3 else 0.0
-    cp = math.cos(phi)
-    return np.array(
-        [m.r * cp * math.cos(m.theta), m.r * cp * math.sin(m.theta), m.r * math.sin(phi)]
-    )
+    return _cart(m.r, m.theta, phi, m.rdot)[:3]
 
 
 def convert_pseudo(m: SphericalMeasurement) -> float:
@@ -268,14 +265,28 @@ def _mirror_lower(cov: np.ndarray) -> None:
             cov[..., i, j] = cov[..., j, i]
 
 
-def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, abs_scale: float = 0.0):
+def _finalize(
+    mu: np.ndarray,
+    cov: np.ndarray,
+    dim: int,
+    psd_tol: float = 1e-9,
+    abs_scale=0.0,
+    per_item: bool = False,
+):
     """Collapse to the 2D form if needed and enforce positive semidefiniteness.
 
     Eigenvalues inside the rounding band are clamped to zero; anything more
-    negative signals an invalid noise regime and raises
-    :class:`DegenerateCovarianceError`. ``abs_scale`` carries the magnitude of
-    the cancelling assembly terms (about r^2), whose rounding residue is
-    invisible to the trace-relative tolerance when the entries nearly vanish.
+    negative signals an invalid noise regime. ``abs_scale`` carries the
+    magnitude of the cancelling assembly terms (about r^2), whose rounding
+    residue is invisible to the trace-relative tolerance when the entries
+    nearly vanish.
+
+    By default an indefinite item raises :class:`DegenerateCovarianceError`
+    and a clamp rebuilds every item of the batch from its eigenpairs. With
+    ``per_item`` the items are independent measurements: ``abs_scale`` may
+    be one value per item, only the items with a negative eigenvalue are
+    rebuilt, and ``(mu, cov, ok)`` is returned with ``ok`` false where an
+    item is indefinite instead of raising.
     """
     if dim == 2:
         mu = mu[..., _IDX_2D]
@@ -283,11 +294,20 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, 
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     w, v = np.linalg.eigh(cov)
     tol = psd_tol * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0) + 1e-12 * abs_scale
-    if np.any(w < -np.atleast_1d(tol)[..., None]):
+    lowest = w[..., 0]  # eigh returns the eigenvalues in ascending order
+    ok = ~(lowest < -tol)
+    if per_item:
+        rebuild = (lowest < 0) & ok
+        if np.any(rebuild):
+            v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
+            fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+            cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+        return mu, cov, ok
+    if not np.all(ok):
         raise DegenerateCovarianceError(
             "assembled conversion covariance is indefinite beyond tolerance"
         )
-    if np.any(w < 0):
+    if np.any(lowest < 0):
         w = np.maximum(w, 0.0)
         cov = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
         cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
@@ -298,13 +318,23 @@ def _assembly_scale(rm, noise: NoiseSpec) -> float:
     return float(np.max(np.asarray(rm) ** 2)) + noise.sigma_r**2
 
 
-def _stats_batch(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
-    """Vectorized (mu, cov) for a batch of measurements, already collapsed."""
+def _stats_batch(
+    method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec, dim: int, per_item: bool = False
+):
+    """Vectorized (mu, cov) for a batch of measurements, already collapsed.
+
+    The default treats the batch as one sample (the consistency sweep): one
+    rounding tolerance from the largest range, and an indefinite item
+    raises. ``per_item`` treats each item as its own measurement, as a
+    filter does: each gets its own tolerance and ``(mu, cov, ok)`` flags the
+    indefinite ones (see :func:`_finalize`).
+    """
     if method is ConversionMethod.MEASUREMENT_CONDITIONED:
         mu, cov = _conditioned_moments(rm, theta, phi, rdot, noise)
     else:
         mu, cov = _nested_moments(rm, theta, phi, rdot, noise)
-    return _finalize(mu, cov, dim, abs_scale=_assembly_scale(rm, noise))
+    scale = np.asarray(rm) ** 2 + noise.sigma_r**2 if per_item else _assembly_scale(rm, noise)
+    return _finalize(mu, cov, dim, abs_scale=scale, per_item=per_item)
 
 
 def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -447,7 +477,9 @@ class ConvertedMeasurement:
     """Cartesian position + pseudo-measurement with hypothesized error stats.
 
     ``mu``/``cov`` are the selected method's error mean and covariance for
-    the stacked vector (position..., eta); their size is ``dim + 1``.
+    the stacked vector (position..., eta); their size is ``dim + 1``. A
+    batch of conversions carries the same leading axes on every field and
+    is indexed along them with ``z[key]``.
     """
 
     position: np.ndarray
@@ -455,8 +487,11 @@ class ConvertedMeasurement:
     mu: np.ndarray
     cov: np.ndarray
     dim: int
-    step: int = 0
-    method: ConversionMethod = ConversionMethod.MEASUREMENT_CONDITIONED
+
+    def __getitem__(self, key) -> "ConvertedMeasurement":
+        return ConvertedMeasurement(
+            self.position[key], self.pseudo[key], self.mu[key], self.cov[key], self.dim
+        )
 
 
 def convert(
@@ -473,6 +508,30 @@ def convert(
         mu=mu,
         cov=cov,
         dim=m.dim,
-        step=m.step,
-        method=method,
     )
+
+
+def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
+    """Convert ``(..., 4)`` rows of ``(r, theta, phi, rdot)`` under several methods.
+
+    Returns ``(z, ok)``: a :class:`ConvertedMeasurement` whose leading axes
+    are ``meas.shape[:-1] + (len(methods),)``, and the mask of conversions
+    whose statistics are positive semidefinite. Each item is finalized on
+    its own, as :func:`convert` does one measurement, so an indefinite item
+    flags only itself.
+    """
+    r, theta, phi, rdot = np.moveaxis(np.asarray(meas, dtype=float), -1, 0)
+    if dim == 2:
+        phi = np.zeros_like(r)
+    cart = _cart(r, theta, phi, rdot)
+    stats = [_stats_batch(m, r, theta, phi, rdot, noise, dim, per_item=True) for m in methods]
+    shape = r.shape + (len(methods),)
+    position = np.moveaxis(cart[:dim], 0, -1)
+    z = ConvertedMeasurement(
+        position=np.broadcast_to(position[..., None, :], shape + (dim,)),
+        pseudo=np.broadcast_to(cart[3][..., None], shape),
+        mu=np.stack([mu for mu, _, _ in stats], axis=-2),
+        cov=np.stack([cov for _, cov, _ in stats], axis=-3),
+        dim=dim,
+    )
+    return z, np.stack([ok for _, _, ok in stats], axis=-1)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .conversion import ConversionMethod, ConvertedMeasurement, convert
 from .errors import DegenerateCovarianceError
-from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement
+from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _mv
 
 __all__ = [
     "DecorrelatedMeasurement",
@@ -37,6 +37,7 @@ __all__ = [
     "GaussianBelief",
     "decorrelate",
     "ekf_update_pseudo",
+    "filter_scans",
     "initialize_belief",
     "kf_predict",
     "kf_update_position",
@@ -59,7 +60,12 @@ class FilterVariant(enum.Enum):
 
 @dataclass(eq=False)
 class GaussianBelief:
-    """State estimate as mean and covariance."""
+    """State estimate as mean and covariance.
+
+    A batch of independent estimates carries leading axes on both fields
+    (``mean`` ``(..., n)``, ``cov`` ``(..., n, n)``) and is indexed along
+    them with ``belief[key]``; every stage below accepts such a batch.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -67,13 +73,16 @@ class GaussianBelief:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        n = len(self.mean)
-        if self.cov.shape != (n, n):
+        n = self.mean.shape[-1]
+        if self.cov.shape != self.mean.shape + (n,):
             raise ValueError("covariance shape does not match the state length")
 
     @property
     def dim(self) -> int:
-        return len(self.mean) // 2
+        return self.mean.shape[-1] // 2
+
+    def __getitem__(self, key) -> "GaussianBelief":
+        return GaussianBelief(self.mean[key], self.cov[key])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +91,8 @@ class DecorrelatedMeasurement:
 
     ``l_row`` is the decorrelation row: ``eps = l_row @ position + eta``,
     with mean ``mu_eps`` and variance ``var_eps`` equal to the Schur
-    complement of the position block in the joint error covariance.
+    complement of the position block in the joint error covariance. Fields
+    may carry leading batch axes, indexed with ``d[key]``.
     """
 
     position: np.ndarray
@@ -93,11 +103,68 @@ class DecorrelatedMeasurement:
     var_pseudo: float
     l_row: np.ndarray
     dim: int
-    step: int = 0
+
+    def __getitem__(self, key) -> "DecorrelatedMeasurement":
+        return DecorrelatedMeasurement(
+            self.position[key], self.mu_pos[key], self.cov_pos[key], self.pseudo[key],
+            self.mu_pseudo[key], self.var_pseudo[key], self.l_row[key], self.dim,
+        )
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, for any leading axes."""
+    return (a * b).sum(axis=-1)
+
+
+def _solve_each(a: np.ndarray, b: np.ndarray, fallback):
+    """``solve(a, b)`` over the leading axes; an exactly singular item goes to
+    ``fallback(a_i, b_i)`` instead of failing the whole batch."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + b.shape[-2:])
+        for i in np.ndindex(out.shape[:-2]):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                out[i] = fallback(a[i], b[i])
+        return out
+
+
+def _decorrelate(z: ConvertedMeasurement) -> tuple[DecorrelatedMeasurement, np.ndarray]:
+    """:func:`decorrelate` over any leading axes, with a per-item validity mask.
+
+    An item is invalid when its position block is singular while the cross
+    row is nonzero, or when its residual variance is negative beyond
+    rounding; its fields are then meaningless.
+    """
+    p = z.dim
+    r_pp = z.cov[..., :p, :p]
+    r_ep = z.cov[..., p, :p]
+    r_ee = z.cov[..., p, p]
+    # a zero cross row needs no solve; a singular block elsewhere gives NaN
+    l_row = -_solve_each(
+        r_pp,
+        r_ep[..., None],
+        lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
+    )[..., 0]
+    var_eps = r_ee + _dot(l_row, r_ep)
+    ok = np.all(np.isfinite(l_row), axis=-1) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
+    d = DecorrelatedMeasurement(
+        position=z.position,
+        mu_pos=z.mu[..., :p],
+        cov_pos=r_pp,
+        pseudo=_dot(l_row, z.position) + z.pseudo,
+        mu_pseudo=_dot(l_row, z.mu[..., :p]) + z.mu[..., p],
+        var_pseudo=np.maximum(var_eps, 0.0),
+        l_row=l_row,
+        dim=p,
+    )
+    return d, ok
 
 
 def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
@@ -107,45 +174,24 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     ``R_ep`` and scalar ``R_ee``, the row ``L = -R_ep @ inv(R_pp)`` makes the
     transformed pseudo error ``L @ pos_err + eta_err`` uncorrelated with the
     position errors; its variance is ``R_ee - R_ep inv(R_pp) R_ep^T``.
+    Raises :class:`DegenerateCovarianceError` when the position block is
+    singular or the residual variance is negative beyond rounding.
     """
-    p = z.dim
-    r_pp = z.cov[:p, :p]
-    r_ep = z.cov[p, :p]
-    r_ee = float(z.cov[p, p])
-    if not np.any(r_ep):
-        l_row = np.zeros(p)
-    else:
-        try:
-            l_row = -np.linalg.solve(r_pp, r_ep)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateCovarianceError("position error covariance is singular") from exc
-    var_eps = r_ee + float(l_row @ r_ep)
-    if var_eps < 0:
-        if var_eps > -1e-9 * max(r_ee, 1.0):
-            var_eps = 0.0
-        else:
-            raise DegenerateCovarianceError("negative residual pseudo-measurement variance")
-    return DecorrelatedMeasurement(
-        position=z.position,
-        mu_pos=z.mu[:p],
-        cov_pos=r_pp,
-        pseudo=float(l_row @ z.position) + z.pseudo,
-        mu_pseudo=float(l_row @ z.mu[:p]) + float(z.mu[p]),
-        var_pseudo=var_eps,
-        l_row=l_row,
-        dim=p,
-        step=z.step,
-    )
+    d, ok = _decorrelate(z)
+    if not np.all(ok):
+        raise DegenerateCovarianceError(
+            "singular position error covariance or negative residual pseudo-measurement variance"
+        )
+    return d
 
 
 def kf_predict(
     belief: GaussianBelief, model: DynamicModel, accel: np.ndarray | None = None
 ) -> GaussianBelief:
     """Time update through the dynamic model (zero input unless given)."""
-    n = len(belief.mean)
-    if n != model.n:
+    if belief.mean.shape[-1] != model.n:
         raise ValueError("belief size does not match the model")
-    mean = model.phi @ belief.mean
+    mean = _mv(model.phi, belief.mean)
     if accel is not None:
         mean = mean + model.g @ np.asarray(accel, dtype=float)
     cov = _symmetrize(model.phi @ belief.cov @ model.phi.T + model.process_noise_cov())
@@ -158,35 +204,34 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     The innovation is compensated for the hypothesized conversion bias:
     ``z - mu - H x``. Joseph form keeps the covariance PSD.
     """
-    n = len(belief.mean)
+    n = belief.mean.shape[-1]
     p = d.dim
     if n != 2 * p:
         raise ValueError("measurement dimension does not match the belief")
-    s = belief.cov[:p, :p] + d.cov_pos
-    try:
-        gain = np.linalg.solve(s, belief.cov[:p, :]).T  # (n, p)
-    except np.linalg.LinAlgError:
-        # exactly singular s happens in degenerate (noise-free) runs where the
-        # covariance has collapsed; the minimum-norm gain P H^T s^+ is the
-        # correct limit there
-        gain = np.linalg.lstsq(s, belief.cov[:p, :], rcond=None)[0].T
+    cov = belief.cov
+    s = cov[..., :p, :p] + d.cov_pos
+    # exactly singular s happens in degenerate (noise-free) runs where the
+    # covariance has collapsed; the minimum-norm gain P H^T s^+ is the
+    # correct limit there
+    gain = np.swapaxes(
+        _solve_each(s, cov[..., :p, :], lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]), -1, -2
+    )  # (..., n, p)
     if not np.all(np.isfinite(gain)):
         raise DegenerateCovarianceError("position innovation covariance is singular")
-    innovation = d.position - d.mu_pos - belief.mean[:p]
-    mean = belief.mean + gain @ innovation
-    i_kh = np.eye(n)
-    i_kh[:, :p] -= gain
-    cov = _symmetrize(i_kh @ belief.cov @ i_kh.T + gain @ d.cov_pos @ gain.T)
-    return GaussianBelief(mean, cov)
+    innovation = d.position - d.mu_pos - belief.mean[..., :p]
+    mean = belief.mean + _mv(gain, innovation)
+    i_kh = np.eye(n) - np.concatenate([gain, np.zeros_like(gain)], axis=-1)
+    joseph = i_kh @ cov @ np.swapaxes(i_kh, -1, -2)
+    return GaussianBelief(mean, _symmetrize(joseph + gain @ d.cov_pos @ np.swapaxes(gain, -1, -2)))
 
 
 def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
     """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector."""
-    p = len(l_row)
-    return np.concatenate([l_row + state[p:], state[:p]])
+    p = np.shape(l_row)[-1]
+    return np.concatenate([l_row + state[..., p:], state[..., :p]], axis=-1)
 
 
-def quadratic_correction(cov: np.ndarray) -> tuple[float, float]:
+def quadratic_correction(cov: np.ndarray):
     """Second-order terms of the pseudo-measurement function.
 
     For ``h`` containing the quadratic form ``pos @ vel`` and a Gaussian
@@ -196,10 +241,12 @@ def quadratic_correction(cov: np.ndarray) -> tuple[float, float]:
     linearized ``H P H^T`` term is ``tr(P_pv P_pv) + tr(P_pp P_vv)``.
     Both identities are exact for quadratic ``h``.
     """
-    p = cov.shape[0] // 2
-    p_pv = cov[:p, p:]
-    delta2 = 2.0 * float(np.trace(p_pv))
-    a_k = float(np.trace(p_pv @ p_pv)) + float(np.trace(cov[:p, :p] @ cov[p:, p:]))
+    p = cov.shape[-1] // 2
+    p_pv = cov[..., :p, p:]
+    delta2 = 2.0 * np.trace(p_pv, axis1=-2, axis2=-1)
+    a_k = np.trace(p_pv @ p_pv, axis1=-2, axis2=-1) + np.trace(
+        cov[..., :p, :p] @ cov[..., p:, p:], axis1=-2, axis2=-1
+    )
     return delta2, a_k
 
 
@@ -213,26 +260,35 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     """
     x = belief.mean
     cov = belief.cov
-    n = len(x)
+    n = x.shape[-1]
     p = d.dim
     if n != 2 * p:
         raise ValueError("measurement dimension does not match the belief")
     h_row = pseudo_jacobian(x, d.l_row)
     delta2, a_k = quadratic_correction(cov)
-    s = float(h_row @ cov @ h_row) + d.var_pseudo + a_k
-    h_val = float(d.l_row @ x[:p]) + float(x[:p] @ x[p:])
+    ph = _mv(cov, h_row)
+    s = _dot(h_row, ph) + d.var_pseudo + a_k
+    h_val = _dot(d.l_row, x[..., :p]) + _dot(x[..., :p], x[..., p:])
     innovation = d.pseudo - d.mu_pseudo - h_val - 0.5 * delta2
-    if s <= 0:
-        # the true variance is nonnegative for PSD inputs, so s <= 0 is a
-        # collapsed (deterministic) measurement: a no-op when the innovation
-        # is consistent, a genuine degeneracy otherwise
-        if abs(innovation) <= 1e-9 * max(abs(d.pseudo), abs(h_val), 1.0):
-            return GaussianBelief(x.copy(), cov.copy())
-        raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
-    gain = cov @ h_row / s
-    mean = x + gain * innovation
-    i_kh = np.eye(n) - np.outer(gain, h_row)
-    new_cov = _symmetrize(i_kh @ cov @ i_kh.T + (d.var_pseudo + a_k) * np.outer(gain, gain))
+    # the true variance is nonnegative for PSD inputs, so s <= 0 is a
+    # collapsed (deterministic) measurement: a no-op when the innovation is
+    # consistent, a genuine degeneracy otherwise
+    collapsed = s <= 0
+    if np.any(collapsed):
+        scale = np.maximum(np.maximum(np.abs(d.pseudo), np.abs(h_val)), 1.0)
+        if np.any(collapsed & (np.abs(innovation) > 1e-9 * scale)):
+            raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
+        s = np.where(collapsed, 1.0, s)
+    gain = ph / s[..., None]
+    mean = x + gain * innovation[..., None]
+    i_kh = np.eye(n) - gain[..., :, None] * h_row[..., None, :]
+    new_cov = _symmetrize(
+        i_kh @ cov @ np.swapaxes(i_kh, -1, -2)
+        + (d.var_pseudo + a_k)[..., None, None] * (gain[..., :, None] * gain[..., None, :])
+    )
+    if np.any(collapsed):
+        mean = np.where(collapsed[..., None], x, mean)
+        new_cov = np.where(collapsed[..., None, None], cov, new_cov)
     return GaussianBelief(mean, new_cov)
 
 
@@ -250,13 +306,54 @@ def initialize_belief(
     if z1.dim != z2.dim:
         raise ValueError("measurements must share dimensionality")
     p = z1.dim
-    pos1 = z1.position - z1.mu[:p]
-    pos2 = z2.position - z2.mu[:p]
-    mean = np.concatenate([pos2, (pos2 - pos1) / t])
-    r1 = z1.cov[:p, :p]
-    r2 = z2.cov[:p, :p]
+    pos1 = z1.position - z1.mu[..., :p]
+    pos2 = z2.position - z2.mu[..., :p]
+    mean = np.concatenate([pos2, (pos2 - pos1) / t], axis=-1)
+    r1 = z1.cov[..., :p, :p]
+    r2 = z2.cov[..., :p, :p]
     cov = np.block([[r2, r2 / t], [r2 / t, (r1 + r2) / t**2]])
     return GaussianBelief(mean, _symmetrize(cov))
+
+
+def filter_scans(
+    init: GaussianBelief,
+    z: ConvertedMeasurement,
+    ok: np.ndarray,
+    steps,
+    model: DynamicModel,
+) -> tuple[GaussianBelief, np.ndarray]:
+    """Run a batch of independent tracks through their scans in lockstep.
+
+    ``z`` and ``ok`` carry leading axes ``(scans, *batch)``: the converted
+    measurements and whether each conversion succeeded. ``init`` carries the
+    leading axes ``batch``; ``steps`` numbers the scans for error messages.
+    Per scan, every track is predicted, then the tracks whose conversion and
+    decorrelation are valid take the position and pseudo updates; the
+    others stay predict-only for that scan. A failing update raises with the
+    step attached. Returns the post-update beliefs with leading axes
+    ``(scans, *batch)`` and the mask of updated (scan, track) pairs.
+    """
+    d, valid = _decorrelate(z)
+    ok = ok & valid
+    means = np.empty(ok.shape + init.mean.shape[-1:])
+    covs = np.empty(ok.shape + init.cov.shape[-2:])
+    belief = init
+    for k, step in enumerate(steps):
+        belief = kf_predict(belief, model)
+        sel = ok[k]
+        try:
+            if np.all(sel):
+                belief = ekf_update_pseudo(kf_update_position(belief, d[k]), d[k])
+            elif np.any(sel):
+                dk = d[k][sel]
+                post = ekf_update_pseudo(kf_update_position(belief[sel], dk), dk)
+                belief.mean[sel] = post.mean
+                belief.cov[sel] = post.cov
+        except (DegenerateCovarianceError, ValueError) as exc:
+            raise type(exc)(f"step {step}: {exc}") from exc
+        means[k] = belief.mean
+        covs[k] = belief.cov
+    return GaussianBelief(means, covs), ok
 
 
 @dataclass(eq=False)
@@ -281,25 +378,30 @@ def run_filter(
     degenerate conversion (indefinite statistics or singular position block)
     skips that scan's updates and records the step; other failures propagate
     with the step index attached. Filters never receive maneuver inputs.
+    This is :func:`filter_scans` on a batch of one track.
     """
-    result = FilterRun()
-    belief = init
-    count = 0
+    zs, ok, steps = [], [], []
     for m in measurements:
-        count += 1
-        belief = kf_predict(belief, model)
         try:
-            d = decorrelate(convert(m, noise, variant.method))
+            zs.append(convert(m, noise, variant.method))
+            ok.append(True)
         except DegenerateCovarianceError:
-            result.skipped_steps.append(m.step)
-            result.beliefs.append(belief)
-            continue
-        try:
-            belief = kf_update_position(belief, d)
-            belief = ekf_update_pseudo(belief, d)
-        except (DegenerateCovarianceError, ValueError) as exc:
-            raise type(exc)(f"step {m.step}: {exc}") from exc
-        result.beliefs.append(belief)
-    if count == 0:
+            # placeholder statistics for a predict-only scan; never read
+            p = m.dim
+            zs.append(ConvertedMeasurement(np.zeros(p), 0.0, np.zeros(p + 1), np.eye(p + 1), p))
+            ok.append(False)
+        steps.append(m.step)
+    if not zs:
         raise ValueError("run_filter needs at least one measurement")
-    return result
+    stacked = ConvertedMeasurement(
+        position=np.array([z.position for z in zs]),
+        pseudo=np.array([z.pseudo for z in zs]),
+        mu=np.array([z.mu for z in zs]),
+        cov=np.array([z.cov for z in zs]),
+        dim=zs[0].dim,
+    )
+    post, updated = filter_scans(init, stacked, np.array(ok), steps, model)
+    return FilterRun(
+        beliefs=[post[k] for k in range(len(steps))],
+        skipped_steps=[step for step, u in zip(steps, updated) if not u],
+    )

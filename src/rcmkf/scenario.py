@@ -158,6 +158,9 @@ class NoiseSpec:
     sigma_phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma_r", "sigma_theta", "sigma_rdot", "sigma_phi", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("sigma_r", "sigma_theta", "sigma_rdot", "sigma_phi"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -188,6 +191,9 @@ class SphericalMeasurement:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
+        for name in ("r", "theta", "rdot", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +215,8 @@ class Scenario:
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         position_dim(self.initial_state)  # validates the length
+        if not np.all(np.isfinite(self.initial_state)):
+            raise ValueError("initial state must be finite")
         if len(self.initial_state) != self.model.n:
             raise ValueError("initial state does not match the model size")
 
@@ -226,16 +234,47 @@ def propagate_truth(
     """One truth step: ``phi @ x + g @ u + gamma @ w``.
 
     Deterministic given its inputs; ``accel`` and ``process_noise_draw``
-    default to zero vectors.
+    default to zero vectors. ``state`` and ``process_noise_draw`` may carry
+    leading run axes, which step independently.
     """
     state = np.asarray(state, dtype=float)
-    if len(state) != model.n:
-        raise ValueError(f"state length {len(state)} does not match model size {model.n}")
+    if state.shape[-1] != model.n:
+        raise ValueError(f"state length {state.shape[-1]} does not match model size {model.n}")
     u = np.zeros(model.dim) if accel is None else np.asarray(accel, dtype=float)
     w = np.zeros(model.dim) if process_noise_draw is None else np.asarray(process_noise_draw, dtype=float)
-    if len(u) != model.g.shape[1] or len(w) != model.gamma.shape[1]:
+    if u.shape[-1] != model.g.shape[1] or w.shape[-1] != model.gamma.shape[1]:
         raise ValueError("accel/noise draw width does not match the model input matrices")
-    return model.phi @ state + model.g @ u + model.gamma @ w
+    return _mv(model.phi, state) + _mv(model.g, u) + _mv(model.gamma, w)
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector product ``a @ x`` over matching leading axes."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _spherical(states: np.ndarray):
+    """Noise-free ``(r, theta, phi, rdot)`` of Cartesian states with any leading axes.
+
+    Range is the Euclidean norm of the position, bearing is ``atan2(y, x)``,
+    elevation is measured from the horizontal plane (zero in 2D), and range
+    rate is the radial velocity component.
+    """
+    dim = position_dim(states)
+    x, y = states[..., 0], states[..., 1]
+    vel = states[..., dim:]
+    horizontal2 = x * x + y * y
+    dot = x * vel[..., 0] + y * vel[..., 1]
+    if dim == 3:
+        z = states[..., 2]
+        r = np.sqrt(horizontal2 + z * z)
+        phi = np.arctan2(z, np.sqrt(horizontal2))
+        dot = dot + z * vel[..., 2]
+    else:
+        r = np.sqrt(horizontal2)
+        phi = np.zeros_like(r)
+    if np.any(r == 0.0):
+        raise GeometryError("range and angles are undefined at the sensor origin")
+    return r, np.arctan2(y, x), phi, dot / r
 
 
 def measure(
@@ -250,21 +289,15 @@ def measure(
     elevation is measured from the horizontal plane, and range rate is the
     radial velocity component. In 2D the elevation terms vanish.
     """
+    state = np.asarray(state, dtype=float)
     dim = position_dim(state)
-    pos = state[:dim]
-    vel = state[dim:]
-    r = float(np.linalg.norm(pos))
-    if r == 0.0:
-        raise GeometryError("range and angles are undefined at the sensor origin")
-    theta = math.atan2(pos[1], pos[0])
-    phi = math.atan2(pos[2], math.hypot(pos[0], pos[1])) if dim == 3 else 0.0
-    rdot = float(pos @ vel) / r
+    r, theta, phi, rdot = _spherical(state)
     dr, dth, dph, drd = noise_draw
     return SphericalMeasurement(
-        r=r + dr,
-        theta=theta + dth,
-        phi=(phi + dph) if dim == 3 else 0.0,
-        rdot=rdot + drd,
+        r=float(r + dr),
+        theta=float(theta + dth),
+        phi=float(phi + dph) if dim == 3 else 0.0,
+        rdot=float(rdot + drd),
         step=step,
         dim=dim,
     )
@@ -294,27 +327,51 @@ def draw_measurement_noise(
     return (float(m[0, 0]), float(m[1, 0]), float(m[2, 0]), float(m[3, 0]))
 
 
-def simulate_truth(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Truth trajectory of shape ``(steps, n)`` for one realization."""
+def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
+    """Truth trajectories of shape ``(runs, steps, n)``, one per generator.
+
+    Each run draws its process noise as one ``(steps - 1, dim)`` block from
+    its own generator: the same numbers in the same order as one draw per
+    step. The runs then step together.
+    """
     model = scenario.model
-    states = np.empty((scenario.steps, model.n))
-    states[0] = scenario.initial_state
     noise_std = np.sqrt(np.diag(model.q))
+    w = np.stack([noise_std * rng.standard_normal((scenario.steps - 1, model.dim)) for rng in rngs])
+    states = np.empty((len(rngs), scenario.steps, model.n))
+    states[:, 0] = scenario.initial_state
     for k in range(scenario.steps - 1):
         accel = scenario.maneuvers.accel_at(k, model.dim)
-        w = noise_std * rng.standard_normal(model.dim)
-        states[k + 1] = propagate_truth(model, states[k], accel, w)
+        states[:, k + 1] = propagate_truth(model, states[:, k], accel, w[:, k])
     return states
+
+
+def simulate_truth(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Truth trajectory of shape ``(steps, n)`` for one realization."""
+    return _simulate_truths(scenario, [rng])[0]
+
+
+def _synthesize(truths: np.ndarray, noise: NoiseSpec, rngs) -> np.ndarray:
+    """Noisy ``(r, theta, phi, rdot)`` rows for ``(runs, steps, n)`` truths.
+
+    Returns ``(runs, steps, 4)``; run ``i`` draws its noise from ``rngs[i]``.
+    In 2D the phi column is zero.
+    """
+    draws = np.stack([_noise_matrix(noise, truths.shape[1], rng) for rng in rngs], axis=1)
+    r, theta, phi, rdot = _spherical(truths)
+    if position_dim(truths) == 3:
+        phi = phi + draws[2]
+    return np.stack([r + draws[0], theta + draws[1], phi, rdot + draws[3]], axis=-1)
 
 
 def synthesize_measurements(
     truth: np.ndarray, noise: NoiseSpec, rng: np.random.Generator
 ) -> list[SphericalMeasurement]:
     """Noisy spherical measurements of every state in a truth trajectory."""
-    draws = _noise_matrix(noise, len(truth), rng)
+    dim = position_dim(truth)
+    rows = _synthesize(np.asarray(truth, dtype=float)[None], noise, [rng])[0]
     return [
-        measure(state, noise, tuple(draws[:, k]), step=k)
-        for k, state in enumerate(truth)
+        SphericalMeasurement(r=r, theta=theta, phi=phi, rdot=rdot, step=k, dim=dim)
+        for k, (r, theta, phi, rdot) in enumerate(rows.tolist())
     ]
 
 

@@ -154,6 +154,24 @@ def test_cli_unknown_case_exits_2(tmp_path, capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_cli_simulate_non_finite_noise_exits_2(tmp_path, capsys, value):
+    config = tmp_path / "exp.yaml"
+    config.write_text(
+        "case: null\n"
+        "scenario:\n"
+        "  steps: 10\n"
+        "  runs: 2\n"
+        "  initial_position_m: [10000.0, 20000.0]\n"
+        "  initial_velocity_mps: [10.0, -5.0]\n"
+        f"  noise: {{sigma_r_m: {value}, sigma_theta_deg: 1.0, sigma_rdot_mps: 2.0}}\n",
+        encoding="utf-8",
+    )
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "sigma_r must be finite" in capsys.readouterr().err
+
+
 def test_cli_consistency_output(tmp_path):
     out = tmp_path / "c"
     code = main(["consistency", "--sigma-theta-max", "3", "--seed", "42", "--out", str(out)])

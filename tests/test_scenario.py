@@ -178,3 +178,21 @@ def test_noise_spec_validation():
     block = NoiseSpec(200.0, 0.01, 1.0, rho=0.3).range_block()
     assert block[0, 1] == pytest.approx(60.0)
     assert np.all(np.linalg.eigvalsh(block) >= 0)
+
+
+@pytest.mark.parametrize("field", ["sigma_r", "sigma_theta", "sigma_rdot", "rho", "sigma_phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_non_finite(field, value):
+    kwargs = dict(sigma_r=200.0, sigma_theta=0.01, sigma_rdot=1.0, rho=0.3, sigma_phi=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        NoiseSpec(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["r", "theta", "rdot", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spherical_measurement_rejects_non_finite(field, value):
+    kwargs = dict(r=1000.0, theta=0.5, rdot=10.0, phi=0.1, dim=3)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SphericalMeasurement(**kwargs)
