@@ -261,3 +261,104 @@ def test_convert_packages_fields():
     assert z.position.shape == (2,)
     assert z.mu.shape == (3,) and z.cov.shape == (3, 3)
     assert z.pseudo == pytest.approx(1e6)
+
+
+# Closed-form statistics pinned at three operating points: a 3D point with
+# elevation noise and range/range-rate correlation, the 2D benchmark geometry
+# and a near-pole elevation. Each entry is (mu, cov) per statistic.
+FROZEN = {
+    "3d": (
+        sph(20000.0, 60.0, -150.0, phi_deg=25.0),
+        NoiseSpec(sigma_r=100.0, sigma_theta=math.radians(15.0), sigma_rdot=5.0, rho=0.3,
+                  sigma_phi=math.radians(10.0)),
+        {
+            "unbiased": (
+                [437.7027650906133, 758.1234277503271, 127.7614554968902, -150.0],
+                [[16123485.128168061, -7680060.379908621, -2152520.2158637047, 646903.1328956916],
+                 [-7680060.379908621, 7255315.2727024555, -3728274.3781950623, 1120469.093750819],
+                 [-2152520.2158637047, -3728274.3781950623, 9743788.689656898, 624345.2834487824],
+                 [646903.1328956916, 1120469.093750819, 624345.2834487824, 9325272500.0]],
+            ),
+            "nested": (
+                [-416.5638415032535, -721.5097380797039, -125.83028131579209, 150.0],
+                [[15280862.520315185, -6451570.515482426, -1957114.9514793009, 615660.8447829476],
+                 [-6451570.515482426, 7831230.572695941, -3389822.5322148353, 1066355.8633948413],
+                 [-1957114.9514793009, -3389822.5322148353, 9523075.524688646, 614908.012350098],
+                 [615660.8447829476, 1066355.8633948413, 614908.012350098, 9325817500.0]],
+            ),
+            "truth": (
+                [-437.7027650906133, -758.1234277503271, -127.7614554968902, 150.0],
+                [[16123485.128168061, -7680060.379908621, -2152520.2158637047, 646903.1328956916],
+                 [-7680060.379908621, 7255315.2727024555, -3728274.3781950623, 1120469.093750819],
+                 [-2152520.2158637047, -3728274.3781950623, 9743788.689656898, 624345.2834487824],
+                 [646903.1328956916, 1120469.093750819, 624345.2834487824, 9325272500.0]],
+            ),
+        },
+    ),
+    "2d": (
+        sph(113137.0, 45.0, 282.8),
+        CASE_NOISE,
+        {
+            "unbiased": (
+                [76.11806247850421, 76.1180624785042, -60.0],
+                [[12193086.888207436, -12130009.106036186, 12786610.556724131],
+                 [-12130009.106036186, 12193086.888206482, 12786610.556724127],
+                 [12786610.556724131, 12786610.556724127, 19838475201.0]],
+            ),
+            "nested": (
+                [-76.04563793115456, -76.04563793115454, 60.0],
+                [[12193124.929160118, -12083947.10265255, 12774444.397319214],
+                 [-12083947.10265255, 12193124.929160118, 12774444.397319213],
+                 [12774444.397319214, 12774444.397319213, 19838562401.0]],
+            ),
+            "truth": (
+                [-76.11806247850421, -76.1180624785042, 0.0, 60.0],
+                [[12193086.888207436, -12130009.106036186, 0.0, 12786610.556724131],
+                 [-12130009.106036186, 12193086.888206482, 0.0, 12786610.556724127],
+                 [0.0, 0.0, 0.0, 0.0],
+                 [12786610.556724131, 12786610.556724127, 0.0, 19838475201.0]],
+            ),
+        },
+    ),
+    "pole": (
+        sph(8000.0, -130.0, 40.0, phi_deg=89.5),
+        NoiseSpec(sigma_r=50.0, sigma_theta=math.radians(30.0), sigma_rdot=2.0, rho=-0.6,
+                  sigma_phi=math.radians(5.0)),
+        {
+            "unbiased": (
+                [-5.897012132546859, -7.027785394534363, 30.40266297590106, 60.0],
+                [[218225.26206244872, 137207.1080454238, 2344.5016571512097, 1851.4293033649305],
+                 [137207.1080454238, 266611.8922492281, 2794.0682727530366, 2206.4475237193515],
+                 [2344.5016571512097, 2794.0682727530366, 4359.377483263612, -378541.4042730298],
+                 [1851.4293033649305, 2206.4475237193515, -378541.4042730298, 221613600.0]],
+            ),
+            "nested": (
+                [5.122078162303979, 6.104255051474115, -30.287118336811975, -60.0],
+                [[288674.7473771705, 53804.50641657521, 2013.3568805305404, 1608.1305906554917],
+                 [53804.50641657521, 307649.11970705824, 2399.4252955465345, 1916.4954087743308],
+                 [2013.3568805305404, 2399.4252955465345, 7982.150891825557, -377102.7661520312],
+                 [1608.1305906554917, 1916.4954087743308, -377102.7661520312, 221640800.0]],
+            ),
+            "truth": (
+                [5.897012132546859, 7.027785394534363, -30.40266297590106, -60.0],
+                [[218225.26206244872, 137207.1080454238, 2344.5016571512097, 1851.4293033649305],
+                 [137207.1080454238, 266611.8922492281, 2794.0682727530366, 2206.4475237193515],
+                 [2344.5016571512097, 2794.0682727530366, 4359.377483263612, -378541.4042730298],
+                 [1851.4293033649305, 2206.4475237193515, -378541.4042730298, 221613600.0]],
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(FROZEN))
+def test_closed_forms_frozen(point):
+    # an algebra slip moves entries far beyond rounding; the oracle and
+    # numeric-reference tests are too loose (0.5-2%) to see small ones
+    m, noise, expected = FROZEN[point]
+    stats = {"unbiased": unbiased_stats, "nested": nested_stats, "truth": truth_conditioned_stats}
+    for name, (mu_ref, cov_ref) in expected.items():
+        mu, cov = stats[name](m, noise)
+        mu_ref, cov_ref = np.array(mu_ref), np.array(cov_ref)
+        np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-12 * np.abs(mu_ref).max(), err_msg=name)
+        np.testing.assert_allclose(cov, cov_ref, rtol=0, atol=1e-12 * np.abs(cov_ref).max(), err_msg=name)
