@@ -26,6 +26,7 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _validate,
     build_noise,
     build_scenario,
     config_to_dict,
@@ -83,12 +84,7 @@ def _load_and_override(args) -> ExperimentConfig:
             cfg.consistency, sigma_theta_deg_max=args.sigma_theta_max
         )
     cfg = dataclasses.replace(cfg, **updates)
-    if cfg.case is not None and cfg.case not in (1, 2):
-        raise ConfigError(f"unknown case {cfg.case!r} (supported: 1, 2)")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if cfg.runs is not None and cfg.runs < 1:
-        raise ConfigError("runs must be >= 1")
+    _validate(cfg)
     return cfg
 
 
@@ -148,8 +144,6 @@ def cmd_consistency(args) -> int:
     out = _out_dir(cfg)
     cc = cfg.consistency
     grid = default_sigma_grid(cc.sigma_theta_deg_max)
-    if grid.size == 0:
-        raise ConfigError("consistency sweep grid is empty")
     try:
         geometry = SphericalMeasurement(
             r=cc.geometry.r_m,

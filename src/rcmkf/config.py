@@ -188,8 +188,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("jobs must be >= 1")
     if cfg.consistency.samples < 1:
         raise ConfigError("consistency samples must be >= 1")
+    if not math.isfinite(cfg.consistency.sigma_theta_deg_max):
+        raise ConfigError("sigma_theta_deg_max must be finite")
     if cfg.consistency.sigma_theta_deg_max < 0.5:
         raise ConfigError("sigma_theta_deg_max must be at least 0.5 (empty sweep grid)")
+    if not 0.0 < cfg.consistency.tail < 0.5:
+        raise ConfigError("consistency tail probability must lie in (0, 0.5)")
     if cfg.golden.samples < 10_000:
         raise ConfigError("golden samples must be >= 1e4")
 

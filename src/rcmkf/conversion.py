@@ -15,6 +15,12 @@ provided:
   defining sample-average form and is the reference implementation; the
   closed form is algebraically reduced from it and validated against it.
 
+Both closed forms (and the truth-conditioned first stage) come from one
+kernel, ``_moments``, which derives every entry from the attenuated position
+second moment ``E[p p^T]``; ``_finalize`` then collapses the 2D case and
+checks each item for positive semidefiniteness. Every conversion, one
+measurement or a batch, goes through ``_stats_batch``.
+
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
 truth the closed forms are tested against. See FORMULA_NOTES.md for the
@@ -85,6 +91,11 @@ def lambda_factors(noise: NoiseSpec) -> LambdaFactors:
     )
 
 
+def _spherical(m: SphericalMeasurement):
+    """``(r, theta, phi, rdot)`` of a measurement; phi is zero for a 2D radar."""
+    return m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
+
+
 def convert_position(m: SphericalMeasurement) -> np.ndarray:
     """Cartesian position ``(x, y, z)`` of a spherical measurement.
 
@@ -92,8 +103,7 @@ def convert_position(m: SphericalMeasurement) -> np.ndarray:
     ``z = r sin(phi)``; for a 2D measurement phi is treated as zero and the
     returned z is 0.
     """
-    phi = m.phi if m.dim == 3 else 0.0
-    return _cart(m.r, m.theta, phi, m.rdot)[:3]
+    return _cart(*_spherical(m))[:3]
 
 
 def convert_pseudo(m: SphericalMeasurement) -> float:
@@ -123,218 +133,139 @@ def _noiseless(noise: NoiseSpec) -> bool:
     )
 
 
-def _conditioned_moments(rm, theta, phi, rdot, noise: NoiseSpec):
-    """Measurement-conditioned error mean/covariance, vectorized.
+# Upper-triangle entries of the 3x3 position block, in the order
+# :func:`_second_moment` returns them.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _second_moment(a, b, s, trig):
+    """``E[p p^T]`` of the attenuated position, as its ``_PAIRS`` entries.
+
+    ``p = r (cos phi cos theta, cos phi sin theta, sin phi)`` with Gaussian
+    angle noise that attenuates the bearing cosines by ``a`` and the
+    elevation cosines by ``b`` (so the doubled angles by ``a**4`` and
+    ``b**4``), and ``s = E[r^2]``. ``trig`` holds the shared terms
+    ``(cos theta, sin theta, cos 2theta, sin 2theta, cos 2phi, sin 2phi)``.
+    """
+    ct, st, c2t, s2t, c2p, s2p = trig
+    a4c2t = a**4 * c2t
+    b4c2p = b**4 * c2p
+    e = 0.25 * s * (1.0 + b4c2p)
+    h = (0.5 * a * b**4) * s * s2p
+    return (
+        e * (1.0 + a4c2t),
+        e * (a**4 * s2t),
+        h * ct,
+        e * (1.0 - a4c2t),
+        h * st,
+        0.5 * s * (1.0 - b4c2p),
+    )
+
+
+def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
+    """Error mean/covariance of the conversion under ``method``, vectorized.
 
     Inputs broadcast; returns ``mu`` with shape ``(..., 4)`` and ``cov`` with
-    shape ``(..., 4, 4)`` ordered (x, y, z, eta). The entries are the exact
-    first two moments of ``converted(Z_m) - cartesian(Z_m - noise)`` over the
-    noise distribution, evaluated at the measured values.
+    shape ``(..., 4, 4)`` ordered (x, y, z, eta), symmetric by construction.
+    With ``u`` the unit direction, ``d = (Lt Lp, Lt Lp, Lp)`` the attenuation
+    of its components, ``D = diag(d)`` and ``S`` the attenuated second
+    moment (:func:`_second_moment`), the position block is
+
+    * measurement-conditioned: ``S(Lt, Lp, r^2 + s_r^2) - m m^T`` with
+      ``m = r d*u``, the exact moments of ``converted(Z_m) -
+      cartesian(Z_m - noise)`` evaluated at the measured values;
+    * nested: ``S(Lt^2, Lp^2, r^2 + 2 s_r^2) - D S(Lt, Lp, r^2 + s_r^2) D``,
+      the truth-conditioned moments averaged over the truths ``Z_m -
+      noise``; the doubled noise squares every attenuation and counts the
+      range variance twice.
+
+    The pseudo column is ``d*q*u`` (nested: ``d^2*q*u``) and the eta variance
+    carries ``(1 + rho^2) s_r^2 s_d^2`` once (nested: three times). The mean
+    is ``r u*(1 - d)`` with ``-rho s_r s_d`` for eta (nested:
+    ``r u*d*(d - 1)`` with ``+rho s_r s_d``).
     """
     rm, theta, phi, rdot = _bcast(rm, theta, phi, rdot)
     if _noiseless(noise):
         # exact conversion: avoids rounding residue from cancelling r^2 terms
         return np.zeros(rm.shape + (4,)), np.zeros(rm.shape + (4, 4))
     lam = lambda_factors(noise)
-    lt, lt2, lp, lp2 = lam.lam_theta, lam.lam_theta2, lam.lam_phi, lam.lam_phi2
-    c = noise.rho * noise.sigma_r * noise.sigma_rdot
-
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    c2t, s2t = np.cos(2 * theta), np.sin(2 * theta)
-    c2p, s2p = np.cos(2 * phi), np.sin(2 * phi)
-    r2s = rm**2 + noise.sigma_r**2
-    zeros = np.zeros_like(rm)
-
-    mu = np.stack(
-        [
-            rm * ct * cp * (1.0 - lt * lp),
-            rm * st * cp * (1.0 - lt * lp),
-            rm * sp * (1.0 - lp),
-            zeros - c,
-        ],
-        axis=-1,
-    )
-
-    cov = np.empty(rm.shape + (4, 4))
-    cov[..., 0, 0] = -(lt * lp * rm * ct * cp) ** 2 + 0.25 * r2s * (1 + lt2 * c2t) * (1 + lp2 * c2p)
-    cov[..., 1, 1] = -(lt * lp * rm * st * cp) ** 2 + 0.25 * r2s * (1 - lt2 * c2t) * (1 + lp2 * c2p)
-    cov[..., 2, 2] = -(lp * rm * sp) ** 2 + 0.5 * r2s * (1 - lp2 * c2p)
-    cov[..., 0, 1] = -(lt * lp) ** 2 * rm**2 * st * ct * cp**2 + 0.25 * r2s * lt2 * s2t * (1 + lp2 * c2p)
-    cov[..., 0, 2] = -lt * lp**2 * rm**2 * ct * sp * cp + 0.5 * r2s * lt * lp2 * ct * s2p
-    cov[..., 1, 2] = -lt * lp**2 * rm**2 * st * sp * cp + 0.5 * r2s * lt * lp2 * st * s2p
-    # Pseudo-measurement block; q is cov(range error, eta error) stripped of geometry.
-    q = noise.sigma_r**2 * rdot + rm * c
-    cov[..., 0, 3] = lt * lp * q * cp * ct
-    cov[..., 1, 3] = lt * lp * q * cp * st
-    cov[..., 2, 3] = lp * q * sp
-    cov[..., 3, 3] = (
-        rm**2 * noise.sigma_rdot**2
-        + noise.sigma_r**2 * rdot**2
-        + (1 + noise.rho**2) * noise.sigma_r**2 * noise.sigma_rdot**2
-        + 2 * rm * rdot * c
-    )
-    _mirror_lower(cov)
-    return mu, cov
-
-
-def _truth_moments(r, theta, phi, rdot, noise: NoiseSpec):
-    """Error mean/covariance conditioned on the ideal (true) measurement.
-
-    The covariance has the same functional form as the measurement-conditioned
-    one (the noise distribution is symmetric under sign flips), evaluated at
-    the true values; the bias flips orientation: attenuation pulls the
-    converted position toward the origin, and the range/range-rate error
-    product contributes ``+rho sigma_r sigma_rdot`` to the pseudo error.
-    """
-    r, theta, phi, rdot = _bcast(r, theta, phi, rdot)
-    lam = lambda_factors(noise)
     lt, lp = lam.lam_theta, lam.lam_phi
-    c = noise.rho * noise.sigma_r * noise.sigma_rdot
-    mu = np.stack(
-        [
-            r * np.cos(theta) * np.cos(phi) * (lt * lp - 1.0),
-            r * np.sin(theta) * np.cos(phi) * (lt * lp - 1.0),
-            r * np.sin(phi) * (lp - 1.0),
-            np.zeros_like(r) + c,
-        ],
-        axis=-1,
-    )
-    _, cov = _conditioned_moments(r, theta, phi, rdot, noise)
-    return mu, cov
-
-
-def _nested_moments(rm, theta, phi, rdot, noise: NoiseSpec):
-    """Closed-form two-stage (nested-conditioning) moments, vectorized.
-
-    Obtained by averaging the truth-conditioned moments over reconstructed
-    truths ``Z_m - noise`` using the Gaussian product identities; every
-    attenuation factor therefore appears squared relative to the
-    measurement-conditioned form, and the range variance enters twice.
-    """
-    rm, theta, phi, rdot = _bcast(rm, theta, phi, rdot)
-    if _noiseless(noise):
-        return np.zeros(rm.shape + (4,)), np.zeros(rm.shape + (4, 4))
-    lam = lambda_factors(noise)
-    lt, lt2, lp, lp2 = lam.lam_theta, lam.lam_theta2, lam.lam_phi, lam.lam_phi2
-    sr2 = noise.sigma_r**2
-    srd2 = noise.sigma_rdot**2
+    sr2, srd2 = noise.sigma_r**2, noise.sigma_rdot**2
     c = noise.rho * noise.sigma_r * noise.sigma_rdot
 
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    c2t, s2t = np.cos(2 * theta), np.sin(2 * theta)
-    c2p, s2p = np.cos(2 * phi), np.sin(2 * phi)
+    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    trig = (ct, st, np.cos(2 * theta), np.sin(2 * theta), np.cos(2 * phi), np.sin(2 * phi))
+    u = (cp * ct, cp * st, sp)
+    d = (lt * lp, lt * lp, lp)
     r2s = rm**2 + sr2
-    r22s = rm**2 + 2 * sr2
-
-    mu = np.stack(
-        [
-            lt * lp * (lt * lp - 1.0) * rm * ct * cp,
-            lt * lp * (lt * lp - 1.0) * rm * st * cp,
-            lp * (lp - 1.0) * rm * sp,
-            np.zeros_like(rm) + c,
-        ],
-        axis=-1,
-    )
+    conditioned = _second_moment(lt, lp, r2s, trig)
+    if method is ConversionMethod.MEASUREMENT_CONDITIONED:
+        m = [rm * di * ui for di, ui in zip(d, u)]
+        block = [s - m[i] * m[j] for (i, j), s in zip(_PAIRS, conditioned)]
+        mu = [rm * ui * (1.0 - di) for di, ui in zip(d, u)] + [np.full_like(rm, -c)]
+        cross, k = d, 1.0
+    else:
+        doubled = _second_moment(lt**2, lp**2, r2s + sr2, trig)
+        block = [s2 - (d[i] * d[j]) * s for (i, j), s, s2 in zip(_PAIRS, conditioned, doubled)]
+        mu = [rm * ui * (di * (di - 1.0)) for di, ui in zip(d, u)] + [np.full_like(rm, c)]
+        cross, k = [di**2 for di in d], 3.0
 
     cov = np.empty(rm.shape + (4, 4))
-    cov[..., 0, 0] = 0.25 * r22s * (1 + lt2**2 * c2t) * (1 + lp2**2 * c2p) \
-        - 0.25 * (lt * lp) ** 2 * r2s * (1 + lt2 * c2t) * (1 + lp2 * c2p)
-    cov[..., 1, 1] = 0.25 * r22s * (1 - lt2**2 * c2t) * (1 + lp2**2 * c2p) \
-        - 0.25 * (lt * lp) ** 2 * r2s * (1 - lt2 * c2t) * (1 + lp2 * c2p)
-    cov[..., 2, 2] = 0.5 * r22s * (1 - lp2**2 * c2p) - 0.5 * lp**2 * r2s * (1 - lp2 * c2p)
-    cov[..., 0, 1] = 0.25 * r22s * lt2**2 * s2t * (1 + lp2**2 * c2p) \
-        - 0.25 * (lt * lp) ** 2 * r2s * lt2 * s2t * (1 + lp2 * c2p)
-    cov[..., 0, 2] = 0.5 * lt**2 * lp2**2 * r22s * ct * s2p - 0.5 * lt**2 * lp**2 * lp2 * r2s * ct * s2p
-    cov[..., 1, 2] = 0.5 * lt**2 * lp2**2 * r22s * st * s2p - 0.5 * lt**2 * lp**2 * lp2 * r2s * st * s2p
+    for (i, j), v in zip(_PAIRS, block):
+        cov[..., i, j] = cov[..., j, i] = v
+    # Pseudo-measurement block; q is cov(range error, eta error) stripped of geometry.
     q = sr2 * rdot + rm * c
-    cov[..., 0, 3] = lt**2 * lp**2 * q * cp * ct
-    cov[..., 1, 3] = lt**2 * lp**2 * q * cp * st
-    cov[..., 2, 3] = lp**2 * q * sp
-    cov[..., 3, 3] = rm**2 * srd2 + rdot**2 * sr2 + 3 * (1 + noise.rho**2) * sr2 * srd2 \
-        + 2 * c * rm * rdot
-    _mirror_lower(cov)
-    return mu, cov
+    for i in range(3):
+        cov[..., i, 3] = cov[..., 3, i] = cross[i] * q * u[i]
+    cov[..., 3, 3] = (
+        rm**2 * srd2 + sr2 * rdot**2 + k * (1 + noise.rho**2) * sr2 * srd2 + 2 * rm * rdot * c
+    )
+    return np.stack(mu, axis=-1), cov
 
 
-def _mirror_lower(cov: np.ndarray) -> None:
-    """Fill the strict lower triangle from the upper one, in place."""
-    for i in range(1, 4):
-        for j in range(i):
-            cov[..., i, j] = cov[..., j, i]
-
-
-def _finalize(
-    mu: np.ndarray,
-    cov: np.ndarray,
-    dim: int,
-    psd_tol: float = 1e-9,
-    abs_scale=0.0,
-    per_item: bool = False,
-):
+def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, abs_scale=0.0):
     """Collapse to the 2D form if needed and enforce positive semidefiniteness.
 
-    Eigenvalues inside the rounding band are clamped to zero; anything more
-    negative signals an invalid noise regime. ``abs_scale`` carries the
-    magnitude of the cancelling assembly terms (about r^2), whose rounding
-    residue is invisible to the trace-relative tolerance when the entries
-    nearly vanish.
-
-    By default an indefinite item raises :class:`DegenerateCovarianceError`
-    and a clamp rebuilds every item of the batch from its eigenpairs. With
-    ``per_item`` the items are independent measurements: ``abs_scale`` may
-    be one value per item, only the items with a negative eigenvalue are
-    rebuilt, and ``(mu, cov, ok)`` is returned with ``ok`` false where an
-    item is indefinite instead of raising.
+    Every item along the leading axes is its own measurement; ``cov`` is
+    symmetric. Eigenvalues inside an item's rounding band are clamped to
+    zero, and only the clamped items are rebuilt from their eigenpairs.
+    ``abs_scale`` (one value, or one per item) carries the magnitude of the
+    cancelling assembly terms (about r^2), whose rounding residue is
+    invisible to the trace-relative tolerance when the entries nearly
+    vanish. Returns ``(mu, cov, ok)``; ``ok`` is false where an item has an
+    eigenvalue below its band, which signals an invalid noise regime.
     """
     if dim == 2:
         mu = mu[..., _IDX_2D]
         cov = cov[..., _IDX_2D[:, None], _IDX_2D[None, :]]
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     w, v = np.linalg.eigh(cov)
     tol = psd_tol * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0) + 1e-12 * abs_scale
     lowest = w[..., 0]  # eigh returns the eigenvalues in ascending order
     ok = ~(lowest < -tol)
-    if per_item:
-        rebuild = (lowest < 0) & ok
-        if np.any(rebuild):
-            v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
-            fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-            cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
-        return mu, cov, ok
+    rebuild = (lowest < 0) & ok
+    if np.any(rebuild):
+        v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
+        fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        cov = cov.copy()
+        cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+    return mu, cov, ok
+
+
+def _raise_if_indefinite(ok) -> None:
     if not np.all(ok):
         raise DegenerateCovarianceError(
             "assembled conversion covariance is indefinite beyond tolerance"
         )
-    if np.any(lowest < 0):
-        w = np.maximum(w, 0.0)
-        cov = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    return mu, cov
 
 
-def _assembly_scale(rm, noise: NoiseSpec) -> float:
-    return float(np.max(np.asarray(rm) ** 2)) + noise.sigma_r**2
+def _stats_batch(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
+    """Vectorized ``(mu, cov, ok)`` for a batch of measurements, already collapsed.
 
-
-def _stats_batch(
-    method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec, dim: int, per_item: bool = False
-):
-    """Vectorized (mu, cov) for a batch of measurements, already collapsed.
-
-    The default treats the batch as one sample (the consistency sweep): one
-    rounding tolerance from the largest range, and an indefinite item
-    raises. ``per_item`` treats each item as its own measurement, as a
-    filter does: each gets its own tolerance and ``(mu, cov, ok)`` flags the
+    Each item gets its own rounding tolerance and ``ok`` flags the
     indefinite ones (see :func:`_finalize`).
     """
-    if method is ConversionMethod.MEASUREMENT_CONDITIONED:
-        mu, cov = _conditioned_moments(rm, theta, phi, rdot, noise)
-    else:
-        mu, cov = _nested_moments(rm, theta, phi, rdot, noise)
-    scale = np.asarray(rm) ** 2 + noise.sigma_r**2 if per_item else _assembly_scale(rm, noise)
-    return _finalize(mu, cov, dim, abs_scale=scale, per_item=per_item)
+    mu, cov = _moments(method, rm, theta, phi, rdot, noise)
+    return _finalize(mu, cov, dim, abs_scale=np.asarray(rm) ** 2 + noise.sigma_r**2)
 
 
 def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -342,10 +273,13 @@ def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
 
     Returns ``(mu, cov)`` of size 4 / 4x4 in 3D and 3 / 3x3 in 2D (the z
     row/column collapses exactly when ``phi = 0`` and ``sigma_phi = 0``).
+    Raises :class:`DegenerateCovarianceError` if the covariance is
+    indefinite beyond rounding.
     """
-    phi = m.phi if m.dim == 3 else 0.0
-    mu, cov = _conditioned_moments(m.r, m.theta, phi, m.rdot, noise)
-    return _finalize(mu, cov, m.dim, abs_scale=_assembly_scale(m.r, noise))
+    method = ConversionMethod.MEASUREMENT_CONDITIONED
+    mu, cov, ok = _stats_batch(method, *_spherical(m), noise, m.dim)
+    _raise_if_indefinite(ok)
+    return mu, cov
 
 
 def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -355,20 +289,26 @@ def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
     analytic reduction of :func:`nested_stats_numeric` and agrees with it to
     well under half a percent per entry.
     """
-    phi = m.phi if m.dim == 3 else 0.0
-    mu, cov = _nested_moments(m.r, m.theta, phi, m.rdot, noise)
-    return _finalize(mu, cov, m.dim, abs_scale=_assembly_scale(m.r, noise))
+    method = ConversionMethod.NESTED_CONDITIONING
+    mu, cov, ok = _stats_batch(method, *_spherical(m), noise, m.dim)
+    _raise_if_indefinite(ok)
+    return mu, cov
 
 
 def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
     """First-stage statistics: error moments conditioned on the ideal values.
 
-    ``m`` is interpreted as the *true* spherical point. Returned in the full
+    ``m`` is interpreted as the *true* spherical point. The covariance has
+    the measurement-conditioned form evaluated at the true values (the
+    noise distribution is symmetric under sign flips) and the mean is its
+    negative: attenuation pulls the converted position toward the origin,
+    and the range/range-rate error product contributes
+    ``+rho sigma_r sigma_rdot`` to the pseudo error. Returned in the full
     (x, y, z, eta) form regardless of ``dim``; used by the numeric nested
     reference and directly testable against a fixed-truth Monte Carlo.
     """
-    phi = m.phi if m.dim == 3 else 0.0
-    return _truth_moments(m.r, m.theta, phi, m.rdot, noise)
+    mu, cov = _moments(ConversionMethod.MEASUREMENT_CONDITIONED, *_spherical(m), noise)
+    return -mu, cov
 
 
 def nested_stats_numeric(
@@ -387,14 +327,17 @@ def nested_stats_numeric(
     if samples < 100_000:
         raise ValueError("the nested reference needs at least 1e5 draws")
     rng = np.random.default_rng(0) if rng is None else rng
-    phi = m.phi if m.dim == 3 else 0.0
+    r, theta, phi, rdot = _spherical(m)
     draws = _noise_matrix(noise, samples, rng)
-    mu_t, cov_t = _truth_moments(
-        m.r - draws[0], m.theta - draws[1], phi - draws[2], m.rdot - draws[3], noise
+    mu_t, cov_t = _moments(
+        ConversionMethod.MEASUREMENT_CONDITIONED,
+        r - draws[0], theta - draws[1], phi - draws[2], rdot - draws[3], noise,
     )
-    mu = mu_t.mean(axis=0)
-    cov = cov_t.mean(axis=0)
-    return _finalize(mu, cov, m.dim, abs_scale=_assembly_scale(m.r, noise))
+    mu, cov, ok = _finalize(
+        -mu_t.mean(axis=0), cov_t.mean(axis=0), m.dim, abs_scale=r**2 + noise.sigma_r**2
+    )
+    _raise_if_indefinite(ok)
+    return mu, cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,14 +369,14 @@ def mc_moment_oracle(
     """
     if samples < 10_000:
         raise ValueError("oracle needs at least 1e4 samples")
-    phi = m.phi if m.dim == 3 else 0.0
-    converted = _cart(m.r, m.theta, phi, m.rdot)
+    r, theta, phi, rdot = _spherical(m)
+    converted = _cart(r, theta, phi, rdot)
 
     # Pilot center keeps the accumulated products small; the recentering at
     # the end is exact for the mean and covariance.
     pilot = _noise_matrix(noise, min(batch, samples), rng)
     errs = converted[:, None] - _cart(
-        m.r - pilot[0], m.theta - pilot[1], phi - pilot[2], m.rdot - pilot[3]
+        r - pilot[0], theta - pilot[1], phi - pilot[2], rdot - pilot[3]
     )
     center = errs.mean(axis=1)
 
@@ -447,15 +390,15 @@ def mc_moment_oracle(
         centered = block - center[:, None]
         sum_c += centered.sum(axis=1)
         sum_cc += centered @ centered.T
-        prods = centered[:, None, :] * centered[None, :, :]
-        sum_cc_sq += (prods**2).sum(axis=2)
+        sq = centered**2
+        sum_cc_sq += sq @ sq.T
         n_done += block.shape[1]
 
     accumulate(errs)
     while n_done < samples:
         k = min(batch, samples - n_done)
         d = _noise_matrix(noise, k, rng)
-        block = converted[:, None] - _cart(m.r - d[0], m.theta - d[1], phi - d[2], m.rdot - d[3])
+        block = converted[:, None] - _cart(r - d[0], theta - d[1], phi - d[2], rdot - d[3])
         accumulate(block)
 
     mean_c = sum_c / n_done
@@ -499,16 +442,14 @@ def convert(
     noise: NoiseSpec,
     method: ConversionMethod = ConversionMethod.MEASUREMENT_CONDITIONED,
 ) -> ConvertedMeasurement:
-    """Convert one measurement and attach the method's error statistics."""
-    stats = unbiased_stats if method is ConversionMethod.MEASUREMENT_CONDITIONED else nested_stats
-    mu, cov = stats(m, noise)
-    return ConvertedMeasurement(
-        position=convert_position(m)[: m.dim],
-        pseudo=convert_pseudo(m),
-        mu=mu,
-        cov=cov,
-        dim=m.dim,
-    )
+    """Convert one measurement and attach the method's error statistics.
+
+    This is :func:`_convert_batch` on one row; raises
+    :class:`DegenerateCovarianceError` if the statistics are indefinite.
+    """
+    z, ok = _convert_batch(np.array(_spherical(m)), noise, [method], m.dim)
+    _raise_if_indefinite(ok)
+    return z[0]
 
 
 def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
@@ -517,14 +458,13 @@ def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
     Returns ``(z, ok)``: a :class:`ConvertedMeasurement` whose leading axes
     are ``meas.shape[:-1] + (len(methods),)``, and the mask of conversions
     whose statistics are positive semidefinite. Each item is finalized on
-    its own, as :func:`convert` does one measurement, so an indefinite item
-    flags only itself.
+    its own, so an indefinite item flags only itself.
     """
     r, theta, phi, rdot = np.moveaxis(np.asarray(meas, dtype=float), -1, 0)
     if dim == 2:
         phi = np.zeros_like(r)
     cart = _cart(r, theta, phi, rdot)
-    stats = [_stats_batch(m, r, theta, phi, rdot, noise, dim, per_item=True) for m in methods]
+    stats = [_stats_batch(m, r, theta, phi, rdot, noise, dim) for m in methods]
     shape = r.shape + (len(methods),)
     position = np.moveaxis(cart[:dim], 0, -1)
     z = ConvertedMeasurement(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import chi2
 
-from .conversion import ConversionMethod, _cart, _stats_batch
+from .conversion import _IDX_2D, ConversionMethod, _cart, _raise_if_indefinite, _stats_batch
 from .errors import DegenerateCovarianceError
 from .montecarlo import RunRecord
 from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
@@ -110,12 +110,14 @@ def consistency_sweep(
     drawn, converted, and scored against the method's hypothesized moments
     evaluated at the measured values. The error vector stacks the converted
     position components and the pseudo-measurement (d = 3 for a 2D radar).
+    Raises :class:`DegenerateCovarianceError` if any hypothesized covariance
+    is indefinite beyond rounding.
     """
     grid = np.asarray(sigma_theta_deg, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must not be empty")
     dim = geometry.dim
-    idx = np.array([0, 1, 3]) if dim == 2 else np.arange(4)
+    idx = _IDX_2D if dim == 2 else np.arange(4)
     phi0 = geometry.phi if dim == 3 else 0.0
     truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx]
     lower, upper = chi_square_bounds(dim + 1, samples, tail)
@@ -129,7 +131,8 @@ def consistency_sweep(
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]
         errors = _cart(rm, thm, phm, rdm)[idx].T - truth
-        mus, covs = _stats_batch(method, rm, thm, phm, rdm, noise, dim)
+        mus, covs, ok = _stats_batch(method, rm, thm, phm, rdm, noise, dim)
+        _raise_if_indefinite(ok)
         averages[i] = _nes_samples(errors, mus, covs).mean()
 
     inside = (averages >= lower) & (averages <= upper)

@@ -172,6 +172,28 @@ def test_cli_simulate_non_finite_noise_exits_2(tmp_path, capsys, value):
     assert "sigma_r must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("tail: 0.7", "tail probability"),
+        ("tail: .nan", "tail probability"),
+        ("sigma_theta_deg_max: .nan", "sigma_theta_deg_max must be finite"),
+    ],
+)
+def test_cli_consistency_bad_sweep_settings_exit_2(tmp_path, capsys, entry, message):
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"consistency:\n  {entry}\n", encoding="utf-8")
+    code = main(["consistency", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_consistency_nan_sigma_flag_exits_2(tmp_path, capsys):
+    code = main(["consistency", "--sigma-theta-max", "nan", "--out", str(tmp_path)])
+    assert code == 2
+    assert "sigma_theta_deg_max must be finite" in capsys.readouterr().err
+
+
 def test_cli_consistency_output(tmp_path):
     out = tmp_path / "c"
     code = main(["consistency", "--sigma-theta-max", "3", "--seed", "42", "--out", str(out)])

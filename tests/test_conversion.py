@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rcmkf import conversion
 from rcmkf.conversion import (
     ConversionMethod,
     _finalize,
@@ -19,6 +20,7 @@ from rcmkf.conversion import (
     unbiased_stats,
 )
 from rcmkf.errors import DegenerateCovarianceError
+from rcmkf.evaluation import consistency_sweep
 from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
 
 CASE_NOISE = NoiseSpec(sigma_r=200.0, sigma_theta=math.radians(2.5), sigma_rdot=1.0, rho=0.3)
@@ -242,17 +244,41 @@ def test_debias_correctness_under_reconstructed_truths():
     np.testing.assert_array_less(np.abs(est.mean - mu), 3 * est.se_mean)
 
 
-def test_finalize_raises_on_indefinite():
+def test_finalize_flags_indefinite():
     bad = np.diag([1.0, 1.0, 1.0, -0.5])
-    with pytest.raises(DegenerateCovarianceError):
-        _finalize(np.zeros(4), bad, 3)
+    _, _, ok = _finalize(np.zeros(4), bad, 3)
+    assert not ok
+    # in a batch only the indefinite item is flagged
+    _, _, ok = _finalize(np.zeros((2, 4)), np.stack([np.eye(4), bad]), 3)
+    np.testing.assert_array_equal(ok, [True, False])
 
 
 def test_finalize_clamps_rounding_negatives():
     tiny = -1e-13
     cov = np.diag([1.0, 1.0, 1.0, tiny])
-    _, fixed = _finalize(np.zeros(4), cov, 3)
+    _, fixed, ok = _finalize(np.zeros(4), cov, 3)
+    assert ok
     assert np.linalg.eigvalsh(fixed).min() >= 0.0
+
+
+def test_stats_raise_on_indefinite(monkeypatch):
+    real = conversion._moments
+
+    def forced(method, rm, theta, phi, rdot, noise):
+        mu, cov = real(method, rm, theta, phi, rdot, noise)
+        cov[..., 0, 0] = -cov[..., 0, 0]  # indefinite beyond any tolerance
+        return mu, cov
+
+    monkeypatch.setattr(conversion, "_moments", forced)
+    m = sph(10000.0, 45.0, 100.0)
+    for stats in (unbiased_stats, nested_stats):
+        with pytest.raises(DegenerateCovarianceError):
+            stats(m, CASE_NOISE)
+    for method in ConversionMethod:
+        with pytest.raises(DegenerateCovarianceError):
+            convert(m, CASE_NOISE, method)
+        with pytest.raises(DegenerateCovarianceError):
+            consistency_sweep(method, m, CASE_NOISE, [1.0], 100, np.random.default_rng(0))
 
 
 def test_convert_packages_fields():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rcmkf.conversion as conversion
+from rcmkf.conversion import ConversionMethod
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import INIT_SCANS, _run_chunk, run_ensemble, run_single
 from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
@@ -93,14 +94,15 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     base = run_ensemble(sc, VARIANTS, seed=9)
     run, step = 3, 10
     target = base[run].measurements[step, 0]  # its range singles out the (run, scan) pair
-    real = conversion._conditioned_moments
+    real = conversion._moments
 
-    def forced(rm, theta, phi, rdot, noise):
-        mu, cov = real(rm, theta, phi, rdot, noise)
-        cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+    def forced(method, rm, theta, phi, rdot, noise):
+        mu, cov = real(method, rm, theta, phi, rdot, noise)
+        if method is ConversionMethod.MEASUREMENT_CONDITIONED:
+            cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
         return mu, cov
 
-    monkeypatch.setattr(conversion, "_conditioned_moments", forced)
+    monkeypatch.setattr(conversion, "_moments", forced)
     forced_records = run_ensemble(sc, VARIANTS, seed=9)
     for i, (a, b) in enumerate(zip(base, forced_records)):
         if i != run:
