@@ -55,12 +55,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_manifest(path: Path, command: str, cfg: ExperimentConfig) -> None:
+def _write_manifest(path: Path, command: str, cfg: ExperimentConfig, **results) -> None:
     manifest = {
         "command": command,
         "version": f"rcmkf-{__version__}",
         "seed": cfg.seed,
         "config": config_to_dict(cfg),
+        **results,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -134,8 +135,13 @@ def cmd_simulate(args) -> int:
             for i, step in enumerate(nees_report.steps)
         ),
     )
-    _write_manifest(out / f"manifest_{tag}.json", "simulate", cfg)
-    print(f"wrote {out / f'rmse_{tag}.csv'} ({len(rmse_report.steps)} rows, {scenario.runs} runs)")
+    # Predict-only scans (degenerate conversion or decorrelation) per variant.
+    skipped = {v.name.lower(): sum(len(rec.skipped[v.name]) for rec in records) for v in variants}
+    _write_manifest(out / f"manifest_{tag}.json", "simulate", cfg, skipped_scans=skipped)
+    print(
+        f"wrote {out / f'rmse_{tag}.csv'} ({len(rmse_report.steps)} rows, {scenario.runs} runs; "
+        "skipped scans " + ", ".join(f"{name} {n}" for name, n in skipped.items()) + ")"
+    )
     return 0
 
 

@@ -18,8 +18,11 @@ provided:
 Both closed forms (and the truth-conditioned first stage) come from one
 kernel, ``_moments``, which derives every entry from the attenuated position
 second moment ``E[p p^T]``; ``_finalize`` then collapses the 2D case and
-checks each item for positive semidefiniteness. Every conversion, one
-measurement or a batch, goes through ``_stats_batch``.
+enforces positive semidefiniteness item by item: a vectorized LDL^T screen
+passes the items that are certainly positive definite, and only the rest go
+through an eigendecomposition that clamps rounding negatives and flags
+indefinite items. Every conversion, one measurement or a batch, goes
+through ``_stats_batch``.
 
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
@@ -223,11 +226,46 @@ def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
     return np.stack(mu, axis=-1), cov
 
 
+# Screen margin of ``_finalize``. An item whose shifted matrix
+# ``A - margin * trace(A) * I`` has positive LDL^T pivots has its lowest
+# eigenvalue above about ``margin * trace``, far above the ~1e-16 * |A|
+# rounding of ``eigh``, so ``eigh`` would find no negative eigenvalue and
+# leave it unchanged. Conversion covariances have a lowest eigenvalue of
+# about 2e-6 of their trace.
+_SCREEN_MARGIN = 1e-8
+
+
+def _screen_pd(cov: np.ndarray) -> np.ndarray:
+    """Mask of the items along the leading axes that are certainly positive definite.
+
+    Runs the LDL^T elimination of every shifted item at once, one column at
+    a time on the lower-triangle entries; an item passes when every pivot is
+    positive. A zero, singular, indefinite or non-finite item fails (NaN
+    compares false).
+    """
+    n = cov.shape[-1]
+    passed = np.ones(cov.shape[:-2], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shift = _SCREEN_MARGIN * np.trace(cov, axis1=-2, axis2=-1)
+        a = [[cov[..., i, j] for j in range(i)] + [cov[..., i, i] - shift] for i in range(n)]
+        for k in range(n):
+            pivot = a[k][k]
+            passed &= pivot > 0
+            for i in range(k + 1, n):
+                col = a[i][k] / pivot
+                for j in range(k + 1, i + 1):
+                    a[i][j] = a[i][j] - col * a[j][k]
+    return passed
+
+
 def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, abs_scale=0.0):
     """Collapse to the 2D form if needed and enforce positive semidefiniteness.
 
     Every item along the leading axes is its own measurement; ``cov`` is
-    symmetric. Eigenvalues inside an item's rounding band are clamped to
+    symmetric. Items that pass the positive-definiteness screen
+    (:func:`_screen_pd`) are returned unchanged with ``ok`` true, which is
+    what the eigenvalue check below gives them. Only the others go through
+    ``eigh``: eigenvalues inside an item's rounding band are clamped to
     zero, and only the clamped items are rebuilt from their eigenpairs.
     ``abs_scale`` (one value, or one per item) carries the magnitude of the
     cancelling assembly terms (about r^2), whose rounding residue is
@@ -238,16 +276,24 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, 
     if dim == 2:
         mu = mu[..., _IDX_2D]
         cov = cov[..., _IDX_2D[:, None], _IDX_2D[None, :]]
-    w, v = np.linalg.eigh(cov)
-    tol = psd_tol * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0) + 1e-12 * abs_scale
+    fail = ~_screen_pd(cov)
+    ok = np.ones(fail.shape, dtype=bool)
+    if not np.any(fail):
+        return mu, cov, ok
+    sub = cov[fail]
+    w, v = np.linalg.eigh(sub)
+    tol = psd_tol * np.maximum(np.trace(sub, axis1=-2, axis2=-1), 0.0)
+    tol = tol + 1e-12 * np.broadcast_to(abs_scale, fail.shape)[fail]
     lowest = w[..., 0]  # eigh returns the eigenvalues in ascending order
-    ok = ~(lowest < -tol)
-    rebuild = (lowest < 0) & ok
+    ok[fail] = held = ~(lowest < -tol)
+    rebuild = (lowest < 0) & held
     if np.any(rebuild):
         v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
         fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        where = np.zeros(fail.shape, dtype=bool)
+        where[fail] = rebuild
         cov = cov.copy()
-        cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+        cov[where] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
     return mu, cov, ok
 
 

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import rcmkf
+from rcmkf import conversion
 from rcmkf.cli import main
 from rcmkf.config import (
     ConfigError,
@@ -20,6 +21,7 @@ from rcmkf.config import (
     default_sigma_grid,
     dump_config,
 )
+from rcmkf.conversion import ConversionMethod
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import run_ensemble
 
@@ -124,6 +126,31 @@ def test_cli_simulate_outputs(tmp_path):
     assert manifest["version"].startswith("rcmkf-")
     nees_lines = (out / "nees_case1.csv").read_text().splitlines()
     assert nees_lines[0] == "step,nees_rcmkfu,nees_rcmkfd,lower_bound,upper_bound"
+
+
+def test_cli_simulate_reports_skipped_scans(tmp_path, capsys, monkeypatch):
+    args = ["simulate", "--case", "1", "--runs", "3", "--seed", "11"]
+    cfg = dataclasses.replace(ExperimentConfig(), case=1, runs=3, seed=11)
+    variants = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
+    base = run_ensemble(build_scenario(cfg), variants, seed=cfg.seed)
+    target = base[1].measurements[10, 0]  # its range singles out one (run, scan) pair
+    real = conversion._moments
+
+    def forced(method, rm, theta, phi, rdot, noise):
+        mu, cov = real(method, rm, theta, phi, rdot, noise)
+        if method is ConversionMethod.MEASUREMENT_CONDITIONED:
+            cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+        return mu, cov
+
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(conversion, "_moments", forced)
+    capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert "skipped scans rcmkf_u 1, rcmkf_d 0)" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "b" / "manifest_case1.json").read_text())
+    assert manifest["skipped_scans"] == {"rcmkf_u": 1, "rcmkf_d": 0}
+    clean = json.loads((tmp_path / "a" / "manifest_case1.json").read_text())
+    assert clean["skipped_scans"] == {"rcmkf_u": 0, "rcmkf_d": 0}
 
 
 def test_cli_simulate_deterministic_replay(tmp_path):

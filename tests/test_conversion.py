@@ -1,9 +1,12 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcmkf import conversion
 from rcmkf.conversion import (
@@ -259,6 +262,97 @@ def test_finalize_clamps_rounding_negatives():
     _, fixed, ok = _finalize(np.zeros(4), cov, 3)
     assert ok
     assert np.linalg.eigvalsh(fixed).min() >= 0.0
+
+
+def _finalize_by_eigh(mu, cov, dim, psd_tol=1e-9, abs_scale=0.0):
+    """Reference PSD guard: every item through ``eigh``, no screen."""
+    if dim == 2:
+        mu = mu[..., conversion._IDX_2D]
+        cov = cov[..., conversion._IDX_2D[:, None], conversion._IDX_2D[None, :]]
+    w, v = np.linalg.eigh(cov)
+    tol = psd_tol * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0) + 1e-12 * abs_scale
+    lowest = w[..., 0]
+    ok = ~(lowest < -tol)
+    rebuild = (lowest < 0) & ok
+    if np.any(rebuild):
+        v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
+        fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        cov = cov.copy()
+        cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+    return mu, cov, ok
+
+
+# Item kinds of the PSD-guard batches, by their lowest eigenvalue relative to
+# the rest: "spd" items keep it above 1e-6 of the largest and must pass the
+# screen; every other kind must reach eigh.
+_ITEM_KINDS = ("spd", "near_singular", "zero", "clamp_band", "indefinite", "nan")
+
+
+@st.composite
+def _psd_guard_batches(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = dim + 1
+    kinds = draw(st.lists(st.sampled_from(_ITEM_KINDS), min_size=1, max_size=12))
+    items = []
+    for kind in kinds:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.floats(-6.0, 12.0))
+        eig = 10.0 ** rng.uniform(-6.0, 0.0, n)
+        rest = eig[1:].sum()
+        if kind == "near_singular":
+            eig[0] = rest * 10.0 ** rng.uniform(-16.0, -9.0)
+        elif kind == "clamp_band":
+            eig[0] = -1e-13 * rest
+        elif kind == "indefinite":
+            eig[0] = -rest * 10.0 ** rng.uniform(-6.0, 0.0)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * (scale * eig)) @ q.T
+        a = 0.5 * (a + a.T)
+        if kind == "zero":
+            a = np.zeros((n, n))
+        elif kind == "nan":
+            i, j = rng.integers(0, n, 2)
+            a[i, j] = a[j, i] = np.nan
+        full = np.full((4, 4), 7.0)  # the z row/column a 2D batch drops
+        idx = conversion._IDX_2D if dim == 2 else np.arange(4)
+        full[np.ix_(idx, idx)] = a
+        items.append(full)
+    cov = np.stack(items)
+    mu = np.arange(cov.shape[0] * 4, dtype=float).reshape(-1, 4)
+    exponents = draw(st.lists(st.floats(-3.0, 12.0), min_size=len(kinds), max_size=len(kinds)))
+    abs_scale = 10.0 ** np.array(exponents)
+    if draw(st.booleans()):  # a single item along no leading axis
+        mu, cov, abs_scale = mu[0], cov[0], abs_scale[0]
+        kinds = kinds[:1]
+    return mu, cov, dim, abs_scale, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_psd_guard_batches())
+def test_finalize_screen_matches_eigh_reference(batch):
+    mu, cov, dim, abs_scale, kinds = batch
+    real_eigh = np.linalg.eigh
+    sent = []
+
+    def counting_eigh(a):
+        sent.append(int(np.prod(a.shape[:-2])))
+        return real_eigh(a)
+
+    try:
+        expected = _finalize_by_eigh(mu, cov, dim, abs_scale=abs_scale)
+    except np.linalg.LinAlgError:
+        expected = None
+    with mock.patch.object(np.linalg, "eigh", counting_eigh):
+        if expected is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                _finalize(mu, cov, dim, abs_scale=abs_scale)
+        else:
+            got = _finalize(mu, cov, dim, abs_scale=abs_scale)
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape and g.dtype == e.dtype
+                assert g.tobytes() == e.tobytes()
+    # only the items the screen cannot clear reach eigh
+    assert sum(sent) == sum(kind != "spd" for kind in kinds)
 
 
 def test_stats_raise_on_indefinite(monkeypatch):

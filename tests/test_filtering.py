@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import rcmkf.filtering as filtering
-from rcmkf.conversion import ConversionMethod, ConvertedMeasurement, convert
+from rcmkf import scenario
+from rcmkf.conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, convert
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import (
     FilterVariant,
@@ -24,6 +25,7 @@ from rcmkf.filtering import (
 from rcmkf.scenario import (
     NoiseSpec,
     cv_model,
+    draw_measurement_noise,
     generate_case,
     measure,
     simulate_truth,
@@ -353,16 +355,20 @@ def test_initialize_belief_covariance_matches_sampling():
     truth0 = np.array([8e3, 6e3, 30.0, 20.0])
     truth1 = truth0.copy()
     truth1[:2] += truth0[2:]
-    rng = np.random.default_rng(10)
     n = 40_000
-    errs = np.empty((n, 4))
-    from rcmkf.scenario import draw_measurement_noise
-
-    for i in range(n):
-        z0 = convert(measure(truth0, noise, draw_measurement_noise(noise, rng)), noise)
-        z1 = convert(measure(truth1, noise, draw_measurement_noise(noise, rng)), noise)
-        belief = initialize_belief(z0, z1, 1.0)
-        errs[i] = belief.mean - truth1
+    # the standard normals of 2n draw_measurement_noise calls, (z0, z1) per sample
+    std = np.random.default_rng(10).standard_normal((n, 2, 4))
+    dr = noise.sigma_r * std[..., 0]
+    dth = noise.sigma_theta * std[..., 1]
+    drd = noise.sigma_rdot * (noise.rho * std[..., 0] + math.sqrt(1.0 - noise.rho**2) * std[..., 3])
+    replay = np.random.default_rng(10)  # the first sample's two calls, one by one
+    for k in range(2):
+        assert draw_measurement_noise(noise, replay) == (dr[0, k], dth[0, k], 0.0, drd[0, k])
+    r, theta, _, rdot = scenario._spherical(np.stack([truth0, truth1]))
+    meas = np.stack([r + dr, theta + dth, np.zeros((n, 2)), rdot + drd], axis=-1)
+    z, ok = _convert_batch(meas, noise, [ConversionMethod.MEASUREMENT_CONDITIONED], 2)
+    assert ok.all()
+    errs = initialize_belief(z[:, 0, 0], z[:, 1, 0], 1.0).mean - truth1
     emp = np.cov(errs.T)
     z0 = convert(measure(truth0, noise), noise)
     z1 = convert(measure(truth1, noise), noise)
