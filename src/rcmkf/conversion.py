@@ -271,13 +271,20 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, 
     cancelling assembly terms (about r^2), whose rounding residue is
     invisible to the trace-relative tolerance when the entries nearly
     vanish. Returns ``(mu, cov, ok)``; ``ok`` is false where an item has an
-    eigenvalue below its band, which signals an invalid noise regime.
+    eigenvalue below its band, which signals an invalid noise regime, or a
+    non-finite entry (such items never reach ``eigh``).
     """
     if dim == 2:
         mu = mu[..., _IDX_2D]
         cov = cov[..., _IDX_2D[:, None], _IDX_2D[None, :]]
     fail = ~_screen_pd(cov)
     ok = np.ones(fail.shape, dtype=bool)
+    if not np.any(fail):
+        return mu, cov, ok
+    # a non-finite entry fails the screen; such an item is invalid and is
+    # kept away from eigh, which would raise for the whole batch
+    ok[fail] = np.isfinite(cov[fail]).all(axis=(-2, -1))
+    fail &= ok
     if not np.any(fail):
         return mu, cov, ok
     sub = cov[fail]

@@ -169,17 +169,23 @@ def rmse(records: list[RunRecord], truth: np.ndarray | None = None) -> RmseRepor
     first = records[0]
     steps = np.arange(first.est_start, first.truth.shape[0])
     p = first.truth.shape[1] // 2
+    refs = []
+    for rec in records:
+        ref = rec.truth if truth is None else np.asarray(truth)
+        if len(ref) != rec.truth.shape[0]:
+            raise ValueError("truth length does not match the records")
+        refs.append(ref[first.est_start :, :p])
     out: dict[str, np.ndarray] = {}
     for name in first.estimates:
-        acc = np.zeros(len(steps))
         for rec in records:
-            ref = rec.truth if truth is None else np.asarray(truth)
             if rec.est_start != first.est_start or len(rec.estimates[name]) != len(steps):
                 raise ValueError("run records do not share the scenario layout")
-            if len(ref) != rec.truth.shape[0]:
-                raise ValueError("truth length does not match the records")
-            err = rec.estimates[name][:, :p] - ref[first.est_start :, :p]
-            acc += np.sum(err**2, axis=1)
+        # squared errors of every (run, step) at once; the per-run rows are
+        # then accumulated in record order, as a loop over the records would
+        err = np.stack([rec.estimates[name][:, :p] for rec in records]) - np.stack(refs)
+        acc = np.zeros(len(steps))
+        for row in np.sum(err**2, axis=2):
+            acc += row
         out[name] = np.sqrt(acc / len(records))
     return RmseReport(steps=steps, rmse=out, runs=len(records), scenario=first.scenario)
 
@@ -209,13 +215,18 @@ def nees(records: list[RunRecord], tail: float = 0.001) -> NeesReport:
     n = first.truth.shape[1]
     steps = np.arange(first.est_start, first.truth.shape[0])
     lower, upper = chi_square_bounds(n, len(records), tail)
+    truths = np.stack([rec.truth[first.est_start :] for rec in records])
     out: dict[str, np.ndarray] = {}
     for name in first.estimates:
+        # one batched solve over every (run, step); the per-run sums are then
+        # accumulated in record order, as a loop over the records would
+        err = np.stack([rec.estimates[name] for rec in records]) - truths
+        covs = np.stack([rec.covariances[name] for rec in records])
+        sol = np.linalg.solve(covs, err[..., None])[..., 0]
+        per_run = np.einsum("rkd,rkd->rk", err, sol)
         acc = np.zeros(len(steps))
-        for rec in records:
-            err = rec.estimates[name] - rec.truth[first.est_start :]
-            sol = np.linalg.solve(rec.covariances[name], err[..., None])[..., 0]
-            acc += np.einsum("kd,kd->k", err, sol)
+        for row in per_run:
+            acc += row
         out[name] = acc / len(records)
     return NeesReport(
         steps=steps, nees=out, lower=lower, upper=upper, runs=len(records), scenario=first.scenario

@@ -8,10 +8,21 @@ through a second-order extended Kalman update linearized about the
 position-updated estimate. Processing position first keeps the
 linearization point as accurate as possible.
 
-Covariance updates use the Joseph-stabilized form, which is algebraically
-identical to ``(I - K H) P`` at the optimal gain but keeps the result
-symmetric positive semidefinite under rounding. Every covariance-producing
-operation symmetrizes its output.
+Covariance updates use the Joseph-stabilized form
+``(I - K H) P (I - K H)^T + K R K^T``, which is algebraically identical to
+``(I - K H) P`` at the optimal gain but keeps the result symmetric positive
+semidefinite under rounding for any gain. It is evaluated in factored form:
+with ``A = (I - K H) P = P - K (H P)``, the product is
+``A - (A H^T - K R) K^T``, which needs no identity matrix and no ``n x n``
+gain product. For the position update ``H = [I 0]``, so ``H P`` and
+``A H^T`` are row and column slices, and the gain comes from
+``K^T = S^{-1} (H P)`` with the ``2 x 2`` / ``3 x 3`` inverse of
+``S = P_pp + R`` in closed form (adjugate over determinant); an item whose
+determinant is not positive and finite falls back to a solve, or to the
+minimum-norm least-squares gain when ``S`` is exactly singular. For the
+scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
+``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
+output.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -91,8 +102,11 @@ class DecorrelatedMeasurement:
 
     ``l_row`` is the decorrelation row: ``eps = l_row @ position + eta``,
     with mean ``mu_eps`` and variance ``var_eps`` equal to the Schur
-    complement of the position block in the joint error covariance. Fields
-    may carry leading batch axes, indexed with ``d[key]``.
+    complement of the position block in the joint error covariance.
+    ``debiased_pos`` and ``debiased_pseudo`` are ``position - mu_pos`` and
+    ``pseudo - mu_pseudo``, the bias-compensated values the updates compare
+    with the prediction. Fields may carry leading batch axes, indexed with
+    ``d[key]``.
     """
 
     position: np.ndarray
@@ -102,17 +116,20 @@ class DecorrelatedMeasurement:
     mu_pseudo: float
     var_pseudo: float
     l_row: np.ndarray
+    debiased_pos: np.ndarray
+    debiased_pseudo: float
     dim: int
 
     def __getitem__(self, key) -> "DecorrelatedMeasurement":
         return DecorrelatedMeasurement(
             self.position[key], self.mu_pos[key], self.cov_pos[key], self.pseudo[key],
-            self.mu_pseudo[key], self.var_pseudo[key], self.l_row[key], self.dim,
+            self.mu_pseudo[key], self.var_pseudo[key], self.l_row[key],
+            self.debiased_pos[key], self.debiased_pseudo[key], self.dim,
         )
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,14 +171,19 @@ def _decorrelate(z: ConvertedMeasurement) -> tuple[DecorrelatedMeasurement, np.n
     )[..., 0]
     var_eps = r_ee + _dot(l_row, r_ep)
     ok = np.all(np.isfinite(l_row), axis=-1) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
+    mu_pos = z.mu[..., :p]
+    pseudo = _dot(l_row, z.position) + z.pseudo
+    mu_pseudo = _dot(l_row, mu_pos) + z.mu[..., p]
     d = DecorrelatedMeasurement(
         position=z.position,
-        mu_pos=z.mu[..., :p],
+        mu_pos=mu_pos,
         cov_pos=r_pp,
-        pseudo=_dot(l_row, z.position) + z.pseudo,
-        mu_pseudo=_dot(l_row, z.mu[..., :p]) + z.mu[..., p],
+        pseudo=pseudo,
+        mu_pseudo=mu_pseudo,
         var_pseudo=np.maximum(var_eps, 0.0),
         l_row=l_row,
+        debiased_pos=z.position - mu_pos,
+        debiased_pseudo=pseudo - mu_pseudo,
         dim=p,
     )
     return d, ok
@@ -191,44 +213,94 @@ def kf_predict(
     """Time update through the dynamic model (zero input unless given)."""
     if belief.mean.shape[-1] != model.n:
         raise ValueError("belief size does not match the model")
-    mean = _mv(model.phi, belief.mean)
+    phi_t = model.phi.T
+    mean = belief.mean @ phi_t
     if accel is not None:
         mean = mean + model.g @ np.asarray(accel, dtype=float)
-    cov = _symmetrize(model.phi @ belief.cov @ model.phi.T + model.process_noise_cov())
+    cov = _symmetrize(model.phi @ belief.cov @ phi_t + model.process_noise_cov())
     return GaussianBelief(mean, cov)
+
+
+# Adjugates of 2x2 and 3x3 matrices on their row-major flattening. In 2D
+# adj = s[_ADJ2_IDX] * _ADJ2_SIGN. In 3D each entry is a difference of two
+# products, adj = f[0] - f[1] with f = s[_ADJ3_A] * s[_ADJ3_B]: entry (i, j)
+# is the cofactor of (j, i), s[j+1, i+1] s[j+2, i+2] - s[j+1, i+2] s[j+2, i+1]
+# with indices mod 3, whose cyclic order carries the sign.
+_ADJ2_IDX = np.array([3, 1, 2, 0])
+_ADJ2_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _cofactor_index(dj: int, di: int) -> np.ndarray:
+    """Flat index of ``s[(j + dj) % 3, (i + di) % 3]`` for each adjugate entry (i, j)."""
+    return np.array([3 * ((j + dj) % 3) + (i + di) % 3 for i in range(3) for j in range(3)])
+
+
+_ADJ3_A = np.stack([_cofactor_index(1, 1), _cofactor_index(1, 2)])
+_ADJ3_B = np.stack([_cofactor_index(2, 2), _cofactor_index(2, 1)])
+# Indices exchanging the position and velocity halves of a state.
+_BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
+
+
+def _solve_small(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``S^{-1} b`` over the leading axes for ``2 x 2`` or ``3 x 3`` ``S``.
+
+    The inverse is the adjugate over the determinant. Items whose
+    determinant is not positive and finite (singular, indefinite or
+    non-finite ``S``) are solved one by one instead; an exactly singular
+    one gets the minimum-norm least-squares solution.
+    """
+    p = s.shape[-1]
+    flat = s.reshape(s.shape[:-2] + (p * p,))
+    if p == 2:
+        adj = flat.take(_ADJ2_IDX, axis=-1) * _ADJ2_SIGN
+    elif p == 3:
+        f = flat.take(_ADJ3_A, axis=-1) * flat.take(_ADJ3_B, axis=-1)
+        adj = f[..., 0, :] - f[..., 1, :]
+    else:
+        raise ValueError("position dimension must be 2 or 3")
+    det = (flat[..., :p] * adj[..., ::p]).sum(axis=-1)  # row 0 of s times column 0 of adj
+    good = (det > 0) & (det < np.inf)
+    if good.all():
+        return (adj.reshape(s.shape) @ b) / det[..., None, None]
+    out = (adj.reshape(s.shape) @ b) / np.where(good, det, 1.0)[..., None, None]
+    bad = ~good
+    out[bad] = _solve_each(s[bad], b[bad], lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0])
+    return out
 
 
 def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
     """Linear measurement update with the converted position.
 
     The innovation is compensated for the hypothesized conversion bias:
-    ``z - mu - H x``. Joseph form keeps the covariance PSD.
+    ``z - mu - H x``. Joseph form, in the factored product of the module
+    docstring, keeps the covariance PSD.
     """
     n = belief.mean.shape[-1]
     p = d.dim
     if n != 2 * p:
         raise ValueError("measurement dimension does not match the belief")
     cov = belief.cov
-    s = cov[..., :p, :p] + d.cov_pos
+    r = d.cov_pos
+    hp = cov[..., :p, :]  # H P
     # exactly singular s happens in degenerate (noise-free) runs where the
     # covariance has collapsed; the minimum-norm gain P H^T s^+ is the
     # correct limit there
-    gain = np.swapaxes(
-        _solve_each(s, cov[..., :p, :], lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0]), -1, -2
-    )  # (..., n, p)
-    if not np.all(np.isfinite(gain)):
+    gain_t = _solve_small(hp[..., :p] + r, hp)  # K^T, (..., p, n)
+    if not np.isfinite(gain_t).all():
         raise DegenerateCovarianceError("position innovation covariance is singular")
-    innovation = d.position - d.mu_pos - belief.mean[..., :p]
-    mean = belief.mean + _mv(gain, innovation)
-    i_kh = np.eye(n) - np.concatenate([gain, np.zeros_like(gain)], axis=-1)
-    joseph = i_kh @ cov @ np.swapaxes(i_kh, -1, -2)
-    return GaussianBelief(mean, _symmetrize(joseph + gain @ d.cov_pos @ np.swapaxes(gain, -1, -2)))
+    gain = gain_t.swapaxes(-1, -2)
+    innovation = d.debiased_pos - belief.mean[..., :p]
+    mean = belief.mean + (innovation[..., None, :] @ gain_t)[..., 0, :]
+    a = cov - gain @ hp
+    return GaussianBelief(mean, _symmetrize(a - (a[..., :p] - gain @ r) @ gain_t))
 
 
 def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
     """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector."""
     p = np.shape(l_row)[-1]
-    return np.concatenate([l_row + state[..., p:], state[..., :p]], axis=-1)
+    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], axis=-1)  # (vel, pos)
+    h_row[..., :p] += l_row
+    return h_row
 
 
 def quadratic_correction(cov: np.ndarray):
@@ -239,14 +311,13 @@ def quadratic_correction(cov: np.ndarray):
     ``E[h] - h(mean) = tr(P_pv)`` (returned doubled as ``delta2`` so the
     mean correction is ``delta2 / 2``) and the variance beyond the
     linearized ``H P H^T`` term is ``tr(P_pv P_pv) + tr(P_pp P_vv)``.
-    Both identities are exact for quadratic ``h``.
+    Both identities are exact for quadratic ``h``. By the symmetry of
+    ``P`` the two traces are the sum of the elementwise product of the
+    rows ``P[:p]`` with the block-swapped rows ``P[p:]``.
     """
     p = cov.shape[-1] // 2
-    p_pv = cov[..., :p, p:]
-    delta2 = 2.0 * np.trace(p_pv, axis1=-2, axis2=-1)
-    a_k = np.trace(p_pv @ p_pv, axis1=-2, axis2=-1) + np.trace(
-        cov[..., :p, :p] @ cov[..., p:, p:], axis1=-2, axis2=-1
-    )
+    delta2 = 2.0 * cov[..., :p, p:].diagonal(0, -2, -1).sum(axis=-1)
+    a_k = (cov[..., :p, :] * cov[..., p:, :].take(_BLOCK_SWAP[p], axis=-1)).sum(axis=(-2, -1))
     return delta2, a_k
 
 
@@ -267,26 +338,26 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     h_row = pseudo_jacobian(x, d.l_row)
     delta2, a_k = quadratic_correction(cov)
     ph = _mv(cov, h_row)
-    s = _dot(h_row, ph) + d.var_pseudo + a_k
-    h_val = _dot(d.l_row, x[..., :p]) + _dot(x[..., :p], x[..., p:])
-    innovation = d.pseudo - d.mu_pseudo - h_val - 0.5 * delta2
+    r = d.var_pseudo + a_k
+    s = _dot(h_row, ph) + r
+    h_val = _dot(h_row[..., :p], x[..., :p])  # (l_row + vel) @ pos
+    innovation = d.debiased_pseudo - h_val - 0.5 * delta2
     # the true variance is nonnegative for PSD inputs, so s <= 0 is a
     # collapsed (deterministic) measurement: a no-op when the innovation is
     # consistent, a genuine degeneracy otherwise
     collapsed = s <= 0
-    if np.any(collapsed):
+    any_collapsed = collapsed.any()
+    if any_collapsed:
         scale = np.maximum(np.maximum(np.abs(d.pseudo), np.abs(h_val)), 1.0)
         if np.any(collapsed & (np.abs(innovation) > 1e-9 * scale)):
             raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
         s = np.where(collapsed, 1.0, s)
     gain = ph / s[..., None]
     mean = x + gain * innovation[..., None]
-    i_kh = np.eye(n) - gain[..., :, None] * h_row[..., None, :]
-    new_cov = _symmetrize(
-        i_kh @ cov @ np.swapaxes(i_kh, -1, -2)
-        + (d.var_pseudo + a_k)[..., None, None] * (gain[..., :, None] * gain[..., None, :])
-    )
-    if np.any(collapsed):
+    a = cov - gain[..., :, None] * ph[..., None, :]
+    m = _mv(a, h_row) - r[..., None] * gain
+    new_cov = _symmetrize(a - m[..., :, None] * gain[..., None, :])
+    if any_collapsed:
         mean = np.where(collapsed[..., None], x, mean)
         new_cov = np.where(collapsed[..., None, None], cov, new_cov)
     return GaussianBelief(mean, new_cov)
@@ -335,16 +406,20 @@ def filter_scans(
     """
     d, valid = _decorrelate(z)
     ok = ok & valid
+    per_scan = ok.reshape(len(ok), -1)
+    every = per_scan.all(axis=1).tolist()
+    some = per_scan.any(axis=1).tolist()
     means = np.empty(ok.shape + init.mean.shape[-1:])
     covs = np.empty(ok.shape + init.cov.shape[-2:])
     belief = init
     for k, step in enumerate(steps):
         belief = kf_predict(belief, model)
-        sel = ok[k]
         try:
-            if np.all(sel):
-                belief = ekf_update_pseudo(kf_update_position(belief, d[k]), d[k])
-            elif np.any(sel):
+            if every[k]:
+                dk = d[k]
+                belief = ekf_update_pseudo(kf_update_position(belief, dk), dk)
+            elif some[k]:
+                sel = ok[k]
                 dk = d[k][sel]
                 post = ekf_update_pseudo(kf_update_position(belief[sel], dk), dk)
                 belief.mean[sel] = post.mean

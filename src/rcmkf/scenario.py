@@ -77,6 +77,10 @@ class DynamicModel:
             raise ValueError("q must be positive semidefinite")
         if not self.t > 0:
             raise ValueError("sampling interval must be positive")
+        # the filter adds this once per scan; the model is immutable
+        process_noise = self.gamma @ self.q @ self.gamma.T
+        process_noise.flags.writeable = False
+        object.__setattr__(self, "_process_noise", process_noise)
 
     @property
     def n(self) -> int:
@@ -87,8 +91,11 @@ class DynamicModel:
         return self.n // 2
 
     def process_noise_cov(self) -> np.ndarray:
-        """State-space process noise covariance ``gamma @ q @ gamma.T``."""
-        return self.gamma @ self.q @ self.gamma.T
+        """State-space process noise covariance ``gamma @ q @ gamma.T``.
+
+        Computed once when the model is built and returned read-only.
+        """
+        return self._process_noise
 
 
 def cv_model(dim: int = 2, t: float = 1.0, accel_noise_std: float = 0.01) -> DynamicModel:
@@ -337,11 +344,17 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
     model = scenario.model
     noise_std = np.sqrt(np.diag(model.q))
     w = np.stack([noise_std * rng.standard_normal((scenario.steps - 1, model.dim)) for rng in rngs])
+    # the inputs of every transition, formed before stepping: g @ u per step
+    # and gamma @ w per (run, step), added in propagate_truth's order
+    accel = np.array(
+        [scenario.maneuvers.accel_at(k, model.dim) for k in range(scenario.steps - 1)]
+    ).reshape(-1, model.dim)
+    gu = _mv(model.g, accel)
+    gw = _mv(model.gamma, w)
     states = np.empty((len(rngs), scenario.steps, model.n))
     states[:, 0] = scenario.initial_state
     for k in range(scenario.steps - 1):
-        accel = scenario.maneuvers.accel_at(k, model.dim)
-        states[:, k + 1] = propagate_truth(model, states[:, k], accel, w[:, k])
+        states[:, k + 1] = _mv(model.phi, states[:, k]) + gu[k] + gw[:, k]
     return states
 
 

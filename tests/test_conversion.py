@@ -265,20 +265,29 @@ def test_finalize_clamps_rounding_negatives():
 
 
 def _finalize_by_eigh(mu, cov, dim, psd_tol=1e-9, abs_scale=0.0):
-    """Reference PSD guard: every item through ``eigh``, no screen."""
+    """Reference PSD guard: every finite item through ``eigh``, no screen.
+
+    An item with a non-finite entry is flagged and never reaches ``eigh``.
+    """
     if dim == 2:
         mu = mu[..., conversion._IDX_2D]
         cov = cov[..., conversion._IDX_2D[:, None], conversion._IDX_2D[None, :]]
-    w, v = np.linalg.eigh(cov)
-    tol = psd_tol * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 0.0) + 1e-12 * abs_scale
+    finite = np.asarray(np.isfinite(cov).all(axis=(-2, -1)))
+    ok = finite.copy()
+    sub = cov[finite]
+    w, v = np.linalg.eigh(sub)
+    tol = psd_tol * np.maximum(np.trace(sub, axis1=-2, axis2=-1), 0.0)
+    tol = tol + 1e-12 * np.broadcast_to(abs_scale, finite.shape)[finite]
     lowest = w[..., 0]
-    ok = ~(lowest < -tol)
-    rebuild = (lowest < 0) & ok
+    ok[finite] = held = ~(lowest < -tol)
+    rebuild = (lowest < 0) & held
     if np.any(rebuild):
         v, w = v[rebuild], np.maximum(w[rebuild], 0.0)
         fixed = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        where = np.zeros(finite.shape, dtype=bool)
+        where[finite] = rebuild
         cov = cov.copy()
-        cov[rebuild] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
+        cov[where] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
     return mu, cov, ok
 
 
@@ -338,21 +347,44 @@ def test_finalize_screen_matches_eigh_reference(batch):
         sent.append(int(np.prod(a.shape[:-2])))
         return real_eigh(a)
 
-    try:
-        expected = _finalize_by_eigh(mu, cov, dim, abs_scale=abs_scale)
-    except np.linalg.LinAlgError:
-        expected = None
+    expected = _finalize_by_eigh(mu, cov, dim, abs_scale=abs_scale)
     with mock.patch.object(np.linalg, "eigh", counting_eigh):
-        if expected is None:
-            with pytest.raises(np.linalg.LinAlgError):
-                _finalize(mu, cov, dim, abs_scale=abs_scale)
-        else:
-            got = _finalize(mu, cov, dim, abs_scale=abs_scale)
-            for g, e in zip(got, expected):
-                assert g.shape == e.shape and g.dtype == e.dtype
-                assert g.tobytes() == e.tobytes()
-    # only the items the screen cannot clear reach eigh
-    assert sum(sent) == sum(kind != "spd" for kind in kinds)
+        got = _finalize(mu, cov, dim, abs_scale=abs_scale)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.dtype == e.dtype
+        assert g.tobytes() == e.tobytes()
+    # only the finite items the screen cannot clear reach eigh
+    assert sum(sent) == sum(kind not in ("spd", "nan") for kind in kinds)
+
+
+def test_finalize_flags_non_finite_without_eigh():
+    # a NaN or inf that eigh would pass through (or choke on) marks only its
+    # own item invalid, and no such item is sent to eigh
+    nan_diag = np.eye(4)
+    nan_diag[3, 3] = np.nan
+    inf_diag = np.eye(4)
+    inf_diag[0, 0] = np.inf
+    nan_off = np.eye(4)
+    nan_off[0, 1] = nan_off[1, 0] = np.nan
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
+        assert not _finalize(np.zeros(4), nan_diag, 2)[2]
+        assert not _finalize(np.zeros(4), inf_diag, 3)[2]
+        _, cov, ok = _finalize(np.zeros((3, 4)), np.stack([np.eye(4), nan_off, 2 * np.eye(4)]), 3)
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_array_equal(cov[0], np.eye(4))
+    # a non-finite item beside an indefinite one: eigh sees only the latter
+    indefinite = np.diag([1.0, 1.0, 1.0, -1.0])
+    sent = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        sent.append(int(np.prod(a.shape[:-2])))
+        return real_eigh(a)
+
+    with mock.patch.object(np.linalg, "eigh", counting_eigh):
+        _, _, ok = _finalize(np.zeros((2, 4)), np.stack([nan_diag, indefinite]), 3)
+    np.testing.assert_array_equal(ok, [False, False])
+    assert sent == [1]
 
 
 def test_stats_raise_on_indefinite(monkeypatch):

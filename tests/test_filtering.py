@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcmkf.filtering as filtering
 from rcmkf import scenario
@@ -15,6 +17,7 @@ from rcmkf.filtering import (
     GaussianBelief,
     decorrelate,
     ekf_update_pseudo,
+    filter_scans,
     initialize_belief,
     kf_predict,
     kf_update_position,
@@ -397,3 +400,183 @@ def test_posterior_covariances_stay_symmetric_psd():
         for belief in run.beliefs:
             np.testing.assert_allclose(belief.cov, belief.cov.T, atol=1e-9 * np.abs(belief.cov).max())
             assert np.linalg.eigvalsh(belief.cov).min() >= -1e-9 * np.trace(belief.cov)
+
+
+# Dense textbook references for the three filter stages, one item at a time:
+# explicit H, np.linalg.solve for the gain (lstsq, the minimum-norm limit,
+# where S is exactly singular), the expanded Joseph form
+# (I - K H) P (I - K H)^T + K R K^T, and the second-order EKF with an
+# explicit h and traces.
+
+
+def _predict_ref(mean, cov, model, accel):
+    q = model.gamma @ model.q @ model.gamma.T
+    return model.phi @ mean + model.g @ accel, model.phi @ cov @ model.phi.T + q
+
+
+def _position_ref(mean, cov, z, r):
+    p = len(z)
+    n = 2 * p
+    h = np.hstack([np.eye(p), np.zeros((p, p))])
+    s = h @ cov @ h.T + r
+    if np.linalg.matrix_rank(s) < p:
+        gain = np.linalg.lstsq(s, h @ cov, rcond=None)[0].T
+    else:
+        gain = np.linalg.solve(s, h @ cov).T
+    i_kh = np.eye(n) - gain @ h
+    return mean + gain @ (z - h @ mean), i_kh @ cov @ i_kh.T + gain @ r @ gain.T
+
+
+def _pseudo_ref(mean, cov, l_row, pseudo, mu_pseudo, var):
+    """Second-order EKF update; ``None`` when the update must raise."""
+    p = len(l_row)
+    pos, vel = mean[:p], mean[p:]
+    h_val = l_row @ pos + pos @ vel
+    h_row = np.concatenate([l_row + vel, pos])
+    p_pv = cov[:p, p:]
+    delta2 = 2.0 * np.trace(p_pv)
+    a_k = np.trace(p_pv @ p_pv) + np.trace(cov[:p, :p] @ cov[p:, p:])
+    s = h_row @ cov @ h_row + var + a_k
+    innovation = pseudo - mu_pseudo - h_val - 0.5 * delta2
+    if s <= 0:
+        if abs(innovation) > 1e-9 * max(abs(pseudo), abs(h_val), 1.0):
+            return None
+        return mean, cov
+    gain = cov @ h_row / s
+    i_kh = np.eye(2 * p) - np.outer(gain, h_row)
+    return mean + gain * innovation, i_kh @ cov @ i_kh.T + (var + a_k) * np.outer(gain, gain)
+
+
+def _random_cov(rng, n, scale):
+    """SPD with eigenvalues in [1e-3, 1] * scale."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cov = (q * (scale * 10.0 ** rng.uniform(-3.0, 0.0, n))) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+# Item kinds: "spd" is a regular update; "singular" has an exactly singular
+# position innovation covariance S (row and column 0 of P and R are zero),
+# which takes the least-squares gain; "collapsed" has P = 0 and R = 0, so
+# S = 0 and the pseudo update is a no-op; "conflict" is collapsed with an
+# inconsistent pseudo-measurement, which must raise.
+_STAGE_KINDS = ("spd", "spd", "singular", "collapsed", "conflict")
+
+
+@st.composite
+def _stage_batches(draw):
+    p = draw(st.sampled_from([2, 3]))
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 8.0))
+    kinds = [draw(st.sampled_from(_STAGE_KINDS)) for _ in range(int(np.prod(shape)))]
+    n = 2 * p
+    means, covs, joints, positions, pseudos, mus = [], [], [], [], [], []
+    for kind in kinds:
+        mean = rng.standard_normal(n) * np.sqrt(scale)
+        position = mean[:p] + rng.standard_normal(p) * np.sqrt(scale)
+        mu = rng.standard_normal(p + 1) * 0.1 * np.sqrt(scale)
+        if kind in ("collapsed", "conflict"):
+            cov, joint = np.zeros((n, n)), np.zeros((p + 1, p + 1))
+            mu[:] = 0.0
+            pseudo = mean[:p] @ mean[p:] + (1.0 if kind == "conflict" else 0.0)
+        else:
+            cov = _random_cov(rng, n, scale)
+            joint = _random_cov(rng, p + 1, scale)
+            if kind == "singular":  # a zero position error, uncorrelated with eta
+                cov[0, :] = cov[:, 0] = 0.0
+                joint[0, :] = joint[:, 0] = 0.0
+                joint[p, :p] = joint[:p, p] = 0.0
+            pseudo = rng.standard_normal() * scale
+        means.append(mean)
+        covs.append(cov)
+        joints.append(joint)
+        positions.append(position)
+        pseudos.append(pseudo)
+        mus.append(mu)
+    belief = GaussianBelief(np.reshape(means, shape + (n,)), np.reshape(covs, shape + (n, n)))
+    z = ConvertedMeasurement(
+        position=np.reshape(positions, shape + (p,)),
+        pseudo=np.reshape(pseudos, shape),
+        mu=np.reshape(mus, shape + (p + 1,)),
+        cov=np.reshape(joints, shape + (p + 1, p + 1)),
+        dim=p,
+    )
+    return belief, decorrelate(z), kinds
+
+
+def _assert_close(got, ref, what):
+    # every item to 1e-11 of its own largest reference entry; the stages stay
+    # within about 6e-15 at the condition numbers drawn here (up to 1e3)
+    tol = 1e-11 * max(np.abs(ref).max(), 1e-300)
+    assert np.abs(got - ref).max() <= tol, what
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stage_batches(), st.floats(0.1, 2.0), st.floats(0.0, 3.0), st.booleans())
+def test_filter_stages_match_dense_references(batch, t, accel_std, with_accel):
+    belief, d, kinds = batch
+    p = d.dim
+    model = cv_model(p, t, accel_std)
+    accel = np.linspace(-1.0, 1.0, p) if with_accel else None
+    predicted = kf_predict(belief, model, accel)
+    position = kf_update_position(belief, d)
+    conflict = "conflict" in kinds
+    if conflict:
+        with pytest.raises(DegenerateCovarianceError):
+            ekf_update_pseudo(position, d)
+    else:
+        pseudo = ekf_update_pseudo(position, d)
+    for i, kind in zip(np.ndindex(belief.mean.shape[:-1]), kinds):
+        mean, cov = belief.mean[i], belief.cov[i]
+        ref_mean, ref_cov = _predict_ref(mean, cov, model, np.zeros(p) if accel is None else accel)
+        _assert_close(predicted.mean[i], ref_mean, "predicted mean")
+        _assert_close(predicted.cov[i], ref_cov, "predicted covariance")
+        ref_mean, ref_cov = _position_ref(mean, cov, d.position[i] - d.mu_pos[i], d.cov_pos[i])
+        _assert_close(position.mean[i], ref_mean, "position-updated mean")
+        _assert_close(position.cov[i], ref_cov, "position-updated covariance")
+        ref = _pseudo_ref(
+            position.mean[i], position.cov[i],
+            d.l_row[i], d.pseudo[i], d.mu_pseudo[i], d.var_pseudo[i],
+        )
+        assert (ref is None) == (kind == "conflict")
+        if conflict:
+            continue
+        _assert_close(pseudo.mean[i], ref[0], "pseudo-updated mean")
+        _assert_close(pseudo.cov[i], ref[1], "pseudo-updated covariance")
+        if kind == "collapsed":  # a consistent collapsed measurement is a no-op
+            np.testing.assert_array_equal(pseudo.mean[i], position.mean[i])
+            np.testing.assert_array_equal(pseudo.cov[i], position.cov[i])
+
+
+def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
+    sc = generate_case(1)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    meas = scenario._synthesize(scenario._simulate_truths(sc, rngs), sc.noise, rngs)
+    methods = [v.method for v in FilterVariant]
+    z, ok = _convert_batch(meas.swapaxes(0, 1)[:12], sc.noise, methods, sc.dim)
+    init = initialize_belief(z[0], z[1], sc.model.t)
+    steps = np.arange(2, 12)
+    calls = {}
+    for name in ("kf_predict", "kf_update_position", "ekf_update_pseudo"):
+        real = getattr(filtering, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(filtering, name, counting)
+    assert ok.all()
+    scans = len(steps)
+    filter_scans(init, z[2:], ok[2:], steps, sc.model)
+    assert calls == {"kf_predict": scans, "kf_update_position": scans, "ekf_update_pseudo": scans}
+    # a scan where only some tracks update is still one call per stage, and a
+    # scan where none does is predict-only
+    ok[4, 0] = False
+    ok[6] = False
+    calls.clear()
+    filter_scans(init, z[2:], ok[2:], steps, sc.model)
+    assert calls == {
+        "kf_predict": scans,
+        "kf_update_position": scans - 1,
+        "ekf_update_pseudo": scans - 1,
+    }
