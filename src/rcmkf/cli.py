@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -43,15 +44,11 @@ from .scenario import NoiseSpec, SphericalMeasurement
 __all__ = ["entry", "main"]
 
 
-def _fmt(x) -> str:
-    """17 significant digits: enough for exact float round-trips."""
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Numbers at 17 significant digits: enough for exact float round-trips."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -247,7 +244,9 @@ def cmd_golden(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rcmkf",
         description="Range-rate converted-measurement tracking benchmarks",
@@ -259,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML experiment config (see docs/config_schema.md)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (default: results)")
-        p.add_argument("--jobs", type=int, help="parallel worker processes")
+        p.add_argument(
+            "--jobs", type=int, help="at most this many worker processes (small runs stay in-process)"
+        )
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo RMSE benchmark")
     common(p_sim)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -172,7 +173,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _require_int(value, name: str, optional: bool = False) -> None:
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
+    _require_int(cfg.seed, "seed")
+    _require_int(cfg.jobs, "jobs")
+    _require_int(cfg.runs, "runs", optional=True)
+    _require_int(cfg.case, "case", optional=True)
+    _require_int(cfg.consistency.samples, "consistency samples")
+    _require_int(cfg.golden.samples, "golden samples")
+    if cfg.scenario is not None:
+        _require_int(cfg.scenario.steps, "scenario steps")
+        _require_int(cfg.scenario.runs, "scenario runs")
+        for i, m in enumerate(cfg.scenario.maneuvers):
+            _require_int(m.start_step, f"maneuver {i} start_step")
     if not cfg.variants:
         raise ConfigError("at least one filter variant must be selected")
     for v in cfg.variants:
@@ -184,6 +203,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown case {cfg.case!r} (supported: 1, 2)")
     if cfg.runs is not None and cfg.runs < 1:
         raise ConfigError("runs must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be >= 1")
     if cfg.consistency.samples < 1:

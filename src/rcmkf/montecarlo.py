@@ -11,10 +11,18 @@ run's truth and measurements, converts every (scan, run, variant) triple in
 one batched call, and then steps all runs and variants through the filter
 together. ``run_single`` is the per-run reference path: it converts scan by
 scan and filters one track at a time through the same filter stages.
+
+Most of a chunk's time is per-scan overhead that all its runs share, so
+splitting an ensemble across worker processes pays only for large
+ensembles: ``run_ensemble`` starts a pool only when every worker gets at
+least ``MIN_RUNS_PER_WORKER`` runs and there is a CPU for each, and runs
+in-process otherwise. A worker returns its chunk's arrays, and the parent
+builds the records, through the same code as the in-process path.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -99,18 +107,21 @@ def run_single(
     return record
 
 
-def _run_chunk(
+def _filter_chunk(
     scenario: Scenario,
     variants: tuple[FilterVariant, ...],
-    first_index: int,
     seeds: list[np.random.SeedSequence],
-) -> list[RunRecord]:
-    """Runs ``first_index, first_index + 1, ...`` (one per seed), in lockstep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Filter one run per seed, all in lockstep; returns the chunk's arrays.
 
-    Each run keeps its own generator and draw order, so a run's record does
-    not depend on which chunk it is in. A degenerate conversion skips only
-    its own (run, variant, scan); one in an initialization scan fails the
-    chunk, as it fails :func:`run_single`.
+    Returns ``(truth, measurements, means, covs, updated)`` with leading
+    axes ``(runs,)`` for the first two and ``(runs, variants, scans)`` for
+    the rest, each one contiguous block, so a worker process sends back
+    five buffers rather than one object per run. Each run keeps its own
+    generator and draw order, so a run's arrays do not depend on which chunk
+    it is in. A degenerate conversion skips only its own (run, variant,
+    scan); one in an initialization scan fails the chunk, as it fails
+    :func:`run_single`.
     """
     _check_length(scenario)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -127,22 +138,74 @@ def _run_chunk(
     init = initialize_belief(z[0], z[1], scenario.model.t)
     steps = np.arange(INIT_SCANS, scenario.steps)
     post, updated = filter_scans(init, z[INIT_SCANS:], ok[INIT_SCANS:], steps, scenario.model)
-    means = np.moveaxis(post.mean, 0, 2)  # (runs, variants, scans, n)
-    covs = np.moveaxis(post.cov, 0, 2)
+    return (
+        truth,
+        meas,
+        np.ascontiguousarray(np.moveaxis(post.mean, 0, 2)),
+        np.ascontiguousarray(np.moveaxis(post.cov, 0, 2)),
+        np.ascontiguousarray(np.moveaxis(updated, 0, 2)),
+    )
+
+
+def _records(
+    scenario: Scenario,
+    variants: tuple[FilterVariant, ...],
+    first_index: int,
+    chunk: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> list[RunRecord]:
+    """One :class:`RunRecord` per run of a :func:`_filter_chunk` result.
+
+    Records are numbered from ``first_index`` and hold views into the
+    chunk's arrays.
+    """
+    truth, meas, means, covs, updated = chunk
+    steps = np.arange(INIT_SCANS, scenario.steps)
     p = scenario.dim
+    errors = means[..., :p] - truth[:, None, INIT_SCANS:, :p]
     records = []
-    for b in range(len(seeds)):
+    for b in range(len(truth)):
         record = RunRecord(
             run_index=first_index + b, scenario=scenario.name, truth=truth[b], measurements=meas[b]
         )
         for v, variant in enumerate(variants):
-            est = means[b, v].copy()
-            record.estimates[variant.name] = est
-            record.covariances[variant.name] = covs[b, v].copy()
-            record.position_errors[variant.name] = est[:, :p] - truth[b, INIT_SCANS:, :p]
-            record.skipped[variant.name] = steps[~updated[:, b, v]].tolist()
+            record.estimates[variant.name] = means[b, v]
+            record.covariances[variant.name] = covs[b, v]
+            record.position_errors[variant.name] = errors[b, v]
+            record.skipped[variant.name] = steps[~updated[b, v]].tolist()
         records.append(record)
     return records
+
+
+# A worker pays the lockstep engine's per-scan overhead once for its whole
+# chunk, plus its share of the pool's start-up and of returning its arrays,
+# so a pool pays only when every worker has enough runs to amortize that.
+# Break-even, jobs=2 against jobs=1 (run_ensemble wall time on 2 vCPUs; 10
+# alternating pairs, each the median of 3 calls): median speedup, and the
+# pairs the pool won.
+#
+#   runs  per worker    case 1         case 2
+#     50       25       0.43   0/10    0.68   0/10
+#    100       50       0.55   0/10    0.80   0/10
+#    200      100       0.74   1/10    0.96   4/10
+#    300      150       0.89   3/10    1.06   7/10
+#    400      200       1.06   7/10    0.94   4/10
+#    500      250       1.21  10/10    0.99   4/10
+#   1000      500       1.40  10/10    1.26  10/10
+#   2000     1000       1.27  10/10    1.41  10/10
+#
+# Below 200 runs per worker the pool loses; from 300 it won at least 8 of
+# 10 pairs of both cases in every set (a second, interleaved set is in
+# docs/config_schema.md). At 250 the two sets gave 17 of 20 pairs of case 1
+# and 13 of 20 of case 2, with median speedups of 0.99 to 1.21, so the
+# paper's 500-run ensemble keeps its pool.
+MIN_RUNS_PER_WORKER = 250
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_ensemble(
@@ -154,18 +217,26 @@ def run_ensemble(
     """Execute the scenario's Monte Carlo ensemble.
 
     Child seeds are spawned from the master seed before any work starts.
-    With ``jobs > 1`` each worker process takes one contiguous chunk of
-    runs; a run's record does not depend on its chunk, so the result is
-    independent of ``jobs``. Records come back ordered by run index.
+    ``jobs`` caps the number of worker processes. The ensemble uses
+    ``min(jobs, usable CPUs, runs // MIN_RUNS_PER_WORKER)`` workers, each
+    taking one contiguous chunk of runs; with at most one it runs
+    in-process and starts no pool. A run's record does not depend on its
+    chunk, so the result is independent of ``jobs``. Records come back
+    ordered by run index.
     """
     master = scenario.seed if seed is None else seed
     children = np.random.SeedSequence(master).spawn(scenario.runs)
-    if jobs <= 1:
-        return _run_chunk(scenario, variants, 0, children)
-    chunks = np.array_split(np.arange(scenario.runs), min(jobs, scenario.runs))
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    workers = min(jobs, _usable_cpus(), scenario.runs // MIN_RUNS_PER_WORKER)
+    if workers <= 1:
+        return _records(scenario, variants, 0, _filter_chunk(scenario, variants, children))
+    chunks = np.array_split(np.arange(scenario.runs), workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_chunk, scenario, variants, int(c[0]), children[c[0] : c[-1] + 1])
+            pool.submit(_filter_chunk, scenario, variants, children[c[0] : c[-1] + 1])
             for c in chunks
         ]
-        return [record for future in futures for record in future.result()]
+        return [
+            record
+            for c, future in zip(chunks, futures)
+            for record in _records(scenario, variants, int(c[0]), future.result())
+        ]

@@ -30,18 +30,25 @@ def small_scenario(runs=4, steps=30):
     return dataclasses.replace(rcmkf.generate_case(1), runs=runs, steps=steps)
 
 
-def test_run_ensemble_deterministic_and_parallel_invariant():
+def test_run_ensemble_deterministic_and_parallel_invariant(two_workers):
     sc = small_scenario()
     variants = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
     a = run_ensemble(sc, variants, jobs=1, seed=7)
     b = run_ensemble(sc, variants, jobs=1, seed=7)
     c = run_ensemble(sc, variants, jobs=2, seed=7)
+    assert two_workers == [2]
     for x, y in ((a, b), (a, c)):
+        assert len(x) == len(y) == sc.runs
         for rx, ry in zip(x, y):
             assert rx.run_index == ry.run_index
             np.testing.assert_array_equal(rx.truth, ry.truth)
+            np.testing.assert_array_equal(rx.measurements, ry.measurements)
+            assert rx.estimates.keys() == ry.estimates.keys()
             for name in rx.estimates:
                 np.testing.assert_array_equal(rx.estimates[name], ry.estimates[name])
+                np.testing.assert_array_equal(rx.covariances[name], ry.covariances[name])
+                np.testing.assert_array_equal(rx.position_errors[name], ry.position_errors[name])
+                assert rx.skipped[name] == ry.skipped[name]
 
 
 def test_run_ensemble_pairs_variants_on_same_measurements():
@@ -93,6 +100,8 @@ def test_config_rejects_bad_values():
         config_from_dict({"case": 5})
     with pytest.raises(ConfigError):
         config_from_dict({"runs": 0})
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        config_from_dict({"seed": -1})
 
 
 def test_default_sigma_grid():
@@ -166,13 +175,13 @@ def test_cli_simulate_deterministic_replay(tmp_path):
     assert (tmp_path / "a" / "manifest_case2.json").read_bytes() == first
 
 
-def test_cli_simulate_jobs_equivalent(tmp_path):
+def test_cli_simulate_jobs_equivalent(tmp_path, two_workers):
     base = ["simulate", "--case", "1", "--runs", "4", "--seed", "3"]
     main(base + ["--out", str(tmp_path / "s")])
     main(base + ["--jobs", "2", "--out", str(tmp_path / "p")])
-    assert (tmp_path / "s" / "rmse_case1.csv").read_bytes() == (
-        tmp_path / "p" / "rmse_case1.csv"
-    ).read_bytes()
+    assert two_workers == [2]
+    for name in ("rmse_case1.csv", "nees_case1.csv"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
 def test_cli_unknown_case_exits_2(tmp_path, capsys):
@@ -197,6 +206,42 @@ def test_cli_simulate_non_finite_noise_exits_2(tmp_path, capsys, value):
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "sigma_r must be finite" in capsys.readouterr().err
+
+
+SCENARIO_YAML = (
+    "case: null\n"
+    "scenario:\n"
+    "  steps: {steps}\n"
+    "  runs: {runs}\n"
+    "  initial_position_m: [10000.0, 20000.0]\n"
+    "  initial_velocity_mps: [10.0, -5.0]\n"
+    "  maneuvers: [{{start_step: {start}, accel_mps2: [1.0, 0.0]}}]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('jobs: "2"\n', "jobs must be an integer"),
+        ("jobs: .nan\n", "jobs must be an integer"),
+        ("jobs: 2.5\n", "jobs must be an integer"),
+        ("jobs: true\n", "jobs must be an integer"),
+        ("runs: 2.5\n", "runs must be an integer"),
+        ("seed: 1.5\n", "seed must be an integer"),
+        ("case: 1.0\n", "case must be an integer"),
+        ("consistency: {samples: 10.5}\n", "consistency samples must be an integer"),
+        ("golden: {samples: 2.0e+4}\n", "golden samples must be an integer"),
+        (SCENARIO_YAML.format(steps=10.5, runs=2, start=3), "scenario steps must be an integer"),
+        (SCENARIO_YAML.format(steps=10, runs="two", start=3), "scenario runs must be an integer"),
+        (SCENARIO_YAML.format(steps=10, runs=2, start=3.5), "start_step must be an integer"),
+    ],
+)
+def test_cli_non_integer_config_field_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "exp.yaml"
+    path.write_text(config, encoding="utf-8")
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -4,15 +4,18 @@ import dataclasses
 import importlib
 import importlib.util
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rcmkf.conversion as conversion
+from rcmkf import montecarlo
 from rcmkf.conversion import ConversionMethod
+from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import FilterVariant
-from rcmkf.montecarlo import INIT_SCANS, _run_chunk, run_ensemble, run_single
+from rcmkf.montecarlo import INIT_SCANS, _filter_chunk, _records, run_ensemble, run_single
 from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
 
 VARIANTS = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
@@ -82,8 +85,11 @@ def test_batched_engine_matches_per_run_path(key):
     for i, rec in enumerate(records):
         assert_records_close(rec, run_single(sc, VARIANTS, i, seeds[i]))
     # a run's record does not depend on the chunk it is filtered in
-    chunked = _run_chunk(sc, VARIANTS, 0, seeds[:1]) + _run_chunk(sc, VARIANTS, 1, seeds[1:4]) \
-        + _run_chunk(sc, VARIANTS, 4, seeds[4:])
+    chunked = [
+        record
+        for first, last in ((0, 1), (1, 4), (4, sc.runs))
+        for record in _records(sc, VARIANTS, first, _filter_chunk(sc, VARIANTS, seeds[first:last]))
+    ]
     for a, b in zip(records, chunked):
         assert a.run_index == b.run_index
         assert_records_equal(a, b, [v.name for v in VARIANTS])
@@ -118,6 +124,43 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     # the per-run path skips the same scan
     single = run_single(sc, VARIANTS, run, np.random.SeedSequence(9).spawn(sc.runs)[run])
     assert_records_close(hit_b, single)
+
+
+def test_small_ensemble_runs_in_process(monkeypatch):
+    sc = dataclasses.replace(generate_case(2), runs=12)
+    serial = run_ensemble(sc, VARIANTS, jobs=1, seed=11)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 12-run ensemble started a process pool")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    capped = run_ensemble(sc, VARIANTS, jobs=2, seed=11)
+    assert [r.run_index for r in capped] == list(range(sc.runs))
+    for a, b in zip(serial, capped):
+        assert_records_equal(a, b, [v.name for v in VARIANTS])
+        for v in VARIANTS:
+            np.testing.assert_array_equal(a.position_errors[v.name], b.position_errors[v.name])
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers must be forked to inherit the patched moment kernel",
+)
+def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_workers):
+    sc = SCENARIOS["case1"]
+    run = RUNS - 1  # filtered by the second of the two workers
+    target = run_ensemble(sc, VARIANTS, seed=9)[run].measurements[0, 0]
+    real = conversion._moments
+
+    def forced(method, rm, theta, phi, rdot, noise):
+        mu, cov = real(method, rm, theta, phi, rdot, noise)
+        cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+        return mu, cov
+
+    monkeypatch.setattr(conversion, "_moments", forced)
+    with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
+        run_ensemble(sc, VARIANTS, jobs=2, seed=9)
+    assert two_workers == [2]
 
 
 def _tracing_entry_points():
