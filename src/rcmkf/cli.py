@@ -158,13 +158,11 @@ def cmd_consistency(args) -> int:
         raise ConfigError(f"invalid consistency geometry: {exc}") from exc
     noise = build_noise(cc.noise)
 
-    # Same seed for both methods: they score identical measurement draws.
-    reports = {}
-    for method in ConversionMethod:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        reports[method] = consistency_sweep(
-            method, geometry, noise, grid, cc.samples, rng, tail=cc.tail
-        )
+    # One sweep scores each draw under both methods.
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    reports = consistency_sweep(
+        tuple(ConversionMethod), geometry, noise, grid, cc.samples, rng, tail=cc.tail
+    )
     cond = reports[ConversionMethod.MEASUREMENT_CONDITIONED]
     nest = reports[ConversionMethod.NESTED_CONDITIONING]
     _write_csv(
@@ -297,3 +295,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -151,8 +151,22 @@ _NESTED = {
 }
 
 
+# Fields that hold a list. A scalar, a string or a null in their place is
+# rejected rather than iterated (a string would be read letter by letter).
+_LISTS = {
+    "variants",
+    "initial_position_m",
+    "initial_velocity_mps",
+    "accel_mps2",
+    "maneuvers",
+    "points",
+}
+
+
 def _coerce(value, path):
     name = path.rsplit(".", 1)[-1]
+    if name in _LISTS and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
     if value is None:
         return None
     if name in _NESTED:

@@ -22,7 +22,10 @@ enforces positive semidefiniteness item by item: a vectorized LDL^T screen
 passes the items that are certainly positive definite, and only the rest go
 through an eigendecomposition that clamps rounding negatives and flags
 indefinite items. Every conversion, one measurement or a batch, goes
-through ``_stats_batch``.
+through ``_stats_batch``. The screen's batched LDL^T elimination, ``_ldl``,
+is the one kernel of the library for such forms: it also gives the
+quadratic forms ``e^T C^{-1} e`` of the NES and NEES statistics in
+``rcmkf.evaluation``.
 
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
@@ -235,26 +238,54 @@ def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
 _SCREEN_MARGIN = 1e-8
 
 
-def _screen_pd(cov: np.ndarray) -> np.ndarray:
-    """Mask of the items along the leading axes that are certainly positive definite.
+def _ldl(cov: np.ndarray, e: np.ndarray | None = None, shift=0.0):
+    """Batched LDL^T elimination of symmetric ``(..., n, n)`` matrices.
 
-    Runs the LDL^T elimination of every shifted item at once, one column at
-    a time on the lower-triangle entries; an item passes when every pivot is
-    positive. A zero, singular, indefinite or non-finite item fails (NaN
-    compares false).
+    Eliminates every item along the leading axes at once, one column at a
+    time on the lower-triangle entries (the upper triangle is not read), of
+    ``cov - shift * I`` (``shift`` broadcasts against the leading axes).
+    Returns ``(pivots, quad)``: the list of the ``n`` pivots ``d_k``, each
+    shaped like the leading axes, and, when a right-hand side ``e``
+    (``(..., n)``, broadcasting against the leading axes) is given, the
+    quadratic form ``e^T (cov - shift * I)^{-1} e = sum_k (L^{-1} e)_k^2 /
+    d_k``, else None. There is no pivoting and no check: a zero, negative or
+    non-finite pivot is returned as computed, and the caller decides what it
+    means.
     """
     n = cov.shape[-1]
-    passed = np.ones(cov.shape[:-2], dtype=bool)
+    y = None if e is None else [e[..., i] for i in range(n)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        shift = _SCREEN_MARGIN * np.trace(cov, axis1=-2, axis2=-1)
         a = [[cov[..., i, j] for j in range(i)] + [cov[..., i, i] - shift] for i in range(n)]
         for k in range(n):
             pivot = a[k][k]
-            passed &= pivot > 0
             for i in range(k + 1, n):
                 col = a[i][k] / pivot
                 for j in range(k + 1, i + 1):
                     a[i][j] = a[i][j] - col * a[j][k]
+                if y is not None:
+                    y[i] = y[i] - col * y[k]
+        pivots = [a[k][k] for k in range(n)]
+        quad = None
+        if y is not None:
+            quad = y[0] ** 2 / pivots[0]
+            for k in range(1, n):
+                quad = quad + y[k] ** 2 / pivots[k]
+    return pivots, quad
+
+
+def _screen_pd(cov: np.ndarray) -> np.ndarray:
+    """Mask of the items along the leading axes that are certainly positive definite.
+
+    An item passes when every LDL^T pivot (:func:`_ldl`) of its shifted
+    matrix ``cov - margin * trace(cov) * I`` is positive. A zero, singular,
+    indefinite or non-finite item fails (NaN compares false).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        shift = _SCREEN_MARGIN * np.trace(cov, axis1=-2, axis2=-1)
+    pivots, _ = _ldl(cov, shift=shift)
+    passed = pivots[0] > 0
+    for pivot in pivots[1:]:
+        passed &= pivot > 0
     return passed
 
 

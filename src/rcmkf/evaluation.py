@@ -7,21 +7,29 @@ chi-square variable with one degree of freedom per error component, and the
 sample average over N realizations falls inside a chi-square acceptance
 interval. The consistency sweep applies this to conversion errors with the
 hypothesized (mu, R) evaluated at each realization's measured values,
-sweeping the bearing noise level.
+sweeping the bearing noise level; at each noise level it draws and converts
+the measurements once and scores that one draw under every conversion
+method, so the methods are compared on identical errors.
 
 NEES applies the same construction to filter state-estimate errors against
 the filter's own covariance. It is an extra diagnostic of this library, not
 part of the benchmark comparison.
+
+Every quadratic form here, NES and NEES alike, comes from the batched LDL^T
+kernel that also screens the conversion covariances (``conversion._ldl``);
+a singular or non-finite covariance, which gives a zero or non-finite
+pivot, raises :class:`DegenerateCovarianceError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import chi2
 
-from .conversion import _IDX_2D, ConversionMethod, _cart, _raise_if_indefinite, _stats_batch
+from .conversion import _IDX_2D, ConversionMethod, _cart, _ldl, _raise_if_indefinite, _stats_batch
 from .errors import DegenerateCovarianceError
 from .montecarlo import RunRecord
 from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
@@ -38,6 +46,23 @@ __all__ = [
 ]
 
 
+def _quad_form(covs: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
+    """``e^T covs^{-1} e`` over the leading axes, from the LDL^T kernel.
+
+    ``covs`` is ``(..., d, d)`` and ``e`` is ``(..., d)``; their leading axes
+    broadcast. Raises :class:`DegenerateCovarianceError` when a pivot is
+    zero or non-finite, that is when a covariance is singular or has a
+    non-finite entry.
+    """
+    if covs.shape[-2:] != (e.shape[-1],) * 2:
+        raise ValueError(f"{what} of shape {covs.shape} does not fit errors of shape {e.shape}")
+    pivots, quad = _ldl(covs, e)
+    for d in pivots:
+        if not np.all(np.isfinite(d) & (d != 0.0)):
+            raise DegenerateCovarianceError(f"{what} is singular or not finite")
+    return quad
+
+
 def nes(errors, mu: np.ndarray, cov: np.ndarray) -> float:
     """Average normalized error squared under one hypothesized (mu, cov).
 
@@ -45,21 +70,7 @@ def nes(errors, mu: np.ndarray, cov: np.ndarray) -> float:
     the mean of ``(e - mu)^T cov^{-1} (e - mu)``.
     """
     e = np.atleast_2d(np.asarray(errors, dtype=float)) - np.asarray(mu, dtype=float)
-    try:
-        sol = np.linalg.solve(cov, e.T)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovarianceError("hypothesized covariance is singular") from exc
-    return float(np.mean(np.einsum("nd,dn->n", e, sol)))
-
-
-def _nes_samples(errors: np.ndarray, mus: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-sample NES with per-sample hypothesized moments (batched)."""
-    e = errors - mus
-    try:
-        sol = np.linalg.solve(covs, e[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovarianceError("a per-sample covariance is singular") from exc
-    return np.einsum("nd,nd->n", e, sol)
+    return float(np.mean(_quad_form(np.asarray(cov, dtype=float), e, "hypothesized covariance")))
 
 
 def chi_square_bounds(dof_per_sample: int, samples: int, tail: float) -> tuple[float, float]:
@@ -95,24 +106,32 @@ class NesReport:
 
 
 def consistency_sweep(
-    method: ConversionMethod,
+    methods: Sequence[ConversionMethod],
     geometry: SphericalMeasurement,
     noise_base: NoiseSpec,
     sigma_theta_deg: np.ndarray,
     samples: int,
     rng: np.random.Generator,
     tail: float = 0.001,
-) -> NesReport:
+) -> dict[ConversionMethod, NesReport]:
     """Average NES of conversion errors across a bearing-noise sweep.
 
     ``geometry`` is the fixed true spherical point. For each grid value the
-    bearing noise is set accordingly, ``samples`` noisy measurements are
-    drawn, converted, and scored against the method's hypothesized moments
+    bearing noise is set accordingly and ``samples`` noisy measurements are
+    drawn and converted once; that one draw is then scored under every
+    method in ``methods``, against the method's hypothesized moments
     evaluated at the measured values. The error vector stacks the converted
-    position components and the pseudo-measurement (d = 3 for a 2D radar).
-    Raises :class:`DegenerateCovarianceError` if any hypothesized covariance
-    is indefinite beyond rounding.
+    position components and the pseudo-measurement (d = 3 for a 2D radar,
+    4 in 3D), and each sample's NES comes from the LDL^T kernel the
+    conversion's PSD screen uses. The draws do not depend on ``methods``, so
+    a method's report equals the one a sweep of that method alone gives on
+    a generator in the same state. Returns one :class:`NesReport` per
+    method. Raises :class:`DegenerateCovarianceError` if any hypothesized
+    covariance is indefinite beyond rounding or singular.
     """
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("need at least one conversion method")
     grid = np.asarray(sigma_theta_deg, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must not be empty")
@@ -122,7 +141,7 @@ def consistency_sweep(
     truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx]
     lower, upper = chi_square_bounds(dim + 1, samples, tail)
 
-    averages = np.empty(grid.size)
+    averages = {method: np.empty(grid.size) for method in methods}
     for i, sig_deg in enumerate(grid):
         noise = replace(noise_base, sigma_theta=np.deg2rad(sig_deg))
         draws = _noise_matrix(noise, samples, rng)
@@ -131,20 +150,23 @@ def consistency_sweep(
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]
         errors = _cart(rm, thm, phm, rdm)[idx].T - truth
-        mus, covs, ok = _stats_batch(method, rm, thm, phm, rdm, noise, dim)
-        _raise_if_indefinite(ok)
-        averages[i] = _nes_samples(errors, mus, covs).mean()
+        for method in methods:
+            mus, covs, ok = _stats_batch(method, rm, thm, phm, rdm, noise, dim)
+            _raise_if_indefinite(ok)
+            averages[method][i] = _quad_form(covs, errors - mus, "a per-sample covariance").mean()
 
-    inside = (averages >= lower) & (averages <= upper)
-    return NesReport(
-        method=method,
-        sigma_theta_deg=grid,
-        avg_nes=averages,
-        lower=lower,
-        upper=upper,
-        inside=inside,
-        samples=samples,
-    )
+    return {
+        method: NesReport(
+            method=method,
+            sigma_theta_deg=grid,
+            avg_nes=avg,
+            lower=lower,
+            upper=upper,
+            inside=(avg >= lower) & (avg <= upper),
+            samples=samples,
+        )
+        for method, avg in averages.items()
+    }
 
 
 @dataclass(eq=False)
@@ -218,12 +240,11 @@ def nees(records: list[RunRecord], tail: float = 0.001) -> NeesReport:
     truths = np.stack([rec.truth[first.est_start :] for rec in records])
     out: dict[str, np.ndarray] = {}
     for name in first.estimates:
-        # one batched solve over every (run, step); the per-run sums are then
-        # accumulated in record order, as a loop over the records would
+        # one batched quadratic form over every (run, step); the per-run rows
+        # are then accumulated in record order, as a loop over the records would
         err = np.stack([rec.estimates[name] for rec in records]) - truths
         covs = np.stack([rec.covariances[name] for rec in records])
-        sol = np.linalg.solve(covs, err[..., None])[..., 0]
-        per_run = np.einsum("rkd,rkd->rk", err, sol)
+        per_run = _quad_form(covs, err, "a filter covariance")
         acc = np.zeros(len(steps))
         for row in per_run:
             acc += row

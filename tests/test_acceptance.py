@@ -52,10 +52,8 @@ def test_criterion_1_consistency_reproduction():
     geometry = SphericalMeasurement(r=10000.0, theta=math.radians(45.0), rdot=100.0, dim=2)
     noise = NoiseSpec(sigma_r=100.0, sigma_theta=0.0, sigma_rdot=5.0, rho=0.0)
     grid = default_sigma_grid(30.0)
-    reports = {}
-    for method in ConversionMethod:
-        rng = np.random.default_rng(np.random.SeedSequence(42))
-        reports[method] = consistency_sweep(method, geometry, noise, grid, 1000, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(42))
+    reports = consistency_sweep(tuple(ConversionMethod), geometry, noise, grid, 1000, rng)
     cond = reports[ConversionMethod.MEASUREMENT_CONDITIONED]
     nest = reports[ConversionMethod.NESTED_CONDITIONING]
     excursions = int((~cond.inside).sum())

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +248,78 @@ def test_cli_non_integer_config_field_exits_2(tmp_path, capsys, config, message)
     assert message in capsys.readouterr().err
 
 
+LIST_SCENARIO_YAML = (
+    "case: null\n"
+    "scenario:\n"
+    "  steps: 10\n"
+    "  runs: 2\n"
+    "  initial_position_m: {pos}\n"
+    "  initial_velocity_mps: {vel}\n"
+    "  maneuvers: {maneuvers}\n"
+)
+LIST_SCENARIO_OK = {
+    "pos": "[10000.0, 20000.0]",
+    "vel": "[10.0, -5.0]",
+    "maneuvers": "[{start_step: 3, accel_mps2: [1.0, 0.0]}]",
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        pytest.param(
+            "simulate", "variants: rcmkf_u\n", "config.variants must be a list, got 'rcmkf_u'",
+            id="variants-string",
+        ),
+        pytest.param(
+            "simulate", "variants: null\n", "config.variants must be a list, got None",
+            id="variants-null",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": "5"}),
+            "config.scenario.initial_position_m must be a list, got 5",
+            id="position-scalar",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "vel": "5"}),
+            "config.scenario.initial_velocity_mps must be a list, got 5",
+            id="velocity-scalar",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(
+                **{**LIST_SCENARIO_OK, "maneuvers": "[{start_step: 3, accel_mps2: 1.0}]"}
+            ),
+            "config.scenario.maneuvers[0].accel_mps2 must be a list, got 1.0",
+            id="accel-scalar",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(
+                **{**LIST_SCENARIO_OK, "maneuvers": "{start_step: 3, accel_mps2: [1.0, 0.0]}"}
+            ),
+            "config.scenario.maneuvers must be a list",
+            id="maneuvers-mapping",
+        ),
+        pytest.param(
+            "golden",
+            "golden:\n  points: {r_m: 1000.0}\n",
+            "config.golden.points must be a list",
+            id="points-mapping",
+        ),
+    ],
+)
+def test_cli_non_list_config_field_exits_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "exp.yaml"
+    path.write_text(config, encoding="utf-8")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
@@ -362,3 +438,17 @@ def test_cli_17_digit_roundtrip(tmp_path):
     for line in lines[:5]:
         for tok in line.split(",")[1:]:
             assert float(tok) == float(repr(float(tok)))
+
+
+def test_python_m_cli_prints_usage(tmp_path):
+    # ``python -m rcmkf.cli`` runs the same entry point as the ``rcmkf`` script
+    src = Path(rcmkf.__file__).resolve().parent.parent
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcmkf.cli", "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rcmkf")
+    assert "consistency" in proc.stdout

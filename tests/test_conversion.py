@@ -404,7 +404,7 @@ def test_stats_raise_on_indefinite(monkeypatch):
         with pytest.raises(DegenerateCovarianceError):
             convert(m, CASE_NOISE, method)
         with pytest.raises(DegenerateCovarianceError):
-            consistency_sweep(method, m, CASE_NOISE, [1.0], 100, np.random.default_rng(0))
+            consistency_sweep([method], m, CASE_NOISE, [1.0], 100, np.random.default_rng(0))
 
 
 def test_convert_packages_fields():

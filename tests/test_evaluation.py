@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcmkf.conversion import ConversionMethod, mc_moment_oracle, _cart
+from rcmkf.conversion import ConversionMethod, _cart, _stats_batch, mc_moment_oracle
 from rcmkf.errors import DegenerateCovarianceError
-from rcmkf.evaluation import chi_square_bounds, consistency_sweep, nees, nes, rmse
+from rcmkf.evaluation import _quad_form, chi_square_bounds, consistency_sweep, nees, nes, rmse
 from rcmkf.montecarlo import RunRecord
 from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
 
@@ -47,6 +49,74 @@ def test_nes_singular_covariance():
         nes(np.ones((5, 2)), np.zeros(2), np.zeros((2, 2)))
 
 
+def _quad_form_by_solve(covs, e):
+    """Reference quadratic forms ``e^T covs^{-1} e`` through ``np.linalg.solve``."""
+    covs, e = np.broadcast_to(covs, e.shape[:-1] + covs.shape[-2:]), np.asarray(e)
+    return np.einsum("...d,...d->...", e, np.linalg.solve(covs, e[..., None])[..., 0])
+
+
+# Leading axes of the kernel tests; "broadcast" is one covariance over N
+# errors, as in ``nes``.
+_LEADING = ((), (7,), (3, 5), "broadcast")
+
+
+@st.composite
+def _spd_batches(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    leading = draw(st.sampled_from(_LEADING))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6.0, 12.0))
+    cov_shape = () if leading == "broadcast" else leading
+    err_shape = (9,) if leading == "broadcast" else leading
+    q, _ = np.linalg.qr(rng.standard_normal(cov_shape + (n, n)))
+    eig = scale * 10.0 ** rng.uniform(-2.0, 0.0, cov_shape + (1, n))
+    covs = (q * eig) @ np.swapaxes(q, -1, -2)
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    e = math.sqrt(scale) * rng.standard_normal(err_shape + (n,))
+    return covs, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spd_batches())
+def test_quad_form_matches_solve_reference(batch):
+    covs, e = batch
+    got = _quad_form(covs, e, "covariance")
+    expected = _quad_form_by_solve(covs, e)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spd_batches(), st.sampled_from(["zero", "repeated", "nan", "inf"]), st.data())
+def test_quad_form_degenerate_covariance_raises(batch, kind, data):
+    covs, e = batch
+    covs = covs.copy()
+    n = covs.shape[-1]
+    # spoil one item of the batch; every other item stays positive definite
+    item = tuple(data.draw(st.integers(0, size - 1)) for size in covs.shape[:-2])
+    bad = covs[item]
+    if kind == "zero":
+        bad[...] = 0.0
+    elif kind == "repeated":
+        # row and column 1 copy row and column 0: exactly singular
+        bad[1, :] = bad[0, :]
+        bad[:, 1] = bad[:, 0]
+    else:
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        bad[i, j] = bad[j, i] = np.nan if kind == "nan" else np.inf
+    with pytest.raises(DegenerateCovarianceError):
+        _quad_form(covs, e, "covariance")
+    if e.ndim == 2 and covs.ndim == 2:
+        with pytest.raises(DegenerateCovarianceError):
+            nes(e, np.zeros(n), covs)
+
+
+def test_quad_form_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        _quad_form(np.eye(3), np.ones((4, 2)), "covariance")
+
+
 def test_chi_square_bounds_reference_interval():
     lo, hi = chi_square_bounds(3, 1000, 0.001)
     assert lo == pytest.approx(2.76, abs=0.01)
@@ -72,16 +142,17 @@ def test_chi_square_bounds_validation():
 
 def test_consistency_sweep_small_noise_both_inside():
     grid = np.array([0.1])
-    for method in ConversionMethod:
-        rng = np.random.default_rng(np.random.SeedSequence(42))
-        rep = consistency_sweep(method, GEOMETRY, SWEEP_NOISE, grid, 1000, rng)
+    rng = np.random.default_rng(np.random.SeedSequence(42))
+    reports = consistency_sweep(tuple(ConversionMethod), GEOMETRY, SWEEP_NOISE, grid, 1000, rng)
+    for rep in reports.values():
         assert bool(rep.inside[0])
 
 
 def test_consistency_sweep_nested_exits_at_large_noise():
     grid = np.array([25.0])
     rng = np.random.default_rng(np.random.SeedSequence(42))
-    rep = consistency_sweep(ConversionMethod.NESTED_CONDITIONING, GEOMETRY, SWEEP_NOISE, grid, 1000, rng)
+    nested = ConversionMethod.NESTED_CONDITIONING
+    rep = consistency_sweep([nested], GEOMETRY, SWEEP_NOISE, grid, 1000, rng)[nested]
     assert not bool(rep.inside[0])
     assert rep.avg_nes[0] > rep.upper
 
@@ -89,13 +160,70 @@ def test_consistency_sweep_nested_exits_at_large_noise():
 def test_consistency_sweep_empty_grid():
     with pytest.raises(ValueError):
         consistency_sweep(
-            ConversionMethod.MEASUREMENT_CONDITIONED,
+            [ConversionMethod.MEASUREMENT_CONDITIONED],
             GEOMETRY,
             SWEEP_NOISE,
             np.array([]),
             100,
             np.random.default_rng(0),
         )
+
+
+def test_consistency_sweep_shared_draw_equals_separate_sweeps():
+    # one generator scoring both methods on each draw gives, bit for bit,
+    # what one sweep per method on a fresh same-seed generator gives
+    grid = np.array([0.5, 4.0, 20.0])
+    methods = tuple(ConversionMethod)
+    shared = consistency_sweep(
+        methods, GEOMETRY, SWEEP_NOISE, grid, 400, np.random.default_rng(np.random.SeedSequence(3))
+    )
+    assert list(shared) == list(methods)
+    for method in methods:
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        alone = consistency_sweep([method], GEOMETRY, SWEEP_NOISE, grid, 400, rng)[method]
+        got = shared[method]
+        assert got.method is method
+        assert got.avg_nes.tobytes() == alone.avg_nes.tobytes()
+        assert (got.lower, got.upper, got.samples) == (alone.lower, alone.upper, alone.samples)
+        np.testing.assert_array_equal(got.inside, alone.inside)
+        np.testing.assert_array_equal(got.sigma_theta_deg, grid)
+
+
+def test_consistency_sweep_3d_matches_solve_reference():
+    # a 3D radar scores 4-dim errors (x, y, z, eta) in 4x4 covariances
+    geometry = SphericalMeasurement(
+        r=20000.0, theta=math.radians(30.0), phi=math.radians(25.0), rdot=-80.0, dim=3
+    )
+    noise = NoiseSpec(
+        sigma_r=50.0, sigma_theta=0.0, sigma_phi=math.radians(2.0), sigma_rdot=3.0, rho=0.4
+    )
+    grid = np.array([1.0, 10.0])
+    samples = 300
+    methods = tuple(ConversionMethod)
+    got = consistency_sweep(
+        methods, geometry, noise, grid, samples, np.random.default_rng(np.random.SeedSequence(8))
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(8))
+    truth = _cart(geometry.r, geometry.theta, geometry.phi, geometry.rdot)
+    expected = {method: [] for method in methods}
+    for sig_deg in grid:
+        point = dataclasses.replace(noise, sigma_theta=math.radians(sig_deg))
+        d = _noise_matrix(point, samples, rng)
+        meas = (geometry.r + d[0], geometry.theta + d[1], geometry.phi + d[2], geometry.rdot + d[3])
+        errors = _cart(*meas).T - truth
+        for method in methods:
+            mus, covs, ok = _stats_batch(method, *meas, point, 3)
+            assert ok.all() and covs.shape == (samples, 4, 4)
+            expected[method].append(_quad_form_by_solve(covs, errors - mus).mean())
+    lower, upper = chi_square_bounds(4, samples, 0.001)
+    for method in methods:
+        np.testing.assert_allclose(got[method].avg_nes, expected[method], rtol=1e-12, atol=0.0)
+        assert (got[method].lower, got[method].upper) == (lower, upper)
+
+
+def test_consistency_sweep_needs_a_method():
+    with pytest.raises(ValueError):
+        consistency_sweep([], GEOMETRY, SWEEP_NOISE, np.array([1.0]), 100, np.random.default_rng(0))
 
 
 def test_harness_self_consistency_with_oracle_stats():
