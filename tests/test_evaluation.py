@@ -336,3 +336,56 @@ def test_nees_consistent_synthetic_filter():
     rep = nees(recs, tail=0.001)
     assert rep.lower < 4.0 < rep.upper
     assert np.all(rep.nees["V"] > rep.lower) and np.all(rep.nees["V"] < rep.upper)
+
+
+# Per-step position RMSE and state NEES of an 8-run ensemble (seed 42) at a
+# few steps, pinned before the ensemble engine moved to one array-backed
+# result. rtol 1e-9: case 2 turns last-bit differences in the filter
+# arithmetic into micrometre-level estimate differences.
+FROZEN_STEPS = [2, 10, 40, 70, 99]
+FROZEN_ENSEMBLE = {
+    1: {
+        "RCMKF_U": (
+            [4366.642273653154, 1900.216606877551, 2094.6422481546606, 1641.1051805296775,
+             1135.8941296553892],
+            [3.386404653711016, 23.870720277367916, 114.38145661338376, 102.5511856910741,
+             97.49531273668914],
+        ),
+        "RCMKF_D": (
+            [4326.42261804855, 1825.082446139096, 1817.7142594013005, 1239.5713609993304,
+             948.2035430237858],
+            [3.6754232972113146, 12.939300865235396, 52.566654249226616, 62.59560171826079,
+             79.0561207194292],
+        ),
+    },
+    2: {
+        "RCMKF_U": (
+            [4388.632929635185, 1654.2502845630875, 11729.186626366689, 26771.750622777705,
+             22607.69167797662],
+            [3.384838692871868, 14.210660398361581, 18947.00274713795, 115145.01027011953,
+             155106.56279209367],
+        ),
+        "RCMKF_D": (
+            [4341.53602521349, 1597.1993186105901, 10843.713765736251, 28021.598988645175,
+             24235.659738618982],
+            [3.673924259136639, 10.47831989932049, 14773.410937575914, 119783.34933419141,
+             171492.75638040056],
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ENSEMBLE))
+def test_ensemble_outputs_frozen(case):
+    import rcmkf
+
+    scenario = dataclasses.replace(rcmkf.generate_case(case), runs=8)
+    variants = (rcmkf.FilterVariant.RCMKF_U, rcmkf.FilterVariant.RCMKF_D)
+    ens = rcmkf.run_ensemble(scenario, variants, seed=42)
+    rmse_rep, nees_rep = rmse(ens), nees(ens)
+    idx = np.searchsorted(rmse_rep.steps, FROZEN_STEPS)
+    np.testing.assert_array_equal(rmse_rep.steps[idx], FROZEN_STEPS)
+    np.testing.assert_array_equal(nees_rep.steps, rmse_rep.steps)
+    for name, (rmse_ref, nees_ref) in FROZEN_ENSEMBLE[case].items():
+        np.testing.assert_allclose(rmse_rep.rmse[name][idx], rmse_ref, rtol=1e-9, atol=0, err_msg=name)
+        np.testing.assert_allclose(nees_rep.nees[name][idx], nees_ref, rtol=1e-9, atol=0, err_msg=name)
