@@ -6,117 +6,31 @@ measurement-conditioned or nested-conditioning error statistics, and tracks
 with a sequential Kalman / second-order extended Kalman pipeline. Includes
 the consistency (NES) and Monte Carlo RMSE benchmarks and a brute-force
 moment oracle used to validate every closed-form statistic.
+
+The package re-exports the names a Monte Carlo study needs; everything else
+is imported from its submodule (``rcmkf.conversion``, ``rcmkf.filtering``,
+``rcmkf.scenario``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .conversion import (
-    ConversionMethod,
-    ConvertedMeasurement,
-    LambdaFactors,
-    OracleMoments,
-    convert,
-    convert_position,
-    convert_pseudo,
-    lambda_factors,
-    mc_moment_oracle,
-    nested_stats,
-    nested_stats_numeric,
-    truth_conditioned_stats,
-    unbiased_stats,
-)
+from .conversion import ConvertedMeasurement, convert
 from .errors import DegenerateCovarianceError, GeometryError
-from .evaluation import (
-    NeesReport,
-    NesReport,
-    RmseReport,
-    chi_square_bounds,
-    consistency_sweep,
-    nees,
-    nes,
-    rmse,
-)
-from .filtering import (
-    DecorrelatedMeasurement,
-    FilterRun,
-    FilterVariant,
-    GaussianBelief,
-    decorrelate,
-    ekf_update_pseudo,
-    initialize_belief,
-    kf_predict,
-    kf_update_position,
-    pseudo_jacobian,
-    quadratic_correction,
-    run_filter,
-)
-from .montecarlo import RunRecord, run_ensemble, run_single
-from .scenario import (
-    DynamicModel,
-    ManeuverSchedule,
-    NoiseSpec,
-    Scenario,
-    SphericalMeasurement,
-    cv_model,
-    draw_measurement_noise,
-    generate_case,
-    measure,
-    position_dim,
-    propagate_truth,
-    simulate_truth,
-    synthesize_measurements,
-)
+from .evaluation import nees, rmse
+from .filtering import FilterVariant
+from .montecarlo import Ensemble, run_ensemble
+from .scenario import generate_case, measure
 
 __all__ = [
-    "ConversionMethod",
     "ConvertedMeasurement",
-    "DecorrelatedMeasurement",
     "DegenerateCovarianceError",
-    "DynamicModel",
-    "FilterRun",
+    "Ensemble",
     "FilterVariant",
-    "GaussianBelief",
     "GeometryError",
-    "LambdaFactors",
-    "ManeuverSchedule",
-    "NeesReport",
-    "NesReport",
-    "NoiseSpec",
-    "OracleMoments",
-    "RmseReport",
-    "RunRecord",
-    "Scenario",
-    "SphericalMeasurement",
-    "chi_square_bounds",
-    "consistency_sweep",
     "convert",
-    "convert_position",
-    "convert_pseudo",
-    "cv_model",
-    "decorrelate",
-    "draw_measurement_noise",
-    "ekf_update_pseudo",
     "generate_case",
-    "initialize_belief",
-    "kf_predict",
-    "kf_update_position",
-    "lambda_factors",
-    "mc_moment_oracle",
     "measure",
     "nees",
-    "nes",
-    "nested_stats",
-    "nested_stats_numeric",
-    "position_dim",
-    "propagate_truth",
-    "pseudo_jacobian",
-    "quadratic_correction",
     "rmse",
     "run_ensemble",
-    "run_filter",
-    "run_single",
-    "simulate_truth",
-    "synthesize_measurements",
-    "truth_conditioned_stats",
-    "unbiased_stats",
 ]

@@ -107,9 +107,9 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(cfg)
     variants = tuple(_VARIANTS[str(v).lower()] for v in cfg.variants)
 
-    records = run_ensemble(scenario, variants, jobs=cfg.jobs, seed=cfg.seed)
-    rmse_report = rmse(records)
-    nees_report = nees(records)
+    ens = run_ensemble(scenario, variants, jobs=cfg.jobs, seed=cfg.seed)
+    rmse_report = rmse(ens)
+    nees_report = nees(ens)
 
     tag = scenario.name or "scenario"
     cols = [v.name.replace("_", "").lower() for v in variants]
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
         ),
     )
     # Predict-only scans (degenerate conversion or decorrelation) per variant.
-    skipped = {v.name.lower(): sum(len(rec.skipped[v.name]) for rec in records) for v in variants}
+    skipped = {v.name.lower(): int((~ens.updated[:, i]).sum()) for i, v in enumerate(variants)}
     _write_manifest(out / f"manifest_{tag}.json", "simulate", cfg, skipped_scans=skipped)
     print(
         f"wrote {out / f'rmse_{tag}.csv'} ({len(rmse_report.steps)} rows, {scenario.runs} runs; "

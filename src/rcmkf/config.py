@@ -194,6 +194,26 @@ def _require_int(value, name: str, optional: bool = False) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_vector(values, name: str, sizes: tuple[int, ...]) -> None:
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError(f"{name} entries must be real numbers, got {v!r}")
+    if len(values) not in sizes:
+        expected = " or ".join(map(str, sizes))
+        raise ConfigError(f"{name} must have {expected} entries, got {len(values)}")
+
+
+def _validate_scenario(sc: ScenarioConfig) -> None:
+    _require_int(sc.steps, "scenario steps")
+    _require_int(sc.runs, "scenario runs")
+    _require_vector(sc.initial_position_m, "initial_position_m", (2, 3))
+    dim = len(sc.initial_position_m)
+    _require_vector(sc.initial_velocity_mps, "initial_velocity_mps", (dim,))
+    for i, m in enumerate(sc.maneuvers):
+        _require_int(m.start_step, f"maneuver {i} start_step")
+        _require_vector(m.accel_mps2, f"maneuver {i} accel_mps2", (dim,))
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     _require_int(cfg.seed, "seed")
     _require_int(cfg.jobs, "jobs")
@@ -202,15 +222,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     _require_int(cfg.consistency.samples, "consistency samples")
     _require_int(cfg.golden.samples, "golden samples")
     if cfg.scenario is not None:
-        _require_int(cfg.scenario.steps, "scenario steps")
-        _require_int(cfg.scenario.runs, "scenario runs")
-        for i, m in enumerate(cfg.scenario.maneuvers):
-            _require_int(m.start_step, f"maneuver {i} start_step")
+        _validate_scenario(cfg.scenario)
     if not cfg.variants:
         raise ConfigError("at least one filter variant must be selected")
-    for v in cfg.variants:
-        if str(v).lower() not in ("rcmkf_u", "rcmkf_d"):
+    names = [str(v).lower() for v in cfg.variants]
+    for v, name in zip(cfg.variants, names):
+        if name not in ("rcmkf_u", "rcmkf_d"):
             raise ConfigError(f"unknown filter variant {v!r}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"filter variants must be distinct, got {list(cfg.variants)}")
     if cfg.case is None and cfg.scenario is None:
         raise ConfigError("either a case id or an inline scenario is required")
     if cfg.case is not None and cfg.case not in (1, 2):
@@ -271,18 +291,14 @@ def build_noise(nc: NoiseConfig) -> NoiseSpec:
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Materialize the scenario selected by a config (case or inline)."""
+    """Materialize the scenario selected by a validated config (case or inline)."""
     if cfg.scenario is not None:
         sc = cfg.scenario
-        pos = np.asarray(sc.initial_position_m, dtype=float)
-        vel = np.asarray(sc.initial_velocity_mps, dtype=float)
-        if pos.shape != vel.shape or len(pos) not in (2, 3):
-            raise ConfigError("initial position/velocity must both be 2- or 3-vectors")
-        dim = len(pos)
+        state = np.array([*sc.initial_position_m, *sc.initial_velocity_mps], dtype=float)
         try:
             scenario = Scenario(
-                model=cv_model(dim, sc.sample_interval_s, sc.process_noise_std_mps2),
-                initial_state=np.concatenate([pos, vel]),
+                model=cv_model(len(state) // 2, sc.sample_interval_s, sc.process_noise_std_mps2),
+                initial_state=state,
                 maneuvers=ManeuverSchedule.from_pairs(
                     (m.start_step, m.accel_mps2) for m in sc.maneuvers
                 ),

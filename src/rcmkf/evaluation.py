@@ -31,7 +31,7 @@ from scipy.stats import chi2
 
 from .conversion import _IDX_2D, ConversionMethod, _cart, _ldl, _raise_if_indefinite, _stats_batch
 from .errors import DegenerateCovarianceError
-from .montecarlo import RunRecord
+from .montecarlo import INIT_SCANS, Ensemble
 from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
 
 __all__ = [
@@ -179,37 +179,23 @@ class RmseReport:
     scenario: str
 
 
-def rmse(records: list[RunRecord], truth: np.ndarray | None = None) -> RmseReport:
+def rmse(ens: Ensemble) -> RmseReport:
     """Ensemble position RMSE per step.
 
-    Uses each realization's own truth trajectory unless a shared ``truth``
-    is supplied. Estimates start after the two scans consumed by two-point
-    differencing initialization.
+    Scores each run against its own truth trajectory. Estimates start after
+    the two scans consumed by two-point differencing initialization.
     """
-    if not records:
-        raise ValueError("need at least one run record")
-    first = records[0]
-    steps = np.arange(first.est_start, first.truth.shape[0])
-    p = first.truth.shape[1] // 2
-    refs = []
-    for rec in records:
-        ref = rec.truth if truth is None else np.asarray(truth)
-        if len(ref) != rec.truth.shape[0]:
-            raise ValueError("truth length does not match the records")
-        refs.append(ref[first.est_start :, :p])
-    out: dict[str, np.ndarray] = {}
-    for name in first.estimates:
-        for rec in records:
-            if rec.est_start != first.est_start or len(rec.estimates[name]) != len(steps):
-                raise ValueError("run records do not share the scenario layout")
-        # squared errors of every (run, step) at once; the per-run rows are
-        # then accumulated in record order, as a loop over the records would
-        err = np.stack([rec.estimates[name][:, :p] for rec in records]) - np.stack(refs)
-        acc = np.zeros(len(steps))
-        for row in np.sum(err**2, axis=2):
-            acc += row
-        out[name] = np.sqrt(acc / len(records))
-    return RmseReport(steps=steps, rmse=out, runs=len(records), scenario=first.scenario)
+    runs, steps, n = ens.truth.shape
+    p = n // 2
+    err = ens.means[..., :p] - ens.truth[:, None, INIT_SCANS:, :p]
+    # the runs are summed in order along axis 0, as a loop over them would
+    mean_sq = np.sum(np.sum(err**2, axis=-1), axis=0) / runs
+    return RmseReport(
+        steps=np.arange(INIT_SCANS, steps),
+        rmse={v.name: np.sqrt(mean_sq[i]) for i, v in enumerate(ens.variants)},
+        runs=runs,
+        scenario=ens.scenario,
+    )
 
 
 @dataclass(eq=False)
@@ -224,31 +210,24 @@ class NeesReport:
     scenario: str
 
 
-def nees(records: list[RunRecord], tail: float = 0.001) -> NeesReport:
+def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
     """Average normalized state-estimate error squared per step.
 
     Scores each run's full state error against the filter's reported
     covariance; a consistent filter stays inside the chi-square interval for
     ``n`` degrees of freedom per run.
     """
-    if not records:
-        raise ValueError("need at least one run record")
-    first = records[0]
-    n = first.truth.shape[1]
-    steps = np.arange(first.est_start, first.truth.shape[0])
-    lower, upper = chi_square_bounds(n, len(records), tail)
-    truths = np.stack([rec.truth[first.est_start :] for rec in records])
-    out: dict[str, np.ndarray] = {}
-    for name in first.estimates:
-        # one batched quadratic form over every (run, step); the per-run rows
-        # are then accumulated in record order, as a loop over the records would
-        err = np.stack([rec.estimates[name] for rec in records]) - truths
-        covs = np.stack([rec.covariances[name] for rec in records])
-        per_run = _quad_form(covs, err, "a filter covariance")
-        acc = np.zeros(len(steps))
-        for row in per_run:
-            acc += row
-        out[name] = acc / len(records)
+    runs, steps, n = ens.truth.shape
+    lower, upper = chi_square_bounds(n, runs, tail)
+    err = ens.means - ens.truth[:, None, INIT_SCANS:]
+    # one batched quadratic form over every (run, variant, step); the runs are
+    # then summed in order along axis 0, as a loop over them would
+    avg = np.sum(_quad_form(ens.covs, err, "a filter covariance"), axis=0) / runs
     return NeesReport(
-        steps=steps, nees=out, lower=lower, upper=upper, runs=len(records), scenario=first.scenario
+        steps=np.arange(INIT_SCANS, steps),
+        nees={v.name: avg[i] for i, v in enumerate(ens.variants)},
+        lower=lower,
+        upper=upper,
+        runs=runs,
+        scenario=ens.scenario,
     )

@@ -9,22 +9,24 @@ stream, which keeps the RMSE comparison paired.
 The ensemble engine works on whole chunks of runs: it synthesizes every
 run's truth and measurements, converts every (scan, run, variant) triple in
 one batched call, and then steps all runs and variants through the filter
-together. ``run_single`` is the per-run reference path: it converts scan by
-scan and filters one track at a time through the same filter stages.
+together. The result is one :class:`Ensemble` of arrays with the runs along
+the first axis. ``run_single`` runs a batch of one, scan by scan, through
+the same conversion and filter code; it checks that a run's result does not
+depend on batching, and is not a second implementation.
 
 Most of a chunk's time is per-scan overhead that all its runs share, so
 splitting an ensemble across worker processes pays only for large
 ensembles: ``run_ensemble`` starts a pool only when every worker gets at
 least ``MIN_RUNS_PER_WORKER`` runs and there is a CPU for each, and runs
 in-process otherwise. A worker returns its chunk's arrays, and the parent
-builds the records, through the same code as the in-process path.
+joins them along the run axis.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,30 +41,50 @@ from .scenario import (
     synthesize_measurements,
 )
 
-__all__ = ["RunRecord", "run_ensemble", "run_single"]
+__all__ = ["Ensemble", "run_ensemble", "run_single"]
 
 # Scans consumed by two-point differencing before filtering starts.
 INIT_SCANS = 2
 
 
-@dataclass(eq=False)
-class RunRecord:
-    """Everything retained from one Monte Carlo realization.
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Every realization of a Monte Carlo ensemble, as arrays ordered by run.
 
-    ``estimates``/``covariances``/``position_errors`` are keyed by variant
-    name and aligned with steps ``est_start .. steps-1``; ``measurements``
-    stacks (r, theta, phi, rdot) rows per scan.
+    ``truth`` is ``(runs, steps, n)`` and ``measurements`` ``(runs, steps,
+    4)``, one (r, theta, phi, rdot) row per scan. ``means``, ``covs`` and
+    ``updated`` hold each variant's posterior on the estimation scans
+    ``INIT_SCANS .. steps-1``, with leading axes ``(runs, variants,
+    scans)``; ``updated`` is false where a scan was predict-only.
     """
 
-    run_index: int
     scenario: str
+    variants: tuple[FilterVariant, ...]
     truth: np.ndarray
     measurements: np.ndarray
-    estimates: dict[str, np.ndarray] = field(default_factory=dict)
-    covariances: dict[str, np.ndarray] = field(default_factory=dict)
-    position_errors: dict[str, np.ndarray] = field(default_factory=dict)
-    skipped: dict[str, list[int]] = field(default_factory=dict)
-    est_start: int = INIT_SCANS
+    means: np.ndarray
+    covs: np.ndarray
+    updated: np.ndarray
+
+    def __post_init__(self):
+        if self.truth.ndim != 3 or len(self.truth) == 0:
+            raise ValueError(f"truth must be (runs >= 1, steps, n), got shape {self.truth.shape}")
+        runs, steps, n = self.truth.shape
+        if len(set(self.variants)) != len(self.variants):
+            raise ValueError(f"variants must be distinct, got {self.variants}")
+        scans = (runs, len(self.variants), steps - INIT_SCANS)
+        expected = {
+            "measurements": (runs, steps, 4),
+            "means": scans + (n,),
+            "covs": scans + (n, n),
+            "updated": scans,
+        }
+        for name, shape in expected.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(
+                    f"{name} of shape {getattr(self, name).shape} does not fit the ensemble "
+                    f"layout {shape}"
+                )
 
 
 def _check_length(scenario: Scenario) -> None:
@@ -73,38 +95,39 @@ def _check_length(scenario: Scenario) -> None:
 def run_single(
     scenario: Scenario,
     variants: tuple[FilterVariant, ...],
-    run_index: int,
     seed: np.random.SeedSequence,
-) -> RunRecord:
+) -> Ensemble:
     """Simulate one realization and run every requested variant on it.
 
-    Converts scan by scan with :func:`convert`; :func:`run_ensemble` gives
-    the same records through the batched conversion, up to rounding.
+    A one-run :class:`Ensemble`: the run goes scan by scan through
+    :func:`convert` and :func:`run_filter`, which are the batched conversion
+    and filter on a batch of one. :func:`run_ensemble` gives the same run,
+    up to rounding, from any chunk.
     """
     _check_length(scenario)
     rng = np.random.default_rng(seed)
     truth = simulate_truth(scenario, rng)
     measurements = synthesize_measurements(truth, scenario.noise, rng)
-    record = RunRecord(
-        run_index=run_index,
-        scenario=scenario.name,
-        truth=truth,
-        measurements=np.array([[m.r, m.theta, m.phi, m.rdot] for m in measurements]),
-    )
-    p = scenario.dim
+    runs = []
     for variant in variants:
         init = initialize_belief(
             convert(measurements[0], scenario.noise, variant.method),
             convert(measurements[1], scenario.noise, variant.method),
             scenario.model.t,
         )
-        run = run_filter(variant, measurements[INIT_SCANS:], scenario.noise, scenario.model, init)
-        means = np.array([b.mean for b in run.beliefs])
-        record.estimates[variant.name] = means
-        record.covariances[variant.name] = np.array([b.cov for b in run.beliefs])
-        record.position_errors[variant.name] = means[:, :p] - truth[INIT_SCANS:, :p]
-        record.skipped[variant.name] = run.skipped_steps
-    return record
+        runs.append(
+            run_filter(variant, measurements[INIT_SCANS:], scenario.noise, scenario.model, init)
+        )
+    steps = np.arange(INIT_SCANS, scenario.steps)
+    return Ensemble(
+        scenario=scenario.name,
+        variants=tuple(variants),
+        truth=truth[None],
+        measurements=np.array([[[m.r, m.theta, m.phi, m.rdot] for m in measurements]]),
+        means=np.array([[[b.mean for b in run.beliefs] for run in runs]]),
+        covs=np.array([[[b.cov for b in run.beliefs] for run in runs]]),
+        updated=np.array([[~np.isin(steps, run.skipped_steps) for run in runs]]),
+    )
 
 
 def _filter_chunk(
@@ -114,10 +137,9 @@ def _filter_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Filter one run per seed, all in lockstep; returns the chunk's arrays.
 
-    Returns ``(truth, measurements, means, covs, updated)`` with leading
-    axes ``(runs,)`` for the first two and ``(runs, variants, scans)`` for
-    the rest, each one contiguous block, so a worker process sends back
-    five buffers rather than one object per run. Each run keeps its own
+    Returns the array fields of :class:`Ensemble` in order, ``(truth,
+    measurements, means, covs, updated)``, each one contiguous block, so a
+    worker process sends back five buffers. Each run keeps its own
     generator and draw order, so a run's arrays do not depend on which chunk
     it is in. A degenerate conversion skips only its own (run, variant,
     scan); one in an initialization scan fails the chunk, as it fails
@@ -145,35 +167,6 @@ def _filter_chunk(
         np.ascontiguousarray(np.moveaxis(post.cov, 0, 2)),
         np.ascontiguousarray(np.moveaxis(updated, 0, 2)),
     )
-
-
-def _records(
-    scenario: Scenario,
-    variants: tuple[FilterVariant, ...],
-    first_index: int,
-    chunk: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> list[RunRecord]:
-    """One :class:`RunRecord` per run of a :func:`_filter_chunk` result.
-
-    Records are numbered from ``first_index`` and hold views into the
-    chunk's arrays.
-    """
-    truth, meas, means, covs, updated = chunk
-    steps = np.arange(INIT_SCANS, scenario.steps)
-    p = scenario.dim
-    errors = means[..., :p] - truth[:, None, INIT_SCANS:, :p]
-    records = []
-    for b in range(len(truth)):
-        record = RunRecord(
-            run_index=first_index + b, scenario=scenario.name, truth=truth[b], measurements=meas[b]
-        )
-        for v, variant in enumerate(variants):
-            record.estimates[variant.name] = means[b, v]
-            record.covariances[variant.name] = covs[b, v]
-            record.position_errors[variant.name] = errors[b, v]
-            record.skipped[variant.name] = steps[~updated[b, v]].tolist()
-        records.append(record)
-    return records
 
 
 # A worker pays the lockstep engine's per-scan overhead once for its whole
@@ -213,30 +206,28 @@ def run_ensemble(
     variants: tuple[FilterVariant, ...] = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D),
     jobs: int = 1,
     seed: int | None = None,
-) -> list[RunRecord]:
+) -> Ensemble:
     """Execute the scenario's Monte Carlo ensemble.
 
     Child seeds are spawned from the master seed before any work starts.
     ``jobs`` caps the number of worker processes. The ensemble uses
     ``min(jobs, usable CPUs, runs // MIN_RUNS_PER_WORKER)`` workers, each
     taking one contiguous chunk of runs; with at most one it runs
-    in-process and starts no pool. A run's record does not depend on its
-    chunk, so the result is independent of ``jobs``. Records come back
-    ordered by run index.
+    in-process and starts no pool. A run's arrays do not depend on its
+    chunk, so the result is independent of ``jobs``. Runs come back in
+    seed order along the first axis.
     """
+    variants = tuple(variants)
     master = scenario.seed if seed is None else seed
     children = np.random.SeedSequence(master).spawn(scenario.runs)
     workers = min(jobs, _usable_cpus(), scenario.runs // MIN_RUNS_PER_WORKER)
     if workers <= 1:
-        return _records(scenario, variants, 0, _filter_chunk(scenario, variants, children))
+        return Ensemble(scenario.name, variants, *_filter_chunk(scenario, variants, children))
     chunks = np.array_split(np.arange(scenario.runs), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_filter_chunk, scenario, variants, children[c[0] : c[-1] + 1])
             for c in chunks
         ]
-        return [
-            record
-            for c, future in zip(chunks, futures)
-            for record in _records(scenario, variants, int(c[0]), future.result())
-        ]
+        parts = [future.result() for future in futures]
+    return Ensemble(scenario.name, variants, *map(np.concatenate, zip(*parts)))

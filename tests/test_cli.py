@@ -42,25 +42,18 @@ def test_run_ensemble_deterministic_and_parallel_invariant(two_workers):
     c = run_ensemble(sc, variants, jobs=2, seed=7)
     assert two_workers == [2]
     for x, y in ((a, b), (a, c)):
-        assert len(x) == len(y) == sc.runs
-        for rx, ry in zip(x, y):
-            assert rx.run_index == ry.run_index
-            np.testing.assert_array_equal(rx.truth, ry.truth)
-            np.testing.assert_array_equal(rx.measurements, ry.measurements)
-            assert rx.estimates.keys() == ry.estimates.keys()
-            for name in rx.estimates:
-                np.testing.assert_array_equal(rx.estimates[name], ry.estimates[name])
-                np.testing.assert_array_equal(rx.covariances[name], ry.covariances[name])
-                np.testing.assert_array_equal(rx.position_errors[name], ry.position_errors[name])
-                assert rx.skipped[name] == ry.skipped[name]
+        assert x.variants == y.variants == variants
+        for f in ("truth", "measurements", "means", "covs", "updated"):
+            np.testing.assert_array_equal(getattr(x, f), getattr(y, f), err_msg=f)
+    assert len(a.truth) == sc.runs
 
 
 def test_run_ensemble_pairs_variants_on_same_measurements():
     sc = small_scenario(runs=2)
-    recs = run_ensemble(sc, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D), seed=3)
-    for rec in recs:
-        assert set(rec.estimates) == {"RCMKF_U", "RCMKF_D"}
-        assert rec.estimates["RCMKF_U"].shape == (sc.steps - 2, 4)
+    ens = run_ensemble(sc, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D), seed=3)
+    assert ens.variants == (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
+    assert ens.measurements.shape == (sc.runs, sc.steps, 4)
+    assert ens.means.shape == (sc.runs, 2, sc.steps - 2, 4)
 
 
 def test_config_roundtrip_identity():
@@ -106,6 +99,8 @@ def test_config_rejects_bad_values():
         config_from_dict({"runs": 0})
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="distinct"):
+        config_from_dict({"variants": ["rcmkf_d", "rcmkf_u", "rcmkf_d"]})
 
 
 def test_default_sigma_grid():
@@ -146,7 +141,7 @@ def test_cli_simulate_reports_skipped_scans(tmp_path, capsys, monkeypatch):
     cfg = dataclasses.replace(ExperimentConfig(), case=1, runs=3, seed=11)
     variants = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
     base = run_ensemble(build_scenario(cfg), variants, seed=cfg.seed)
-    target = base[1].measurements[10, 0]  # its range singles out one (run, scan) pair
+    target = base.measurements[1, 10, 0]  # its range singles out one (run, scan) pair
     real = conversion._moments
 
     def forced(method, rm, theta, phi, rdot, noise):
@@ -308,6 +303,42 @@ LIST_SCENARIO_OK = {
             "golden:\n  points: {r_m: 1000.0}\n",
             "config.golden.points must be a list",
             id="points-mapping",
+        ),
+        pytest.param(
+            "simulate", "variants: [rcmkf_u, RCMKF_U]\n", "filter variants must be distinct",
+            id="variants-duplicate",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": '[10000.0, "x"]'}),
+            "initial_position_m entries must be real numbers, got 'x'",
+            id="position-string-entry",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": "[10000.0, true]"}),
+            "initial_position_m entries must be real numbers, got True",
+            id="position-bool-entry",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": "[10000.0]"}),
+            "initial_position_m must have 2 or 3 entries, got 1",
+            id="position-length",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "vel": "[10.0, -5.0, 0.0]"}),
+            "initial_velocity_mps must have 2 entries, got 3",
+            id="velocity-length",
+        ),
+        pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(
+                **{**LIST_SCENARIO_OK, "maneuvers": "[{start_step: 3, accel_mps2: [1.0]}]"}
+            ),
+            "maneuver 0 accel_mps2 must have 2 entries, got 1",
+            id="accel-length",
         ),
     ],
 )

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rcmkf.conversion import ConversionMethod, _cart, _stats_batch, mc_moment_oracle
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.evaluation import _quad_form, chi_square_bounds, consistency_sweep, nees, nes, rmse
-from rcmkf.montecarlo import RunRecord
+from rcmkf.filtering import FilterVariant
+from rcmkf.montecarlo import INIT_SCANS, Ensemble
 from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
 
 GEOMETRY = SphericalMeasurement(r=10000.0, theta=math.radians(45.0), rdot=100.0, dim=2)
@@ -244,70 +245,85 @@ def test_harness_self_consistency_with_oracle_stats():
     assert lo <= stat <= hi
 
 
-def make_record(idx, truth, estimates, covs=None):
-    est_start = truth.shape[0] - next(iter(estimates.values())).shape[0]
-    return RunRecord(
-        run_index=idx,
+V = FilterVariant.RCMKF_U
+
+
+def make_ensemble(truth, estimates, covs=None):
+    """A one-variant ensemble of ``truth`` (runs, steps, n) and ``estimates``
+    (runs, scans, n); the covariances default to identities."""
+    n = truth.shape[-1]
+    if covs is None:
+        covs = np.broadcast_to(np.eye(n), estimates.shape + (n,))
+    return Ensemble(
         scenario="test",
+        variants=(V,),
         truth=truth,
-        measurements=np.zeros((truth.shape[0], 4)),
-        estimates=estimates,
-        covariances=covs or {},
-        position_errors={},
-        skipped={},
-        est_start=est_start,
+        measurements=np.zeros(truth.shape[:2] + (4,)),
+        means=estimates[:, None],
+        covs=covs[:, None],
+        updated=np.ones(estimates.shape[:2], dtype=bool)[:, None],
     )
 
 
 def test_rmse_zero_for_exact_estimates():
-    truth = np.cumsum(np.ones((10, 4)), axis=0)
-    rec = make_record(0, truth, {"V": truth[2:].copy()})
-    rep = rmse([rec])
-    np.testing.assert_array_equal(rep.rmse["V"], 0.0)
+    truth = np.cumsum(np.ones((1, 10, 4)), axis=1)
+    rep = rmse(make_ensemble(truth, truth[:, INIT_SCANS:].copy()))
+    np.testing.assert_array_equal(rep.rmse[V.name], 0.0)
     assert rep.steps[0] == 2 and len(rep.steps) == 8
 
 
 def test_rmse_constant_offset():
-    truth = np.zeros((6, 4))
+    truth = np.zeros((1, 6, 4))
     offset = np.array([3.0, 4.0, 0.0, 0.0])
-    rec = make_record(0, truth, {"V": truth[2:] + offset})
-    rep = rmse([rec])
-    np.testing.assert_allclose(rep.rmse["V"], 5.0)
+    rep = rmse(make_ensemble(truth, truth[:, INIT_SCANS:] + offset))
+    np.testing.assert_allclose(rep.rmse[V.name], 5.0)
 
 
 def test_rmse_permutation_invariant_and_monotone():
     rng = np.random.default_rng(16)
-    truth = rng.standard_normal((8, 4))
-    recs = [
-        make_record(i, truth, {"V": truth[2:] + rng.standard_normal((6, 4))}) for i in range(5)
-    ]
-    base = rmse(recs).rmse["V"]
-    shuffled = rmse(recs[::-1]).rmse["V"]
+    truth = np.broadcast_to(rng.standard_normal((8, 4)), (5, 8, 4))
+    est = truth[:, INIT_SCANS:] + rng.standard_normal((5, 6, 4))
+    base = rmse(make_ensemble(truth, est)).rmse[V.name]
+    shuffled = rmse(make_ensemble(truth[::-1], est[::-1])).rmse[V.name]
     np.testing.assert_allclose(base, shuffled, rtol=1e-12)  # summation-order slack
 
-    inflated = [
-        make_record(r.run_index, r.truth, {"V": r.truth[2:] + 2 * (r.estimates["V"] - r.truth[2:])})
-        for r in recs
-    ]
-    np.testing.assert_array_less(base, rmse(inflated).rmse["V"] + 1e-15)
+    inflated = truth[:, INIT_SCANS:] + 2 * (est - truth[:, INIT_SCANS:])
+    np.testing.assert_array_less(base, rmse(make_ensemble(truth, inflated)).rmse[V.name] + 1e-15)
 
 
 def test_rmse_length_mismatch():
-    truth = np.zeros((6, 4))
-    recs = [
-        make_record(0, truth, {"V": truth[2:]}),
-        make_record(1, truth, {"V": truth[3:]}),
-    ]
+    truth = np.zeros((2, 6, 4))
     with pytest.raises(ValueError):
-        rmse(recs)
+        make_ensemble(truth, truth[:, 3:])  # estimates one scan short
+    with pytest.raises(ValueError):
+        make_ensemble(truth, truth[:1, INIT_SCANS:])  # estimates for one run of two
+
+
+def test_rmse_and_nees_sum_runs_in_order():
+    # the reports reduce over the run axis in one call; a loop that adds the
+    # runs one by one is the reference, and the arithmetic is the same
+    import rcmkf
+
+    scenario = dataclasses.replace(rcmkf.generate_case(2), runs=6)
+    ens = rcmkf.run_ensemble(scenario, seed=3)
+    rmse_rep, nees_rep = rmse(ens), nees(ens)
+    for v, variant in enumerate(ens.variants):
+        sq = np.zeros(len(rmse_rep.steps))
+        quad = np.zeros(len(nees_rep.steps))
+        for run in range(len(ens.truth)):
+            err = ens.means[run, v] - ens.truth[run, INIT_SCANS:]
+            sq += np.sum(err[:, :2] ** 2, axis=1)
+            quad += _quad_form(ens.covs[run, v], err, "a filter covariance")
+        np.testing.assert_array_equal(rmse_rep.rmse[variant.name], np.sqrt(sq / len(ens.truth)))
+        np.testing.assert_array_equal(nees_rep.nees[variant.name], quad / len(ens.truth))
 
 
 def test_case1_rmse_trace_decreases_then_flattens():
     import rcmkf
 
     scenario = dataclasses.replace(rcmkf.generate_case(1), runs=50)
-    records = rcmkf.run_ensemble(scenario, (rcmkf.FilterVariant.RCMKF_U,), seed=6)
-    curve = rmse(records).rmse["RCMKF_U"]
+    ens = rcmkf.run_ensemble(scenario, (rcmkf.FilterVariant.RCMKF_U,), seed=6)
+    curve = rmse(ens).rmse["RCMKF_U"]
     early = curve[3:13].mean()
     late = curve[-20:].mean()
     assert late < early
@@ -321,21 +337,12 @@ def test_nees_consistent_synthetic_filter():
     steps, runs, n = 12, 200, 4
     cov = np.diag([4.0, 4.0, 1.0, 1.0])
     chol = np.linalg.cholesky(cov)
-    recs = []
-    for i in range(runs):
-        truth = np.zeros((steps, n))
-        err = (chol @ rng.standard_normal((n, steps - 2))).T
-        recs.append(
-            make_record(
-                i,
-                truth,
-                {"V": truth[2:] + err},
-                covs={"V": np.broadcast_to(cov, (steps - 2, n, n)).copy()},
-            )
-        )
-    rep = nees(recs, tail=0.001)
+    truth = np.zeros((runs, steps, n))
+    err = np.stack([(chol @ rng.standard_normal((n, steps - 2))).T for _ in range(runs)])
+    covs = np.broadcast_to(cov, (runs, steps - 2, n, n))
+    rep = nees(make_ensemble(truth, truth[:, INIT_SCANS:] + err, covs), tail=0.001)
     assert rep.lower < 4.0 < rep.upper
-    assert np.all(rep.nees["V"] > rep.lower) and np.all(rep.nees["V"] < rep.upper)
+    assert np.all(rep.nees[V.name] > rep.lower) and np.all(rep.nees[V.name] < rep.upper)
 
 
 # Per-step position RMSE and state NEES of an 8-run ensemble (seed 42) at a

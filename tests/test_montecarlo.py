@@ -15,7 +15,7 @@ from rcmkf import montecarlo
 from rcmkf.conversion import ConversionMethod
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import FilterVariant
-from rcmkf.montecarlo import INIT_SCANS, _filter_chunk, _records, run_ensemble, run_single
+from rcmkf.montecarlo import INIT_SCANS, Ensemble, _filter_chunk, run_ensemble, run_single
 from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
 
 VARIANTS = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
@@ -50,56 +50,56 @@ SCENARIOS = {
 }
 
 
-def assert_records_close(batched, single):
-    assert batched.run_index == single.run_index
+FIELDS = ("truth", "measurements", "means", "covs", "updated")
+
+
+def join(parts):
+    """The runs of several ensembles of one scenario, in order, as one."""
+    arrays = (np.concatenate([getattr(e, f) for e in parts]) for f in FIELDS)
+    return Ensemble(parts[0].scenario, parts[0].variants, *arrays)
+
+
+def run_of(ens, i):
+    """Run ``i`` of an ensemble as a one-run ensemble."""
+    return Ensemble(ens.scenario, ens.variants, *(getattr(ens, f)[i : i + 1] for f in FIELDS))
+
+
+def assert_ensembles_close(batched, single):
+    assert (batched.scenario, batched.variants) == (single.scenario, single.variants)
     np.testing.assert_array_equal(batched.truth, single.truth)
     np.testing.assert_array_equal(batched.measurements, single.measurements)
-    for name in single.estimates:
-        assert batched.skipped[name] == single.skipped[name]
-        np.testing.assert_allclose(
-            batched.estimates[name], single.estimates[name], rtol=0, atol=EST_ATOL_M
-        )
-        np.testing.assert_allclose(
-            batched.position_errors[name], single.position_errors[name], rtol=0, atol=EST_ATOL_M
-        )
-        cov_b, cov_s = batched.covariances[name], single.covariances[name]
-        scale = np.abs(cov_s).max(axis=(-2, -1), keepdims=True)
-        assert np.all(np.abs(cov_b - cov_s) <= COV_RTOL * scale)
+    np.testing.assert_array_equal(batched.updated, single.updated)
+    np.testing.assert_allclose(batched.means, single.means, rtol=0, atol=EST_ATOL_M)
+    scale = np.abs(single.covs).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(batched.covs - single.covs) <= COV_RTOL * scale)
 
 
-def assert_records_equal(a, b, names):
-    np.testing.assert_array_equal(a.truth, b.truth)
-    np.testing.assert_array_equal(a.measurements, b.measurements)
-    for name in names:
-        np.testing.assert_array_equal(a.estimates[name], b.estimates[name])
-        np.testing.assert_array_equal(a.covariances[name], b.covariances[name])
-        assert a.skipped[name] == b.skipped[name]
+def assert_ensembles_equal(a, b):
+    assert (a.scenario, a.variants) == (b.scenario, b.variants)
+    for f in FIELDS:
+        np.testing.assert_array_equal(getattr(a, f), getattr(b, f), err_msg=f)
 
 
 @pytest.mark.parametrize("key", sorted(SCENARIOS))
 def test_batched_engine_matches_per_run_path(key):
     sc = SCENARIOS[key]
-    records = run_ensemble(sc, VARIANTS, seed=42)
+    ens = run_ensemble(sc, VARIANTS, seed=42)
     seeds = np.random.SeedSequence(42).spawn(sc.runs)
-    assert [r.run_index for r in records] == list(range(sc.runs))
-    for i, rec in enumerate(records):
-        assert_records_close(rec, run_single(sc, VARIANTS, i, seeds[i]))
-    # a run's record does not depend on the chunk it is filtered in
+    assert ens.variants == VARIANTS and len(ens.truth) == sc.runs
+    assert_ensembles_close(ens, join([run_single(sc, VARIANTS, seed) for seed in seeds]))
+    # a run's arrays do not depend on the chunk it is filtered in
     chunked = [
-        record
+        Ensemble(sc.name, VARIANTS, *_filter_chunk(sc, VARIANTS, seeds[first:last]))
         for first, last in ((0, 1), (1, 4), (4, sc.runs))
-        for record in _records(sc, VARIANTS, first, _filter_chunk(sc, VARIANTS, seeds[first:last]))
     ]
-    for a, b in zip(records, chunked):
-        assert a.run_index == b.run_index
-        assert_records_equal(a, b, [v.name for v in VARIANTS])
+    assert_ensembles_equal(ens, join(chunked))
 
 
 def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     sc = SCENARIOS["case1"]
     base = run_ensemble(sc, VARIANTS, seed=9)
     run, step = 3, 10
-    target = base[run].measurements[step, 0]  # its range singles out the (run, scan) pair
+    target = base.measurements[run, step, 0]  # its range singles out the (run, scan) pair
     real = conversion._moments
 
     def forced(method, rm, theta, phi, rdot, noise):
@@ -109,21 +109,22 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
         return mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
-    forced_records = run_ensemble(sc, VARIANTS, seed=9)
-    for i, (a, b) in enumerate(zip(base, forced_records)):
-        if i != run:
-            assert_records_equal(a, b, [v.name for v in VARIANTS])
-    hit_a, hit_b = base[run], forced_records[run]
+    hit = run_ensemble(sc, VARIANTS, seed=9)
+    others = np.arange(sc.runs) != run
+    for f in FIELDS:
+        np.testing.assert_array_equal(getattr(hit, f)[others], getattr(base, f)[others])
     # only the measurement-conditioned variant reads the forced moments
-    assert_records_equal(hit_a, hit_b, ["RCMKF_D"])
-    assert hit_a.skipped["RCMKF_U"] == []
-    assert hit_b.skipped["RCMKF_U"] == [step]
+    u, d = VARIANTS.index(FilterVariant.RCMKF_U), VARIANTS.index(FilterVariant.RCMKF_D)
+    for f in ("means", "covs", "updated"):
+        np.testing.assert_array_equal(getattr(hit, f)[run, d], getattr(base, f)[run, d])
     k = step - INIT_SCANS
-    np.testing.assert_array_equal(hit_b.estimates["RCMKF_U"][:k], hit_a.estimates["RCMKF_U"][:k])
-    assert not np.array_equal(hit_b.estimates["RCMKF_U"][k], hit_a.estimates["RCMKF_U"][k])
+    assert base.updated.all()
+    assert np.argwhere(~hit.updated).tolist() == [[run, u, k]]
+    np.testing.assert_array_equal(hit.means[run, u, :k], base.means[run, u, :k])
+    assert not np.array_equal(hit.means[run, u, k], base.means[run, u, k])
     # the per-run path skips the same scan
-    single = run_single(sc, VARIANTS, run, np.random.SeedSequence(9).spawn(sc.runs)[run])
-    assert_records_close(hit_b, single)
+    single = run_single(sc, VARIANTS, np.random.SeedSequence(9).spawn(sc.runs)[run])
+    assert_ensembles_close(run_of(hit, run), single)
 
 
 def test_small_ensemble_runs_in_process(monkeypatch):
@@ -134,12 +135,7 @@ def test_small_ensemble_runs_in_process(monkeypatch):
         raise AssertionError("a 12-run ensemble started a process pool")
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-    capped = run_ensemble(sc, VARIANTS, jobs=2, seed=11)
-    assert [r.run_index for r in capped] == list(range(sc.runs))
-    for a, b in zip(serial, capped):
-        assert_records_equal(a, b, [v.name for v in VARIANTS])
-        for v in VARIANTS:
-            np.testing.assert_array_equal(a.position_errors[v.name], b.position_errors[v.name])
+    assert_ensembles_equal(serial, run_ensemble(sc, VARIANTS, jobs=2, seed=11))
 
 
 @pytest.mark.skipif(
@@ -149,7 +145,7 @@ def test_small_ensemble_runs_in_process(monkeypatch):
 def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_workers):
     sc = SCENARIOS["case1"]
     run = RUNS - 1  # filtered by the second of the two workers
-    target = run_ensemble(sc, VARIANTS, seed=9)[run].measurements[0, 0]
+    target = run_ensemble(sc, VARIANTS, seed=9).measurements[run, 0, 0]
     real = conversion._moments
 
     def forced(method, rm, theta, phi, rdot, noise):
@@ -161,6 +157,18 @@ def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_wor
     with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
         run_ensemble(sc, VARIANTS, jobs=2, seed=9)
     assert two_workers == [2]
+
+
+def test_ensemble_rejects_a_bad_layout():
+    ens = run_ensemble(SCENARIOS["case1"], VARIANTS, seed=1)
+    arrays = {f: getattr(ens, f) for f in FIELDS}
+    with pytest.raises(ValueError, match="distinct"):
+        Ensemble(ens.scenario, (FilterVariant.RCMKF_U,) * 2, **arrays)
+    for f in FIELDS[1:]:
+        with pytest.raises(ValueError, match=f):
+            Ensemble(ens.scenario, VARIANTS, **{**arrays, f: arrays[f][:-1]})
+    with pytest.raises(ValueError, match="truth"):
+        Ensemble(ens.scenario, VARIANTS, **{**arrays, "truth": arrays["truth"][:0]})
 
 
 def _tracing_entry_points():
