@@ -209,10 +209,70 @@ def test_truth_conditioned_stats_against_fixed_truth_sampling():
     np.testing.assert_array_less(np.abs(cov_t - emp_cov), 4 * se_cov + 1e-12)
 
 
-def test_oracle_zero_noise_exact():
-    est = mc_moment_oracle(sph(5000.0, 20.0, 50.0), NoiseSpec(0.0, 0.0, 0.0), 20_000, np.random.default_rng(0))
-    np.testing.assert_array_equal(est.mean, 0.0)
-    np.testing.assert_array_equal(est.cov, 0.0)
+@pytest.mark.parametrize("m", [sph(5000.0, 20.0, 50.0), sph(5000.0, 20.0, 50.0, phi_deg=30.0)])
+def test_oracle_zero_noise_exact(m):
+    est = mc_moment_oracle(m, NoiseSpec(0.0, 0.0, 0.0), 20_000, np.random.default_rng(0))
+    for got in (est.mean, est.cov, est.se_mean, est.se_cov):
+        np.testing.assert_array_equal(got, 0.0)
+    assert est.samples == 20_000
+
+
+def _dense_oracle(m, noise, samples, rng, batch):
+    """The oracle's algorithm written out on full arrays, as a reference.
+
+    Per batch: draw ``(4, k)`` standard normals, scale them into
+    (r, theta, phi, rdot) errors (range-rate through the Cholesky factor of
+    the range/range-rate correlation), reconstruct the truths and take
+    ``converted - cartesian(truth)``. The center is the mean of the first
+    batch's errors; the sums run over whole batches.
+    """
+    r, theta, rdot = m.r, m.theta, m.rdot
+    phi = m.phi if m.dim == 3 else 0.0
+    converted = np.array(
+        [r * np.cos(phi) * np.cos(theta), r * np.cos(phi) * np.sin(theta), r * np.sin(phi), r * rdot]
+    )
+
+    def errors(k):
+        z = rng.standard_normal((4, k))
+        rt = r - noise.sigma_r * z[0]
+        tt = theta - noise.sigma_theta * z[1]
+        pt = phi - noise.sigma_phi * z[2]
+        dt = rdot - noise.sigma_rdot * (noise.rho * z[0] + math.sqrt(1.0 - noise.rho**2) * z[3])
+        truth = np.array([rt * np.cos(pt) * np.cos(tt), rt * np.cos(pt) * np.sin(tt), rt * np.sin(pt), rt * dt])
+        return converted[:, None] - truth
+
+    blocks = [errors(min(batch, samples))]
+    done = blocks[0].shape[1]
+    while done < samples:
+        blocks.append(errors(min(batch, samples - done)))
+        done += blocks[-1].shape[1]
+    center = blocks[0].mean(axis=1)
+    centered = np.concatenate(blocks, axis=1) - center[:, None]
+    n = centered.shape[1]
+    mean_c = centered.sum(axis=1) / n
+    sum_cc = centered @ centered.T
+    cov = (sum_cc / n - np.outer(mean_c, mean_c)) * (n / (n - 1))
+    var_prod = (centered**2) @ (centered**2).T / n - (sum_cc / n) ** 2
+    se_cov = np.sqrt(np.maximum(var_prod, 0.0) / n)
+    se_mean = np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
+    idx = [0, 1, 3] if m.dim == 2 else [0, 1, 2, 3]
+    return center[idx] + mean_c[idx], cov[np.ix_(idx, idx)], se_mean[idx], se_cov[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("samples, batch", [(25_001, 10_000), (150_000, 100_000), (20_000, 1_000_000)])
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+@pytest.mark.parametrize("phi_deg", [None, 25.0])
+def test_oracle_matches_dense_reference(samples, batch, rho, phi_deg):
+    # same draws, same center, any batching: mean, cov and both standard
+    # errors agree with full-array sums to rounding
+    noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=rho, sigma_phi=math.radians(8.0))
+    m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
+    est = mc_moment_oracle(m, noise, samples, np.random.default_rng(31), batch=batch)
+    ref = _dense_oracle(m, noise, samples, np.random.default_rng(31), batch)
+    assert est.samples == samples
+    for got, want in zip((est.mean, est.cov, est.se_mean, est.se_cov), ref):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_oracle_reported_se_scales_as_sqrt_n():
