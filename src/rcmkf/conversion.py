@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
+from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix, _scale_noise
 
 __all__ = [
     "ConversionMethod",
@@ -122,12 +122,21 @@ def _bcast(*vals):
     return np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in vals])
 
 
-def _cart(r, theta, phi, rdot):
-    """Exact spherical -> (x, y, z, eta) map, broadcasting over arrays."""
-    cp = np.cos(phi)
-    return np.stack(
-        [r * cp * np.cos(theta), r * cp * np.sin(theta), r * np.sin(phi), r * rdot]
-    )
+def _cart(r, theta, phi, rdot, out=None):
+    """Exact spherical -> (x, y, z, eta) map, broadcasting over arrays.
+
+    Writes into ``out`` of shape ``(4,) + broadcast shape`` when given (it
+    must not overlap the inputs) and returns it.
+    """
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(*map(np.shape, (r, theta, phi, rdot))))
+    x, y, z, eta = (out[i, ...] for i in range(4))
+    rcp = np.multiply(r, np.cos(phi, out=z), out=z)
+    np.multiply(rcp, np.cos(theta, out=x), out=x)
+    np.multiply(rcp, np.sin(theta, out=y), out=y)
+    np.multiply(r, np.sin(phi, out=z), out=z)
+    np.multiply(r, rdot, out=eta)
+    return out
 
 
 def _noiseless(noise: NoiseSpec) -> bool:
@@ -435,6 +444,19 @@ class OracleMoments:
     samples: int
 
 
+# Columns per oracle tile: the tile's (4, tile) scratch stays cache-sized,
+# and few enough tiles keep the per-allocation cost small where every
+# allocation is traced (tracemalloc).
+_ORACLE_TILE = 65_536
+
+
+def _tiles(z: np.ndarray, scratch: np.ndarray):
+    """``(z[:, cols], scratch[:, :width])`` for consecutive column tiles of ``z``."""
+    for lo in range(0, z.shape[1], _ORACLE_TILE):
+        tile = z[:, lo : lo + _ORACLE_TILE]
+        yield tile, scratch[:, : tile.shape[1]]
+
+
 def mc_moment_oracle(
     m: SphericalMeasurement,
     noise: NoiseSpec,
@@ -450,41 +472,53 @@ def mc_moment_oracle(
     moments under the diffuse-prior reading. Standard errors of the
     covariance entries come from the sample variance of the centered
     products. Results are deterministic given the generator state.
+
+    The draws are taken ``batch`` at a time into one ``(4, batch)`` float64
+    buffer (about 32 B per draw), whose columns are overwritten by their
+    errors tile by tile.
     """
     if samples < 10_000:
         raise ValueError("oracle needs at least 1e4 samples")
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ValueError(f"oracle batch must be an integer >= 1, got {batch!r}")
     r, theta, phi, rdot = _spherical(m)
-    converted = _cart(r, theta, phi, rdot)
+    measured = np.array([r, theta, phi, rdot])[:, None]
+    converted = _cart(r, theta, phi, rdot)[:, None]
+    zbuf = np.empty(4 * min(batch, samples))
+    scratch = np.empty((4, _ORACLE_TILE))
 
-    # Pilot center keeps the accumulated products small; the recentering at
-    # the end is exact for the mean and covariance.
-    pilot = _noise_matrix(noise, min(batch, samples), rng)
-    errs = converted[:, None] - _cart(
-        r - pilot[0], theta - pilot[1], phi - pilot[2], rdot - pilot[3]
-    )
-    center = errs.mean(axis=1)
+    def errors(k: int) -> np.ndarray:
+        """The conversion errors of the next ``k`` draws, a ``(4, k)`` view of the buffer."""
+        z = zbuf[: 4 * k].reshape(4, k)
+        rng.standard_normal(out=z)
+        for tile, truth in _tiles(z, scratch):
+            # the tile's draws are read out before its errors overwrite them
+            np.copyto(truth, tile)
+            np.subtract(measured, _scale_noise(noise, truth), out=truth)
+            np.subtract(converted, _cart(*truth, out=tile), out=tile)
+        return z
 
+    # Centering on the first batch's mean keeps the accumulated products
+    # small; the recentering at the end is exact for the mean and covariance.
+    z = errors(min(batch, samples))
+    center = z.mean(axis=1)[:, None]
     n_done = 0
     sum_c = np.zeros(4)
     sum_cc = np.zeros((4, 4))
     sum_cc_sq = np.zeros((4, 4))
+    while True:
+        for tile, c in _tiles(z, scratch):
+            np.subtract(tile, center, out=c)
+            sum_c += c.sum(axis=1)
+            sum_cc += c @ c.T
+            np.square(c, out=c)
+            sum_cc_sq += c @ c.T
+        n_done += z.shape[1]
+        if n_done == samples:
+            break
+        z = errors(min(batch, samples - n_done))
 
-    def accumulate(block: np.ndarray) -> None:
-        nonlocal n_done, sum_c, sum_cc, sum_cc_sq
-        centered = block - center[:, None]
-        sum_c += centered.sum(axis=1)
-        sum_cc += centered @ centered.T
-        sq = centered**2
-        sum_cc_sq += sq @ sq.T
-        n_done += block.shape[1]
-
-    accumulate(errs)
-    while n_done < samples:
-        k = min(batch, samples - n_done)
-        d = _noise_matrix(noise, k, rng)
-        block = converted[:, None] - _cart(r - d[0], theta - d[1], phi - d[2], rdot - d[3])
-        accumulate(block)
-
+    center = center[:, 0]
     mean_c = sum_c / n_done
     mean = center + mean_c
     cov = (sum_cc / n_done - np.outer(mean_c, mean_c)) * (n_done / (n_done - 1))

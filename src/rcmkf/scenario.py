@@ -310,20 +310,33 @@ def measure(
     )
 
 
+def _scale_noise(noise: NoiseSpec, z: np.ndarray) -> np.ndarray:
+    """Scale a ``(4, ...)`` standard-normal block in place into (r, theta, phi, rdot) errors.
+
+    The range-rate error is built from the range error's standard normal via
+    the Cholesky factor of the 2x2 correlation block, so it is formed before
+    that row is scaled. Returns ``z``.
+    """
+    drd = z[3]
+    drd *= math.sqrt(1.0 - noise.rho**2)
+    drd += noise.rho * z[0]
+    drd *= noise.sigma_rdot
+    z[0] *= noise.sigma_r
+    z[1] *= noise.sigma_theta
+    z[2] *= noise.sigma_phi
+    return z
+
+
 def _noise_matrix(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarray:
     """Standard-normal driven draws of (r, theta, phi, rdot) errors.
 
-    Shared by the scalar sampler, the Monte Carlo oracle and the consistency
-    sweep so every consumer sees the identical noise construction: the
-    range-rate error is built from the range error's standard normal via the
-    Cholesky factor of the 2x2 correlation block.
+    One ``(4,) + size`` draw scaled in place by :func:`_scale_noise`. The
+    scalar sampler, the consistency sweep and the nested reference use it;
+    the Monte Carlo oracle draws into its own ``(4, batch)`` float64 buffer
+    (about 32 B per draw) and scales it with the same helper, so every
+    consumer sees the identical noise construction.
     """
-    z = rng.standard_normal((4,) + tuple(np.atleast_1d(size)))
-    dr = noise.sigma_r * z[0]
-    dth = noise.sigma_theta * z[1]
-    dph = noise.sigma_phi * z[2]
-    drd = noise.sigma_rdot * (noise.rho * z[0] + math.sqrt(1.0 - noise.rho**2) * z[3])
-    return np.stack([dr, dth, dph, drd])
+    return _scale_noise(noise, rng.standard_normal((4,) + tuple(np.atleast_1d(size))))
 
 
 def draw_measurement_noise(

@@ -1,6 +1,7 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -295,6 +296,24 @@ def test_oracle_settles_pseudo_bias_sign():
 def test_oracle_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         mc_moment_oracle(sph(1000.0, 0.0, 1.0), CASE_NOISE, 5000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("batch", [0, -5, 2.5, 1e6, True, None])
+def test_oracle_rejects_bad_batch(batch):
+    with pytest.raises(ValueError, match="batch"):
+        mc_moment_oracle(sph(1000.0, 0.0, 1.0), CASE_NOISE, 10_000, np.random.default_rng(0), batch=batch)
+
+
+def test_oracle_peak_memory_is_one_draw_buffer():
+    # one (4, batch) float64 buffer of 32 B per draw, plus a cache-sized tile
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        mc_moment_oracle(sph(113137.0, 45.0, 282.8), CASE_NOISE, 1_200_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 32e6
 
 
 def test_debias_correctness_under_reconstructed_truths():
