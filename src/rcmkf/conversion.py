@@ -498,27 +498,25 @@ def mc_moment_oracle(
             np.subtract(converted, _cart(*truth, out=tile), out=tile)
         return z
 
-    # Centering on the first batch's mean keeps the accumulated products
-    # small; the recentering at the end is exact for the mean and covariance.
-    z = errors(min(batch, samples))
-    center = z.mean(axis=1)[:, None]
     n_done = 0
     sum_c = np.zeros(4)
     sum_cc = np.zeros((4, 4))
     sum_cc_sq = np.zeros((4, 4))
-    while True:
+    while n_done < samples:
+        z = errors(min(batch, samples - n_done))
+        if n_done == 0:
+            # Centering on the first batch's mean keeps the accumulated
+            # products small; the recentering at the end is exact for the
+            # mean and covariance.
+            center = z.mean(axis=1)
         for tile, c in _tiles(z, scratch):
-            np.subtract(tile, center, out=c)
+            np.subtract(tile, center[:, None], out=c)
             sum_c += c.sum(axis=1)
             sum_cc += c @ c.T
             np.square(c, out=c)
             sum_cc_sq += c @ c.T
         n_done += z.shape[1]
-        if n_done == samples:
-            break
-        z = errors(min(batch, samples - n_done))
 
-    center = center[:, 0]
     mean_c = sum_c / n_done
     mean = center + mean_c
     cov = (sum_cc / n_done - np.outer(mean_c, mean_c)) * (n_done / (n_done - 1))
