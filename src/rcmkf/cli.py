@@ -81,6 +81,8 @@ def _load_and_override(args) -> ExperimentConfig:
         updates["consistency"] = dataclasses.replace(
             cfg.consistency, sigma_theta_deg_max=args.sigma_theta_max
         )
+    if getattr(args, "samples", None) is not None:
+        updates["golden"] = dataclasses.replace(cfg.golden, samples=args.samples)
     cfg = dataclasses.replace(cfg, **updates)
     _validate(cfg)
     return cfg
@@ -105,7 +107,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_and_override(args)
     out = _out_dir(cfg)
     scenario = build_scenario(cfg)
-    variants = tuple(_VARIANTS[str(v).lower()] for v in cfg.variants)
+    variants = tuple(_VARIANTS[v.lower()] for v in cfg.variants)
 
     ens = run_ensemble(scenario, variants, jobs=cfg.jobs, seed=cfg.seed)
     rmse_report = rmse(ens)
@@ -186,10 +188,6 @@ def cmd_consistency(args) -> int:
 
 def cmd_golden(args) -> int:
     cfg = _load_and_override(args)
-    if getattr(args, "samples", None) is not None:
-        if args.samples < 10_000:
-            raise ConfigError("golden samples must be >= 1e4")
-        cfg = dataclasses.replace(cfg, golden=dataclasses.replace(cfg.golden, samples=args.samples))
     out = _out_dir(cfg)
     points = cfg.golden.points or default_golden_grid()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(points))

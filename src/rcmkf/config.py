@@ -1,16 +1,19 @@
 """Experiment configuration: YAML schema, validation, scenario building.
 
 The config file is a nested key-value document mirroring the scenario and
-experiment types field for field. Angles are degrees and distances meters at
-this boundary only; everything becomes radians/SI on the way in. See
-docs/config_schema.md for the documented schema.
+experiment types field for field. Their annotations are the one statement of
+the schema: :func:`_parse` checks every value against them. Angles are
+degrees and distances meters at this boundary only; everything becomes
+radians/SI on the way in. See docs/config_schema.md for the documented schema.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -126,106 +129,79 @@ class ExperimentConfig:
     golden: GoldenConfig = GoldenConfig()
 
 
-def _from_mapping(cls, data, path):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        kwargs[name] = _coerce(value, f"{path}.{name}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+_hints = functools.cache(typing.get_type_hints)  # field name -> annotation, per class
 
 
-_NESTED = {
-    "noise": NoiseConfig,
-    "geometry": GeometryConfig,
-    "scenario": ScenarioConfig,
-    "consistency": ConsistencyConfig,
-    "golden": GoldenConfig,
+# Scalar annotations: the accepted value type and its name in messages.
+# Values are kept as written, so an int in a float field stays an int.
+_SCALARS = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    str: (str, "a string"),
 }
 
 
-# Fields that hold a list. A scalar, a string or a null in their place is
-# rejected rather than iterated (a string would be read letter by letter).
-_LISTS = {
-    "variants",
-    "initial_position_m",
-    "initial_velocity_mps",
-    "accel_mps2",
-    "maneuvers",
-    "points",
-}
+def _parse(tp, value, path: str):
+    """Check ``value`` against the annotation ``tp`` and build it.
 
-
-def _coerce(value, path):
-    name = path.rsplit(".", 1)[-1]
-    if name in _LISTS and not isinstance(value, (list, tuple)):
+    Dataclasses come from mappings and ``tuple[T, ...]`` from lists; scalars
+    are type-checked and returned unchanged. A boolean is never a number.
+    Errors name the dotted path of the offending value.
+    """
+    if tp in _SCALARS:
+        kind, noun = _SCALARS[tp]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path} must be {noun}, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected a mapping")
+        hints = _hints(tp)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        kwargs = {name: _parse(hints[name], v, f"{path}.{name}") for name, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _parse(args[0], value, path)
+    # otherwise tuple[T, ...]
+    if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path} must be a list, got {value!r}")
-    if value is None:
-        return None
-    if name in _NESTED:
-        return _from_mapping(_NESTED[name], value, path)
-    if name == "maneuvers":
-        return tuple(_from_mapping(ManeuverConfig, m, f"{path}[{i}]") for i, m in enumerate(value))
-    if name == "points":
-        return tuple(_from_mapping(GoldenPoint, pt, f"{path}[{i}]") for i, pt in enumerate(value))
-    if isinstance(value, list):
-        return tuple(value)
-    return value
+    return tuple(_parse(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an :class:`ExperimentConfig` from plain data."""
-    cfg = _from_mapping(ExperimentConfig, data or {}, "config")
+    cfg = _parse(ExperimentConfig, data or {}, "config")
     _validate(cfg)
     return cfg
 
 
-def _require_int(value, name: str, optional: bool = False) -> None:
-    if optional and value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_vector(values, name: str, sizes: tuple[int, ...]) -> None:
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ConfigError(f"{name} entries must be real numbers, got {v!r}")
+def _require_size(values, path: str, sizes: tuple[int, ...]) -> None:
     if len(values) not in sizes:
         expected = " or ".join(map(str, sizes))
-        raise ConfigError(f"{name} must have {expected} entries, got {len(values)}")
+        raise ConfigError(f"{path} must have {expected} entries, got {len(values)}")
 
 
 def _validate_scenario(sc: ScenarioConfig) -> None:
-    _require_int(sc.steps, "scenario steps")
-    _require_int(sc.runs, "scenario runs")
-    _require_vector(sc.initial_position_m, "initial_position_m", (2, 3))
+    path = "config.scenario"
+    _require_size(sc.initial_position_m, f"{path}.initial_position_m", (2, 3))
     dim = len(sc.initial_position_m)
-    _require_vector(sc.initial_velocity_mps, "initial_velocity_mps", (dim,))
+    _require_size(sc.initial_velocity_mps, f"{path}.initial_velocity_mps", (dim,))
     for i, m in enumerate(sc.maneuvers):
-        _require_int(m.start_step, f"maneuver {i} start_step")
-        _require_vector(m.accel_mps2, f"maneuver {i} accel_mps2", (dim,))
+        _require_size(m.accel_mps2, f"{path}.maneuvers[{i}].accel_mps2", (dim,))
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    _require_int(cfg.seed, "seed")
-    _require_int(cfg.jobs, "jobs")
-    _require_int(cfg.runs, "runs", optional=True)
-    _require_int(cfg.case, "case", optional=True)
-    _require_int(cfg.consistency.samples, "consistency samples")
-    _require_int(cfg.golden.samples, "golden samples")
     if cfg.scenario is not None:
         _validate_scenario(cfg.scenario)
     if not cfg.variants:
         raise ConfigError("at least one filter variant must be selected")
-    names = [str(v).lower() for v in cfg.variants]
+    names = [v.lower() for v in cfg.variants]
     for v, name in zip(cfg.variants, names):
         if name not in ("rcmkf_u", "rcmkf_d"):
             raise ConfigError(f"unknown filter variant {v!r}")

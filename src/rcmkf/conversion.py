@@ -245,6 +245,8 @@ def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
 # leave it unchanged. Conversion covariances have a lowest eigenvalue of
 # about 2e-6 of their trace.
 _SCREEN_MARGIN = 1e-8
+# Rounding band of the eigenvalue check in ``_finalize``, relative to the trace.
+_PSD_TOL = 1e-9
 
 
 def _ldl(cov: np.ndarray, e: np.ndarray | None = None, shift=0.0):
@@ -298,7 +300,7 @@ def _screen_pd(cov: np.ndarray) -> np.ndarray:
     return passed
 
 
-def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, abs_scale=0.0):
+def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, abs_scale=0.0):
     """Collapse to the 2D form if needed and enforce positive semidefiniteness.
 
     Every item along the leading axes is its own measurement; ``cov`` is
@@ -329,7 +331,7 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, psd_tol: float = 1e-9, 
         return mu, cov, ok
     sub = cov[fail]
     w, v = np.linalg.eigh(sub)
-    tol = psd_tol * np.maximum(np.trace(sub, axis1=-2, axis2=-1), 0.0)
+    tol = _PSD_TOL * np.maximum(np.trace(sub, axis1=-2, axis2=-1), 0.0)
     tol = tol + 1e-12 * np.broadcast_to(abs_scale, fail.shape)[fail]
     lowest = w[..., 0]  # eigh returns the eigenvalues in ascending order
     ok[fail] = held = ~(lowest < -tol)

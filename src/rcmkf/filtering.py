@@ -207,16 +207,12 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     return d
 
 
-def kf_predict(
-    belief: GaussianBelief, model: DynamicModel, accel: np.ndarray | None = None
-) -> GaussianBelief:
-    """Time update through the dynamic model (zero input unless given)."""
+def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
+    """Time update through the dynamic model (filters assume zero input)."""
     if belief.mean.shape[-1] != model.n:
         raise ValueError("belief size does not match the model")
     phi_t = model.phi.T
     mean = belief.mean @ phi_t
-    if accel is not None:
-        mean = mean + model.g @ np.asarray(accel, dtype=float)
     cov = _symmetrize(model.phi @ belief.cov @ phi_t + model.process_noise_cov())
     return GaussianBelief(mean, cov)
 

@@ -50,24 +50,24 @@ def position_dim(state: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DynamicModel:
-    """Discrete-time linear model ``x' = phi @ x + g @ u + gamma @ w``.
+    """Discrete-time linear model ``x' = phi @ x + gamma @ (u + w)``.
 
     ``w`` is zero-mean white Gaussian with covariance ``q`` (acceleration
-    level for the CV model); ``u`` is a per-axis deterministic acceleration.
+    level for the CV model); ``u`` is a per-axis deterministic acceleration
+    that enters through the same input matrix.
     """
 
     phi: np.ndarray
     gamma: np.ndarray
     q: np.ndarray
-    g: np.ndarray
     t: float
 
     def __post_init__(self):
         n = self.phi.shape[0]
         if self.phi.shape != (n, n):
             raise ValueError("phi must be square")
-        if self.gamma.shape[0] != n or self.g.shape[0] != n:
-            raise ValueError("gamma/g row count must match the state size")
+        if self.gamma.shape[0] != n:
+            raise ValueError("gamma row count must match the state size")
         m = self.gamma.shape[1]
         if self.q.shape != (m, m):
             raise ValueError("q must match the noise input width")
@@ -112,7 +112,7 @@ def cv_model(dim: int = 2, t: float = 1.0, accel_noise_std: float = 0.01) -> Dyn
     phi = np.block([[eye, t * eye], [np.zeros((dim, dim)), eye]])
     gain = np.vstack([0.5 * t**2 * eye, t * eye])
     q = accel_noise_std**2 * eye
-    return DynamicModel(phi=phi, gamma=gain, q=q, g=gain.copy(), t=t)
+    return DynamicModel(phi=phi, gamma=gain, q=q, t=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +238,7 @@ def propagate_truth(
     accel: np.ndarray | None = None,
     process_noise_draw: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One truth step: ``phi @ x + g @ u + gamma @ w``.
+    """One truth step: ``phi @ x + gamma @ u + gamma @ w``.
 
     Deterministic given its inputs; ``accel`` and ``process_noise_draw``
     default to zero vectors. ``state`` and ``process_noise_draw`` may carry
@@ -249,9 +249,9 @@ def propagate_truth(
         raise ValueError(f"state length {state.shape[-1]} does not match model size {model.n}")
     u = np.zeros(model.dim) if accel is None else np.asarray(accel, dtype=float)
     w = np.zeros(model.dim) if process_noise_draw is None else np.asarray(process_noise_draw, dtype=float)
-    if u.shape[-1] != model.g.shape[1] or w.shape[-1] != model.gamma.shape[1]:
-        raise ValueError("accel/noise draw width does not match the model input matrices")
-    return _mv(model.phi, state) + _mv(model.g, u) + _mv(model.gamma, w)
+    if u.shape[-1] != model.gamma.shape[1] or w.shape[-1] != model.gamma.shape[1]:
+        raise ValueError("accel/noise draw width does not match the model input matrix")
+    return _mv(model.phi, state) + _mv(model.gamma, u) + _mv(model.gamma, w)
 
 
 def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -357,12 +357,12 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
     model = scenario.model
     noise_std = np.sqrt(np.diag(model.q))
     w = np.stack([noise_std * rng.standard_normal((scenario.steps - 1, model.dim)) for rng in rngs])
-    # the inputs of every transition, formed before stepping: g @ u per step
+    # the inputs of every transition, formed before stepping: gamma @ u per step
     # and gamma @ w per (run, step), added in propagate_truth's order
     accel = np.array(
         [scenario.maneuvers.accel_at(k, model.dim) for k in range(scenario.steps - 1)]
     ).reshape(-1, model.dim)
-    gu = _mv(model.g, accel)
+    gu = _mv(model.gamma, accel)
     gw = _mv(model.gamma, w)
     states = np.empty((len(rngs), scenario.steps, model.n))
     states[:, 0] = scenario.initial_state

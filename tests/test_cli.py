@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from rcmkf.cli import main
 from rcmkf.config import (
     ConfigError,
     ExperimentConfig,
+    ScenarioConfig,
     build_scenario,
     config_from_dict,
     config_to_dict,
@@ -228,10 +230,16 @@ SCENARIO_YAML = (
         ("runs: 2.5\n", "runs must be an integer"),
         ("seed: 1.5\n", "seed must be an integer"),
         ("case: 1.0\n", "case must be an integer"),
-        ("consistency: {samples: 10.5}\n", "consistency samples must be an integer"),
-        ("golden: {samples: 2.0e+4}\n", "golden samples must be an integer"),
-        (SCENARIO_YAML.format(steps=10.5, runs=2, start=3), "scenario steps must be an integer"),
-        (SCENARIO_YAML.format(steps=10, runs="two", start=3), "scenario runs must be an integer"),
+        ("consistency: {samples: 10.5}\n", "config.consistency.samples must be an integer"),
+        ("golden: {samples: 2.0e+4}\n", "config.golden.samples must be an integer"),
+        (
+            SCENARIO_YAML.format(steps=10.5, runs=2, start=3),
+            "config.scenario.steps must be an integer",
+        ),
+        (
+            SCENARIO_YAML.format(steps=10, runs="two", start=3),
+            "config.scenario.runs must be an integer",
+        ),
         (SCENARIO_YAML.format(steps=10, runs=2, start=3.5), "start_step must be an integer"),
     ],
 )
@@ -241,6 +249,16 @@ def test_cli_non_integer_config_field_exits_2(tmp_path, capsys, config, message)
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+GOLDEN_POINT = {
+    "r_m": 10000.0, "theta_deg": 30.0, "phi_deg": 20.0, "rdot_mps": 100.0, "sigma_r_m": 100.0,
+    "sigma_theta_deg": 5.0, "sigma_phi_deg": 5.0, "sigma_rdot_mps": 5.0, "rho": 0.3,
+}
+
+
+def _golden_yaml(**changes) -> str:
+    return yaml.safe_dump({"golden": {"samples": 20000, "points": [{**GOLDEN_POINT, **changes}]}})
 
 
 LIST_SCENARIO_YAML = (
@@ -311,13 +329,13 @@ LIST_SCENARIO_OK = {
         pytest.param(
             "simulate",
             LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": '[10000.0, "x"]'}),
-            "initial_position_m entries must be real numbers, got 'x'",
+            "config.scenario.initial_position_m[1] must be a real number, got 'x'",
             id="position-string-entry",
         ),
         pytest.param(
             "simulate",
             LIST_SCENARIO_YAML.format(**{**LIST_SCENARIO_OK, "pos": "[10000.0, true]"}),
-            "initial_position_m entries must be real numbers, got True",
+            "config.scenario.initial_position_m[1] must be a real number, got True",
             id="position-bool-entry",
         ),
         pytest.param(
@@ -337,9 +355,48 @@ LIST_SCENARIO_OK = {
             LIST_SCENARIO_YAML.format(
                 **{**LIST_SCENARIO_OK, "maneuvers": "[{start_step: 3, accel_mps2: [1.0]}]"}
             ),
-            "maneuver 0 accel_mps2 must have 2 entries, got 1",
+            "config.scenario.maneuvers[0].accel_mps2 must have 2 entries, got 1",
             id="accel-length",
         ),
+        pytest.param(
+            "simulate", "scenario: {sample_interval_s: fast}\n",
+            "config.scenario.sample_interval_s must be a real number, got 'fast'",
+            id="interval-string",
+        ),
+        pytest.param(
+            "simulate", "scenario: {process_noise_std_mps2: [1]}\n",
+            "config.scenario.process_noise_std_mps2 must be a real number, got [1]",
+            id="process-noise-list",
+        ),
+        pytest.param(
+            "consistency", "consistency: {tail: x}\n",
+            "config.consistency.tail must be a real number, got 'x'",
+            id="tail-string",
+        ),
+        pytest.param(
+            "consistency", "consistency: {geometry: {r_m: far}}\n",
+            "config.consistency.geometry.r_m must be a real number, got 'far'",
+            id="geometry-string",
+        ),
+        pytest.param(
+            "golden", _golden_yaml(r_m="a"),
+            "config.golden.points[0].r_m must be a real number, got 'a'",
+            id="point-string",
+        ),
+        pytest.param(
+            "consistency", "consistency: null\n", "config.consistency: expected a mapping",
+            id="consistency-null",
+        ),
+        pytest.param(
+            "simulate", "scenario: {noise: null}\n", "config.scenario.noise: expected a mapping",
+            id="noise-null",
+        ),
+        pytest.param(
+            "golden", _golden_yaml(rho=True),
+            "config.golden.points[0].rho must be a real number, got True",
+            id="rho-bool",
+        ),
+        pytest.param("simulate", "out: 5\n", "config.out must be a string, got 5", id="out-int"),
     ],
 )
 def test_cli_non_list_config_field_exits_2(tmp_path, capsys, command, config, message):
@@ -349,6 +406,26 @@ def test_cli_non_list_config_field_exits_2(tmp_path, capsys, command, config, me
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_keeps_values_as_written():
+    # an integer in a real field stays an integer, so the manifest echoes it as written
+    cfg = config_from_dict({"scenario": {"sample_interval_s": 2, "noise": {"rho": 0}}})
+    sc = config_to_dict(cfg)["scenario"]
+    assert json.dumps([sc["sample_interval_s"], sc["noise"]["rho"]]) == "[2, 0]"
+
+
+def test_documented_schema_shows_the_defaults():
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "config_schema.md").read_text()
+    block = re.search(r"```yaml\n(.*?)```", doc, re.S).group(1)
+    data = yaml.safe_load(block)
+    cfg = config_from_dict(data)
+    assert len(cfg.scenario.maneuvers) == 1  # the documented example
+    expected = dataclasses.replace(
+        ExperimentConfig(), scenario=ScenarioConfig(maneuvers=cfg.scenario.maneuvers)
+    )
+    assert cfg == expected
+    assert data == config_to_dict(expected)  # every field shown, with its default
 
 
 @pytest.mark.parametrize(
@@ -460,6 +537,7 @@ def test_cli_golden_zero_noise_point(tmp_path):
 def test_cli_rejects_bad_golden_samples(tmp_path, capsys):
     code = main(["golden", "--samples", "100", "--out", str(tmp_path)])
     assert code == 2
+    assert "golden samples must be >= 1e4" in capsys.readouterr().err
 
 
 def test_cli_17_digit_roundtrip(tmp_path):

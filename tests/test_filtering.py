@@ -409,9 +409,9 @@ def test_posterior_covariances_stay_symmetric_psd():
 # explicit h and traces.
 
 
-def _predict_ref(mean, cov, model, accel):
+def _predict_ref(mean, cov, model):
     q = model.gamma @ model.q @ model.gamma.T
-    return model.phi @ mean + model.g @ accel, model.phi @ cov @ model.phi.T + q
+    return model.phi @ mean, model.phi @ cov @ model.phi.T + q
 
 
 def _position_ref(mean, cov, z, r):
@@ -512,13 +512,12 @@ def _assert_close(got, ref, what):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_stage_batches(), st.floats(0.1, 2.0), st.floats(0.0, 3.0), st.booleans())
-def test_filter_stages_match_dense_references(batch, t, accel_std, with_accel):
+@given(_stage_batches(), st.floats(0.1, 2.0), st.floats(0.0, 3.0))
+def test_filter_stages_match_dense_references(batch, t, accel_std):
     belief, d, kinds = batch
     p = d.dim
     model = cv_model(p, t, accel_std)
-    accel = np.linspace(-1.0, 1.0, p) if with_accel else None
-    predicted = kf_predict(belief, model, accel)
+    predicted = kf_predict(belief, model)
     position = kf_update_position(belief, d)
     conflict = "conflict" in kinds
     if conflict:
@@ -528,7 +527,7 @@ def test_filter_stages_match_dense_references(batch, t, accel_std, with_accel):
         pseudo = ekf_update_pseudo(position, d)
     for i, kind in zip(np.ndindex(belief.mean.shape[:-1]), kinds):
         mean, cov = belief.mean[i], belief.cov[i]
-        ref_mean, ref_cov = _predict_ref(mean, cov, model, np.zeros(p) if accel is None else accel)
+        ref_mean, ref_cov = _predict_ref(mean, cov, model)
         _assert_close(predicted.mean[i], ref_mean, "predicted mean")
         _assert_close(predicted.cov[i], ref_cov, "predicted covariance")
         ref_mean, ref_cov = _position_ref(mean, cov, d.position[i] - d.mu_pos[i], d.cov_pos[i])
