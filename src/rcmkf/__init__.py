@@ -19,7 +19,7 @@ from .errors import DegenerateCovarianceError, GeometryError
 from .evaluation import nees, rmse
 from .filtering import FilterVariant
 from .montecarlo import Ensemble, run_ensemble
-from .scenario import generate_case, measure
+from .scenario import generate_case
 
 __all__ = [
     "ConvertedMeasurement",
@@ -29,7 +29,6 @@ __all__ = [
     "GeometryError",
     "convert",
     "generate_case",
-    "measure",
     "nees",
     "rmse",
     "run_ensemble",

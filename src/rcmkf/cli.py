@@ -105,11 +105,11 @@ _VARIANTS = {"rcmkf_u": FilterVariant.RCMKF_U, "rcmkf_d": FilterVariant.RCMKF_D}
 
 def cmd_simulate(args) -> int:
     cfg = _load_and_override(args)
-    out = _out_dir(cfg)
     scenario = build_scenario(cfg)
+    out = _out_dir(cfg)
     variants = tuple(_VARIANTS[v.lower()] for v in cfg.variants)
 
-    ens = run_ensemble(scenario, variants, jobs=cfg.jobs, seed=cfg.seed)
+    ens = run_ensemble(scenario, variants, jobs=cfg.jobs)
     rmse_report = rmse(ens)
     nees_report = nees(ens)
 
@@ -146,7 +146,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_consistency(args) -> int:
     cfg = _load_and_override(args)
-    out = _out_dir(cfg)
     cc = cfg.consistency
     grid = default_sigma_grid(cc.sigma_theta_deg_max)
     try:
@@ -159,6 +158,7 @@ def cmd_consistency(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"invalid consistency geometry: {exc}") from exc
     noise = build_noise(cc.noise)
+    out = _out_dir(cfg)
 
     # One sweep scores each draw under both methods.
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -188,7 +188,6 @@ def cmd_consistency(args) -> int:
 
 def cmd_golden(args) -> int:
     cfg = _load_and_override(args)
-    out = _out_dir(cfg)
     points = cfg.golden.points or default_golden_grid()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(points))
 
@@ -223,6 +222,7 @@ def cmd_golden(args) -> int:
         ]
     except ValueError as exc:
         raise ConfigError(f"invalid golden point: {exc}") from exc
+    out = _out_dir(cfg)
     rows = []
     for pt, (m, noise), seed in zip(points, inputs, seeds):
         est = mc_moment_oracle(m, noise, cfg.golden.samples, np.random.default_rng(seed))

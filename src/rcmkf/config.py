@@ -37,7 +37,6 @@ __all__ = [
     "config_to_dict",
     "default_golden_grid",
     "default_sigma_grid",
-    "dump_config",
     "load_config",
 ]
 
@@ -247,10 +246,6 @@ def load_config(path: str) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return config_from_dict(data or {})
-
-
-def dump_config(cfg: ExperimentConfig) -> str:
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
 
 
 def build_noise(nc: NoiseConfig) -> NoiseSpec:

@@ -48,12 +48,8 @@ from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix, _scale_noi
 __all__ = [
     "ConversionMethod",
     "ConvertedMeasurement",
-    "LambdaFactors",
     "OracleMoments",
     "convert",
-    "convert_position",
-    "convert_pseudo",
-    "lambda_factors",
     "mc_moment_oracle",
     "nested_stats",
     "nested_stats_numeric",
@@ -71,50 +67,9 @@ class ConversionMethod(enum.Enum):
     NESTED_CONDITIONING = "nested_conditioning"
 
 
-@dataclass(frozen=True)
-class LambdaFactors:
-    """Gaussian angle-noise attenuation factors.
-
-    ``lam_theta = E[cos(theta noise)] = exp(-sigma_theta^2 / 2)`` and
-    ``lam_theta2 = E[cos(2 * theta noise)] = exp(-2 sigma_theta^2)``
-    (= ``lam_theta**4``), likewise for the elevation angle. All equal 1
-    exactly when the corresponding sigma is zero.
-    """
-
-    lam_theta: float
-    lam_theta2: float
-    lam_phi: float
-    lam_phi2: float
-
-
-def lambda_factors(noise: NoiseSpec) -> LambdaFactors:
-    """Closed-form attenuation factors for a noise spec."""
-    return LambdaFactors(
-        lam_theta=math.exp(-0.5 * noise.sigma_theta**2),
-        lam_theta2=math.exp(-2.0 * noise.sigma_theta**2),
-        lam_phi=math.exp(-0.5 * noise.sigma_phi**2),
-        lam_phi2=math.exp(-2.0 * noise.sigma_phi**2),
-    )
-
-
 def _spherical(m: SphericalMeasurement):
     """``(r, theta, phi, rdot)`` of a measurement; phi is zero for a 2D radar."""
     return m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
-
-
-def convert_position(m: SphericalMeasurement) -> np.ndarray:
-    """Cartesian position ``(x, y, z)`` of a spherical measurement.
-
-    ``x = r cos(phi) cos(theta)``, ``y = r cos(phi) sin(theta)``,
-    ``z = r sin(phi)``; for a 2D measurement phi is treated as zero and the
-    returned z is 0.
-    """
-    return _cart(*_spherical(m))[:3]
-
-
-def convert_pseudo(m: SphericalMeasurement) -> float:
-    """Pseudo-measurement ``eta = r * rdot`` (units m^2/s)."""
-    return m.r * m.rdot
 
 
 def _bcast(*vals):
@@ -203,8 +158,8 @@ def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
     if _noiseless(noise):
         # exact conversion: avoids rounding residue from cancelling r^2 terms
         return np.zeros(rm.shape + (4,)), np.zeros(rm.shape + (4, 4))
-    lam = lambda_factors(noise)
-    lt, lp = lam.lam_theta, lam.lam_phi
+    lt = math.exp(-0.5 * noise.sigma_theta**2)  # E[cos(bearing noise)]
+    lp = math.exp(-0.5 * noise.sigma_phi**2)  # E[cos(elevation noise)]
     sr2, srd2 = noise.sigma_r**2, noise.sigma_rdot**2
     c = noise.rho * noise.sigma_r * noise.sigma_rdot
 
@@ -399,8 +354,8 @@ def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
     negative: attenuation pulls the converted position toward the origin,
     and the range/range-rate error product contributes
     ``+rho sigma_r sigma_rdot`` to the pseudo error. Returned in the full
-    (x, y, z, eta) form regardless of ``dim``; used by the numeric nested
-    reference and directly testable against a fixed-truth Monte Carlo.
+    (x, y, z, eta) form regardless of ``dim``; a reference for the tests,
+    directly checkable against a fixed-truth Monte Carlo.
     """
     mu, cov = _moments(ConversionMethod.MEASUREMENT_CONDITIONED, *_spherical(m), noise)
     return -mu, cov

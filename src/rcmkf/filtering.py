@@ -88,10 +88,6 @@ class GaussianBelief:
         if self.cov.shape != self.mean.shape + (n,):
             raise ValueError("covariance shape does not match the state length")
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[-1] // 2
-
     def __getitem__(self, key) -> "GaussianBelief":
         return GaussianBelief(self.mean[key], self.cov[key])
 
@@ -100,20 +96,17 @@ class GaussianBelief:
 class DecorrelatedMeasurement:
     """Position part plus a pseudo-measurement made uncorrelated with it.
 
-    ``l_row`` is the decorrelation row: ``eps = l_row @ position + eta``,
-    with mean ``mu_eps`` and variance ``var_eps`` equal to the Schur
-    complement of the position block in the joint error covariance.
-    ``debiased_pos`` and ``debiased_pseudo`` are ``position - mu_pos`` and
-    ``pseudo - mu_pseudo``, the bias-compensated values the updates compare
-    with the prediction. Fields may carry leading batch axes, indexed with
-    ``d[key]``.
+    ``l_row`` is the decorrelation row: ``pseudo = l_row @ position + eta``,
+    whose error variance ``var_pseudo`` is the Schur complement of the
+    position block ``cov_pos`` in the joint error covariance.
+    ``debiased_pos`` and ``debiased_pseudo`` are the position and ``pseudo``
+    less their hypothesized error means, the bias-compensated values the
+    updates compare with the prediction. Fields may carry leading batch
+    axes, indexed with ``d[key]``.
     """
 
-    position: np.ndarray
-    mu_pos: np.ndarray
     cov_pos: np.ndarray
     pseudo: float
-    mu_pseudo: float
     var_pseudo: float
     l_row: np.ndarray
     debiased_pos: np.ndarray
@@ -122,8 +115,7 @@ class DecorrelatedMeasurement:
 
     def __getitem__(self, key) -> "DecorrelatedMeasurement":
         return DecorrelatedMeasurement(
-            self.position[key], self.mu_pos[key], self.cov_pos[key], self.pseudo[key],
-            self.mu_pseudo[key], self.var_pseudo[key], self.l_row[key],
+            self.cov_pos[key], self.pseudo[key], self.var_pseudo[key], self.l_row[key],
             self.debiased_pos[key], self.debiased_pseudo[key], self.dim,
         )
 
@@ -175,11 +167,8 @@ def _decorrelate(z: ConvertedMeasurement) -> tuple[DecorrelatedMeasurement, np.n
     pseudo = _dot(l_row, z.position) + z.pseudo
     mu_pseudo = _dot(l_row, mu_pos) + z.mu[..., p]
     d = DecorrelatedMeasurement(
-        position=z.position,
-        mu_pos=mu_pos,
         cov_pos=r_pp,
         pseudo=pseudo,
-        mu_pseudo=mu_pseudo,
         var_pseudo=np.maximum(var_eps, 0.0),
         l_row=l_row,
         debiased_pos=z.position - mu_pos,

@@ -34,6 +34,7 @@ from .conversion import _convert_batch, convert
 from .errors import DegenerateCovarianceError
 from .filtering import FilterVariant, filter_scans, initialize_belief, run_filter
 from .scenario import (
+    INIT_SCANS,
     Scenario,
     _simulate_truths,
     _synthesize,
@@ -42,9 +43,6 @@ from .scenario import (
 )
 
 __all__ = ["Ensemble", "run_ensemble", "run_single"]
-
-# Scans consumed by two-point differencing before filtering starts.
-INIT_SCANS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +85,6 @@ class Ensemble:
                 )
 
 
-def _check_length(scenario: Scenario) -> None:
-    if scenario.steps <= INIT_SCANS:
-        raise ValueError("scenario too short for two-point initialization")
-
-
 def run_single(
     scenario: Scenario,
     variants: tuple[FilterVariant, ...],
@@ -104,7 +97,6 @@ def run_single(
     and filter on a batch of one. :func:`run_ensemble` gives the same run,
     up to rounding, from any chunk.
     """
-    _check_length(scenario)
     rng = np.random.default_rng(seed)
     truth = simulate_truth(scenario, rng)
     measurements = synthesize_measurements(truth, scenario.noise, rng)
@@ -145,7 +137,6 @@ def _filter_chunk(
     scan); one in an initialization scan fails the chunk, as it fails
     :func:`run_single`.
     """
-    _check_length(scenario)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     truth = _simulate_truths(scenario, rngs)  # (runs, steps, n)
     meas = _synthesize(truth, scenario.noise, rngs)  # (runs, steps, 4)
@@ -205,11 +196,11 @@ def run_ensemble(
     scenario: Scenario,
     variants: tuple[FilterVariant, ...] = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D),
     jobs: int = 1,
-    seed: int | None = None,
 ) -> Ensemble:
     """Execute the scenario's Monte Carlo ensemble.
 
-    Child seeds are spawned from the master seed before any work starts.
+    One child seed per run is spawned from ``scenario.seed`` before any
+    work starts.
     ``jobs`` caps the number of worker processes. The ensemble uses
     ``min(jobs, usable CPUs, runs // MIN_RUNS_PER_WORKER)`` workers, each
     taking one contiguous chunk of runs; with at most one it runs
@@ -218,8 +209,7 @@ def run_ensemble(
     seed order along the first axis.
     """
     variants = tuple(variants)
-    master = scenario.seed if seed is None else seed
-    children = np.random.SeedSequence(master).spawn(scenario.runs)
+    children = np.random.SeedSequence(scenario.seed).spawn(scenario.runs)
     workers = min(jobs, _usable_cpus(), scenario.runs // MIN_RUNS_PER_WORKER)
     if workers <= 1:
         return Ensemble(scenario.name, variants, *_filter_chunk(scenario, variants, children))

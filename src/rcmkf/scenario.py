@@ -28,14 +28,14 @@ __all__ = [
     "Scenario",
     "SphericalMeasurement",
     "cv_model",
-    "draw_measurement_noise",
     "generate_case",
-    "measure",
     "position_dim",
-    "propagate_truth",
     "simulate_truth",
     "synthesize_measurements",
 ]
+
+# Scans consumed by two-point differencing before filtering starts.
+INIT_SCANS = 2
 
 
 def position_dim(state: np.ndarray) -> int:
@@ -108,6 +108,10 @@ def cv_model(dim: int = 2, t: float = 1.0, accel_noise_std: float = 0.01) -> Dyn
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
+    if not (math.isfinite(accel_noise_std) and accel_noise_std >= 0):
+        raise ValueError(
+            f"acceleration noise std must be finite and nonnegative, got {accel_noise_std!r}"
+        )
     eye = np.eye(dim)
     phi = np.block([[eye, t * eye], [np.zeros((dim, dim)), eye]])
     gain = np.vstack([0.5 * t**2 * eye, t * eye])
@@ -174,11 +178,6 @@ class NoiseSpec:
         if abs(self.rho) > 1:
             raise ValueError("|rho| must not exceed 1")
 
-    def range_block(self) -> np.ndarray:
-        """Joint covariance of the (range, range-rate) error pair."""
-        c = self.rho * self.sigma_r * self.sigma_rdot
-        return np.array([[self.sigma_r**2, c], [c, self.sigma_rdot**2]])
-
 
 @dataclass(frozen=True)
 class SphericalMeasurement:
@@ -205,7 +204,11 @@ class SphericalMeasurement:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A complete benchmark setup: dynamics, truth start, maneuvers, noise."""
+    """A complete benchmark setup: dynamics, truth start, maneuvers, noise.
+
+    ``steps`` counts the scans of a run; it must exceed ``INIT_SCANS``, the
+    scans that two-point initialization consumes before filtering starts.
+    """
 
     model: DynamicModel
     initial_state: np.ndarray
@@ -217,8 +220,11 @@ class Scenario:
     name: str = ""
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if self.steps <= INIT_SCANS:
+            raise ValueError(
+                f"steps must be > {INIT_SCANS}: two-point initialization consumes "
+                f"the first {INIT_SCANS} scans"
+            )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         position_dim(self.initial_state)  # validates the length
@@ -230,28 +236,6 @@ class Scenario:
     @property
     def dim(self) -> int:
         return self.model.dim
-
-
-def propagate_truth(
-    model: DynamicModel,
-    state: np.ndarray,
-    accel: np.ndarray | None = None,
-    process_noise_draw: np.ndarray | None = None,
-) -> np.ndarray:
-    """One truth step: ``phi @ x + gamma @ u + gamma @ w``.
-
-    Deterministic given its inputs; ``accel`` and ``process_noise_draw``
-    default to zero vectors. ``state`` and ``process_noise_draw`` may carry
-    leading run axes, which step independently.
-    """
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != model.n:
-        raise ValueError(f"state length {state.shape[-1]} does not match model size {model.n}")
-    u = np.zeros(model.dim) if accel is None else np.asarray(accel, dtype=float)
-    w = np.zeros(model.dim) if process_noise_draw is None else np.asarray(process_noise_draw, dtype=float)
-    if u.shape[-1] != model.gamma.shape[1] or w.shape[-1] != model.gamma.shape[1]:
-        raise ValueError("accel/noise draw width does not match the model input matrix")
-    return _mv(model.phi, state) + _mv(model.gamma, u) + _mv(model.gamma, w)
 
 
 def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -284,32 +268,6 @@ def _spherical(states: np.ndarray):
     return r, np.arctan2(y, x), phi, dot / r
 
 
-def measure(
-    state: np.ndarray,
-    noise: NoiseSpec,
-    noise_draw: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-    step: int = 0,
-) -> SphericalMeasurement:
-    """Spherical measurement of a Cartesian state plus an additive noise draw.
-
-    Range is the Euclidean norm of the position, bearing is ``atan2(y, x)``,
-    elevation is measured from the horizontal plane, and range rate is the
-    radial velocity component. In 2D the elevation terms vanish.
-    """
-    state = np.asarray(state, dtype=float)
-    dim = position_dim(state)
-    r, theta, phi, rdot = _spherical(state)
-    dr, dth, dph, drd = noise_draw
-    return SphericalMeasurement(
-        r=float(r + dr),
-        theta=float(theta + dth),
-        phi=float(phi + dph) if dim == 3 else 0.0,
-        rdot=float(rdot + drd),
-        step=step,
-        dim=dim,
-    )
-
-
 def _scale_noise(noise: NoiseSpec, z: np.ndarray) -> np.ndarray:
     """Scale a ``(4, ...)`` standard-normal block in place into (r, theta, phi, rdot) errors.
 
@@ -331,20 +289,12 @@ def _noise_matrix(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarra
     """Standard-normal driven draws of (r, theta, phi, rdot) errors.
 
     One ``(4,) + size`` draw scaled in place by :func:`_scale_noise`. The
-    scalar sampler, the consistency sweep and the nested reference use it;
-    the Monte Carlo oracle draws into its own ``(4, batch)`` float64 buffer
-    (about 32 B per draw) and scales it with the same helper, so every
-    consumer sees the identical noise construction.
+    measurement synthesis, the consistency sweep and the nested reference
+    use it; the Monte Carlo oracle draws into its own ``(4, batch)``
+    float64 buffer (about 32 B per draw) and scales it with the same
+    helper, so every consumer sees the identical noise construction.
     """
     return _scale_noise(noise, rng.standard_normal((4,) + tuple(np.atleast_1d(size))))
-
-
-def draw_measurement_noise(
-    noise: NoiseSpec, rng: np.random.Generator
-) -> tuple[float, float, float, float]:
-    """One joint draw of (range, bearing, elevation, range-rate) errors."""
-    m = _noise_matrix(noise, 1, rng)
-    return (float(m[0, 0]), float(m[1, 0]), float(m[2, 0]), float(m[3, 0]))
 
 
 def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
@@ -358,10 +308,10 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
     noise_std = np.sqrt(np.diag(model.q))
     w = np.stack([noise_std * rng.standard_normal((scenario.steps - 1, model.dim)) for rng in rngs])
     # the inputs of every transition, formed before stepping: gamma @ u per step
-    # and gamma @ w per (run, step), added in propagate_truth's order
+    # and gamma @ w per (run, step), added after phi @ x in that order
     accel = np.array(
         [scenario.maneuvers.accel_at(k, model.dim) for k in range(scenario.steps - 1)]
-    ).reshape(-1, model.dim)
+    )
     gu = _mv(model.gamma, accel)
     gw = _mv(model.gamma, w)
     states = np.empty((len(rngs), scenario.steps, model.n))

@@ -1,9 +1,11 @@
 """Tests for the CLI, config handling and the Monte Carlo harness."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -25,23 +27,22 @@ from rcmkf.config import (
     config_to_dict,
     default_golden_grid,
     default_sigma_grid,
-    dump_config,
 )
 from rcmkf.conversion import ConversionMethod
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import run_ensemble
 
 
-def small_scenario(runs=4, steps=30):
-    return dataclasses.replace(rcmkf.generate_case(1), runs=runs, steps=steps)
+def small_scenario(runs=4, steps=30, seed=42):
+    return dataclasses.replace(rcmkf.generate_case(1), runs=runs, steps=steps, seed=seed)
 
 
 def test_run_ensemble_deterministic_and_parallel_invariant(two_workers):
-    sc = small_scenario()
+    sc = small_scenario(seed=7)
     variants = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
-    a = run_ensemble(sc, variants, jobs=1, seed=7)
-    b = run_ensemble(sc, variants, jobs=1, seed=7)
-    c = run_ensemble(sc, variants, jobs=2, seed=7)
+    a = run_ensemble(sc, variants, jobs=1)
+    b = run_ensemble(sc, variants, jobs=1)
+    c = run_ensemble(sc, variants, jobs=2)
     assert two_workers == [2]
     for x, y in ((a, b), (a, c)):
         assert x.variants == y.variants == variants
@@ -51,11 +52,21 @@ def test_run_ensemble_deterministic_and_parallel_invariant(two_workers):
 
 
 def test_run_ensemble_pairs_variants_on_same_measurements():
-    sc = small_scenario(runs=2)
-    ens = run_ensemble(sc, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D), seed=3)
+    sc = small_scenario(runs=2, seed=3)
+    ens = run_ensemble(sc, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D))
     assert ens.variants == (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
     assert ens.measurements.shape == (sc.runs, sc.steps, 4)
     assert ens.means.shape == (sc.runs, 2, sc.steps - 2, 4)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["rcmkf"] + [f"rcmkf.{m.name}" for m in pkgutil.iter_modules(rcmkf.__path__)],
+)
+def test_exports_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"
 
 
 def test_config_roundtrip_identity():
@@ -65,7 +76,7 @@ def test_config_roundtrip_identity():
         runs=37,
         variants=("rcmkf_u",),
     )
-    again = config_from_dict(yaml.safe_load(dump_config(cfg)))
+    again = config_from_dict(yaml.safe_load(yaml.safe_dump(config_to_dict(cfg))))
     assert again == cfg
     # and a config with an inline scenario
     data = {
@@ -142,7 +153,7 @@ def test_cli_simulate_reports_skipped_scans(tmp_path, capsys, monkeypatch):
     args = ["simulate", "--case", "1", "--runs", "3", "--seed", "11"]
     cfg = dataclasses.replace(ExperimentConfig(), case=1, runs=3, seed=11)
     variants = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
-    base = run_ensemble(build_scenario(cfg), variants, seed=cfg.seed)
+    base = run_ensemble(build_scenario(cfg), variants)
     target = base.measurements[1, 10, 0]  # its range singles out one (run, scan) pair
     real = conversion._moments
 
@@ -397,6 +408,34 @@ LIST_SCENARIO_OK = {
             id="rho-bool",
         ),
         pytest.param("simulate", "out: 5\n", "config.out must be a string, got 5", id="out-int"),
+        pytest.param(
+            "simulate", "case: null\nscenario: {steps: 1, runs: 2}\n", "steps must be > 2",
+            id="steps-1",
+        ),
+        pytest.param(
+            "simulate", "case: null\nscenario: {steps: 2, runs: 2}\n", "steps must be > 2",
+            id="steps-2",
+        ),
+        pytest.param(
+            "simulate", "case: null\nscenario: {process_noise_std_mps2: -1}\n",
+            "acceleration noise std must be finite and nonnegative, got -1",
+            id="process-noise-negative",
+        ),
+        pytest.param(
+            "simulate", "case: null\nscenario: {sample_interval_s: -1}\n",
+            "sampling interval must be positive",
+            id="interval-negative",
+        ),
+        pytest.param(
+            "consistency", "consistency: {geometry: {r_m: .nan}}\n",
+            "invalid consistency geometry: r must be finite",
+            id="geometry-nan",
+        ),
+        pytest.param(
+            "golden", _golden_yaml(sigma_r_m=-1.0),
+            "invalid golden point: sigma_r must be nonnegative",
+            id="point-negative-sigma",
+        ),
     ],
 )
 def test_cli_non_list_config_field_exits_2(tmp_path, capsys, command, config, message):

@@ -14,9 +14,6 @@ from rcmkf.conversion import (
     ConversionMethod,
     _finalize,
     convert,
-    convert_position,
-    convert_pseudo,
-    lambda_factors,
     mc_moment_oracle,
     nested_stats,
     nested_stats_numeric,
@@ -28,6 +25,7 @@ from rcmkf.evaluation import consistency_sweep
 from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
 
 CASE_NOISE = NoiseSpec(sigma_r=200.0, sigma_theta=math.radians(2.5), sigma_rdot=1.0, rho=0.3)
+NO_NOISE = NoiseSpec(0.0, 0.0, 0.0)
 
 
 def sph(r, theta_deg, rdot, phi_deg=None):
@@ -39,44 +37,60 @@ def sph(r, theta_deg, rdot, phi_deg=None):
 
 
 def test_convert_position_on_axis():
-    np.testing.assert_allclose(convert_position(sph(100.0, 0.0, 0.0, 0.0)), [100.0, 0.0, 0.0], atol=1e-12)
+    pos = convert(sph(100.0, 0.0, 0.0, 0.0), NO_NOISE).position
+    np.testing.assert_allclose(pos, [100.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_convert_position_45deg():
-    pos = convert_position(sph(10000.0, 45.0, 0.0, 0.0))
+    pos = convert(sph(10000.0, 45.0, 0.0, 0.0), NO_NOISE).position
     np.testing.assert_allclose(pos[:2], [7071.0678, 7071.0678], atol=1e-3)
     assert pos[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_convert_position_pole():
-    pos = convert_position(sph(5000.0, 30.0, 0.0, 90.0))
+    pos = convert(sph(5000.0, 30.0, 0.0, 90.0), NO_NOISE).position
     np.testing.assert_allclose(pos, [0.0, 0.0, 5000.0], atol=1e-8)
 
 
 def test_convert_pseudo():
-    assert convert_pseudo(sph(10000.0, 0.0, 100.0)) == pytest.approx(1e6)
-    assert convert_pseudo(sph(10000.0, 12.0, 0.0)) == 0.0
-    assert convert_pseudo(sph(113137.08, 45.0, 282.84)) == pytest.approx(3.1999e7, rel=1e-3)
+    assert convert(sph(10000.0, 0.0, 100.0), NO_NOISE).pseudo == pytest.approx(1e6)
+    assert convert(sph(10000.0, 12.0, 0.0), NO_NOISE).pseudo == 0.0
+    assert convert(sph(113137.08, 45.0, 282.84), NO_NOISE).pseudo == pytest.approx(
+        3.1999e7, rel=1e-3
+    )
+    # a 2D conversion has no z row
+    assert convert(sph(10000.0, 12.0, 5.0), CASE_NOISE).position.shape == (2,)
+
+
+def attenuation(noise: NoiseSpec, r: float = 1e4):
+    """The bearing attenuations ``(E[cos d], E[cos 2d])`` that ``unbiased_stats`` applies.
+
+    At bearing 0 the 2D measurement-conditioned moments read them off
+    directly: ``mu_x = r (1 - E[cos d])`` and ``R_yy = E[r^2] (1 - E[cos 2d]) / 2``.
+    """
+    mu, cov = unbiased_stats(sph(r, 0.0, 0.0), noise)
+    return 1.0 - mu[0] / r, 1.0 - 2.0 * cov[1, 1] / (r**2 + noise.sigma_r**2)
 
 
 def test_lambda_factors_closed_form():
-    lam0 = lambda_factors(NoiseSpec(1.0, 0.0, 1.0))
-    assert lam0.lam_theta == 1.0 and lam0.lam_theta2 == 1.0
+    lam0, lam0_2 = attenuation(NoiseSpec(1.0, 0.0, 1.0))
+    assert lam0 == 1.0
+    assert lam0_2 == pytest.approx(1.0, abs=1e-12)
 
-    lam = lambda_factors(CASE_NOISE)
-    assert lam.lam_theta == pytest.approx(0.9990482, abs=1e-6)
-    assert lam.lam_theta2 == pytest.approx(lam.lam_theta**4, rel=1e-14)
+    lam, lam2 = attenuation(CASE_NOISE)
+    assert lam == pytest.approx(0.9990482, abs=1e-6)
+    assert lam2 == pytest.approx(lam**4, rel=1e-12)
 
     # monotone decreasing in sigma
-    vals = [lambda_factors(NoiseSpec(1.0, s, 1.0)).lam_theta for s in (0.0, 0.1, 0.3, 0.6)]
+    vals = [attenuation(NoiseSpec(1.0, s, 1.0))[0] for s in (0.0, 0.1, 0.3, 0.6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_lambda_matches_sampled_expectation():
     sig = math.radians(2.5)
     draws = np.random.default_rng(5).standard_normal(10_000_000) * sig
-    lam = lambda_factors(NoiseSpec(1.0, sig, 1.0))
-    assert np.cos(draws).mean() == pytest.approx(lam.lam_theta, abs=3 * sig**2 / math.sqrt(1e7))
+    lam, _ = attenuation(NoiseSpec(1.0, sig, 1.0))
+    assert np.cos(draws).mean() == pytest.approx(lam, abs=3 * sig**2 / math.sqrt(1e7))
 
 
 def test_unbiased_stats_noiseless():

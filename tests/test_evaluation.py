@@ -304,8 +304,8 @@ def test_rmse_and_nees_sum_runs_in_order():
     # runs one by one is the reference, and the arithmetic is the same
     import rcmkf
 
-    scenario = dataclasses.replace(rcmkf.generate_case(2), runs=6)
-    ens = rcmkf.run_ensemble(scenario, seed=3)
+    scenario = dataclasses.replace(rcmkf.generate_case(2), runs=6, seed=3)
+    ens = rcmkf.run_ensemble(scenario)
     rmse_rep, nees_rep = rmse(ens), nees(ens)
     for v, variant in enumerate(ens.variants):
         sq = np.zeros(len(rmse_rep.steps))
@@ -321,8 +321,8 @@ def test_rmse_and_nees_sum_runs_in_order():
 def test_case1_rmse_trace_decreases_then_flattens():
     import rcmkf
 
-    scenario = dataclasses.replace(rcmkf.generate_case(1), runs=50)
-    ens = rcmkf.run_ensemble(scenario, (rcmkf.FilterVariant.RCMKF_U,), seed=6)
+    scenario = dataclasses.replace(rcmkf.generate_case(1), runs=50, seed=6)
+    ens = rcmkf.run_ensemble(scenario, (rcmkf.FilterVariant.RCMKF_U,))
     curve = rmse(ens).rmse["RCMKF_U"]
     early = curve[3:13].mean()
     late = curve[-20:].mean()
@@ -386,9 +386,9 @@ FROZEN_ENSEMBLE = {
 def test_ensemble_outputs_frozen(case):
     import rcmkf
 
-    scenario = dataclasses.replace(rcmkf.generate_case(case), runs=8)
+    scenario = dataclasses.replace(rcmkf.generate_case(case), runs=8)  # seed 42
     variants = (rcmkf.FilterVariant.RCMKF_U, rcmkf.FilterVariant.RCMKF_D)
-    ens = rcmkf.run_ensemble(scenario, variants, seed=42)
+    ens = rcmkf.run_ensemble(scenario, variants)
     rmse_rep, nees_rep = rmse(ens), nees(ens)
     idx = np.searchsorted(rmse_rep.steps, FROZEN_STEPS)
     np.testing.assert_array_equal(rmse_rep.steps[idx], FROZEN_STEPS)

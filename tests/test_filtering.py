@@ -28,9 +28,7 @@ from rcmkf.filtering import (
 from rcmkf.scenario import (
     NoiseSpec,
     cv_model,
-    draw_measurement_noise,
     generate_case,
-    measure,
     simulate_truth,
     synthesize_measurements,
 )
@@ -333,8 +331,9 @@ def test_initialize_belief_recovers_cv_velocity():
     s0 = np.array([5e3, 6e3, 40.0, -25.0])
     s1 = s0.copy()
     s1[:2] += 0.5 * s0[2:]
-    z0 = convert(measure(s0, noise), noise)
-    z1 = convert(measure(s1, noise), noise)
+    m0, m1 = synthesize_measurements(np.stack([s0, s1]), noise, np.random.default_rng(0))
+    z0 = convert(m0, noise)
+    z1 = convert(m1, noise)
     belief = initialize_belief(z0, z1, 0.5)
     np.testing.assert_allclose(belief.mean, s1, atol=1e-8)
 
@@ -359,22 +358,27 @@ def test_initialize_belief_covariance_matches_sampling():
     truth1 = truth0.copy()
     truth1[:2] += truth0[2:]
     n = 40_000
-    # the standard normals of 2n draw_measurement_noise calls, (z0, z1) per sample
+    # the standard normals of 2n one-column draws, (z0, z1) per sample
     std = np.random.default_rng(10).standard_normal((n, 2, 4))
     dr = noise.sigma_r * std[..., 0]
     dth = noise.sigma_theta * std[..., 1]
     drd = noise.sigma_rdot * (noise.rho * std[..., 0] + math.sqrt(1.0 - noise.rho**2) * std[..., 3])
     replay = np.random.default_rng(10)  # the first sample's two calls, one by one
     for k in range(2):
-        assert draw_measurement_noise(noise, replay) == (dr[0, k], dth[0, k], 0.0, drd[0, k])
+        np.testing.assert_array_equal(
+            scenario._noise_matrix(noise, 1, replay)[:, 0], (dr[0, k], dth[0, k], 0.0, drd[0, k])
+        )
     r, theta, _, rdot = scenario._spherical(np.stack([truth0, truth1]))
     meas = np.stack([r + dr, theta + dth, np.zeros((n, 2)), rdot + drd], axis=-1)
     z, ok = _convert_batch(meas, noise, [ConversionMethod.MEASUREMENT_CONDITIONED], 2)
     assert ok.all()
     errs = initialize_belief(z[:, 0, 0], z[:, 1, 0], 1.0).mean - truth1
     emp = np.cov(errs.T)
-    z0 = convert(measure(truth0, noise), noise)
-    z1 = convert(measure(truth1, noise), noise)
+    # the hypothesized covariance at the noise-free measurements of the truths
+    clean = NoiseSpec(0.0, 0.0, 0.0)
+    m0, m1 = synthesize_measurements(np.stack([truth0, truth1]), clean, np.random.default_rng(0))
+    z0 = convert(m0, noise)
+    z1 = convert(m1, noise)
     hyp = initialize_belief(z0, z1, 1.0).cov
     np.testing.assert_allclose(emp, hyp, rtol=0.12, atol=0.12 * np.abs(hyp).max())
 
@@ -427,7 +431,7 @@ def _position_ref(mean, cov, z, r):
     return mean + gain @ (z - h @ mean), i_kh @ cov @ i_kh.T + gain @ r @ gain.T
 
 
-def _pseudo_ref(mean, cov, l_row, pseudo, mu_pseudo, var):
+def _pseudo_ref(mean, cov, l_row, pseudo, debiased, var):
     """Second-order EKF update; ``None`` when the update must raise."""
     p = len(l_row)
     pos, vel = mean[:p], mean[p:]
@@ -437,7 +441,7 @@ def _pseudo_ref(mean, cov, l_row, pseudo, mu_pseudo, var):
     delta2 = 2.0 * np.trace(p_pv)
     a_k = np.trace(p_pv @ p_pv) + np.trace(cov[:p, :p] @ cov[p:, p:])
     s = h_row @ cov @ h_row + var + a_k
-    innovation = pseudo - mu_pseudo - h_val - 0.5 * delta2
+    innovation = debiased - h_val - 0.5 * delta2
     if s <= 0:
         if abs(innovation) > 1e-9 * max(abs(pseudo), abs(h_val), 1.0):
             return None
@@ -530,12 +534,12 @@ def test_filter_stages_match_dense_references(batch, t, accel_std):
         ref_mean, ref_cov = _predict_ref(mean, cov, model)
         _assert_close(predicted.mean[i], ref_mean, "predicted mean")
         _assert_close(predicted.cov[i], ref_cov, "predicted covariance")
-        ref_mean, ref_cov = _position_ref(mean, cov, d.position[i] - d.mu_pos[i], d.cov_pos[i])
+        ref_mean, ref_cov = _position_ref(mean, cov, d.debiased_pos[i], d.cov_pos[i])
         _assert_close(position.mean[i], ref_mean, "position-updated mean")
         _assert_close(position.cov[i], ref_cov, "position-updated covariance")
         ref = _pseudo_ref(
             position.mean[i], position.cov[i],
-            d.l_row[i], d.pseudo[i], d.mu_pseudo[i], d.var_pseudo[i],
+            d.l_row[i], d.pseudo[i], d.debiased_pseudo[i], d.var_pseudo[i],
         )
         assert (ref is None) == (kind == "conflict")
         if conflict:

@@ -82,9 +82,9 @@ def assert_ensembles_equal(a, b):
 
 @pytest.mark.parametrize("key", sorted(SCENARIOS))
 def test_batched_engine_matches_per_run_path(key):
-    sc = SCENARIOS[key]
-    ens = run_ensemble(sc, VARIANTS, seed=42)
-    seeds = np.random.SeedSequence(42).spawn(sc.runs)
+    sc = dataclasses.replace(SCENARIOS[key], seed=42)
+    ens = run_ensemble(sc, VARIANTS)
+    seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
     assert ens.variants == VARIANTS and len(ens.truth) == sc.runs
     assert_ensembles_close(ens, join([run_single(sc, VARIANTS, seed) for seed in seeds]))
     # a run's arrays do not depend on the chunk it is filtered in
@@ -96,8 +96,8 @@ def test_batched_engine_matches_per_run_path(key):
 
 
 def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
-    sc = SCENARIOS["case1"]
-    base = run_ensemble(sc, VARIANTS, seed=9)
+    sc = dataclasses.replace(SCENARIOS["case1"], seed=9)
+    base = run_ensemble(sc, VARIANTS)
     run, step = 3, 10
     target = base.measurements[run, step, 0]  # its range singles out the (run, scan) pair
     real = conversion._moments
@@ -109,7 +109,7 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
         return mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
-    hit = run_ensemble(sc, VARIANTS, seed=9)
+    hit = run_ensemble(sc, VARIANTS)
     others = np.arange(sc.runs) != run
     for f in FIELDS:
         np.testing.assert_array_equal(getattr(hit, f)[others], getattr(base, f)[others])
@@ -128,14 +128,14 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
 
 
 def test_small_ensemble_runs_in_process(monkeypatch):
-    sc = dataclasses.replace(generate_case(2), runs=12)
-    serial = run_ensemble(sc, VARIANTS, jobs=1, seed=11)
+    sc = dataclasses.replace(generate_case(2), runs=12, seed=11)
+    serial = run_ensemble(sc, VARIANTS, jobs=1)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a 12-run ensemble started a process pool")
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-    assert_ensembles_equal(serial, run_ensemble(sc, VARIANTS, jobs=2, seed=11))
+    assert_ensembles_equal(serial, run_ensemble(sc, VARIANTS, jobs=2))
 
 
 @pytest.mark.skipif(
@@ -143,9 +143,9 @@ def test_small_ensemble_runs_in_process(monkeypatch):
     reason="workers must be forked to inherit the patched moment kernel",
 )
 def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_workers):
-    sc = SCENARIOS["case1"]
+    sc = dataclasses.replace(SCENARIOS["case1"], seed=9)
     run = RUNS - 1  # filtered by the second of the two workers
-    target = run_ensemble(sc, VARIANTS, seed=9).measurements[run, 0, 0]
+    target = run_ensemble(sc, VARIANTS).measurements[run, 0, 0]
     real = conversion._moments
 
     def forced(method, rm, theta, phi, rdot, noise):
@@ -155,12 +155,12 @@ def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_wor
 
     monkeypatch.setattr(conversion, "_moments", forced)
     with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
-        run_ensemble(sc, VARIANTS, jobs=2, seed=9)
+        run_ensemble(sc, VARIANTS, jobs=2)
     assert two_workers == [2]
 
 
 def test_ensemble_rejects_a_bad_layout():
-    ens = run_ensemble(SCENARIOS["case1"], VARIANTS, seed=1)
+    ens = run_ensemble(dataclasses.replace(SCENARIOS["case1"], seed=1), VARIANTS)
     arrays = {f: getattr(ens, f) for f in FIELDS}
     with pytest.raises(ValueError, match="distinct"):
         Ensemble(ens.scenario, (FilterVariant.RCMKF_U,) * 2, **arrays)

@@ -8,47 +8,79 @@ import pytest
 
 from rcmkf.errors import GeometryError
 from rcmkf.scenario import (
+    INIT_SCANS,
     ManeuverSchedule,
     NoiseSpec,
+    Scenario,
     SphericalMeasurement,
+    _noise_matrix,
     cv_model,
-    draw_measurement_noise,
     generate_case,
-    measure,
-    propagate_truth,
     simulate_truth,
+    synthesize_measurements,
 )
+
+NO_NOISE = NoiseSpec(0.0, 0.0, 0.0)
+
+
+def noise_free_truth(initial, steps=3, t=1.0, maneuvers=()):
+    """Truth of a scenario without process noise, one row per step."""
+    initial = np.asarray(initial, dtype=float)
+    sc = Scenario(
+        model=cv_model(dim=len(initial) // 2, t=t, accel_noise_std=0.0),
+        initial_state=initial,
+        maneuvers=ManeuverSchedule.from_pairs(maneuvers),
+        noise=NO_NOISE,
+        steps=steps,
+        runs=1,
+        seed=0,
+    )
+    return simulate_truth(sc, np.random.default_rng(0))
+
+
+def measurement_of(state, noise=NO_NOISE, seed=0):
+    """The measurement of one state, synthesized with ``noise``."""
+    return synthesize_measurements(np.asarray(state)[None], noise, np.random.default_rng(seed))[0]
 
 
 def test_propagate_noise_free_cv():
-    model = cv_model(dim=2, t=1.0, accel_noise_std=0.0)
-    out = propagate_truth(model, np.array([0.0, 0.0, 1.0, 1.0]))
+    out = noise_free_truth([0.0, 0.0, 1.0, 1.0])[1]
     np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_propagate_acceleration_gain():
     # position picks up a*T^2/2, velocity a*T
-    model = cv_model(dim=2, t=1.0)
-    out = propagate_truth(model, np.zeros(4), accel=np.array([5.0, 5.0]))
+    out = noise_free_truth(np.zeros(4), maneuvers=[(0, (5.0, 5.0))])[1]
     np.testing.assert_allclose(out, [2.5, 2.5, 5.0, 5.0])
 
 
 def test_propagate_twice_is_linear():
-    model = cv_model(dim=2, t=1.0, accel_noise_std=0.0)
     x = np.array([3.0, -2.0, 4.0, 7.0])
-    out = propagate_truth(model, propagate_truth(model, x))
+    out = noise_free_truth(x)[2]
     np.testing.assert_allclose(out[:2], x[:2] + 2.0 * x[2:])
     np.testing.assert_allclose(out[2:], x[2:])
 
 
 def test_propagate_dimension_mismatch():
-    model = cv_model(dim=2)
-    with pytest.raises(ValueError):
-        propagate_truth(model, np.zeros(6))
+    with pytest.raises(ValueError, match="does not match the model size"):
+        dataclasses.replace(generate_case(1), initial_state=np.zeros(6))
+
+
+def test_scenario_needs_more_steps_than_initialization():
+    for steps in range(-1, INIT_SCANS + 1):
+        with pytest.raises(ValueError, match=f"steps must be > {INIT_SCANS}"):
+            dataclasses.replace(generate_case(1), steps=steps)
+    assert dataclasses.replace(generate_case(1), steps=INIT_SCANS + 1).steps == 3
+
+
+@pytest.mark.parametrize("std", [-1.0, -1e-300, math.nan, math.inf])
+def test_cv_model_rejects_bad_process_noise(std):
+    with pytest.raises(ValueError, match="acceleration noise std"):
+        cv_model(dim=2, t=1.0, accel_noise_std=std)
 
 
 def test_measure_on_axis_3d():
-    m = measure(np.array([100.0, 0.0, 0.0, 10.0, 0.0, 0.0]), NoiseSpec(0.0, 0.0, 0.0))
+    m = measurement_of(np.array([100.0, 0.0, 0.0, 10.0, 0.0, 0.0]))
     assert m.dim == 3
     assert m.r == pytest.approx(100.0)
     assert m.theta == pytest.approx(0.0)
@@ -57,39 +89,37 @@ def test_measure_on_axis_3d():
 
 
 def test_measure_case1_geometry():
-    m = measure(np.array([80e3, 80e3, 200.0, 200.0]), NoiseSpec(0.0, 0.0, 0.0))
+    m = measurement_of(np.array([80e3, 80e3, 200.0, 200.0]))
     assert m.r == pytest.approx(math.sqrt(2) * 80e3, abs=0.01)
     assert m.theta == pytest.approx(math.pi / 4)
     assert m.rdot == pytest.approx(math.sqrt(2) * 200.0, abs=1e-6)
 
 
 def test_measure_additive_noise():
-    noise = NoiseSpec(200.0, 0.01, 1.0)
-    clean = measure(np.array([80e3, 80e3, 200.0, 200.0]), noise)
-    shifted = measure(np.array([80e3, 80e3, 200.0, 200.0]), noise, (noise.sigma_r, 0.0, 0.0, 0.0))
-    assert shifted.r - clean.r == pytest.approx(noise.sigma_r)
-    assert shifted.theta == clean.theta
+    noise = NoiseSpec(200.0, 0.01, 1.0, rho=0.3)
+    state = np.array([80e3, 80e3, 200.0, 200.0])
+    clean = measurement_of(state)
+    noisy = measurement_of(state, noise, seed=5)
+    dr, dth, dph, drd = _noise_matrix(noise, 1, np.random.default_rng(5))[:, 0]
+    assert noisy.r - clean.r == pytest.approx(dr)
+    assert noisy.theta - clean.theta == pytest.approx(dth)
+    assert noisy.rdot - clean.rdot == pytest.approx(drd)
+    assert dph == 0.0 and noisy.phi == 0.0  # a 2D radar reports no elevation
 
 
 def test_measure_at_origin_fails():
     with pytest.raises(GeometryError):
-        measure(np.array([0.0, 0.0, 1.0, 1.0]), NoiseSpec(1.0, 0.01, 0.1))
+        measurement_of(np.array([0.0, 0.0, 1.0, 1.0]), NoiseSpec(1.0, 0.01, 0.1))
 
 
 def test_draw_measurement_noise_degenerate():
-    rng = np.random.default_rng(0)
-    assert draw_measurement_noise(NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0), rng) == (0.0, 0.0, 0.0, 0.0)
+    draw = _noise_matrix(NoiseSpec(0.0, 0.0, 0.0, 0.0, 0.0), 1, np.random.default_rng(0))
+    assert draw.shape == (4, 1)
+    np.testing.assert_array_equal(draw, 0.0)
 
 
 def test_draw_measurement_noise_moments():
     noise = NoiseSpec(sigma_r=200.0, sigma_theta=math.radians(2.5), sigma_rdot=1.0, rho=0.3)
-    rng = np.random.default_rng(123)
-    draws = np.array([draw_measurement_noise(noise, rng) for _ in range(1000)])
-    # scalar path smoke check only; the million-draw moments use the matrix path
-    assert abs(draws[:, 0].mean()) < 30.0
-
-    from rcmkf.scenario import _noise_matrix
-
     big = _noise_matrix(noise, 1_000_000, np.random.default_rng(7))
     corr = np.corrcoef(big[0], big[3])[0, 1]
     assert corr == pytest.approx(0.3, abs=0.01)
@@ -126,22 +156,19 @@ def test_generate_case_unknown():
 
 
 def test_noise_free_propagation_invariants():
-    model = cv_model(dim=3, t=0.5, accel_noise_std=0.0)
     x = np.array([1.0, 2.0, 3.0, -1.0, 0.5, 2.0])
-    cur = x.copy()
-    for _ in range(10):
-        cur = propagate_truth(model, cur)
+    cur = noise_free_truth(x, steps=11, t=0.5)[10]
     np.testing.assert_array_equal(cur[3:], x[3:])
     np.testing.assert_allclose(cur[:3], x[:3] + 10 * 0.5 * x[3:], rtol=0, atol=1e-12)
 
 
 def test_measure_convert_roundtrip():
-    from rcmkf.conversion import convert_position
+    from rcmkf.conversion import convert
 
     state = np.array([12e3, -5e3, 2e3, 50.0, 10.0, -5.0])
-    m = measure(state, NoiseSpec(0.0, 0.0, 0.0))
-    pos = convert_position(m)
-    np.testing.assert_allclose(pos, state[:3], rtol=1e-9)
+    z = convert(measurement_of(state), NO_NOISE)
+    np.testing.assert_allclose(z.position, state[:3], rtol=1e-9)
+    assert z.pseudo == pytest.approx(state[:3] @ state[3:], rel=1e-9)  # r * rdot
 
 
 def test_case2_truth_continuity():
@@ -175,9 +202,6 @@ def test_noise_spec_validation():
         NoiseSpec(-1.0, 0.1, 1.0)
     with pytest.raises(ValueError):
         NoiseSpec(1.0, 0.1, 1.0, rho=1.5)
-    block = NoiseSpec(200.0, 0.01, 1.0, rho=0.3).range_block()
-    assert block[0, 1] == pytest.approx(60.0)
-    assert np.all(np.linalg.eigvalsh(block) >= 0)
 
 
 @pytest.mark.parametrize("field", ["sigma_r", "sigma_theta", "sigma_rdot", "rho", "sigma_phi"])
