@@ -100,14 +100,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-_VARIANTS = {"rcmkf_u": FilterVariant.RCMKF_U, "rcmkf_d": FilterVariant.RCMKF_D}
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_and_override(args)
     scenario = build_scenario(cfg)
     out = _out_dir(cfg)
-    variants = tuple(_VARIANTS[v.lower()] for v in cfg.variants)
+    variants = tuple(FilterVariant[v.upper()] for v in cfg.variants)
 
     ens = run_ensemble(scenario, variants, jobs=cfg.jobs)
     rmse_report = rmse(ens)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import yaml
 
+from .filtering import FilterVariant
 from .scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
 
 __all__ = [
@@ -200,9 +201,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         _validate_scenario(cfg.scenario)
     if not cfg.variants:
         raise ConfigError("at least one filter variant must be selected")
-    names = [v.lower() for v in cfg.variants]
+    names = [v.upper() for v in cfg.variants]
     for v, name in zip(cfg.variants, names):
-        if name not in ("rcmkf_u", "rcmkf_d"):
+        if name not in FilterVariant.__members__:
             raise ConfigError(f"unknown filter variant {v!r}")
     if len(set(names)) != len(names):
         raise ConfigError(f"filter variants must be distinct, got {list(cfg.variants)}")
@@ -226,6 +227,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("consistency tail probability must lie in (0, 0.5)")
     if cfg.golden.samples < 10_000:
         raise ConfigError("golden samples must be >= 1e4")
+    points = [("consistency.geometry", cfg.consistency.geometry)]
+    points += [(f"golden.points[{i}]", p) for i, p in enumerate(cfg.golden.points)]
+    for path, point in points:
+        if point.r_m <= 0:  # lets a NaN through to the measurement's "r must be finite"
+            raise ConfigError(f"config.{path}.r_m must be > 0, got {point.r_m!r}")
 
 
 def config_to_dict(cfg) -> dict:

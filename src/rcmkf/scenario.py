@@ -1,9 +1,9 @@
 """Target motion and Doppler radar measurement models.
 
-Truth trajectories follow a discrete constant-velocity model with optional
-piecewise-constant maneuver accelerations applied through the deterministic
-input channel. The radar reports range, bearing, elevation (3D only) and
-range rate; range and range-rate errors are jointly Gaussian with
+Truth trajectories follow the discrete constant-velocity :class:`DynamicModel`
+with optional piecewise-constant maneuver accelerations applied through its
+deterministic input channel. The radar reports range, bearing, elevation (3D
+only) and range rate; range and range-rate errors are jointly Gaussian with
 correlation coefficient ``rho``, the angle errors are independent Gaussians.
 
 State vectors are plain numpy arrays ordered position-then-velocity:
@@ -48,75 +48,49 @@ def position_dim(state: np.ndarray) -> int:
     raise ValueError(f"state length must be 4 (2D) or 6 (3D), got {n}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DynamicModel:
-    """Discrete-time linear model ``x' = phi @ x + gamma @ (u + w)``.
+    """Discrete constant-velocity model ``x' = phi @ x + gamma @ (u + w)`` in 2D or 3D.
 
-    ``w`` is zero-mean white Gaussian with covariance ``q`` (acceleration
-    level for the CV model); ``u`` is a per-axis deterministic acceleration
-    that enters through the same input matrix.
+    ``phi`` couples each position to its velocity over ``t``; the white noise
+    ``w`` (covariance ``q = accel_noise_std**2 * I``) and the per-axis input
+    ``u`` act at acceleration level through ``gamma = [[t^2/2 * I], [t * I]]``.
+    The matrices are built once from the three fields and are read-only.
     """
 
-    phi: np.ndarray
-    gamma: np.ndarray
-    q: np.ndarray
-    t: float
+    dim: int = 2
+    t: float = 1.0
+    accel_noise_std: float = 0.01
 
     def __post_init__(self):
-        n = self.phi.shape[0]
-        if self.phi.shape != (n, n):
-            raise ValueError("phi must be square")
-        if self.gamma.shape[0] != n:
-            raise ValueError("gamma row count must match the state size")
-        m = self.gamma.shape[1]
-        if self.q.shape != (m, m):
-            raise ValueError("q must match the noise input width")
-        if not np.allclose(self.q, self.q.T):
-            raise ValueError("q must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.q) < -1e-12 * max(1.0, np.trace(self.q))):
-            raise ValueError("q must be positive semidefinite")
-        if not self.t > 0:
-            raise ValueError("sampling interval must be positive")
-        # the filter adds this once per scan; the model is immutable
-        process_noise = self.gamma @ self.q @ self.gamma.T
-        process_noise.flags.writeable = False
-        object.__setattr__(self, "_process_noise", process_noise)
+        if self.dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"sampling interval must be positive and finite, got {self.t!r}")
+        if not (math.isfinite(self.accel_noise_std) and self.accel_noise_std >= 0):
+            raise ValueError(
+                "acceleration noise std must be finite and nonnegative, "
+                f"got {self.accel_noise_std!r}"
+            )
+        t, eye = self.t, np.eye(self.dim)
+        phi = np.block([[eye, t * eye], [np.zeros((self.dim, self.dim)), eye]])
+        gamma = np.vstack([0.5 * t**2 * eye, t * eye])
+        q = self.accel_noise_std**2 * eye
+        matrices = (phi, gamma, q, gamma @ q @ gamma.T)
+        for name, value in zip(("phi", "gamma", "q", "_process_noise"), matrices):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.n // 2
+        return 2 * self.dim
 
     def process_noise_cov(self) -> np.ndarray:
-        """State-space process noise covariance ``gamma @ q @ gamma.T``.
-
-        Computed once when the model is built and returned read-only.
-        """
+        """State-space process noise covariance ``gamma @ q @ gamma.T`` (read-only)."""
         return self._process_noise
 
 
-def cv_model(dim: int = 2, t: float = 1.0, accel_noise_std: float = 0.01) -> DynamicModel:
-    """Constant-velocity model for a 2D or 3D state.
-
-    The transition matrix has ones on the diagonal and ``t`` coupling each
-    position component to its velocity; both the noise input and the
-    deterministic input act at acceleration level through
-    ``[[t^2/2 * I], [t * I]]``.
-    """
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    if not (math.isfinite(accel_noise_std) and accel_noise_std >= 0):
-        raise ValueError(
-            f"acceleration noise std must be finite and nonnegative, got {accel_noise_std!r}"
-        )
-    eye = np.eye(dim)
-    phi = np.block([[eye, t * eye], [np.zeros((dim, dim)), eye]])
-    gain = np.vstack([0.5 * t**2 * eye, t * eye])
-    q = accel_noise_std**2 * eye
-    return DynamicModel(phi=phi, gamma=gain, q=q, t=t)
+cv_model = DynamicModel  # the name the config and the tests build the model by
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +182,7 @@ class Scenario:
 
     ``steps`` counts the scans of a run; it must exceed ``INIT_SCANS``, the
     scans that two-point initialization consumes before filtering starts.
+    A 2D scenario has no elevation, so its ``noise.sigma_phi`` must be 0.
     """
 
     model: DynamicModel
@@ -227,11 +202,12 @@ class Scenario:
             )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        position_dim(self.initial_state)  # validates the length
         if not np.all(np.isfinite(self.initial_state)):
             raise ValueError("initial state must be finite")
         if len(self.initial_state) != self.model.n:
             raise ValueError("initial state does not match the model size")
+        if self.dim == 2 and self.noise.sigma_phi != 0:
+            raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
 
     @property
     def dim(self) -> int:
@@ -305,8 +281,8 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
     step. The runs then step together.
     """
     model = scenario.model
-    noise_std = np.sqrt(np.diag(model.q))
-    w = np.stack([noise_std * rng.standard_normal((scenario.steps - 1, model.dim)) for rng in rngs])
+    size = (scenario.steps - 1, model.dim)
+    w = np.stack([model.accel_noise_std * rng.standard_normal(size) for rng in rngs])
     # the inputs of every transition, formed before stepping: gamma @ u per step
     # and gamma @ w per (run, step), added after phi @ x in that order
     accel = np.array(

@@ -427,6 +427,26 @@ LIST_SCENARIO_OK = {
             id="interval-negative",
         ),
         pytest.param(
+            "simulate", "case: null\nscenario: {sample_interval_s: .inf}\n",
+            "sampling interval must be positive and finite, got inf",
+            id="interval-inf",
+        ),
+        pytest.param(
+            "simulate", "case: null\nscenario: {noise: {sigma_phi_deg: 5}}\n",
+            "a 2D radar measures no elevation: sigma_phi must be 0",
+            id="2d-elevation-noise",
+        ),
+        pytest.param(
+            "consistency", "consistency: {geometry: {r_m: -5.0}}\n",
+            "config.consistency.geometry.r_m must be > 0, got -5.0",
+            id="geometry-negative-range",
+        ),
+        pytest.param(
+            "golden", _golden_yaml(r_m=-10000),
+            "config.golden.points[0].r_m must be > 0, got -10000",
+            id="point-negative-range",
+        ),
+        pytest.param(
             "consistency", "consistency: {geometry: {r_m: .nan}}\n",
             "invalid consistency geometry: r must be finite",
             id="geometry-nan",

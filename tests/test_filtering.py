@@ -87,10 +87,10 @@ def test_decorrelate_singular_position_block():
 
 
 def test_kf_predict_identity():
+    # a target at rest, known exactly and without process noise, stays put
     model = cv_model(2, 1.0, 0.0)
-    ident = dataclasses.replace(model, phi=np.eye(4))
-    b = GaussianBelief(np.array([1.0, 2.0, 3.0, 4.0]), np.eye(4))
-    out = kf_predict(b, ident)
+    b = GaussianBelief(np.array([1.0, 2.0, 0.0, 0.0]), np.zeros((4, 4)))
+    out = kf_predict(b, model)
     np.testing.assert_array_equal(out.mean, b.mean)
     np.testing.assert_array_equal(out.cov, b.cov)
 
@@ -103,10 +103,11 @@ def test_kf_predict_deterministic_cv():
 
 
 def test_kf_predict_additive_covariance():
-    model = cv_model(2, 1.0, 0.0)
-    ident = dataclasses.replace(model, phi=np.eye(4), gamma=np.eye(4), q=np.eye(4))
-    out = kf_predict(GaussianBelief(np.zeros(4), np.eye(4)), ident)
-    np.testing.assert_allclose(out.cov, 2 * np.eye(4))
+    # P = I predicts phi phi^T + gamma q gamma^T; at t = 2 and std 0.5 per axis:
+    # phi phi^T = [[5, 2], [2, 1]] (x) I and gamma q gamma^T = 0.25 [[4, 4], [4, 4]] (x) I
+    model = cv_model(2, 2.0, 0.5)
+    out = kf_predict(GaussianBelief(np.zeros(4), np.eye(4)), model)
+    np.testing.assert_allclose(out.cov, np.kron([[6.0, 3.0], [3.0, 2.0]], np.eye(2)))
 
 
 def test_kf_update_uninformative_measurement():

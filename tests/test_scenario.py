@@ -79,6 +79,33 @@ def test_cv_model_rejects_bad_process_noise(std):
         cv_model(dim=2, t=1.0, accel_noise_std=std)
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_cv_model_rejects_bad_interval(t):
+    with pytest.raises(ValueError, match="sampling interval must be positive and finite"):
+        cv_model(dim=2, t=t)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_cv_model_rejects_bad_dimension(dim):
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        cv_model(dim=dim)
+
+
+def test_cv_model_replace_rebuilds_read_only_matrices():
+    model = cv_model(dim=3, t=2.0, accel_noise_std=0.01)
+    noisier = dataclasses.replace(model, accel_noise_std=0.5)
+    assert (noisier.dim, noisier.t) == (3, 2.0)
+    np.testing.assert_array_equal(noisier.phi, model.phi)
+    np.testing.assert_array_equal(noisier.q, 0.25 * np.eye(3))
+    g = noisier.gamma
+    np.testing.assert_array_equal(noisier.process_noise_cov(), g @ noisier.q @ g.T)
+    assert not np.array_equal(noisier.process_noise_cov(), model.process_noise_cov())
+    for m in (model, noisier):
+        for matrix in (m.phi, m.gamma, m.q, m.process_noise_cov()):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1.0
+
+
 def test_measure_on_axis_3d():
     m = measurement_of(np.array([100.0, 0.0, 0.0, 10.0, 0.0, 0.0]))
     assert m.dim == 3
