@@ -14,12 +14,12 @@ is imported from its submodule (``rcmkf.conversion``, ``rcmkf.filtering``,
 
 __version__ = "0.1.0"
 
+from .config import generate_case
 from .conversion import ConvertedMeasurement, convert
 from .errors import DegenerateCovarianceError, GeometryError
 from .evaluation import nees, rmse
 from .filtering import FilterVariant
 from .montecarlo import Ensemble, run_ensemble
-from .scenario import generate_case
 
 __all__ = [
     "ConvertedMeasurement",

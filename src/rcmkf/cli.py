@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
     rmse_report = rmse(ens)
     nees_report = nees(ens)
 
-    tag = scenario.name or "scenario"
+    tag = scenario.name
     cols = [v.name.replace("_", "").lower() for v in variants]
     _write_csv(
         out / f"rmse_{tag}.csv",

@@ -4,7 +4,8 @@ The config file is a nested key-value document mirroring the scenario and
 experiment types field for field. Their annotations are the one statement of
 the schema: :func:`_parse` checks every value against them. Angles are
 degrees and distances meters at this boundary only; everything becomes
-radians/SI on the way in. See docs/config_schema.md for the documented schema.
+radians/SI on the way in. The paper's two benchmark cases are presets of the
+schema (``_CASES``). See docs/config_schema.md for the documented schema.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import yaml
 
 from .filtering import FilterVariant
-from .scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
+from .scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model
 
 __all__ = [
     "ConfigError",
@@ -38,6 +39,7 @@ __all__ = [
     "config_to_dict",
     "default_golden_grid",
     "default_sigma_grid",
+    "generate_case",
     "load_config",
 ]
 
@@ -63,7 +65,7 @@ class ManeuverConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Inline scenario description (alternative to a benchmark case id)."""
+    """Inline scenario or benchmark case preset (``_CASES``); the defaults are case 1."""
 
     steps: int = 100
     runs: int = 500
@@ -127,6 +129,23 @@ class ExperimentConfig:
     scenario: ScenarioConfig | None = None
     consistency: ConsistencyConfig = ConsistencyConfig()
     golden: GoldenConfig = GoldenConfig()
+
+
+# The paper's benchmark cases: a 2D radar, T = 1 s, 100 scans, 500 runs, the
+# same noise and start point. Case 2 flies at (0, 200) m/s and maneuvers with
+# the same acceleration on both axes.
+_CASES = {
+    1: ScenarioConfig(),
+    2: ScenarioConfig(
+        initial_velocity_mps=(0.0, 200.0),
+        maneuvers=tuple(
+            ManeuverConfig(start, (a, a))
+            for start, a in (
+                (31, 5.0), (38, -8.0), (49, 10.0), (61, 0.0), (65, -10.0), (66, -5.0), (81, 0.0)
+            )
+        ),
+    ),
+}
 
 
 _hints = functools.cache(typing.get_type_hints)  # field name -> annotation, per class
@@ -209,7 +228,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"filter variants must be distinct, got {list(cfg.variants)}")
     if cfg.case is None and cfg.scenario is None:
         raise ConfigError("either a case id or an inline scenario is required")
-    if cfg.case is not None and cfg.case not in (1, 2):
+    if cfg.case is not None and cfg.case not in _CASES:
         raise ConfigError(f"unknown case {cfg.case!r} (supported: 1, 2)")
     if cfg.runs is not None and cfg.runs < 1:
         raise ConfigError("runs must be >= 1")
@@ -225,6 +244,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sigma_theta_deg_max must be at least 0.5 (empty sweep grid)")
     if not 0.0 < cfg.consistency.tail < 0.5:
         raise ConfigError("consistency tail probability must lie in (0, 0.5)")
+    if cfg.consistency.noise.sigma_phi_deg != 0:
+        raise ConfigError(
+            "config.consistency.noise.sigma_phi_deg must be 0: the sweep's 2D radar "
+            f"measures no elevation, got {cfg.consistency.noise.sigma_phi_deg!r}"
+        )
     if cfg.golden.samples < 10_000:
         raise ConfigError("golden samples must be >= 1e4")
     points = [("consistency.geometry", cfg.consistency.geometry)]
@@ -268,35 +292,35 @@ def build_noise(nc: NoiseConfig) -> NoiseSpec:
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:
-    """Materialize the scenario selected by a validated config (case or inline)."""
-    if cfg.scenario is not None:
-        sc = cfg.scenario
-        state = np.array([*sc.initial_position_m, *sc.initial_velocity_mps], dtype=float)
-        try:
-            scenario = Scenario(
-                model=cv_model(len(state) // 2, sc.sample_interval_s, sc.process_noise_std_mps2),
-                initial_state=state,
-                maneuvers=ManeuverSchedule.from_pairs(
-                    (m.start_step, m.accel_mps2) for m in sc.maneuvers
-                ),
-                noise=build_noise(sc.noise),
-                steps=sc.steps,
-                runs=cfg.runs if cfg.runs is not None else sc.runs,
-                seed=cfg.seed,
-                name="scenario",
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid scenario: {exc}") from exc
-        return scenario
+    """Materialize a validated config's scenario: its inline one, else its case preset."""
+    inline = cfg.scenario is not None
+    sc = cfg.scenario if inline else _CASES[cfg.case]
+    state = np.array([*sc.initial_position_m, *sc.initial_velocity_mps], dtype=float)
     try:
-        base = generate_case(cfg.case)
+        return Scenario(
+            model=cv_model(len(state) // 2, sc.sample_interval_s, sc.process_noise_std_mps2),
+            initial_state=state,
+            maneuvers=ManeuverSchedule.from_pairs(
+                (m.start_step, m.accel_mps2) for m in sc.maneuvers
+            ),
+            noise=build_noise(sc.noise),
+            steps=sc.steps,
+            runs=cfg.runs if cfg.runs is not None else sc.runs,
+            seed=cfg.seed,
+            name="scenario" if inline else f"case{cfg.case}",
+        )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return dataclasses.replace(
-        base,
-        runs=cfg.runs if cfg.runs is not None else base.runs,
-        seed=cfg.seed,
-    )
+        raise ConfigError(f"invalid scenario: {exc}") from exc
+
+
+def generate_case(case_id: int) -> Scenario:
+    """Benchmark case 1 (near constant velocity) or 2 (maneuvering): 500 runs, seed 42.
+
+    It is the ``_CASES`` preset, built as ``rcmkf simulate --case`` builds it.
+    """
+    if case_id not in _CASES:
+        raise ValueError(f"unknown case id {case_id!r} (supported: 1, 2)")
+    return build_scenario(ExperimentConfig(case=case_id))
 
 
 def default_sigma_grid(max_deg: float) -> np.ndarray:

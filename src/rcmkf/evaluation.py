@@ -136,6 +136,8 @@ def consistency_sweep(
     if grid.size == 0:
         raise ValueError("sweep grid must not be empty")
     dim = geometry.dim
+    if dim == 2 and noise_base.sigma_phi != 0:
+        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
     idx = _IDX_2D if dim == 2 else np.arange(4)
     phi0 = geometry.phi if dim == 3 else 0.0
     truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx]
@@ -175,8 +177,6 @@ class RmseReport:
 
     steps: np.ndarray
     rmse: dict[str, np.ndarray]
-    runs: int
-    scenario: str
 
 
 def rmse(ens: Ensemble) -> RmseReport:
@@ -193,8 +193,6 @@ def rmse(ens: Ensemble) -> RmseReport:
     return RmseReport(
         steps=np.arange(INIT_SCANS, steps),
         rmse={v.name: np.sqrt(mean_sq[i]) for i, v in enumerate(ens.variants)},
-        runs=runs,
-        scenario=ens.scenario,
     )
 
 
@@ -206,8 +204,6 @@ class NeesReport:
     nees: dict[str, np.ndarray]
     lower: float
     upper: float
-    runs: int
-    scenario: str
 
 
 def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
@@ -228,6 +224,4 @@ def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
         nees={v.name: avg[i] for i, v in enumerate(ens.variants)},
         lower=lower,
         upper=upper,
-        runs=runs,
-        scenario=ens.scenario,
     )

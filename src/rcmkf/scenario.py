@@ -9,7 +9,8 @@ correlation coefficient ``rho``, the angle errors are independent Gaussians.
 State vectors are plain numpy arrays ordered position-then-velocity:
 ``[x, y, vx, vy]`` in 2D and ``[x, y, z, vx, vy, vz]`` in 3D. Angles are
 radians everywhere inside the library; degrees are accepted only at the
-config boundary (see :mod:`rcmkf.config`).
+config boundary (see :mod:`rcmkf.config`, which also holds the paper's two
+benchmark cases as presets and builds every :class:`Scenario`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "Scenario",
     "SphericalMeasurement",
     "cv_model",
-    "generate_case",
     "position_dim",
     "simulate_truth",
     "synthesize_measurements",
@@ -325,46 +325,3 @@ def synthesize_measurements(
         SphericalMeasurement(r=r, theta=theta, phi=phi, rdot=rdot, step=k, dim=dim)
         for k, (r, theta, phi, rdot) in enumerate(rows.tolist())
     ]
-
-
-# Benchmark case parameters: 2D radar, T = 1 s, 100 scans, 500 runs.
-_CASE_NOISE = NoiseSpec(
-    sigma_r=200.0,
-    sigma_theta=math.radians(2.5),
-    sigma_rdot=1.0,
-    rho=0.3,
-)
-_CASE2_STARTS = (31, 38, 49, 61, 65, 66, 81)
-_CASE2_ACCELS = (5.0, -8.0, 10.0, 0.0, -10.0, -5.0, 0.0)
-
-
-def generate_case(case_id: int) -> Scenario:
-    """Benchmark scenario 1 (near constant velocity) or 2 (maneuvering).
-
-    Both cases start at (80 km, 80 km) and share the sensor noise spec
-    (sigma_r 200 m, sigma_theta 2.5 deg, sigma_rdot 1 m/s, rho 0.3) and a
-    0.01 m/s^2 process noise. Case 1 flies at (200, 200) m/s with no
-    maneuvers; case 2 starts at (0, 200) m/s and applies the same scheduled
-    acceleration on both axes.
-    """
-    model = cv_model(dim=2, t=1.0, accel_noise_std=0.01)
-    if case_id == 1:
-        initial = np.array([80e3, 80e3, 200.0, 200.0])
-        maneuvers = ManeuverSchedule()
-    elif case_id == 2:
-        initial = np.array([80e3, 80e3, 0.0, 200.0])
-        maneuvers = ManeuverSchedule.from_pairs(
-            (s, (a, a)) for s, a in zip(_CASE2_STARTS, _CASE2_ACCELS)
-        )
-    else:
-        raise ValueError(f"unknown case id {case_id!r} (supported: 1, 2)")
-    return Scenario(
-        model=model,
-        initial_state=initial,
-        maneuvers=maneuvers,
-        noise=_CASE_NOISE,
-        steps=100,
-        runs=500,
-        seed=42,
-        name=f"case{case_id}",
-    )

@@ -14,7 +14,7 @@ import pytest
 
 import rcmkf
 from rcmkf.cli import main
-from rcmkf.config import default_golden_grid, default_sigma_grid
+from rcmkf.config import default_golden_grid, default_sigma_grid, generate_case
 from rcmkf.conversion import (
     ConversionMethod,
     convert,
@@ -37,7 +37,6 @@ from rcmkf.scenario import (
     NoiseSpec,
     SphericalMeasurement,
     cv_model,
-    generate_case,
     simulate_truth,
     synthesize_measurements,
 )

@@ -19,6 +19,7 @@ import rcmkf
 from rcmkf import conversion
 from rcmkf.cli import main
 from rcmkf.config import (
+    _CASES,
     ConfigError,
     ExperimentConfig,
     ScenarioConfig,
@@ -437,6 +438,11 @@ LIST_SCENARIO_OK = {
             id="2d-elevation-noise",
         ),
         pytest.param(
+            "consistency", "consistency: {noise: {sigma_phi_deg: 5}}\n",
+            "config.consistency.noise.sigma_phi_deg must be 0",
+            id="consistency-elevation-noise",
+        ),
+        pytest.param(
             "consistency", "consistency: {geometry: {r_m: -5.0}}\n",
             "config.consistency.geometry.r_m must be > 0, got -5.0",
             id="geometry-negative-range",
@@ -476,7 +482,7 @@ def test_config_keeps_values_as_written():
 
 def test_documented_schema_shows_the_defaults():
     doc = (Path(__file__).resolve().parents[1] / "docs" / "config_schema.md").read_text()
-    block = re.search(r"```yaml\n(.*?)```", doc, re.S).group(1)
+    block, case2 = re.findall(r"```yaml\n(.*?)```", doc, re.S)
     data = yaml.safe_load(block)
     cfg = config_from_dict(data)
     assert len(cfg.scenario.maneuvers) == 1  # the documented example
@@ -485,6 +491,8 @@ def test_documented_schema_shows_the_defaults():
     )
     assert cfg == expected
     assert data == config_to_dict(expected)  # every field shown, with its default
+    assert _CASES[1] == ScenarioConfig()  # case 1 is the scenario defaults
+    assert config_from_dict(yaml.safe_load(case2)).scenario == _CASES[2]
 
 
 @pytest.mark.parametrize(

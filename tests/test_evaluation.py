@@ -170,6 +170,20 @@ def test_consistency_sweep_empty_grid():
         )
 
 
+def test_consistency_sweep_2d_elevation_noise():
+    # a 2D radar measures no elevation, so its sweep takes no elevation noise
+    noise = dataclasses.replace(SWEEP_NOISE, sigma_phi=math.radians(5.0))
+    with pytest.raises(ValueError, match="sigma_phi must be 0"):
+        consistency_sweep(
+            [ConversionMethod.MEASUREMENT_CONDITIONED],
+            GEOMETRY,
+            noise,
+            np.array([1.0]),
+            100,
+            np.random.default_rng(0),
+        )
+
+
 def test_consistency_sweep_shared_draw_equals_separate_sweeps():
     # one generator scoring both methods on each draw gives, bit for bit,
     # what one sweep per method on a fresh same-seed generator gives

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import rcmkf.filtering as filtering
 from rcmkf import scenario
+from rcmkf.config import generate_case
 from rcmkf.conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, convert
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import (
@@ -28,7 +29,6 @@ from rcmkf.filtering import (
 from rcmkf.scenario import (
     NoiseSpec,
     cv_model,
-    generate_case,
     simulate_truth,
     synthesize_measurements,
 )

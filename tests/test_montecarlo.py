@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import math
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 
 import rcmkf.conversion as conversion
 from rcmkf import montecarlo
+from rcmkf.config import generate_case
 from rcmkf.conversion import ConversionMethod
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import INIT_SCANS, Ensemble, _filter_chunk, run_ensemble, run_single
-from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model, generate_case
+from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model
 
 VARIANTS = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
 RUNS = 8
@@ -171,9 +173,11 @@ def test_ensemble_rejects_a_bad_layout():
         Ensemble(ens.scenario, VARIANTS, **{**arrays, "truth": arrays["truth"][:0]})
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _tracing_entry_points():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.ENTRY_POINTS
@@ -182,4 +186,29 @@ def _tracing_entry_points():
 @pytest.mark.parametrize("module_name, attr, span", _tracing_entry_points())
 def test_benchmark_trace_hooks_resolve(module_name, attr, span):
     # the benchmark's tracer wraps these names and fails if one is missing
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def _benchmark_imports():
+    """``(module, name)`` of every ``from rcmkf... import ...`` in the benchmark's sources.
+
+    Source strings count too: the benchmark's setup subprocess imports from
+    a ``-c`` string.
+    """
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, names in re.findall(r"from (rcmkf[\w.]*) import ([\w, ]+)", path.read_text()):
+            found.update((module, name.strip()) for name in names.split(","))
+    return sorted(found)
+
+
+def test_benchmark_imports_found():
+    # the benchmark's workloads and its setup subprocess import from these modules
+    modules = {module for module, _ in _benchmark_imports()}
+    assert {"rcmkf.config", "rcmkf.conversion", "rcmkf.scenario"} <= modules
+
+
+@pytest.mark.parametrize("module_name, attr", _benchmark_imports())
+def test_benchmark_imports_resolve(module_name, attr):
+    # the benchmark imports these names; a moved one fails setup or every op
     assert callable(getattr(importlib.import_module(module_name), attr))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rcmkf.config import generate_case
 from rcmkf.errors import GeometryError
 from rcmkf.scenario import (
     INIT_SCANS,
@@ -15,7 +16,6 @@ from rcmkf.scenario import (
     SphericalMeasurement,
     _noise_matrix,
     cv_model,
-    generate_case,
     simulate_truth,
     synthesize_measurements,
 )
