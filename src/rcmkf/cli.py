@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _CASE_IDS,
     ConfigError,
     ExperimentConfig,
     _validate,
@@ -257,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo RMSE benchmark")
     common(p_sim)
-    p_sim.add_argument("--case", type=int, help="benchmark case id (1 or 2)")
+    p_sim.add_argument("--case", type=int, help=f"benchmark case id (one of {_CASE_IDS})")
     p_sim.add_argument("--runs", type=int, help="Monte Carlo runs (overrides config)")
     p_sim.set_defaults(func=cmd_simulate)
 

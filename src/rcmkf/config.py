@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .filtering import FilterVariant
-from .scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model
+from .scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario
 
 __all__ = [
     "ConfigError",
@@ -146,6 +146,7 @@ _CASES = {
         ),
     ),
 }
+_CASE_IDS = ", ".join(map(str, sorted(_CASES)))  # "1, 2", for messages and the --case help
 
 
 _hints = functools.cache(typing.get_type_hints)  # field name -> annotation, per class
@@ -229,7 +230,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.case is None and cfg.scenario is None:
         raise ConfigError("either a case id or an inline scenario is required")
     if cfg.case is not None and cfg.case not in _CASES:
-        raise ConfigError(f"unknown case {cfg.case!r} (supported: 1, 2)")
+        raise ConfigError(f"unknown case {cfg.case!r} (supported: {_CASE_IDS})")
     if cfg.runs is not None and cfg.runs < 1:
         raise ConfigError("runs must be >= 1")
     if cfg.seed < 0:
@@ -298,7 +299,7 @@ def build_scenario(cfg: ExperimentConfig) -> Scenario:
     state = np.array([*sc.initial_position_m, *sc.initial_velocity_mps], dtype=float)
     try:
         return Scenario(
-            model=cv_model(len(state) // 2, sc.sample_interval_s, sc.process_noise_std_mps2),
+            model=DynamicModel(len(state) // 2, sc.sample_interval_s, sc.process_noise_std_mps2),
             initial_state=state,
             maneuvers=ManeuverSchedule.from_pairs(
                 (m.start_step, m.accel_mps2) for m in sc.maneuvers
@@ -318,9 +319,9 @@ def generate_case(case_id: int) -> Scenario:
 
     It is the ``_CASES`` preset, built as ``rcmkf simulate --case`` builds it.
     """
-    if case_id not in _CASES:
-        raise ValueError(f"unknown case id {case_id!r} (supported: 1, 2)")
-    return build_scenario(ExperimentConfig(case=case_id))
+    cfg = ExperimentConfig(case=case_id)
+    _validate(cfg)
+    return build_scenario(cfg)
 
 
 def default_sigma_grid(max_deg: float) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "NoiseSpec",
     "Scenario",
     "SphericalMeasurement",
-    "cv_model",
     "position_dim",
     "simulate_truth",
     "synthesize_measurements",
@@ -88,9 +87,6 @@ class DynamicModel:
     def process_noise_cov(self) -> np.ndarray:
         """State-space process noise covariance ``gamma @ q @ gamma.T`` (read-only)."""
         return self._process_noise
-
-
-cv_model = DynamicModel  # the name the config and the tests build the model by
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,9 +34,9 @@ from rcmkf.filtering import (
 )
 from rcmkf.montecarlo import run_ensemble
 from rcmkf.scenario import (
+    DynamicModel,
     NoiseSpec,
     SphericalMeasurement,
-    cv_model,
     simulate_truth,
     synthesize_measurements,
 )
@@ -231,7 +231,7 @@ def test_criterion_5_property_suites(tmp_path):
 def test_criterion_6_degenerate_exactness():
     scenario = dataclasses.replace(
         generate_case(1),
-        model=cv_model(2, 1.0, 0.0),
+        model=DynamicModel(2, 1.0, 0.0),
         noise=NoiseSpec(0.0, 0.0, 0.0, 0.0),
     )
     rng = np.random.default_rng(0)

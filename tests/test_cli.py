@@ -616,15 +616,26 @@ def test_cli_17_digit_roundtrip(tmp_path):
             assert float(tok) == float(repr(float(tok)))
 
 
-def test_python_m_cli_prints_usage(tmp_path):
-    # ``python -m rcmkf.cli`` runs the same entry point as the ``rcmkf`` script
+def _python(tmp_path, *args):
+    """Run a fresh interpreter in ``tmp_path`` that imports this checkout's rcmkf."""
     src = Path(rcmkf.__file__).resolve().parent.parent
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-m", "rcmkf.cli", "--help"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: rcmkf")
-    assert "consistency" in proc.stdout
+    return proc.stdout
+
+
+def test_python_m_cli_prints_usage(tmp_path):
+    # ``python -m rcmkf.cli`` runs the same entry point as the ``rcmkf`` script
+    out = _python(tmp_path, "-m", "rcmkf.cli", "--help")
+    assert out.startswith("usage: rcmkf")
+    assert "consistency" in out
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the runtime dependencies are numpy and pyyaml; the chi-square bounds use the stdlib
+    code = "import sys, rcmkf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _python(tmp_path, "-c", code).strip() == "[]"

@@ -2,15 +2,25 @@
 
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcmkf import evaluation
 from rcmkf.conversion import ConversionMethod, _cart, _stats_batch, mc_moment_oracle
 from rcmkf.errors import DegenerateCovarianceError
-from rcmkf.evaluation import _quad_form, chi_square_bounds, consistency_sweep, nees, nes, rmse
+from rcmkf.evaluation import (
+    _chi2_quantile,
+    _quad_form,
+    chi_square_bounds,
+    consistency_sweep,
+    nees,
+    nes,
+    rmse,
+)
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import INIT_SCANS, Ensemble
 from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
@@ -139,6 +149,47 @@ def test_chi_square_bounds_validation():
         chi_square_bounds(3, 1000, 0.7)
     with pytest.raises(ValueError):
         chi_square_bounds(0, 0, 0.001)
+
+
+@pytest.mark.parametrize("tail", [1e-17, 1e-300])
+def test_chi_square_bounds_finite_for_tiny_tails(tail):
+    # 1 - tail rounds to 1 here, so the upper bound must come from Q = tail
+    lo, hi = chi_square_bounds(3, 1000, tail)
+    assert 0.0 < lo < 3.0 < hi < math.inf
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1e-12, max_value=0.5, exclude_max=True))
+def test_chi2_quantile_closed_forms(p):
+    # dof 2 is exponential with mean 2; dof 1 is a squared standard normal
+    assert _chi2_quantile(2, p, False) == pytest.approx(-2.0 * math.log1p(-p), rel=1e-12)
+    assert _chi2_quantile(2, p, True) == pytest.approx(-2.0 * math.log(p), rel=1e-12)
+    assert _chi2_quantile(1, p, True) == pytest.approx(NormalDist().inv_cdf(p / 2) ** 2, rel=1e-12)
+    p = 2.0 * ((1.0 + p) / 2.0) - 1.0  # exact, so the closed form sees the same probability
+    assert _chi2_quantile(1, p, False) == pytest.approx(
+        NormalDist().inv_cdf((1.0 + p) / 2.0) ** 2, rel=1e-12
+    )
+
+
+def test_chi2_quantile_raises_when_a_fraction_does_not_converge(monkeypatch):
+    monkeypatch.setattr(evaluation, "_MAX_TERMS", 3)
+    for upper in (False, True):
+        with pytest.raises(ArithmeticError):
+            _chi2_quantile(3000, 0.001, upper)
+
+
+@pytest.mark.parametrize(
+    "dof, lower, upper",
+    [
+        (2000, 1810.2415818699533, 2201.156196586629),  # NEES, 4 states x 500 runs
+        (3000, 2766.319481998526, 3245.078830702524),  # NES, 3 components x 1000 samples
+        (6000, 5667.173440956863, 6344.225405905832),  # NES, 3 components x 2000 samples
+    ],
+)
+def test_chi2_quantile_tabulated(dof, lower, upper):
+    # scipy.stats.chi2.ppf(0.001, dof) and chi2.ppf(0.999, dof), scipy 1.17.1
+    assert _chi2_quantile(dof, 0.001, False) == pytest.approx(lower, rel=1e-12)
+    assert _chi2_quantile(dof, 0.001, True) == pytest.approx(upper, rel=1e-12)
 
 
 def test_consistency_sweep_small_noise_both_inside():

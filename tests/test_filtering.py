@@ -27,8 +27,8 @@ from rcmkf.filtering import (
     run_filter,
 )
 from rcmkf.scenario import (
+    DynamicModel,
     NoiseSpec,
-    cv_model,
     simulate_truth,
     synthesize_measurements,
 )
@@ -88,7 +88,7 @@ def test_decorrelate_singular_position_block():
 
 def test_kf_predict_identity():
     # a target at rest, known exactly and without process noise, stays put
-    model = cv_model(2, 1.0, 0.0)
+    model = DynamicModel(2, 1.0, 0.0)
     b = GaussianBelief(np.array([1.0, 2.0, 0.0, 0.0]), np.zeros((4, 4)))
     out = kf_predict(b, model)
     np.testing.assert_array_equal(out.mean, b.mean)
@@ -96,7 +96,7 @@ def test_kf_predict_identity():
 
 
 def test_kf_predict_deterministic_cv():
-    model = cv_model(2, 1.0, 0.0)
+    model = DynamicModel(2, 1.0, 0.0)
     out = kf_predict(GaussianBelief(np.array([0.0, 0.0, 1.0, 1.0]), np.zeros((4, 4))), model)
     np.testing.assert_allclose(out.mean, [1.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(out.cov, np.zeros((4, 4)))
@@ -105,7 +105,7 @@ def test_kf_predict_deterministic_cv():
 def test_kf_predict_additive_covariance():
     # P = I predicts phi phi^T + gamma q gamma^T; at t = 2 and std 0.5 per axis:
     # phi phi^T = [[5, 2], [2, 1]] (x) I and gamma q gamma^T = 0.25 [[4, 4], [4, 4]] (x) I
-    model = cv_model(2, 2.0, 0.5)
+    model = DynamicModel(2, 2.0, 0.5)
     out = kf_predict(GaussianBelief(np.zeros(4), np.eye(4)), model)
     np.testing.assert_allclose(out.cov, np.kron([[6.0, 3.0], [3.0, 2.0]], np.eye(2)))
 
@@ -248,7 +248,7 @@ def test_ekf_update_nonpositive_innovation_variance():
 def test_run_filter_zero_noise_exact():
     sc = generate_case(1)
     sc = dataclasses.replace(
-        sc, model=cv_model(2, 1.0, 0.0), noise=NoiseSpec(0.0, 0.0, 0.0, 0.0), runs=1
+        sc, model=DynamicModel(2, 1.0, 0.0), noise=NoiseSpec(0.0, 0.0, 0.0, 0.0), runs=1
     )
     rng = np.random.default_rng(0)
     truth = simulate_truth(sc, rng)
@@ -264,7 +264,7 @@ def test_run_filter_variants_identical_under_identical_stats():
     # zero noise makes both variants' statistics coincide, so the shared
     # code path must produce bit-identical trajectories
     sc = dataclasses.replace(
-        generate_case(1), model=cv_model(2, 1.0, 0.0), noise=NoiseSpec(0.0, 0.0, 0.0, 0.0)
+        generate_case(1), model=DynamicModel(2, 1.0, 0.0), noise=NoiseSpec(0.0, 0.0, 0.0, 0.0)
     )
     rng = np.random.default_rng(1)
     truth = simulate_truth(sc, rng)
@@ -283,7 +283,7 @@ def test_run_filter_requires_measurements():
             FilterVariant.RCMKF_U,
             [],
             NoiseSpec(1.0, 0.01, 1.0),
-            cv_model(2),
+            DynamicModel(2),
             GaussianBelief(np.zeros(4), np.eye(4)),
         )
 
@@ -295,7 +295,7 @@ def test_run_filter_attaches_step_to_update_errors():
     meas = synthesize_measurements(truth, sc.noise, rng)
     init = GaussianBelief(np.zeros(6), np.eye(6))  # 3D belief vs 2D stream
     with pytest.raises(ValueError, match="step 2"):
-        run_filter(FilterVariant.RCMKF_U, meas[2:], sc.noise, cv_model(3), init)
+        run_filter(FilterVariant.RCMKF_U, meas[2:], sc.noise, DynamicModel(3), init)
 
 
 def test_run_filter_skips_degenerate_conversions(monkeypatch):
@@ -521,7 +521,7 @@ def _assert_close(got, ref, what):
 def test_filter_stages_match_dense_references(batch, t, accel_std):
     belief, d, kinds = batch
     p = d.dim
-    model = cv_model(p, t, accel_std)
+    model = DynamicModel(p, t, accel_std)
     predicted = kf_predict(belief, model)
     position = kf_update_position(belief, d)
     conflict = "conflict" in kinds

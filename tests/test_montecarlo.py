@@ -18,7 +18,7 @@ from rcmkf.conversion import ConversionMethod
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.filtering import FilterVariant
 from rcmkf.montecarlo import INIT_SCANS, Ensemble, _filter_chunk, run_ensemble, run_single
-from rcmkf.scenario import ManeuverSchedule, NoiseSpec, Scenario, cv_model
+from rcmkf.scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario
 
 VARIANTS = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
 RUNS = 8
@@ -34,7 +34,7 @@ COV_RTOL = 1e-8
 
 def inline_3d(runs):
     return Scenario(
-        model=cv_model(3),
+        model=DynamicModel(3),
         initial_state=np.array([30e3, 20e3, 5e3, 100.0, -50.0, 10.0]),
         maneuvers=ManeuverSchedule(),
         noise=NoiseSpec(100.0, math.radians(1.0), 2.0, rho=0.2, sigma_phi=math.radians(0.8)),

@@ -10,12 +10,12 @@ from rcmkf.config import generate_case
 from rcmkf.errors import GeometryError
 from rcmkf.scenario import (
     INIT_SCANS,
+    DynamicModel,
     ManeuverSchedule,
     NoiseSpec,
     Scenario,
     SphericalMeasurement,
     _noise_matrix,
-    cv_model,
     simulate_truth,
     synthesize_measurements,
 )
@@ -27,7 +27,7 @@ def noise_free_truth(initial, steps=3, t=1.0, maneuvers=()):
     """Truth of a scenario without process noise, one row per step."""
     initial = np.asarray(initial, dtype=float)
     sc = Scenario(
-        model=cv_model(dim=len(initial) // 2, t=t, accel_noise_std=0.0),
+        model=DynamicModel(dim=len(initial) // 2, t=t, accel_noise_std=0.0),
         initial_state=initial,
         maneuvers=ManeuverSchedule.from_pairs(maneuvers),
         noise=NO_NOISE,
@@ -76,23 +76,23 @@ def test_scenario_needs_more_steps_than_initialization():
 @pytest.mark.parametrize("std", [-1.0, -1e-300, math.nan, math.inf])
 def test_cv_model_rejects_bad_process_noise(std):
     with pytest.raises(ValueError, match="acceleration noise std"):
-        cv_model(dim=2, t=1.0, accel_noise_std=std)
+        DynamicModel(dim=2, t=1.0, accel_noise_std=std)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
 def test_cv_model_rejects_bad_interval(t):
     with pytest.raises(ValueError, match="sampling interval must be positive and finite"):
-        cv_model(dim=2, t=t)
+        DynamicModel(dim=2, t=t)
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 def test_cv_model_rejects_bad_dimension(dim):
     with pytest.raises(ValueError, match="dim must be 2 or 3"):
-        cv_model(dim=dim)
+        DynamicModel(dim=dim)
 
 
 def test_cv_model_replace_rebuilds_read_only_matrices():
-    model = cv_model(dim=3, t=2.0, accel_noise_std=0.01)
+    model = DynamicModel(dim=3, t=2.0, accel_noise_std=0.01)
     noisier = dataclasses.replace(model, accel_noise_std=0.5)
     assert (noisier.dim, noisier.t) == (3, 2.0)
     np.testing.assert_array_equal(noisier.phi, model.phi)
@@ -201,7 +201,7 @@ def test_measure_convert_roundtrip():
 def test_case2_truth_continuity():
     # noise-free generation: kinematics hold exactly across maneuver starts
     sc = generate_case(2)
-    sc = dataclasses.replace(sc, model=cv_model(2, 1.0, 0.0))
+    sc = dataclasses.replace(sc, model=DynamicModel(2, 1.0, 0.0))
     truth = simulate_truth(sc, np.random.default_rng(0))
     for k in range(sc.steps - 1):
         a = sc.maneuvers.accel_at(k, 2)
