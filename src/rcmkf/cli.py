@@ -76,8 +76,6 @@ def _load_and_override(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.out is not None:
         updates["out"] = args.out
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
     if getattr(args, "sigma_theta_max", None) is not None:
         updates["consistency"] = dataclasses.replace(
             cfg.consistency, sigma_theta_deg_max=args.sigma_theta_max
@@ -107,7 +105,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(cfg)
     variants = tuple(FilterVariant[v.upper()] for v in cfg.variants)
 
-    ens = run_ensemble(scenario, variants, jobs=cfg.jobs)
+    ens = run_ensemble(scenario, variants)
     rmse_report = rmse(ens)
     nees_report = nees(ens)
 
@@ -252,9 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML experiment config (see docs/config_schema.md)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (default: results)")
-        p.add_argument(
-            "--jobs", type=int, help="at most this many worker processes (small runs stay in-process)"
-        )
+        p.add_argument("--jobs", type=int, help="accepted and ignored: every run is in-process")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo RMSE benchmark")
     common(p_sim)

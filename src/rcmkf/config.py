@@ -121,7 +121,6 @@ class GoldenConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 42
-    jobs: int = 1
     out: str = "results"
     variants: tuple[str, ...] = ("rcmkf_u", "rcmkf_d")
     case: int | None = 1
@@ -235,8 +234,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("runs must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     if cfg.consistency.samples < 1:
         raise ConfigError("consistency samples must be >= 1")
     if not math.isfinite(cfg.consistency.sigma_theta_deg_max):

@@ -179,6 +179,7 @@ class Scenario:
     ``steps`` counts the scans of a run; it must exceed ``INIT_SCANS``, the
     scans that two-point initialization consumes before filtering starts.
     A 2D scenario has no elevation, so its ``noise.sigma_phi`` must be 0.
+    The initial position must not be the sensor origin.
     """
 
     model: DynamicModel
@@ -202,6 +203,10 @@ class Scenario:
             raise ValueError("initial state must be finite")
         if len(self.initial_state) != self.model.n:
             raise ValueError("initial state does not match the model size")
+        if not np.any(self.initial_state[: self.dim]):
+            raise ValueError(
+                "initial position is the sensor origin, where range and angles are undefined"
+            )
         if self.dim == 2 and self.noise.sigma_phi != 0:
             raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
 

@@ -100,7 +100,7 @@ def test_criterion_2_oracle_equivalence():
 @pytest.mark.parametrize("case", [1, 2])
 def test_criterion_3_rmse_ordering(case):
     scenario = generate_case(case)  # 500 runs and seed 42 per the benchmark definition
-    records = run_ensemble(scenario, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D), jobs=1)
+    records = run_ensemble(scenario, (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D))
     report = rmse(records)
     mask = report.steps >= 10
     avg_u = float(report.rmse["RCMKF_U"][mask].mean())

@@ -4,7 +4,6 @@ import dataclasses
 import importlib
 import importlib.util
 import math
-import multiprocessing
 import re
 from pathlib import Path
 
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 import rcmkf.conversion as conversion
-from rcmkf import montecarlo
 from rcmkf.config import generate_case
 from rcmkf.conversion import ConversionMethod
 from rcmkf.errors import DegenerateCovarianceError
@@ -91,7 +89,7 @@ def test_batched_engine_matches_per_run_path(key):
     assert_ensembles_close(ens, join([run_single(sc, VARIANTS, seed) for seed in seeds]))
     # a run's arrays do not depend on the chunk it is filtered in
     chunked = [
-        Ensemble(sc.name, VARIANTS, *_filter_chunk(sc, VARIANTS, seeds[first:last]))
+        _filter_chunk(sc, VARIANTS, seeds[first:last])
         for first, last in ((0, 1), (1, 4), (4, sc.runs))
     ]
     assert_ensembles_equal(ens, join(chunked))
@@ -129,24 +127,9 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     assert_ensembles_close(run_of(hit, run), single)
 
 
-def test_small_ensemble_runs_in_process(monkeypatch):
-    sc = dataclasses.replace(generate_case(2), runs=12, seed=11)
-    serial = run_ensemble(sc, VARIANTS, jobs=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a 12-run ensemble started a process pool")
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-    assert_ensembles_equal(serial, run_ensemble(sc, VARIANTS, jobs=2))
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers must be forked to inherit the patched moment kernel",
-)
-def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_workers):
+def test_degenerate_initialization_scan_raises(monkeypatch):
     sc = dataclasses.replace(SCENARIOS["case1"], seed=9)
-    run = RUNS - 1  # filtered by the second of the two workers
+    run = RUNS - 1  # one bad run fails the whole ensemble, not just its own scans
     target = run_ensemble(sc, VARIANTS).measurements[run, 0, 0]
     real = conversion._moments
 
@@ -157,8 +140,7 @@ def test_degenerate_initialization_scan_raises_through_pool(monkeypatch, two_wor
 
     monkeypatch.setattr(conversion, "_moments", forced)
     with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
-        run_ensemble(sc, VARIANTS, jobs=2)
-    assert two_workers == [2]
+        run_ensemble(sc, VARIANTS)
 
 
 def test_ensemble_rejects_a_bad_layout():

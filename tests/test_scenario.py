@@ -44,14 +44,14 @@ def measurement_of(state, noise=NO_NOISE, seed=0):
 
 
 def test_propagate_noise_free_cv():
-    out = noise_free_truth([0.0, 0.0, 1.0, 1.0])[1]
-    np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0])
+    out = noise_free_truth([10.0, -5.0, 1.0, 1.0])[1]
+    np.testing.assert_allclose(out, [11.0, -4.0, 1.0, 1.0])
 
 
 def test_propagate_acceleration_gain():
     # position picks up a*T^2/2, velocity a*T
-    out = noise_free_truth(np.zeros(4), maneuvers=[(0, (5.0, 5.0))])[1]
-    np.testing.assert_allclose(out, [2.5, 2.5, 5.0, 5.0])
+    out = noise_free_truth([100.0, 0.0, 0.0, 0.0], maneuvers=[(0, (5.0, 5.0))])[1]
+    np.testing.assert_allclose(out, [102.5, 2.5, 5.0, 5.0])
 
 
 def test_propagate_twice_is_linear():
