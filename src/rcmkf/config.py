@@ -18,7 +18,6 @@ import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
-import yaml
 
 from .filtering import FilterVariant
 from .scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario
@@ -266,6 +265,8 @@ def config_to_dict(cfg) -> dict:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    import yaml  # here, not at module top: runs without --config never parse YAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -17,8 +17,11 @@ provided:
 
 Both closed forms (and the truth-conditioned first stage) come from one
 kernel, ``_moments``, which derives every entry from the attenuated position
-second moment ``E[p p^T]``; ``_finalize`` then collapses the 2D case and
-enforces positive semidefiniteness item by item: a vectorized LDL^T screen
+second moment ``E[p p^T]``. One pass computes the trigonometry and that
+moment once for every requested method, and assembles each method's
+statistics in the radar's own dimension: (x, y, eta) and 3x3 for a 2D radar,
+with no elevation terms. ``_finalize`` then enforces positive
+semidefiniteness item by item: a vectorized LDL^T screen
 passes the items that are certainly positive definite, and only the rest go
 through an eigendecomposition that clamps rounding negatives and flags
 indefinite items. Every conversion, one measurement or a batch, goes
@@ -57,8 +60,8 @@ __all__ = [
     "unbiased_stats",
 ]
 
-# Index map that drops the z row/column when collapsing 4-dim (x, y, z, eta)
-# statistics to the 2D (x, y, eta) form.
+# Index map that drops the z row/column of (x, y, z, eta) quantities, giving
+# the 2D (x, y, eta) form of the oracle's tables and of the sweep's errors.
 _IDX_2D = np.array([0, 1, 3])
 
 
@@ -103,9 +106,12 @@ def _noiseless(noise: NoiseSpec) -> bool:
     )
 
 
-# Upper-triangle entries of the 3x3 position block, in the order
+# Upper-triangle entries of the position block by dimension, in the order
 # :func:`_second_moment` returns them.
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PAIRS = {
+    2: ((0, 0), (0, 1), (1, 1)),
+    3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
+}
 
 
 def _second_moment(a, b, s, trig):
@@ -115,10 +121,16 @@ def _second_moment(a, b, s, trig):
     angle noise that attenuates the bearing cosines by ``a`` and the
     elevation cosines by ``b`` (so the doubled angles by ``a**4`` and
     ``b**4``), and ``s = E[r^2]``. ``trig`` holds the shared terms
-    ``(cos theta, sin theta, cos 2theta, sin 2theta, cos 2phi, sin 2phi)``.
+    ``(cos theta, sin theta, cos 2theta, sin 2theta, cos 2phi, sin 2phi)``;
+    without the last two it is the 2D form, ``phi = 0`` and ``b = 1``, where
+    ``e`` below is exactly ``0.5 * s`` and only the (x, y) entries remain.
     """
-    ct, st, c2t, s2t, c2p, s2p = trig
+    ct, st, c2t, s2t = trig[:4]
     a4c2t = a**4 * c2t
+    if len(trig) == 4:
+        e = 0.5 * s
+        return e * (1.0 + a4c2t), e * (a**4 * s2t), e * (1.0 - a4c2t)
+    c2p, s2p = trig[4:]
     b4c2p = b**4 * c2p
     e = 0.25 * s * (1.0 + b4c2p)
     h = (0.5 * a * b**4) * s * s2p
@@ -132,14 +144,21 @@ def _second_moment(a, b, s, trig):
     )
 
 
-def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
-    """Error mean/covariance of the conversion under ``method``, vectorized.
+def _moments(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
+    """Error mean/covariance of the conversion under each of ``methods``, vectorized.
 
-    Inputs broadcast; returns ``mu`` with shape ``(..., 4)`` and ``cov`` with
-    shape ``(..., 4, 4)`` ordered (x, y, z, eta), symmetric by construction.
-    With ``u`` the unit direction, ``d = (Lt Lp, Lt Lp, Lp)`` the attenuation
-    of its components, ``D = diag(d)`` and ``S`` the attenuated second
-    moment (:func:`_second_moment`), the position block is
+    Inputs broadcast to the item shape; returns ``mu`` with shape ``items +
+    (len(methods), dim + 1)`` and ``cov`` with shape ``items + (len(methods),
+    dim + 1, dim + 1)``, ordered (x, y, z, eta) in 3D and (x, y, eta) in 2D,
+    symmetric by construction. The trigonometry, the attenuations and the
+    conditioned second moment are computed once and shared by the methods.
+    A 2D radar measures no elevation: ``phi`` is ignored, and an elevation
+    noise (which 2D synthesis never draws) is rejected.
+
+    With ``u`` the unit direction, ``d = (Lt Lp, Lt Lp, Lp)`` the
+    attenuation of its components (2D: ``(Lt, Lt)``), ``D = diag(d)`` and
+    ``S`` the attenuated second moment (:func:`_second_moment`), the
+    position block is
 
     * measurement-conditioned: ``S(Lt, Lp, r^2 + s_r^2) - m m^T`` with
       ``m = r d*u``, the exact moments of ``converted(Z_m) -
@@ -154,43 +173,58 @@ def _moments(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec):
     is ``r u*(1 - d)`` with ``-rho s_r s_d`` for eta (nested:
     ``r u*d*(d - 1)`` with ``+rho s_r s_d``).
     """
+    if dim == 2 and noise.sigma_phi != 0:
+        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
     rm, theta, phi, rdot = _bcast(rm, theta, phi, rdot)
+    shape = rm.shape + (len(methods),)
+    mu = np.zeros(shape + (dim + 1,))
+    cov = np.zeros(shape + (dim + 1, dim + 1))
     if _noiseless(noise):
         # exact conversion: avoids rounding residue from cancelling r^2 terms
-        return np.zeros(rm.shape + (4,)), np.zeros(rm.shape + (4, 4))
+        return mu, cov
     lt = math.exp(-0.5 * noise.sigma_theta**2)  # E[cos(bearing noise)]
     lp = math.exp(-0.5 * noise.sigma_phi**2)  # E[cos(elevation noise)]
     sr2, srd2 = noise.sigma_r**2, noise.sigma_rdot**2
     c = noise.rho * noise.sigma_r * noise.sigma_rdot
 
-    ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    trig = (ct, st, np.cos(2 * theta), np.sin(2 * theta), np.cos(2 * phi), np.sin(2 * phi))
-    u = (cp * ct, cp * st, sp)
-    d = (lt * lp, lt * lp, lp)
-    r2s = rm**2 + sr2
-    conditioned = _second_moment(lt, lp, r2s, trig)
-    if method is ConversionMethod.MEASUREMENT_CONDITIONED:
-        m = [rm * di * ui for di, ui in zip(d, u)]
-        block = [s - m[i] * m[j] for (i, j), s in zip(_PAIRS, conditioned)]
-        mu = [rm * ui * (1.0 - di) for di, ui in zip(d, u)] + [np.full_like(rm, -c)]
-        cross, k = d, 1.0
+    ct, st = np.cos(theta), np.sin(theta)
+    trig = (ct, st, np.cos(2 * theta), np.sin(2 * theta))
+    if dim == 3:
+        cp, sp = np.cos(phi), np.sin(phi)
+        trig += (np.cos(2 * phi), np.sin(2 * phi))
+        u = (cp * ct, cp * st, sp)
+        d = (lt * lp, lt * lp, lp)
     else:
-        doubled = _second_moment(lt**2, lp**2, r2s + sr2, trig)
-        block = [s2 - (d[i] * d[j]) * s for (i, j), s, s2 in zip(_PAIRS, conditioned, doubled)]
-        mu = [rm * ui * (di * (di - 1.0)) for di, ui in zip(d, u)] + [np.full_like(rm, c)]
-        cross, k = [di**2 for di in d], 3.0
-
-    cov = np.empty(rm.shape + (4, 4))
-    for (i, j), v in zip(_PAIRS, block):
-        cov[..., i, j] = cov[..., j, i] = v
+        u, d = (ct, st), (lt, lt)
+    rm2 = rm**2
+    r2s = rm2 + sr2
+    conditioned = _second_moment(lt, lp, r2s, trig)
+    ru = [rm * ui for ui in u]
     # Pseudo-measurement block; q is cov(range error, eta error) stripped of geometry.
     q = sr2 * rdot + rm * c
-    for i in range(3):
-        cov[..., i, 3] = cov[..., 3, i] = cross[i] * q * u[i]
-    cov[..., 3, 3] = (
-        rm**2 * srd2 + sr2 * rdot**2 + k * (1 + noise.rho**2) * sr2 * srd2 + 2 * rm * rdot * c
-    )
-    return np.stack(mu, axis=-1), cov
+    eta_base = rm2 * srd2 + sr2 * rdot**2
+    eta_cross = 2 * rm * rdot * c
+    for slot, method in enumerate(methods):
+        if method is ConversionMethod.MEASUREMENT_CONDITIONED:
+            m = [rm * di * ui for di, ui in zip(d, u)]
+            block = [s - m[i] * m[j] for (i, j), s in zip(_PAIRS[dim], conditioned)]
+            mean = [rui * (1.0 - di) for di, rui in zip(d, ru)] + [-c]
+            cross, k = d, 1.0
+        else:
+            doubled = _second_moment(lt**2, lp**2, r2s + sr2, trig)
+            pairs = zip(_PAIRS[dim], conditioned, doubled)
+            block = [s2 - (d[i] * d[j]) * s for (i, j), s, s2 in pairs]
+            mean = [rui * (di * (di - 1.0)) for di, rui in zip(d, ru)] + [c]
+            cross, k = [di**2 for di in d], 3.0
+        mu_n, cov_n = mu[..., slot, :], cov[..., slot, :, :]
+        for i, v in enumerate(mean):
+            mu_n[..., i] = v
+        for (i, j), v in zip(_PAIRS[dim], block):
+            cov_n[..., i, j] = cov_n[..., j, i] = v
+        for i in range(dim):
+            cov_n[..., i, dim] = cov_n[..., dim, i] = cross[i] * q * u[i]
+        cov_n[..., dim, dim] = eta_base + k * (1 + noise.rho**2) * sr2 * srd2 + eta_cross
+    return mu, cov
 
 
 # Screen margin of ``_finalize``. An item whose shifted matrix
@@ -239,6 +273,15 @@ def _ldl(cov: np.ndarray, e: np.ndarray | None = None, shift=0.0):
     return pivots, quad
 
 
+def _trace(a: np.ndarray):
+    """``np.trace`` over the last two axes, summed in the same order but without
+    its strided reduction, which costs several times more on a batch."""
+    total = a[..., 0, 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i, i]
+    return total
+
+
 def _screen_pd(cov: np.ndarray) -> np.ndarray:
     """Mask of the items along the leading axes that are certainly positive definite.
 
@@ -247,7 +290,7 @@ def _screen_pd(cov: np.ndarray) -> np.ndarray:
     indefinite or non-finite item fails (NaN compares false).
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        shift = _SCREEN_MARGIN * np.trace(cov, axis1=-2, axis2=-1)
+        shift = _SCREEN_MARGIN * _trace(cov)
     pivots, _ = _ldl(cov, shift=shift)
     passed = pivots[0] > 0
     for pivot in pivots[1:]:
@@ -255,8 +298,8 @@ def _screen_pd(cov: np.ndarray) -> np.ndarray:
     return passed
 
 
-def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, abs_scale=0.0):
-    """Collapse to the 2D form if needed and enforce positive semidefiniteness.
+def _finalize(mu: np.ndarray, cov: np.ndarray, abs_scale=0.0):
+    """Enforce positive semidefiniteness of every item of a batch.
 
     Every item along the leading axes is its own measurement; ``cov`` is
     symmetric. Items that pass the positive-definiteness screen
@@ -271,9 +314,6 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, abs_scale=0.0):
     eigenvalue below its band, which signals an invalid noise regime, or a
     non-finite entry (such items never reach ``eigh``).
     """
-    if dim == 2:
-        mu = mu[..., _IDX_2D]
-        cov = cov[..., _IDX_2D[:, None], _IDX_2D[None, :]]
     fail = ~_screen_pd(cov)
     ok = np.ones(fail.shape, dtype=bool)
     if not np.any(fail):
@@ -286,7 +326,7 @@ def _finalize(mu: np.ndarray, cov: np.ndarray, dim: int, abs_scale=0.0):
         return mu, cov, ok
     sub = cov[fail]
     w, v = np.linalg.eigh(sub)
-    tol = _PSD_TOL * np.maximum(np.trace(sub, axis1=-2, axis2=-1), 0.0)
+    tol = _PSD_TOL * np.maximum(_trace(sub), 0.0)
     tol = tol + 1e-12 * np.broadcast_to(abs_scale, fail.shape)[fail]
     lowest = w[..., 0]  # eigh returns the eigenvalues in ascending order
     ok[fail] = held = ~(lowest < -tol)
@@ -308,28 +348,33 @@ def _raise_if_indefinite(ok) -> None:
         )
 
 
-def _stats_batch(method: ConversionMethod, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
-    """Vectorized ``(mu, cov, ok)`` for a batch of measurements, already collapsed.
+def _stats_batch(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
+    """Vectorized ``(mu, cov, ok)`` of a batch of measurements under several methods.
 
-    Each item gets its own rounding tolerance and ``ok`` flags the
-    indefinite ones (see :func:`_finalize`).
+    The leading axes are the measurements' followed by one for ``methods``
+    (see :func:`_moments`). Each (measurement, method) item gets its own
+    rounding tolerance and ``ok`` flags the indefinite ones (see
+    :func:`_finalize`). Raises ValueError for a 2D radar with an elevation
+    noise.
     """
-    mu, cov = _moments(method, rm, theta, phi, rdot, noise)
-    return _finalize(mu, cov, dim, abs_scale=np.asarray(rm) ** 2 + noise.sigma_r**2)
+    mu, cov = _moments(methods, rm, theta, phi, rdot, noise, dim)
+    abs_scale = np.asarray(rm) ** 2 + noise.sigma_r**2
+    return _finalize(mu, cov, abs_scale=abs_scale[..., None])
 
 
 def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
     """Measurement-conditioned error mean and covariance of one conversion.
 
-    Returns ``(mu, cov)`` of size 4 / 4x4 in 3D and 3 / 3x3 in 2D (the z
-    row/column collapses exactly when ``phi = 0`` and ``sigma_phi = 0``).
+    Returns ``(mu, cov)`` of size 4 / 4x4 in 3D and 3 / 3x3 in 2D, where
+    they are the 3D statistics at ``phi = 0`` without the z row/column.
     Raises :class:`DegenerateCovarianceError` if the covariance is
-    indefinite beyond rounding.
+    indefinite beyond rounding, and ValueError for a 2D radar with an
+    elevation noise.
     """
     method = ConversionMethod.MEASUREMENT_CONDITIONED
-    mu, cov, ok = _stats_batch(method, *_spherical(m), noise, m.dim)
+    mu, cov, ok = _stats_batch([method], *_spherical(m), noise, m.dim)
     _raise_if_indefinite(ok)
-    return mu, cov
+    return mu[0], cov[0]
 
 
 def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -340,9 +385,9 @@ def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
     well under half a percent per entry.
     """
     method = ConversionMethod.NESTED_CONDITIONING
-    mu, cov, ok = _stats_batch(method, *_spherical(m), noise, m.dim)
+    mu, cov, ok = _stats_batch([method], *_spherical(m), noise, m.dim)
     _raise_if_indefinite(ok)
-    return mu, cov
+    return mu[0], cov[0]
 
 
 def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -357,8 +402,8 @@ def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
     (x, y, z, eta) form regardless of ``dim``; a reference for the tests,
     directly checkable against a fixed-truth Monte Carlo.
     """
-    mu, cov = _moments(ConversionMethod.MEASUREMENT_CONDITIONED, *_spherical(m), noise)
-    return -mu, cov
+    mu, cov = _moments([ConversionMethod.MEASUREMENT_CONDITIONED], *_spherical(m), noise, 3)
+    return -mu[0], cov[0]
 
 
 def nested_stats_numeric(
@@ -380,11 +425,11 @@ def nested_stats_numeric(
     r, theta, phi, rdot = _spherical(m)
     draws = _noise_matrix(noise, samples, rng)
     mu_t, cov_t = _moments(
-        ConversionMethod.MEASUREMENT_CONDITIONED,
-        r - draws[0], theta - draws[1], phi - draws[2], rdot - draws[3], noise,
+        [ConversionMethod.MEASUREMENT_CONDITIONED],
+        r - draws[0], theta - draws[1], phi - draws[2], rdot - draws[3], noise, m.dim,
     )
     mu, cov, ok = _finalize(
-        -mu_t.mean(axis=0), cov_t.mean(axis=0), m.dim, abs_scale=r**2 + noise.sigma_r**2
+        -mu_t[:, 0].mean(axis=0), cov_t[:, 0].mean(axis=0), abs_scale=r**2 + noise.sigma_r**2
     )
     _raise_if_indefinite(ok)
     return mu, cov
@@ -537,14 +582,14 @@ def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
     if dim == 2:
         phi = np.zeros_like(r)
     cart = _cart(r, theta, phi, rdot)
-    stats = [_stats_batch(m, r, theta, phi, rdot, noise, dim) for m in methods]
+    mu, cov, ok = _stats_batch(methods, r, theta, phi, rdot, noise, dim)
     shape = r.shape + (len(methods),)
     position = np.moveaxis(cart[:dim], 0, -1)
     z = ConvertedMeasurement(
         position=np.broadcast_to(position[..., None, :], shape + (dim,)),
         pseudo=np.broadcast_to(cart[3][..., None], shape),
-        mu=np.stack([mu for mu, _, _ in stats], axis=-2),
-        cov=np.stack([cov for _, cov, _ in stats], axis=-3),
+        mu=mu,
+        cov=cov,
         dim=dim,
     )
-    return z, np.stack([ok for _, _, ok in stats], axis=-1)
+    return z, ok

@@ -167,7 +167,8 @@ def consistency_sweep(
     bearing noise is set accordingly and ``samples`` noisy measurements are
     drawn and converted once; that one draw is then scored under every
     method in ``methods``, against the method's hypothesized moments
-    evaluated at the measured values. The error vector stacks the converted
+    evaluated at the measured values, which one moment pass gives for all
+    the methods together. The error vector stacks the converted
     position components and the pseudo-measurement (d = 3 for a 2D radar,
     4 in 3D), and each sample's NES comes from the LDL^T kernel the
     conversion's PSD screen uses. The draws do not depend on ``methods``, so
@@ -183,8 +184,6 @@ def consistency_sweep(
     if grid.size == 0:
         raise ValueError("sweep grid must not be empty")
     dim = geometry.dim
-    if dim == 2 and noise_base.sigma_phi != 0:
-        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
     idx = _IDX_2D if dim == 2 else np.arange(4)
     phi0 = geometry.phi if dim == 3 else 0.0
     truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx]
@@ -199,10 +198,11 @@ def consistency_sweep(
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]
         errors = _cart(rm, thm, phm, rdm)[idx].T - truth
-        for method in methods:
-            mus, covs, ok = _stats_batch(method, rm, thm, phm, rdm, noise, dim)
-            _raise_if_indefinite(ok)
-            averages[method][i] = _quad_form(covs, errors - mus, "a per-sample covariance").mean()
+        mus, covs, ok = _stats_batch(methods, rm, thm, phm, rdm, noise, dim)
+        _raise_if_indefinite(ok)
+        quad = _quad_form(covs, errors[:, None, :] - mus, "a per-sample covariance")
+        for k, method in enumerate(methods):
+            averages[method][i] = quad[:, k].mean()
 
     return {
         method: NesReport(

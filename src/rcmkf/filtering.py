@@ -200,9 +200,8 @@ def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
     """Time update through the dynamic model (filters assume zero input)."""
     if belief.mean.shape[-1] != model.n:
         raise ValueError("belief size does not match the model")
-    phi_t = model.phi.T
-    mean = belief.mean @ phi_t
-    cov = _symmetrize(model.phi @ belief.cov @ phi_t + model.process_noise_cov())
+    mean = belief.mean @ model.phi_t
+    cov = _symmetrize(model.phi @ belief.cov @ model.phi_t + model.process_noise_cov())
     return GaussianBelief(mean, cov)
 
 

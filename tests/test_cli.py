@@ -158,10 +158,12 @@ def test_cli_simulate_reports_skipped_scans(tmp_path, capsys, monkeypatch):
     target = base.measurements[1, 10, 0]  # its range singles out one (run, scan) pair
     real = conversion._moments
 
-    def forced(method, rm, theta, phi, rdot, noise):
-        mu, cov = real(method, rm, theta, phi, rdot, noise)
-        if method is ConversionMethod.MEASUREMENT_CONDITIONED:
-            cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+    def forced(methods, rm, theta, phi, rdot, noise, dim):
+        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        if ConversionMethod.MEASUREMENT_CONDITIONED in methods:
+            k = list(methods).index(ConversionMethod.MEASUREMENT_CONDITIONED)
+            # indefinite beyond any tolerance
+            cov[np.asarray(rm) == target, k] = -np.eye(dim + 1)
         return mu, cov
 
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -647,8 +649,9 @@ def test_python_m_cli_prints_usage(tmp_path):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # the runtime dependencies are numpy and pyyaml; the chi-square bounds use the stdlib,
-    # and every ensemble runs in-process, so no process pool is imported either
-    unneeded = ("scipy", "multiprocessing", "concurrent")
+    # and every ensemble runs in-process, so no process pool is imported either; yaml is
+    # imported only when a config file is loaded
+    unneeded = ("scipy", "multiprocessing", "concurrent", "yaml")
     code = (
         "import sys, rcmkf.cli; "
         f"print([m for m in sys.modules if m.split('.')[0] in {unneeded}])"

@@ -1,5 +1,6 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -156,6 +157,72 @@ def test_3d_formulas_collapse_to_2d():
         idx = np.array([0, 1, 3])
         np.testing.assert_allclose(mu2, mu3[idx], rtol=0, atol=1e-12 * max(1.0, np.abs(mu3).max()))
         np.testing.assert_allclose(cov2, cov3[np.ix_(idx, idx)], rtol=0, atol=1e-12 * scale)
+
+
+@st.composite
+def _moment_inputs(draw):
+    """A small batch of (r, theta, phi, rdot) items and a noise level."""
+    size = draw(st.integers(1, 6))
+
+    def column(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    items = column(1.0, 2e5), column(-math.pi, math.pi), column(-1.5, 1.5), column(-500.0, 500.0)
+    noise = NoiseSpec(
+        sigma_r=draw(st.floats(0.0, 300.0)),
+        sigma_theta=draw(st.floats(0.0, 0.5)),
+        sigma_rdot=draw(st.floats(0.0, 10.0)),
+        rho=draw(st.floats(-1.0, 1.0)),
+        sigma_phi=draw(st.floats(0.0, 0.5)),
+    )
+    return items, noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moment_inputs(), st.sampled_from([2, 3]))
+def test_two_method_pass_equals_one_method_passes(inputs, dim):
+    # sharing the trigonometry and the conditioned moment changes no bit
+    items, noise = inputs
+    if dim == 2:
+        noise = dataclasses.replace(noise, sigma_phi=0.0)
+    methods = list(ConversionMethod)
+    both = conversion._stats_batch(methods, *items, noise, dim)
+    for k, method in enumerate(methods):
+        alone = conversion._stats_batch([method], *items, noise, dim)
+        for got, expected in zip(both, alone):
+            np.testing.assert_array_equal(got[:, k], expected[:, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moment_inputs())
+def test_2d_pass_equals_3d_kernel_at_zero_elevation(inputs):
+    # the native (x, y, eta) statistics are the 3D ones at phi = 0 without the
+    # z row/column, bit for bit
+    (r, theta, _, rdot), noise = inputs
+    noise = dataclasses.replace(noise, sigma_phi=0.0)
+    methods = list(ConversionMethod)
+    idx = conversion._IDX_2D
+    mu2, cov2 = conversion._moments(methods, r, theta, 0.0, rdot, noise, 2)
+    mu3, cov3 = conversion._moments(methods, r, theta, np.zeros_like(r), rdot, noise, 3)
+    np.testing.assert_array_equal(mu2, mu3[..., idx])
+    np.testing.assert_array_equal(cov2, cov3[..., idx[:, None], idx])
+
+
+def test_2d_conversion_rejects_elevation_noise():
+    # 2D synthesis draws no elevation noise, so statistics attenuated by one
+    # would describe errors that never occur
+    noise = dataclasses.replace(CASE_NOISE, sigma_phi=math.radians(1.0))
+    m = sph(10000.0, 45.0, 100.0)
+    message = "a 2D radar measures no elevation: sigma_phi must be 0"
+    for stats in (unbiased_stats, nested_stats):
+        with pytest.raises(ValueError, match=message):
+            stats(m, noise)
+    for method in ConversionMethod:
+        with pytest.raises(ValueError, match=message):
+            convert(m, noise, method)
+    # a 3D radar measures elevation and keeps its noise
+    for stats in (unbiased_stats, nested_stats):
+        assert stats(sph(10000.0, 45.0, 100.0, phi_deg=0.0), noise)[1].shape == (4, 4)
 
 
 def test_nested_stats_noiseless():
@@ -342,29 +409,26 @@ def test_debias_correctness_under_reconstructed_truths():
 
 def test_finalize_flags_indefinite():
     bad = np.diag([1.0, 1.0, 1.0, -0.5])
-    _, _, ok = _finalize(np.zeros(4), bad, 3)
+    _, _, ok = _finalize(np.zeros(4), bad)
     assert not ok
     # in a batch only the indefinite item is flagged
-    _, _, ok = _finalize(np.zeros((2, 4)), np.stack([np.eye(4), bad]), 3)
+    _, _, ok = _finalize(np.zeros((2, 4)), np.stack([np.eye(4), bad]))
     np.testing.assert_array_equal(ok, [True, False])
 
 
 def test_finalize_clamps_rounding_negatives():
     tiny = -1e-13
     cov = np.diag([1.0, 1.0, 1.0, tiny])
-    _, fixed, ok = _finalize(np.zeros(4), cov, 3)
+    _, fixed, ok = _finalize(np.zeros(4), cov)
     assert ok
     assert np.linalg.eigvalsh(fixed).min() >= 0.0
 
 
-def _finalize_by_eigh(mu, cov, dim, psd_tol=1e-9, abs_scale=0.0):
+def _finalize_by_eigh(mu, cov, psd_tol=1e-9, abs_scale=0.0):
     """Reference PSD guard: every finite item through ``eigh``, no screen.
 
     An item with a non-finite entry is flagged and never reaches ``eigh``.
     """
-    if dim == 2:
-        mu = mu[..., conversion._IDX_2D]
-        cov = cov[..., conversion._IDX_2D[:, None], conversion._IDX_2D[None, :]]
     finite = np.asarray(np.isfinite(cov).all(axis=(-2, -1)))
     ok = finite.copy()
     sub = cov[finite]
@@ -415,24 +479,21 @@ def _psd_guard_batches(draw):
         elif kind == "nan":
             i, j = rng.integers(0, n, 2)
             a[i, j] = a[j, i] = np.nan
-        full = np.full((4, 4), 7.0)  # the z row/column a 2D batch drops
-        idx = conversion._IDX_2D if dim == 2 else np.arange(4)
-        full[np.ix_(idx, idx)] = a
-        items.append(full)
+        items.append(a)
     cov = np.stack(items)
-    mu = np.arange(cov.shape[0] * 4, dtype=float).reshape(-1, 4)
+    mu = np.arange(cov.shape[0] * n, dtype=float).reshape(-1, n)
     exponents = draw(st.lists(st.floats(-3.0, 12.0), min_size=len(kinds), max_size=len(kinds)))
     abs_scale = 10.0 ** np.array(exponents)
     if draw(st.booleans()):  # a single item along no leading axis
         mu, cov, abs_scale = mu[0], cov[0], abs_scale[0]
         kinds = kinds[:1]
-    return mu, cov, dim, abs_scale, kinds
+    return mu, cov, abs_scale, kinds
 
 
 @settings(max_examples=300, deadline=None)
 @given(_psd_guard_batches())
 def test_finalize_screen_matches_eigh_reference(batch):
-    mu, cov, dim, abs_scale, kinds = batch
+    mu, cov, abs_scale, kinds = batch
     real_eigh = np.linalg.eigh
     sent = []
 
@@ -440,9 +501,9 @@ def test_finalize_screen_matches_eigh_reference(batch):
         sent.append(int(np.prod(a.shape[:-2])))
         return real_eigh(a)
 
-    expected = _finalize_by_eigh(mu, cov, dim, abs_scale=abs_scale)
+    expected = _finalize_by_eigh(mu, cov, abs_scale=abs_scale)
     with mock.patch.object(np.linalg, "eigh", counting_eigh):
-        got = _finalize(mu, cov, dim, abs_scale=abs_scale)
+        got = _finalize(mu, cov, abs_scale=abs_scale)
     for g, e in zip(got, expected):
         assert g.shape == e.shape and g.dtype == e.dtype
         assert g.tobytes() == e.tobytes()
@@ -455,14 +516,16 @@ def test_finalize_flags_non_finite_without_eigh():
     # own item invalid, and no such item is sent to eigh
     nan_diag = np.eye(4)
     nan_diag[3, 3] = np.nan
+    nan_diag_2d = np.eye(3)
+    nan_diag_2d[2, 2] = np.nan
     inf_diag = np.eye(4)
     inf_diag[0, 0] = np.inf
     nan_off = np.eye(4)
     nan_off[0, 1] = nan_off[1, 0] = np.nan
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
-        assert not _finalize(np.zeros(4), nan_diag, 2)[2]
-        assert not _finalize(np.zeros(4), inf_diag, 3)[2]
-        _, cov, ok = _finalize(np.zeros((3, 4)), np.stack([np.eye(4), nan_off, 2 * np.eye(4)]), 3)
+        assert not _finalize(np.zeros(3), nan_diag_2d)[2]
+        assert not _finalize(np.zeros(4), inf_diag)[2]
+        _, cov, ok = _finalize(np.zeros((3, 4)), np.stack([np.eye(4), nan_off, 2 * np.eye(4)]))
     np.testing.assert_array_equal(ok, [True, False, True])
     np.testing.assert_array_equal(cov[0], np.eye(4))
     # a non-finite item beside an indefinite one: eigh sees only the latter
@@ -475,7 +538,7 @@ def test_finalize_flags_non_finite_without_eigh():
         return real_eigh(a)
 
     with mock.patch.object(np.linalg, "eigh", counting_eigh):
-        _, _, ok = _finalize(np.zeros((2, 4)), np.stack([nan_diag, indefinite]), 3)
+        _, _, ok = _finalize(np.zeros((2, 4)), np.stack([nan_diag, indefinite]))
     np.testing.assert_array_equal(ok, [False, False])
     assert sent == [1]
 
@@ -483,8 +546,8 @@ def test_finalize_flags_non_finite_without_eigh():
 def test_stats_raise_on_indefinite(monkeypatch):
     real = conversion._moments
 
-    def forced(method, rm, theta, phi, rdot, noise):
-        mu, cov = real(method, rm, theta, phi, rdot, noise)
+    def forced(methods, rm, theta, phi, rdot, noise, dim):
+        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
         cov[..., 0, 0] = -cov[..., 0, 0]  # indefinite beyond any tolerance
         return mu, cov
 

@@ -278,9 +278,9 @@ def test_consistency_sweep_3d_matches_solve_reference():
         meas = (geometry.r + d[0], geometry.theta + d[1], geometry.phi + d[2], geometry.rdot + d[3])
         errors = _cart(*meas).T - truth
         for method in methods:
-            mus, covs, ok = _stats_batch(method, *meas, point, 3)
-            assert ok.all() and covs.shape == (samples, 4, 4)
-            expected[method].append(_quad_form_by_solve(covs, errors - mus).mean())
+            mus, covs, ok = _stats_batch([method], *meas, point, 3)
+            assert ok.all() and covs.shape == (samples, 1, 4, 4)
+            expected[method].append(_quad_form_by_solve(covs[:, 0], errors - mus[:, 0]).mean())
     lower, upper = chi_square_bounds(4, samples, 0.001)
     for method in methods:
         np.testing.assert_allclose(got[method].avg_nes, expected[method], rtol=1e-12, atol=0.0)

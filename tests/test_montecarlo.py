@@ -102,10 +102,12 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     target = base.measurements[run, step, 0]  # its range singles out the (run, scan) pair
     real = conversion._moments
 
-    def forced(method, rm, theta, phi, rdot, noise):
-        mu, cov = real(method, rm, theta, phi, rdot, noise)
-        if method is ConversionMethod.MEASUREMENT_CONDITIONED:
-            cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+    def forced(methods, rm, theta, phi, rdot, noise, dim):
+        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        if ConversionMethod.MEASUREMENT_CONDITIONED in methods:
+            k = list(methods).index(ConversionMethod.MEASUREMENT_CONDITIONED)
+            # indefinite beyond any tolerance
+            cov[np.asarray(rm) == target, k] = -np.eye(dim + 1)
         return mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
@@ -133,9 +135,9 @@ def test_degenerate_initialization_scan_raises(monkeypatch):
     target = run_ensemble(sc, VARIANTS).measurements[run, 0, 0]
     real = conversion._moments
 
-    def forced(method, rm, theta, phi, rdot, noise):
-        mu, cov = real(method, rm, theta, phi, rdot, noise)
-        cov[np.asarray(rm) == target] = -np.eye(4)  # indefinite beyond any tolerance
+    def forced(methods, rm, theta, phi, rdot, noise, dim):
+        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        cov[np.asarray(rm) == target] = -np.eye(dim + 1)  # indefinite beyond any tolerance
         return mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
