@@ -50,14 +50,14 @@ _MAX_TERMS = 100_000  # series or continued-fraction terms; near the median, 9 s
 
 
 def _quad_form(covs: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
-    """``e^T covs^{-1} e`` over the leading axes, from the LDL^T kernel.
+    """``e^T covs^{-1} e`` over the items, from the LDL^T kernel, entries first.
 
-    ``covs`` is ``(..., d, d)`` and ``e`` is ``(..., d)``; their leading axes
-    broadcast. Raises :class:`DegenerateCovarianceError` when a pivot is
-    zero or non-finite, that is when a covariance is singular or has a
-    non-finite entry.
+    ``covs`` is ``(d, d) + items`` and ``e`` is ``(d,) + items``, as
+    ``conversion._ldl`` takes them; their item axes broadcast. Raises
+    :class:`DegenerateCovarianceError` when a pivot is zero or non-finite,
+    that is when a covariance is singular or has a non-finite entry.
     """
-    if covs.shape[-2:] != (e.shape[-1],) * 2:
+    if covs.shape[:2] != (e.shape[0],) * 2:
         raise ValueError(f"{what} of shape {covs.shape} does not fit errors of shape {e.shape}")
     pivots, quad = _ldl(covs, e)
     for d in pivots:
@@ -73,7 +73,7 @@ def nes(errors, mu: np.ndarray, cov: np.ndarray) -> float:
     the mean of ``(e - mu)^T cov^{-1} (e - mu)``.
     """
     e = np.atleast_2d(np.asarray(errors, dtype=float)) - np.asarray(mu, dtype=float)
-    return float(np.mean(_quad_form(np.asarray(cov, dtype=float), e, "hypothesized covariance")))
+    return float(np.mean(_quad_form(np.asarray(cov, dtype=float), e.T, "hypothesized covariance")))
 
 
 def _chi2_quantile(dof: int, tail: float, upper: bool) -> float:
@@ -168,12 +168,13 @@ def consistency_sweep(
     drawn and converted once; that one draw is then scored under every
     method in ``methods``, against the method's hypothesized moments
     evaluated at the measured values, which one moment pass gives for all
-    the methods together. The error vector stacks the converted
-    position components and the pseudo-measurement (d = 3 for a 2D radar,
-    4 in 3D), and each sample's NES comes from the LDL^T kernel the
-    conversion's PSD screen uses. The draws do not depend on ``methods``, so
-    a method's report equals the one a sweep of that method alone gives on
-    a generator in the same state. Returns one :class:`NesReport` per
+    the methods together, from the same bearing cosines and sines as the
+    converted measurement. The error vector stacks the converted position
+    components and the pseudo-measurement (d = 3 for a 2D radar, 4 in 3D),
+    and each sample's NES comes from the LDL^T kernel the conversion's PSD
+    screen uses, on the kernel's entries-first arrays. The draws do not
+    depend on ``methods``, so a method's report equals the one a sweep of
+    that method alone gives on a generator in the same state. Returns one :class:`NesReport` per
     method. Raises :class:`DegenerateCovarianceError` if any hypothesized
     covariance is indefinite beyond rounding or singular.
     """
@@ -186,7 +187,7 @@ def consistency_sweep(
     dim = geometry.dim
     idx = _IDX_2D if dim == 2 else np.arange(4)
     phi0 = geometry.phi if dim == 3 else 0.0
-    truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx]
+    truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx, None]
     lower, upper = chi_square_bounds(dim + 1, samples, tail)
 
     averages = {method: np.empty(grid.size) for method in methods}
@@ -197,10 +198,10 @@ def consistency_sweep(
         thm = geometry.theta + draws[1]
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]
-        errors = _cart(rm, thm, phm, rdm)[idx].T - truth
-        mus, covs, ok = _stats_batch(methods, rm, thm, phm, rdm, noise, dim)
+        ok, conv, mus, covs = _stats_batch(methods, rm, thm, phm, rdm, noise, dim)
         _raise_if_indefinite(ok)
-        quad = _quad_form(covs, errors[:, None, :] - mus, "a per-sample covariance")
+        errors = conv - truth
+        quad = _quad_form(covs, errors[..., None] - mus, "a per-sample covariance")
         for k, method in enumerate(methods):
             averages[method][i] = quad[:, k].mean()
 
@@ -265,7 +266,8 @@ def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
     err = ens.means - ens.truth[:, None, INIT_SCANS:]
     # one batched quadratic form over every (run, variant, step); the runs are
     # then summed in order along axis 0, as a loop over them would
-    avg = np.sum(_quad_form(ens.covs, err, "a filter covariance"), axis=0) / runs
+    covs, err = np.moveaxis(ens.covs, (-2, -1), (0, 1)), np.moveaxis(err, -1, 0)
+    avg = np.sum(_quad_form(covs, err, "a filter covariance"), axis=0) / runs
     return NeesReport(
         steps=np.arange(INIT_SCANS, steps),
         nees={v.name: avg[i] for i, v in enumerate(ens.variants)},

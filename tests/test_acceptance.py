@@ -66,6 +66,7 @@ def test_criterion_1_consistency_reproduction():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_oracle_equivalence():
     points = default_golden_grid()
     seeds = np.random.SeedSequence(2024).spawn(len(points))

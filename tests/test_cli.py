@@ -159,12 +159,12 @@ def test_cli_simulate_reports_skipped_scans(tmp_path, capsys, monkeypatch):
     real = conversion._moments
 
     def forced(methods, rm, theta, phi, rdot, noise, dim):
-        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        conv, mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
         if ConversionMethod.MEASUREMENT_CONDITIONED in methods:
             k = list(methods).index(ConversionMethod.MEASUREMENT_CONDITIONED)
-            # indefinite beyond any tolerance
-            cov[np.asarray(rm) == target, k] = -np.eye(dim + 1)
-        return mu, cov
+            # indefinite beyond any tolerance; the kernel's arrays are entries first
+            cov[:, :, np.asarray(rm) == target, k] = -np.eye(dim + 1)[..., None]
+        return conv, mu, cov
 
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     monkeypatch.setattr(conversion, "_moments", forced)

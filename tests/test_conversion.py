@@ -106,6 +106,7 @@ def test_unbiased_stats_pseudo_bias_value():
     assert mu[-1] == pytest.approx(-60.0)
 
 
+@pytest.mark.slow
 def test_unbiased_stats_match_oracle_2d_point():
     # operating point with no correlation; errors compared entrywise to the
     # brute-force moments, near-zero entries on an absolute scale
@@ -186,11 +187,13 @@ def test_two_method_pass_equals_one_method_passes(inputs, dim):
     if dim == 2:
         noise = dataclasses.replace(noise, sigma_phi=0.0)
     methods = list(ConversionMethod)
-    both = conversion._stats_batch(methods, *items, noise, dim)
+    ok, conv, mu, cov = conversion._stats_batch(methods, *items, noise, dim)
     for k, method in enumerate(methods):
-        alone = conversion._stats_batch([method], *items, noise, dim)
-        for got, expected in zip(both, alone):
-            np.testing.assert_array_equal(got[:, k], expected[:, 0])
+        ok_k, conv_k, mu_k, cov_k = conversion._stats_batch([method], *items, noise, dim)
+        np.testing.assert_array_equal(conv, conv_k)
+        # the methods axis is last: after the items, in ok and the entries-first mu and cov
+        for got, expected in ((ok, ok_k), (mu, mu_k), (cov, cov_k)):
+            np.testing.assert_array_equal(got[..., k], expected[..., 0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,10 +205,11 @@ def test_2d_pass_equals_3d_kernel_at_zero_elevation(inputs):
     noise = dataclasses.replace(noise, sigma_phi=0.0)
     methods = list(ConversionMethod)
     idx = conversion._IDX_2D
-    mu2, cov2 = conversion._moments(methods, r, theta, 0.0, rdot, noise, 2)
-    mu3, cov3 = conversion._moments(methods, r, theta, np.zeros_like(r), rdot, noise, 3)
-    np.testing.assert_array_equal(mu2, mu3[..., idx])
-    np.testing.assert_array_equal(cov2, cov3[..., idx[:, None], idx])
+    conv2, mu2, cov2 = conversion._moments(methods, r, theta, 0.0, rdot, noise, 2)
+    conv3, mu3, cov3 = conversion._moments(methods, r, theta, np.zeros_like(r), rdot, noise, 3)
+    np.testing.assert_array_equal(conv2, conv3[idx])
+    np.testing.assert_array_equal(mu2, mu3[idx])
+    np.testing.assert_array_equal(cov2, cov3[idx[:, None], idx])
 
 
 def test_2d_conversion_rejects_elevation_noise():
@@ -220,6 +224,9 @@ def test_2d_conversion_rejects_elevation_noise():
     for method in ConversionMethod:
         with pytest.raises(ValueError, match=message):
             convert(m, noise, method)
+    # the oracle would draw and apply that noise; it rejects it too
+    with pytest.raises(ValueError, match=message):
+        mc_moment_oracle(m, noise, 10_000, np.random.default_rng(0))
     # a 3D radar measures elevation and keeps its noise
     for stats in (unbiased_stats, nested_stats):
         assert stats(sph(10000.0, 45.0, 100.0, phi_deg=0.0), noise)[1].shape == (4, 4)
@@ -347,7 +354,9 @@ def _dense_oracle(m, noise, samples, rng, batch):
 def test_oracle_matches_dense_reference(samples, batch, rho, phi_deg):
     # same draws, same center, any batching: mean, cov and both standard
     # errors agree with full-array sums to rounding
-    noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=rho, sigma_phi=math.radians(8.0))
+    # a 2D radar (phi_deg None) measures no elevation, so draws no elevation noise
+    sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
+    noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=rho, sigma_phi=sigma_phi)
     m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
     est = mc_moment_oracle(m, noise, samples, np.random.default_rng(31), batch=batch)
     ref = _dense_oracle(m, noise, samples, np.random.default_rng(31), batch)
@@ -407,25 +416,35 @@ def test_debias_correctness_under_reconstructed_truths():
     np.testing.assert_array_less(np.abs(est.mean - mu), 3 * est.se_mean)
 
 
+def _entries_first(cov):
+    """Entries-first ``(n, n) + items`` view of item-major ``items + (n, n)`` matrices."""
+    return np.moveaxis(cov, (-2, -1), (0, 1))
+
+
+def _item_major(cov):
+    return np.moveaxis(cov, (0, 1), (-2, -1))
+
+
 def test_finalize_flags_indefinite():
     bad = np.diag([1.0, 1.0, 1.0, -0.5])
-    _, _, ok = _finalize(np.zeros(4), bad)
+    _, ok = _finalize(bad.copy())
     assert not ok
     # in a batch only the indefinite item is flagged
-    _, _, ok = _finalize(np.zeros((2, 4)), np.stack([np.eye(4), bad]))
+    _, ok = _finalize(_entries_first(np.stack([np.eye(4), bad])))
     np.testing.assert_array_equal(ok, [True, False])
 
 
 def test_finalize_clamps_rounding_negatives():
     tiny = -1e-13
     cov = np.diag([1.0, 1.0, 1.0, tiny])
-    _, fixed, ok = _finalize(np.zeros(4), cov)
+    fixed, ok = _finalize(cov)
     assert ok
     assert np.linalg.eigvalsh(fixed).min() >= 0.0
 
 
-def _finalize_by_eigh(mu, cov, psd_tol=1e-9, abs_scale=0.0):
-    """Reference PSD guard: every finite item through ``eigh``, no screen.
+def _finalize_by_eigh(cov, psd_tol=1e-9, abs_scale=0.0):
+    """Reference PSD guard on item-major ``(..., n, n)`` matrices: every
+    finite item through ``eigh``, no screen.
 
     An item with a non-finite entry is flagged and never reaches ``eigh``.
     """
@@ -445,7 +464,7 @@ def _finalize_by_eigh(mu, cov, psd_tol=1e-9, abs_scale=0.0):
         where[finite] = rebuild
         cov = cov.copy()
         cov[where] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
-    return mu, cov, ok
+    return cov, ok
 
 
 # Item kinds of the PSD-guard batches, by their lowest eigenvalue relative to
@@ -454,61 +473,94 @@ def _finalize_by_eigh(mu, cov, psd_tol=1e-9, abs_scale=0.0):
 _ITEM_KINDS = ("spd", "near_singular", "zero", "clamp_band", "indefinite", "nan")
 
 
+def _psd_item(kind, n, rng, scale):
+    """One symmetric ``n x n`` item of ``kind`` (see ``_ITEM_KINDS``)."""
+    eig = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    rest = eig[1:].sum()
+    if kind == "near_singular":
+        eig[0] = rest * 10.0 ** rng.uniform(-16.0, -9.0)
+    elif kind == "clamp_band":
+        eig[0] = -1e-13 * rest
+    elif kind == "indefinite":
+        eig[0] = -rest * 10.0 ** rng.uniform(-6.0, 0.0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * (scale * eig)) @ q.T
+    a = 0.5 * (a + a.T)
+    if kind == "zero":
+        a = np.zeros((n, n))
+    elif kind == "nan":
+        i, j = rng.integers(0, n, 2)
+        a[i, j] = a[j, i] = np.nan
+    return a
+
+
 @st.composite
 def _psd_guard_batches(draw):
     dim = draw(st.sampled_from([2, 3]))
-    n = dim + 1
     kinds = draw(st.lists(st.sampled_from(_ITEM_KINDS), min_size=1, max_size=12))
     items = []
     for kind in kinds:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        scale = 10.0 ** draw(st.floats(-6.0, 12.0))
-        eig = 10.0 ** rng.uniform(-6.0, 0.0, n)
-        rest = eig[1:].sum()
-        if kind == "near_singular":
-            eig[0] = rest * 10.0 ** rng.uniform(-16.0, -9.0)
-        elif kind == "clamp_band":
-            eig[0] = -1e-13 * rest
-        elif kind == "indefinite":
-            eig[0] = -rest * 10.0 ** rng.uniform(-6.0, 0.0)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        a = (q * (scale * eig)) @ q.T
-        a = 0.5 * (a + a.T)
-        if kind == "zero":
-            a = np.zeros((n, n))
-        elif kind == "nan":
-            i, j = rng.integers(0, n, 2)
-            a[i, j] = a[j, i] = np.nan
-        items.append(a)
+        items.append(_psd_item(kind, dim + 1, rng, 10.0 ** draw(st.floats(-6.0, 12.0))))
     cov = np.stack(items)
-    mu = np.arange(cov.shape[0] * n, dtype=float).reshape(-1, n)
     exponents = draw(st.lists(st.floats(-3.0, 12.0), min_size=len(kinds), max_size=len(kinds)))
     abs_scale = 10.0 ** np.array(exponents)
     if draw(st.booleans()):  # a single item along no leading axis
-        mu, cov, abs_scale = mu[0], cov[0], abs_scale[0]
+        cov, abs_scale = cov[0], abs_scale[0]
         kinds = kinds[:1]
-    return mu, cov, abs_scale, kinds
+    return cov, abs_scale, kinds
 
 
-@settings(max_examples=300, deadline=None)
-@given(_psd_guard_batches())
-def test_finalize_screen_matches_eigh_reference(batch):
-    mu, cov, abs_scale, kinds = batch
+def _counting_eigh(sent):
     real_eigh = np.linalg.eigh
-    sent = []
 
     def counting_eigh(a):
         sent.append(int(np.prod(a.shape[:-2])))
         return real_eigh(a)
 
-    expected = _finalize_by_eigh(mu, cov, abs_scale=abs_scale)
-    with mock.patch.object(np.linalg, "eigh", counting_eigh):
-        got = _finalize(mu, cov, abs_scale=abs_scale)
-    for g, e in zip(got, expected):
+    return counting_eigh
+
+
+@settings(max_examples=300, deadline=None)
+@given(_psd_guard_batches())
+def test_finalize_screen_matches_eigh_reference(batch):
+    cov, abs_scale, kinds = batch
+    sent = []
+    expected = _finalize_by_eigh(cov, abs_scale=abs_scale)
+    with mock.patch.object(np.linalg, "eigh", _counting_eigh(sent)):
+        got_cov, got_ok = _finalize(_entries_first(cov.copy()), abs_scale=abs_scale)
+    for g, e in zip((_item_major(got_cov), got_ok), expected):
         assert g.shape == e.shape and g.dtype == e.dtype
         assert g.tobytes() == e.tobytes()
     # only the finite items the screen cannot clear reach eigh
     assert sum(sent) == sum(kind not in ("spd", "nan") for kind in kinds)
+
+
+def test_finalize_fallback_multi_axis_items():
+    # entries-first items along (scans, runs, methods), as the filter converts
+    # them: only the items that fail the screen change, each in its own slot,
+    # and ok and the rebuilt matrices are the item-major reference's
+    shape, n = (5, 4, 2), 4
+    rng = np.random.default_rng(7)
+    kinds = rng.choice(["spd", "clamp_band", "indefinite", "nan"], size=shape)
+    kinds.flat[:4] = ["spd", "clamp_band", "indefinite", "nan"]  # at least one of each kind
+    items = np.empty(shape + (n, n))
+    for index in np.ndindex(shape):
+        items[index] = _psd_item(kinds[index], n, rng, 10.0 ** rng.uniform(-3.0, 9.0))
+    abs_scale = 10.0 ** rng.uniform(-3.0, 9.0, shape)
+    ref_cov, ref_ok = _finalize_by_eigh(items, abs_scale=abs_scale)
+    sent = []
+    cov = np.ascontiguousarray(_entries_first(items))
+    with mock.patch.object(np.linalg, "eigh", _counting_eigh(sent)):
+        got, ok = _finalize(cov, abs_scale=abs_scale)
+    assert got is cov  # rebuilt in place
+    got = _item_major(got)
+    np.testing.assert_array_equal(ok, ref_ok)
+    np.testing.assert_array_equal(ok, (kinds == "spd") | (kinds == "clamp_band"))
+    assert got.tobytes() == ref_cov.tobytes()
+    changed = [got[index].tobytes() != items[index].tobytes() for index in np.ndindex(shape)]
+    np.testing.assert_array_equal(np.reshape(changed, shape), kinds == "clamp_band")
+    assert sent == [np.count_nonzero((kinds == "clamp_band") | (kinds == "indefinite"))]
 
 
 def test_finalize_flags_non_finite_without_eigh():
@@ -523,22 +575,16 @@ def test_finalize_flags_non_finite_without_eigh():
     nan_off = np.eye(4)
     nan_off[0, 1] = nan_off[1, 0] = np.nan
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh called")):
-        assert not _finalize(np.zeros(3), nan_diag_2d)[2]
-        assert not _finalize(np.zeros(4), inf_diag)[2]
-        _, cov, ok = _finalize(np.zeros((3, 4)), np.stack([np.eye(4), nan_off, 2 * np.eye(4)]))
+        assert not _finalize(nan_diag_2d)[1]
+        assert not _finalize(inf_diag)[1]
+        cov, ok = _finalize(_entries_first(np.stack([np.eye(4), nan_off, 2 * np.eye(4)])))
     np.testing.assert_array_equal(ok, [True, False, True])
-    np.testing.assert_array_equal(cov[0], np.eye(4))
+    np.testing.assert_array_equal(cov[..., 0], np.eye(4))
     # a non-finite item beside an indefinite one: eigh sees only the latter
     indefinite = np.diag([1.0, 1.0, 1.0, -1.0])
     sent = []
-    real_eigh = np.linalg.eigh
-
-    def counting_eigh(a):
-        sent.append(int(np.prod(a.shape[:-2])))
-        return real_eigh(a)
-
-    with mock.patch.object(np.linalg, "eigh", counting_eigh):
-        _, _, ok = _finalize(np.zeros((2, 4)), np.stack([nan_diag, indefinite]))
+    with mock.patch.object(np.linalg, "eigh", _counting_eigh(sent)):
+        _, ok = _finalize(_entries_first(np.stack([nan_diag, indefinite])))
     np.testing.assert_array_equal(ok, [False, False])
     assert sent == [1]
 
@@ -547,9 +593,9 @@ def test_stats_raise_on_indefinite(monkeypatch):
     real = conversion._moments
 
     def forced(methods, rm, theta, phi, rdot, noise, dim):
-        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
-        cov[..., 0, 0] = -cov[..., 0, 0]  # indefinite beyond any tolerance
-        return mu, cov
+        conv, mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        cov[0, 0] = -cov[0, 0]  # indefinite beyond any tolerance
+        return conv, mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
     m = sph(10000.0, 45.0, 100.0)

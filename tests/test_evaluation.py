@@ -60,6 +60,11 @@ def test_nes_singular_covariance():
         nes(np.ones((5, 2)), np.zeros(2), np.zeros((2, 2)))
 
 
+def _entries_first(covs, e):
+    """``_quad_form``'s entries-first views of item-major ``(..., d, d)`` and ``(..., d)``."""
+    return np.moveaxis(covs, (-2, -1), (0, 1)), np.moveaxis(e, -1, 0)
+
+
 def _quad_form_by_solve(covs, e):
     """Reference quadratic forms ``e^T covs^{-1} e`` through ``np.linalg.solve``."""
     covs, e = np.broadcast_to(covs, e.shape[:-1] + covs.shape[-2:]), np.asarray(e)
@@ -91,7 +96,7 @@ def _spd_batches(draw):
 @given(_spd_batches())
 def test_quad_form_matches_solve_reference(batch):
     covs, e = batch
-    got = _quad_form(covs, e, "covariance")
+    got = _quad_form(*_entries_first(covs, e), "covariance")
     expected = _quad_form_by_solve(covs, e)
     assert got.shape == expected.shape
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -117,7 +122,7 @@ def test_quad_form_degenerate_covariance_raises(batch, kind, data):
         j = data.draw(st.integers(0, n - 1))
         bad[i, j] = bad[j, i] = np.nan if kind == "nan" else np.inf
     with pytest.raises(DegenerateCovarianceError):
-        _quad_form(covs, e, "covariance")
+        _quad_form(*_entries_first(covs, e), "covariance")
     if e.ndim == 2 and covs.ndim == 2:
         with pytest.raises(DegenerateCovarianceError):
             nes(e, np.zeros(n), covs)
@@ -125,7 +130,7 @@ def test_quad_form_degenerate_covariance_raises(batch, kind, data):
 
 def test_quad_form_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
-        _quad_form(np.eye(3), np.ones((4, 2)), "covariance")
+        _quad_form(np.eye(3), np.ones((2, 4)), "covariance")
 
 
 def test_chi_square_bounds_reference_interval():
@@ -278,13 +283,52 @@ def test_consistency_sweep_3d_matches_solve_reference():
         meas = (geometry.r + d[0], geometry.theta + d[1], geometry.phi + d[2], geometry.rdot + d[3])
         errors = _cart(*meas).T - truth
         for method in methods:
-            mus, covs, ok = _stats_batch([method], *meas, point, 3)
-            assert ok.all() and covs.shape == (samples, 1, 4, 4)
-            expected[method].append(_quad_form_by_solve(covs[:, 0], errors - mus[:, 0]).mean())
+            ok, _, mus, covs = _stats_batch([method], *meas, point, 3)
+            assert ok.all() and covs.shape == (4, 4, samples, 1)
+            covs, mus = np.moveaxis(covs[..., 0], (0, 1), (-2, -1)), mus[..., 0].T
+            expected[method].append(_quad_form_by_solve(covs, errors - mus).mean())
     lower, upper = chi_square_bounds(4, samples, 0.001)
     for method in methods:
         np.testing.assert_allclose(got[method].avg_nes, expected[method], rtol=1e-12, atol=0.0)
         assert (got[method].lower, got[method].upper) == (lower, upper)
+
+
+# Frozen sweep outputs: each method's avg_nes at 17 significant digits, as
+# the item-major kernel computed them before the entries-first layout.
+FROZEN_SWEEPS = {
+    "2d_default": (
+        GEOMETRY,
+        SWEEP_NOISE,
+        [0.5, 1.0, 5.0, 15.0, 30.0],
+        [3.0134617973916882, 2.8079054184638315, 2.9096807582950994, 3.0191733402939316,
+         2.9746721177463904],
+        [3.0134854078374831, 2.8066424755522776, 2.9193120363521472, 3.1104456707407562,
+         3.4469705761098428],
+    ),
+    "3d": (
+        SphericalMeasurement(
+            r=20000.0, theta=math.radians(30.0), phi=math.radians(25.0), rdot=-80.0, dim=3
+        ),
+        NoiseSpec(
+            sigma_r=50.0, sigma_theta=0.0, sigma_phi=math.radians(2.0), sigma_rdot=3.0, rho=0.4
+        ),
+        [1.0, 10.0, 25.0],
+        [4.1211237704959869, 3.6465382504490877, 3.9935133801794627],
+        [4.2342227457468686, 3.7735626216772946, 4.3255265370621521],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SWEEPS))
+def test_consistency_sweep_bytes_frozen(case):
+    # the sweep's outputs are pinned bit for bit: a reordered floating-point
+    # operation anywhere in the conversion kernel or the NES moves them
+    geometry, noise, grid, conditioned, nested = FROZEN_SWEEPS[case]
+    got = consistency_sweep(
+        tuple(ConversionMethod), geometry, noise, np.array(grid), 500, np.random.default_rng(2024)
+    )
+    for method, expected in zip(ConversionMethod, (conditioned, nested)):
+        np.testing.assert_array_equal(got[method].avg_nes, expected)
 
 
 def test_consistency_sweep_needs_a_method():
@@ -378,7 +422,7 @@ def test_rmse_and_nees_sum_runs_in_order():
         for run in range(len(ens.truth)):
             err = ens.means[run, v] - ens.truth[run, INIT_SCANS:]
             sq += np.sum(err[:, :2] ** 2, axis=1)
-            quad += _quad_form(ens.covs[run, v], err, "a filter covariance")
+            quad += _quad_form(*_entries_first(ens.covs[run, v], err), "a filter covariance")
         np.testing.assert_array_equal(rmse_rep.rmse[variant.name], np.sqrt(sq / len(ens.truth)))
         np.testing.assert_array_equal(nees_rep.nees[variant.name], quad / len(ens.truth))
 

@@ -103,12 +103,12 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     real = conversion._moments
 
     def forced(methods, rm, theta, phi, rdot, noise, dim):
-        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        conv, mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
         if ConversionMethod.MEASUREMENT_CONDITIONED in methods:
             k = list(methods).index(ConversionMethod.MEASUREMENT_CONDITIONED)
-            # indefinite beyond any tolerance
-            cov[np.asarray(rm) == target, k] = -np.eye(dim + 1)
-        return mu, cov
+            # indefinite beyond any tolerance; the kernel's arrays are entries first
+            cov[:, :, np.asarray(rm) == target, k] = -np.eye(dim + 1)[..., None]
+        return conv, mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
     hit = run_ensemble(sc, VARIANTS)
@@ -136,9 +136,10 @@ def test_degenerate_initialization_scan_raises(monkeypatch):
     real = conversion._moments
 
     def forced(methods, rm, theta, phi, rdot, noise, dim):
-        mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
-        cov[np.asarray(rm) == target] = -np.eye(dim + 1)  # indefinite beyond any tolerance
-        return mu, cov
+        conv, mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        # indefinite beyond any tolerance; the kernel's arrays are entries first
+        cov[:, :, np.asarray(rm) == target] = -np.eye(dim + 1)[..., None, None]
+        return conv, mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
     with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
