@@ -45,12 +45,12 @@ from .scenario import NoiseSpec, SphericalMeasurement
 __all__ = ["entry", "main"]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Numbers at 17 significant digits: enough for exact float round-trips."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([v if isinstance(v, str) else "%.17g" % v for v in row]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One line per row of the equal-length numeric ``columns``, each number at
+    17 significant digits: enough for exact float round-trips."""
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    path.write_text("\n".join([",".join(header)] + lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_manifest(path: Path, command: str, cfg: ExperimentConfig, **results) -> None:
@@ -114,21 +114,16 @@ def cmd_simulate(args) -> int:
     _write_csv(
         out / f"rmse_{tag}.csv",
         ["step"] + [f"rmse_pos_{c}" for c in cols],
-        (
-            [int(step)] + [rmse_report.rmse[v.name][i] for v in variants]
-            for i, step in enumerate(rmse_report.steps)
-        ),
+        [rmse_report.steps] + [rmse_report.rmse[v.name] for v in variants],
     )
     # State NEES per step: a diagnostic of this library, not a benchmark output.
+    rows = len(nees_report.steps)
     _write_csv(
         out / f"nees_{tag}.csv",
         ["step"] + [f"nees_{c}" for c in cols] + ["lower_bound", "upper_bound"],
-        (
-            [int(step)]
-            + [nees_report.nees[v.name][i] for v in variants]
-            + [nees_report.lower, nees_report.upper]
-            for i, step in enumerate(nees_report.steps)
-        ),
+        [nees_report.steps]
+        + [nees_report.nees[v.name] for v in variants]
+        + [[nees_report.lower] * rows, [nees_report.upper] * rows],
     )
     # Predict-only scans (degenerate conversion or decorrelation) per variant.
     skipped = {v.name.lower(): int((~ens.updated[:, i]).sum()) for i, v in enumerate(variants)}
@@ -172,10 +167,7 @@ def cmd_consistency(args) -> int:
             "lower_bound",
             "upper_bound",
         ],
-        (
-            [grid[i], cond.avg_nes[i], nest.avg_nes[i], cond.lower, cond.upper]
-            for i in range(grid.size)
-        ),
+        [grid, cond.avg_nes, nest.avg_nes, [cond.lower] * grid.size, [cond.upper] * grid.size],
     )
     _write_manifest(out / "manifest_consistency.json", "consistency", cfg)
     print(f"wrote {out / 'consistency.csv'} ({grid.size} grid points, N={cc.samples})")
@@ -230,7 +222,7 @@ def cmd_golden(args) -> int:
             + [est.cov[i, j] for i, j in pairs]
             + [est.se_cov[i, j] for i, j in pairs]
         )
-    _write_csv(out / "golden_moments.csv", header, rows)
+    _write_csv(out / "golden_moments.csv", header, list(zip(*rows)))
     _write_manifest(out / "manifest_golden.json", "golden", cfg)
     print(f"wrote {out / 'golden_moments.csv'} ({len(points)} operating points)")
     return 0

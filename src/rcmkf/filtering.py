@@ -24,6 +24,14 @@ scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
 
+Each stage is one kernel over a batch of tracks, run on a workspace that
+preallocates every intermediate and makes its views once; each operation
+writes with ``out=`` or in place. :func:`filter_scans` allocates one
+workspace per call and reuses it for every scan: a scan's last operation
+writes straight into its output, which the next predict reads. The public
+stages run the same kernels on a fresh workspace. No operation rounds by
+the batch shape, so a track gives the same bits alone or in any batch.
+
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
 nested-conditioning ones. The filter code path is shared.
@@ -39,7 +47,7 @@ import numpy as np
 
 from .conversion import ConversionMethod, ConvertedMeasurement, convert
 from .errors import DegenerateCovarianceError
-from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _mv
+from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement
 
 __all__ = [
     "DecorrelatedMeasurement",
@@ -120,10 +128,6 @@ class DecorrelatedMeasurement:
         )
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product over the last axis, for any leading axes."""
     return (a * b).sum(axis=-1)
@@ -196,15 +200,6 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     return d
 
 
-def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
-    """Time update through the dynamic model (filters assume zero input)."""
-    if belief.mean.shape[-1] != model.n:
-        raise ValueError("belief size does not match the model")
-    mean = belief.mean @ model.phi_t
-    cov = _symmetrize(model.phi @ belief.cov @ model.phi_t + model.process_noise_cov())
-    return GaussianBelief(mean, cov)
-
-
 # Adjugates of 2x2 and 3x3 matrices on their row-major flattening. In 2D
 # adj = s[_ADJ2_IDX] * _ADJ2_SIGN. In 3D each entry is a difference of two
 # products, adj = f[0] - f[1] with f = s[_ADJ3_A] * s[_ADJ3_B]: entry (i, j)
@@ -225,31 +220,162 @@ _ADJ3_B = np.stack([_cofactor_index(2, 2), _cofactor_index(2, 1)])
 _BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
 
 
-def _solve_small(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``S^{-1} b`` over the leading axes for ``2 x 2`` or ``3 x 3`` ``S``.
+class _Workspace:
+    """Buffers of the stage kernels for one batch shape, and their views, made once.
 
-    The inverse is the adjugate over the determinant. Items whose
-    determinant is not positive and finite (singular, indefinite or
-    non-finite ``S``) are solved one by one instead; an exactly singular
-    one gets the minimum-norm least-squares solution.
+    Predict writes ``x``, ``cov``; the position update reads them and writes
+    ``x1``, ``cov1``, which the pseudo update reads; the rest hold temporaries.
     """
-    p = s.shape[-1]
-    flat = s.reshape(s.shape[:-2] + (p * p,))
-    if p == 2:
-        adj = flat.take(_ADJ2_IDX, axis=-1) * _ADJ2_SIGN
-    elif p == 3:
-        f = flat.take(_ADJ3_A, axis=-1) * flat.take(_ADJ3_B, axis=-1)
-        adj = f[..., 0, :] - f[..., 1, :]
+
+    def __init__(self, batch: tuple[int, ...], n: int):
+        p = self.p = n // 2
+        self.n = n
+
+        def buf(*shape):
+            return np.empty(batch + shape)
+
+        self.x, self.cov, self.x1, self.cov1 = buf(n), buf(n, n), buf(n), buf(n, n)
+        self.a, self.nn = buf(n, n), buf(n, n)
+        self.x_pos, self.x_vel, self.x1_pos = self.x[..., :p], self.x[..., p:], self.x1[..., :p]
+        self.hp, self.cov_pp = self.cov[..., :p, :], self.cov[..., :p, :p]  # H P, H P H^T
+        self.a_pos = self.a[..., :p]
+        self.s, self.adj, self.cof = buf(p, p), buf(p * p), buf(2, p * p)
+        self.s_flat, self.adj_m = self.s.reshape(self.adj.shape), self.adj.reshape(self.s.shape)
+        self.s_row0, self.adj_col0 = self.s_flat[..., :p], self.adj[..., ::p]
+        self.det, self.terms, self.gain_t, self.kr = buf(), buf(p), buf(p, n), buf(n, p)
+        self.det_m, self.gain = self.det[..., None, None], self.gain_t.swapaxes(-1, -2)
+        self.innov, self.dx = buf(1, p), buf(1, n)
+        self.innov_v, self.dx_v = self.innov[..., 0, :], self.dx[..., 0, :]
+        # pseudo update: columns for matrix products, vectors for the rest
+        self.h, self.ph, self.m = buf(n, 1), buf(n, 1), buf(n, 1)
+        self.h_v, self.ph_v, self.m_v = self.h[..., 0], self.ph[..., 0], self.m[..., 0]
+        self.h_pos, self.ph_row = self.h_v[..., :p], self.ph_v[..., None, :]
+        self.pv_diag = self.cov1[..., :p, p:].diagonal(0, -2, -1)
+        self.cov1_pos, self.cov1_vel = self.cov1[..., :p, :], self.cov1[..., p:, :]
+        self.g, self.tn, self.swap = buf(n), buf(n), buf(p, n)
+        self.g_col, self.g_row = self.g[..., :, None], self.g[..., None, :]
+        self.trace, self.a_k, self.r, self.s1, self.h_val, self.innov1 = (buf() for _ in range(6))
+        self.r_c, self.s1_c, self.innov1_c = (v[..., None] for v in (self.r, self.s1, self.innov1))
+
+
+def _symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.add(a, a.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    return out
+
+
+def _predict(ws: _Workspace, mean: np.ndarray, cov: np.ndarray, model: DynamicModel) -> None:
+    """Time update of ``(mean, cov)`` into ``ws.x``, ``ws.cov``."""
+    if mean.shape[-1] != model.n:
+        raise ValueError("belief size does not match the model")
+    # x' = (pos + t vel, vel) elementwise: a matrix product rounds by the
+    # batch shape (BLAS gemv for a single track, gemm for a batch)
+    vel = mean[..., ws.p :]
+    np.multiply(vel, model.t, out=ws.x_pos)
+    np.add(mean[..., : ws.p], ws.x_pos, out=ws.x_pos)
+    ws.x_vel[...] = vel
+    np.matmul(model.phi, cov, out=ws.a)
+    np.matmul(ws.a, model.phi_t, out=ws.nn)
+    ws.nn += model.process_noise_cov()
+    _symmetrize(ws.nn, out=ws.cov)
+
+
+def _update_position(ws: _Workspace, d: DecorrelatedMeasurement, key) -> None:
+    """Update of ``ws.x``, ``ws.cov`` with ``d[key]``'s position into ``ws.x1``, ``ws.cov1``."""
+    if 2 * d.dim != ws.n:
+        raise ValueError("measurement dimension does not match the belief")
+    r = d.cov_pos[key]
+    np.add(ws.cov_pp, r, out=ws.s)
+    if ws.p == 2:
+        ws.s_flat.take(_ADJ2_IDX, -1, ws.adj, "clip")  # in-range indices: clip skips a copy
+        ws.adj *= _ADJ2_SIGN
+    elif ws.p == 3:
+        ws.s_flat.take(_ADJ3_A, -1, ws.cof, "clip")
+        ws.cof *= ws.s_flat.take(_ADJ3_B, -1)
+        np.subtract(ws.cof[..., 0, :], ws.cof[..., 1, :], out=ws.adj)
     else:
         raise ValueError("position dimension must be 2 or 3")
-    det = (flat[..., :p] * adj[..., ::p]).sum(axis=-1)  # row 0 of s times column 0 of adj
-    good = (det > 0) & (det < np.inf)
-    if good.all():
-        return (adj.reshape(s.shape) @ b) / det[..., None, None]
-    out = (adj.reshape(s.shape) @ b) / np.where(good, det, 1.0)[..., None, None]
-    bad = ~good
-    out[bad] = _solve_each(s[bad], b[bad], lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0])
-    return out
+    np.multiply(ws.s_row0, ws.adj_col0, out=ws.terms)
+    np.add.reduce(ws.terms, -1, out=ws.det)
+    np.matmul(ws.adj_m, ws.hp, out=ws.gain_t)
+    if ws.det.min() > 0 and ws.det.max() < np.inf:  # NaN fails both
+        ws.gain_t /= ws.det_m
+    else:
+        bad = ~((ws.det > 0) & (ws.det < np.inf))
+        ws.gain_t /= np.where(bad, 1.0, ws.det)[..., None, None]
+        # an exactly singular S comes from a collapsed (noise-free) covariance,
+        # where the minimum-norm gain is the correct limit
+        ws.gain_t[bad] = _solve_each(
+            ws.s[bad], ws.hp[bad], lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0]
+        )
+    if not (ws.gain_t.min() > -np.inf and ws.gain_t.max() < np.inf):
+        raise DegenerateCovarianceError("position innovation covariance is singular")
+    np.subtract(d.debiased_pos[key], ws.x_pos, out=ws.innov_v)
+    np.matmul(ws.innov, ws.gain_t, out=ws.dx)
+    np.add(ws.x, ws.dx_v, out=ws.x1)
+    np.matmul(ws.gain, ws.hp, out=ws.a)
+    np.subtract(ws.cov, ws.a, out=ws.a)  # A = P - K (H P)
+    np.matmul(ws.gain, r, out=ws.kr)
+    np.subtract(ws.a_pos, ws.kr, out=ws.kr)  # A H^T - K R
+    np.matmul(ws.kr, ws.gain_t, out=ws.nn)
+    np.subtract(ws.a, ws.nn, out=ws.nn)
+    _symmetrize(ws.nn, out=ws.cov1)
+
+
+def _quadratic(ws: _Workspace) -> None:
+    """``tr(P_pv)`` into ``ws.trace`` and ``a_k`` into ``ws.a_k``, for ``P = ws.cov1``."""
+    np.add.reduce(ws.pv_diag, -1, out=ws.trace)
+    ws.cov1_vel.take(_BLOCK_SWAP[ws.p], -1, ws.swap, "clip")
+    ws.swap *= ws.cov1_pos
+    np.add.reduce(ws.swap, (-2, -1), out=ws.a_k)
+
+
+def _update_pseudo(ws: _Workspace, d: DecorrelatedMeasurement, key, mean_out, cov_out) -> None:
+    """Update of ``ws.x1``, ``ws.cov1`` with ``d[key]``'s pseudo into ``mean_out``, ``cov_out``."""
+    if 2 * d.dim != ws.n:
+        raise ValueError("measurement dimension does not match the belief")
+    pseudo_jacobian(ws.x1, d.l_row[key], out=ws.h_v)
+    _quadratic(ws)
+    np.matmul(ws.cov1, ws.h, out=ws.ph)  # P h
+    np.add(d.var_pseudo[key], ws.a_k, out=ws.r)
+    np.multiply(ws.h_v, ws.ph_v, out=ws.tn)
+    np.add.reduce(ws.tn, -1, out=ws.s1)
+    ws.s1 += ws.r
+    np.multiply(ws.h_pos, ws.x1_pos, out=ws.terms)
+    np.add.reduce(ws.terms, -1, out=ws.h_val)  # (l_row + vel) @ pos
+    # less the second-order mean correction delta2 / 2 = tr(P_pv)
+    np.subtract(d.debiased_pseudo[key], ws.h_val, out=ws.innov1)
+    ws.innov1 -= ws.trace
+    # the true variance is nonnegative for PSD inputs, so s <= 0 is a
+    # collapsed (deterministic) measurement: a no-op when the innovation is
+    # consistent, a genuine degeneracy otherwise; NaN also takes this branch
+    collapsed = None if ws.s1.min() > 0 else ws.s1 <= 0
+    if collapsed is not None:
+        scale = np.maximum(np.maximum(np.abs(d.pseudo[key]), np.abs(ws.h_val)), 1.0)
+        if np.any(collapsed & (np.abs(ws.innov1) > 1e-9 * scale)):
+            raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
+        ws.s1[collapsed] = 1.0
+    np.divide(ws.ph_v, ws.s1_c, out=ws.g)
+    np.multiply(ws.g, ws.innov1_c, out=ws.tn)
+    np.add(ws.x1, ws.tn, out=mean_out)
+    np.multiply(ws.g_col, ws.ph_row, out=ws.a)
+    np.subtract(ws.cov1, ws.a, out=ws.a)  # A = P - g (P h)^T
+    np.matmul(ws.a, ws.h, out=ws.m)
+    np.multiply(ws.r_c, ws.g, out=ws.tn)
+    ws.m_v -= ws.tn  # A h - r g
+    np.multiply(ws.m, ws.g_row, out=ws.nn)
+    np.subtract(ws.a, ws.nn, out=ws.nn)
+    _symmetrize(ws.nn, out=cov_out)
+    if collapsed is not None:
+        np.copyto(mean_out, ws.x1, where=collapsed[..., None])
+        np.copyto(cov_out, ws.cov1, where=collapsed[..., None, None])
+
+
+def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
+    """Time update through the dynamic model (filters assume zero input)."""
+    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
+    _predict(ws, belief.mean, belief.cov, model)
+    return GaussianBelief(ws.x, ws.cov)
 
 
 def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -259,30 +385,16 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     ``z - mu - H x``. Joseph form, in the factored product of the module
     docstring, keeps the covariance PSD.
     """
-    n = belief.mean.shape[-1]
-    p = d.dim
-    if n != 2 * p:
-        raise ValueError("measurement dimension does not match the belief")
-    cov = belief.cov
-    r = d.cov_pos
-    hp = cov[..., :p, :]  # H P
-    # exactly singular s happens in degenerate (noise-free) runs where the
-    # covariance has collapsed; the minimum-norm gain P H^T s^+ is the
-    # correct limit there
-    gain_t = _solve_small(hp[..., :p] + r, hp)  # K^T, (..., p, n)
-    if not np.isfinite(gain_t).all():
-        raise DegenerateCovarianceError("position innovation covariance is singular")
-    gain = gain_t.swapaxes(-1, -2)
-    innovation = d.debiased_pos - belief.mean[..., :p]
-    mean = belief.mean + (innovation[..., None, :] @ gain_t)[..., 0, :]
-    a = cov - gain @ hp
-    return GaussianBelief(mean, _symmetrize(a - (a[..., :p] - gain @ r) @ gain_t))
+    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
+    ws.x[...], ws.cov[...] = belief.mean, belief.cov
+    _update_position(ws, d, ...)
+    return GaussianBelief(ws.x1, ws.cov1)
 
 
-def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
-    """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector."""
+def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray, out=None) -> np.ndarray:
+    """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector (into ``out``, if given)."""
     p = np.shape(l_row)[-1]
-    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], axis=-1)  # (vel, pos)
+    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], -1, out, "clip")  # (vel, pos)
     h_row[..., :p] += l_row
     return h_row
 
@@ -299,10 +411,11 @@ def quadratic_correction(cov: np.ndarray):
     ``P`` the two traces are the sum of the elementwise product of the
     rows ``P[:p]`` with the block-swapped rows ``P[p:]``.
     """
-    p = cov.shape[-1] // 2
-    delta2 = 2.0 * cov[..., :p, p:].diagonal(0, -2, -1).sum(axis=-1)
-    a_k = (cov[..., :p, :] * cov[..., p:, :].take(_BLOCK_SWAP[p], axis=-1)).sum(axis=(-2, -1))
-    return delta2, a_k
+    cov = np.asarray(cov, dtype=float)
+    ws = _Workspace(cov.shape[:-2], cov.shape[-1])
+    ws.cov1[...] = cov
+    _quadratic(ws)
+    return 2.0 * ws.trace, ws.a_k
 
 
 def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -313,38 +426,10 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     denominator carries the quadratic variance inflation on top of the
     residual measurement variance.
     """
-    x = belief.mean
-    cov = belief.cov
-    n = x.shape[-1]
-    p = d.dim
-    if n != 2 * p:
-        raise ValueError("measurement dimension does not match the belief")
-    h_row = pseudo_jacobian(x, d.l_row)
-    delta2, a_k = quadratic_correction(cov)
-    ph = _mv(cov, h_row)
-    r = d.var_pseudo + a_k
-    s = _dot(h_row, ph) + r
-    h_val = _dot(h_row[..., :p], x[..., :p])  # (l_row + vel) @ pos
-    innovation = d.debiased_pseudo - h_val - 0.5 * delta2
-    # the true variance is nonnegative for PSD inputs, so s <= 0 is a
-    # collapsed (deterministic) measurement: a no-op when the innovation is
-    # consistent, a genuine degeneracy otherwise
-    collapsed = s <= 0
-    any_collapsed = collapsed.any()
-    if any_collapsed:
-        scale = np.maximum(np.maximum(np.abs(d.pseudo), np.abs(h_val)), 1.0)
-        if np.any(collapsed & (np.abs(innovation) > 1e-9 * scale)):
-            raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
-        s = np.where(collapsed, 1.0, s)
-    gain = ph / s[..., None]
-    mean = x + gain * innovation[..., None]
-    a = cov - gain[..., :, None] * ph[..., None, :]
-    m = _mv(a, h_row) - r[..., None] * gain
-    new_cov = _symmetrize(a - m[..., :, None] * gain[..., None, :])
-    if any_collapsed:
-        mean = np.where(collapsed[..., None], x, mean)
-        new_cov = np.where(collapsed[..., None, None], cov, new_cov)
-    return GaussianBelief(mean, new_cov)
+    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
+    ws.x1[...], ws.cov1[...] = belief.mean, belief.cov
+    _update_pseudo(ws, d, ..., ws.x, ws.cov)
+    return GaussianBelief(ws.x, ws.cov)
 
 
 def initialize_belief(
@@ -395,23 +480,24 @@ def filter_scans(
     some = per_scan.any(axis=1).tolist()
     means = np.empty(ok.shape + init.mean.shape[-1:])
     covs = np.empty(ok.shape + init.cov.shape[-2:])
-    belief = init
+    ws = _Workspace(ok.shape[1:], init.mean.shape[-1])
+    mean, cov = init.mean, init.cov
     for k, step in enumerate(steps):
-        belief = kf_predict(belief, model)
+        _predict(ws, mean, cov, model)
+        mean, cov = means[k], covs[k]  # this scan's output, the next one's input
         try:
             if every[k]:
-                dk = d[k]
-                belief = ekf_update_pseudo(kf_update_position(belief, dk), dk)
-            elif some[k]:
+                _update_position(ws, d, k)
+                _update_pseudo(ws, d, k, mean, cov)
+                continue
+            mean[...], cov[...] = ws.x, ws.cov
+            if some[k]:
                 sel = ok[k]
-                dk = d[k][sel]
-                post = ekf_update_pseudo(kf_update_position(belief[sel], dk), dk)
-                belief.mean[sel] = post.mean
-                belief.cov[sel] = post.cov
+                dk, prior = d[k][sel], GaussianBelief(ws.x, ws.cov)[sel]
+                post = ekf_update_pseudo(kf_update_position(prior, dk), dk)
+                mean[sel], cov[sel] = post.mean, post.cov
         except (DegenerateCovarianceError, ValueError) as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
-        means[k] = belief.mean
-        covs[k] = belief.cov
     return GaussianBelief(means, covs), ok
 
 

@@ -561,7 +561,9 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     init = initialize_belief(z[0], z[1], sc.model.t)
     steps = np.arange(2, 12)
     calls = {}
-    for name in ("kf_predict", "kf_update_position", "ekf_update_pseudo"):
+    # the stage kernels: the loop runs them on its workspace, the public
+    # stages on a fresh one
+    for name in ("_predict", "_update_position", "_update_pseudo"):
         real = getattr(filtering, name)
 
         def counting(*args, _real=real, _name=name):
@@ -572,7 +574,7 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     assert ok.all()
     scans = len(steps)
     filter_scans(init, z[2:], ok[2:], steps, sc.model)
-    assert calls == {"kf_predict": scans, "kf_update_position": scans, "ekf_update_pseudo": scans}
+    assert calls == {"_predict": scans, "_update_position": scans, "_update_pseudo": scans}
     # a scan where only some tracks update is still one call per stage, and a
     # scan where none does is predict-only
     ok[4, 0] = False
@@ -580,7 +582,77 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     calls.clear()
     filter_scans(init, z[2:], ok[2:], steps, sc.model)
     assert calls == {
-        "kf_predict": scans,
-        "kf_update_position": scans - 1,
-        "ekf_update_pseudo": scans - 1,
+        "_predict": scans,
+        "_update_position": scans - 1,
+        "_update_pseudo": scans - 1,
     }
+
+
+def _scan_batch(rng, p, shape, scans):
+    """Random beliefs and conversions for ``filter_scans``, with item 0 collapsed.
+
+    Item 0 starts with a zero covariance and velocity and gets noise-free
+    conversions of its position, so under a noiseless model its every
+    pseudo update is a consistent collapsed (no-op) update.
+    """
+    n = 2 * p
+    size = int(np.prod(shape))
+    mean = rng.standard_normal((size, n)) * 1e3
+    cov = np.array([_random_cov(rng, n, 1e4) for _ in range(size)])
+    joint = np.array([[_random_cov(rng, p + 1, 1e3) for _ in range(size)] for _ in range(scans)])
+    position = mean[:, :p] + rng.standard_normal((scans, size, p)) * 30.0
+    pseudo = rng.standard_normal((scans, size)) * 1e4
+    mu = rng.standard_normal((scans, size, p + 1))
+    mean[0, p:], cov[0] = 0.0, 0.0
+    joint[:, 0], position[:, 0], pseudo[:, 0], mu[:, 0] = 0.0, mean[0, :p], 0.0, 0.0
+    init = GaussianBelief(mean.reshape(shape + (n,)), cov.reshape(shape + (n, n)))
+    z = ConvertedMeasurement(
+        position=position.reshape((scans,) + shape + (p,)),
+        pseudo=pseudo.reshape((scans,) + shape),
+        mu=mu.reshape((scans,) + shape + (p + 1,)),
+        cov=joint.reshape((scans,) + shape + (p + 1, p + 1)),
+        dim=p,
+    )
+    return init, z
+
+
+@pytest.mark.parametrize("accel_std", [0.0, 2.0])
+@pytest.mark.parametrize("p", [2, 3])
+def test_filter_scans_equals_the_public_stages_scan_by_scan(monkeypatch, p, accel_std):
+    rng = np.random.default_rng(p)
+    shape, scans = (3, 2), 8
+    init, z = _scan_batch(rng, p, shape, scans)
+    ok = np.ones((scans,) + shape, dtype=bool)
+    ok[2, 1, 0] = False  # a partial-update scan
+    ok[5] = False  # a predict-only scan
+    model = DynamicModel(p, 0.7, accel_std)
+    made = []
+
+    class RecordingWorkspace(filtering._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(filtering, "_Workspace", RecordingWorkspace)
+    post, updated = filter_scans(init, z, ok, range(scans), model)
+    np.testing.assert_array_equal(updated, ok)
+
+    d = decorrelate(z)
+    belief = init
+    for k in range(scans):
+        belief = kf_predict(belief, model)
+        sel = ok[k]
+        if sel.any():
+            dk = d[k][sel]
+            upd = ekf_update_pseudo(kf_update_position(belief[sel], dk), dk)
+            belief.mean[sel], belief.cov[sel] = upd.mean, upd.cov
+        assert post.mean[k].tobytes() == belief.mean.tobytes(), f"mean of scan {k}"
+        assert post.cov[k].tobytes() == belief.cov.tobytes(), f"covariance of scan {k}"
+    if accel_std == 0.0:  # item 0 took only collapsed updates
+        np.testing.assert_array_equal(post.cov[:, 0, 0], 0.0)
+
+    buffers = [b for ws in made for b in vars(ws).values() if isinstance(b, np.ndarray)]
+    returned = [a[k] for a in (post.mean, post.cov) for k in range(scans)]
+    for i, a in enumerate(returned):
+        assert not any(np.shares_memory(a, b) for b in buffers)
+        assert not any(np.shares_memory(a, b) for b in returned[i + 1 :])

@@ -95,6 +95,19 @@ def test_batched_engine_matches_per_run_path(key):
     assert_ensembles_equal(ens, join(chunked))
 
 
+@pytest.mark.parametrize("t", [0.1, 0.7, 1.3])
+@pytest.mark.parametrize("key", ["case2", "inline3d"])
+def test_per_run_filter_equals_its_batched_track_bit_for_bit(key, t):
+    # off t = 1 a matrix-product prediction rounds a single track (BLAS
+    # gemv) apart from a batch (gemm); a track must give the same bits either way
+    base = SCENARIOS[key]
+    sc = dataclasses.replace(base, runs=4, model=dataclasses.replace(base.model, t=t))
+    seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
+    assert_ensembles_equal(
+        _filter_chunk(sc, VARIANTS, seeds), join([run_single(sc, VARIANTS, seed) for seed in seeds])
+    )
+
+
 def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     sc = dataclasses.replace(SCENARIOS["case1"], seed=9)
     base = run_ensemble(sc, VARIANTS)
