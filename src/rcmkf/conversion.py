@@ -616,12 +616,12 @@ def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
     ok, conv, mu, cov = _stats_batch(methods, r, theta, phi, rdot, noise, dim)
     shape = r.shape + (len(methods),)
     position = np.moveaxis(conv[:dim], 0, -1)
-    # the filter's matrix products read item-major, C-contiguous statistics
+    # item-major views of the entries-first rows, which the filter reads back
     z = ConvertedMeasurement(
         position=np.broadcast_to(position[..., None, :], shape + (dim,)),
         pseudo=np.broadcast_to(conv[dim][..., None], shape),
-        mu=np.ascontiguousarray(np.moveaxis(mu, 0, -1)),
-        cov=np.ascontiguousarray(np.moveaxis(cov, (0, 1), (-2, -1))),
+        mu=np.moveaxis(mu, 0, -1),
+        cov=np.moveaxis(cov, (0, 1), (-2, -1)),
         dim=dim,
     )
     return z, ok

@@ -236,8 +236,12 @@ def rmse(ens: Ensemble) -> RmseReport:
     runs, steps, n = ens.truth.shape
     p = n // 2
     err = ens.means[..., :p] - ens.truth[:, None, INIT_SCANS:, :p]
-    # the runs are summed in order along axis 0, as a loop over them would
-    mean_sq = np.sum(np.sum(err**2, axis=-1), axis=0) / runs
+    # the coordinates and then the runs are summed in order, as loops over
+    # them would, whatever the memory layout of the means
+    sq = err[..., 0] ** 2
+    for i in range(1, p):
+        sq = sq + err[..., i] ** 2
+    mean_sq = np.sum(np.ascontiguousarray(sq), axis=0) / runs
     return RmseReport(
         steps=np.arange(INIT_SCANS, steps),
         rmse={v.name: np.sqrt(mean_sq[i]) for i, v in enumerate(ens.variants)},
@@ -264,10 +268,12 @@ def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
     runs, steps, n = ens.truth.shape
     lower, upper = chi_square_bounds(n, runs, tail)
     err = ens.means - ens.truth[:, None, INIT_SCANS:]
-    # one batched quadratic form over every (run, variant, step); the runs are
-    # then summed in order along axis 0, as a loop over them would
+    # one batched quadratic form over every (run, variant, step), on views
+    # that put the entries first; the runs are then summed in order along
+    # axis 0, as a loop over them would
     covs, err = np.moveaxis(ens.covs, (-2, -1), (0, 1)), np.moveaxis(err, -1, 0)
-    avg = np.sum(_quad_form(covs, err, "a filter covariance"), axis=0) / runs
+    quad = _quad_form(covs, err, "a filter covariance")
+    avg = np.sum(np.ascontiguousarray(quad), axis=0) / runs
     return NeesReport(
         steps=np.arange(INIT_SCANS, steps),
         nees={v.name: avg[i] for i, v in enumerate(ens.variants)},

@@ -3,7 +3,7 @@
 Each scan is processed in two stages. The converted position is linear in
 the state and goes through a standard Kalman update. The pseudo-measurement
 ``eta = r * rdot`` is quadratic in the state; its error is first decorrelated
-from the position errors (a Schur-complement / Cholesky step), then applied
+from the position errors (a Schur-complement / LDL^T step), then applied
 through a second-order extended Kalman update linearized about the
 position-updated estimate. Processing position first keeps the
 linearization point as accurate as possible.
@@ -15,7 +15,7 @@ semidefinite under rounding for any gain. It is evaluated in factored form:
 with ``A = (I - K H) P = P - K (H P)``, the product is
 ``A - (A H^T - K R) K^T``, which needs no identity matrix and no ``n x n``
 gain product. For the position update ``H = [I 0]``, so ``H P`` and
-``A H^T`` are row and column slices, and the gain comes from
+``A H^T`` are row and column selections, and the gain comes from
 ``K^T = S^{-1} (H P)`` with the ``2 x 2`` / ``3 x 3`` inverse of
 ``S = P_pp + R`` in closed form (adjugate over determinant); an item whose
 determinant is not positive and finite falls back to a solve, or to the
@@ -24,13 +24,25 @@ scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
 
-Each stage is one kernel over a batch of tracks, run on a workspace that
-preallocates every intermediate and makes its views once; each operation
-writes with ``out=`` or in place. :func:`filter_scans` allocates one
-workspace per call and reuses it for every scan: a scan's last operation
-writes straight into its output, which the next predict reads. The public
-stages run the same kernels on a fresh workspace. No operation rounds by
-the batch shape, so a track gives the same bits alone or in any batch.
+Each stage is one kernel over a batch of tracks, entries first: a state is
+``(n, tracks)`` and a covariance ``(n * n, tracks)``, one contiguous row
+per matrix entry, so each operation is one numpy call over every track. A
+small matrix product gathers the rows of its terms with ``take`` and the
+module's index tables, multiplies them as rows and adds the terms in
+order, one explicit add each: a reduction over the entries would round a
+lone track apart from the same track in a batch, because numpy sums a
+contiguous axis (a single track's) pairwise. No operation rounds by the
+batch shape, so a track gives the same bits alone or in any batch. The
+kernels run on a workspace that preallocates every intermediate and makes
+its views once; each operation writes with ``out=`` or in place.
+
+:func:`filter_scans` decorrelates every scan in one pass, into scan-major
+rows ``(scans, entry, tracks)``, and reuses one workspace for every scan: a
+scan's last operation writes straight into its output, which the next
+predict reads. A scan in which only some tracks update runs the same
+kernels on every track, the others on a neutral placeholder measurement,
+and puts their prediction back. The public stages are thin wrappers that
+run the same kernels on a fresh workspace.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -40,6 +52,8 @@ nested-conditioning ones. The filter code path is shared.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -128,11 +142,6 @@ class DecorrelatedMeasurement:
         )
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the last axis, for any leading axes."""
-    return (a * b).sum(axis=-1)
-
-
 def _solve_each(a: np.ndarray, b: np.ndarray, fallback):
     """``solve(a, b)`` over the leading axes; an exactly singular item goes to
     ``fallback(a_i, b_i)`` instead of failing the whole batch."""
@@ -148,65 +157,29 @@ def _solve_each(a: np.ndarray, b: np.ndarray, fallback):
         return out
 
 
-def _decorrelate(z: ConvertedMeasurement) -> tuple[DecorrelatedMeasurement, np.ndarray]:
-    """:func:`decorrelate` over any leading axes, with a per-item validity mask.
+def _sum_rows(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` into ``out``, added in order.
 
-    An item is invalid when its position block is singular while the cross
-    row is nonzero, or when its residual variance is negative beyond
-    rounding; its fields are then meaningless.
+    Explicit adds round alike for any number of tracks; a reduction over
+    the entry axis would not, since numpy sums a contiguous axis (that of a
+    single track) pairwise.
     """
-    p = z.dim
-    r_pp = z.cov[..., :p, :p]
-    r_ep = z.cov[..., p, :p]
-    r_ee = z.cov[..., p, p]
-    # a zero cross row needs no solve; a singular block elsewhere gives NaN
-    l_row = -_solve_each(
-        r_pp,
-        r_ep[..., None],
-        lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
-    )[..., 0]
-    var_eps = r_ee + _dot(l_row, r_ep)
-    ok = np.all(np.isfinite(l_row), axis=-1) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
-    mu_pos = z.mu[..., :p]
-    pseudo = _dot(l_row, z.position) + z.pseudo
-    mu_pseudo = _dot(l_row, mu_pos) + z.mu[..., p]
-    d = DecorrelatedMeasurement(
-        cov_pos=r_pp,
-        pseudo=pseudo,
-        var_pseudo=np.maximum(var_eps, 0.0),
-        l_row=l_row,
-        debiased_pos=z.position - mu_pos,
-        debiased_pseudo=pseudo - mu_pseudo,
-        dim=p,
-    )
-    return d, ok
-
-
-def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
-    """Remove the position/pseudo error correlation from a conversion.
-
-    With the joint covariance split into position block ``R_pp``, cross row
-    ``R_ep`` and scalar ``R_ee``, the row ``L = -R_ep @ inv(R_pp)`` makes the
-    transformed pseudo error ``L @ pos_err + eta_err`` uncorrelated with the
-    position errors; its variance is ``R_ee - R_ep inv(R_pp) R_ep^T``.
-    Raises :class:`DegenerateCovarianceError` when the position block is
-    singular or the residual variance is negative beyond rounding.
-    """
-    d, ok = _decorrelate(z)
-    if not np.all(ok):
-        raise DegenerateCovarianceError(
-            "singular position error covariance or negative residual pseudo-measurement variance"
-        )
-    return d
+    if len(terms) == 1:
+        np.copyto(out, terms[0])
+        return out
+    np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        out += term
+    return out
 
 
 # Adjugates of 2x2 and 3x3 matrices on their row-major flattening. In 2D
-# adj = s[_ADJ2_IDX] * _ADJ2_SIGN. In 3D each entry is a difference of two
-# products, adj = f[0] - f[1] with f = s[_ADJ3_A] * s[_ADJ3_B]: entry (i, j)
-# is the cofactor of (j, i), s[j+1, i+1] s[j+2, i+2] - s[j+1, i+2] s[j+2, i+1]
-# with indices mod 3, whose cyclic order carries the sign.
+# adj = s[_ADJ2_IDX] with the off-diagonal entries negated. In 3D each entry
+# is a difference of two products, adj = f[0] - f[1] with f = s[_ADJ3_A] *
+# s[_ADJ3_B]: entry (i, j) is the cofactor of (j, i), s[j+1, i+1] s[j+2, i+2]
+# - s[j+1, i+2] s[j+2, i+1] with indices mod 3, whose cyclic order carries
+# the sign.
 _ADJ2_IDX = np.array([3, 1, 2, 0])
-_ADJ2_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def _cofactor_index(dj: int, di: int) -> np.ndarray:
@@ -220,162 +193,430 @@ _ADJ3_B = np.stack([_cofactor_index(2, 2), _cofactor_index(2, 1)])
 _BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
 
 
-class _Workspace:
-    """Buffers of the stage kernels for one batch shape, and their views, made once.
+def _adjugate(s: np.ndarray, p: int, out: np.ndarray, cof: np.ndarray) -> np.ndarray:
+    """Adjugates of the ``p x p`` matrices in the entry rows ``s`` into ``out``.
 
-    Predict writes ``x``, ``cov``; the position update reads them and writes
-    ``x1``, ``cov1``, which the pseudo update reads; the rest hold temporaries.
+    ``cof`` is a ``(2, 2, p * p, tracks)`` scratch buffer, used for ``p = 3``.
     """
-
-    def __init__(self, batch: tuple[int, ...], n: int):
-        p = self.p = n // 2
-        self.n = n
-
-        def buf(*shape):
-            return np.empty(batch + shape)
-
-        self.x, self.cov, self.x1, self.cov1 = buf(n), buf(n, n), buf(n), buf(n, n)
-        self.a, self.nn = buf(n, n), buf(n, n)
-        self.x_pos, self.x_vel, self.x1_pos = self.x[..., :p], self.x[..., p:], self.x1[..., :p]
-        self.hp, self.cov_pp = self.cov[..., :p, :], self.cov[..., :p, :p]  # H P, H P H^T
-        self.a_pos = self.a[..., :p]
-        self.s, self.adj, self.cof = buf(p, p), buf(p * p), buf(2, p * p)
-        self.s_flat, self.adj_m = self.s.reshape(self.adj.shape), self.adj.reshape(self.s.shape)
-        self.s_row0, self.adj_col0 = self.s_flat[..., :p], self.adj[..., ::p]
-        self.det, self.terms, self.gain_t, self.kr = buf(), buf(p), buf(p, n), buf(n, p)
-        self.det_m, self.gain = self.det[..., None, None], self.gain_t.swapaxes(-1, -2)
-        self.innov, self.dx = buf(1, p), buf(1, n)
-        self.innov_v, self.dx_v = self.innov[..., 0, :], self.dx[..., 0, :]
-        # pseudo update: columns for matrix products, vectors for the rest
-        self.h, self.ph, self.m = buf(n, 1), buf(n, 1), buf(n, 1)
-        self.h_v, self.ph_v, self.m_v = self.h[..., 0], self.ph[..., 0], self.m[..., 0]
-        self.h_pos, self.ph_row = self.h_v[..., :p], self.ph_v[..., None, :]
-        self.pv_diag = self.cov1[..., :p, p:].diagonal(0, -2, -1)
-        self.cov1_pos, self.cov1_vel = self.cov1[..., :p, :], self.cov1[..., p:, :]
-        self.g, self.tn, self.swap = buf(n), buf(n), buf(p, n)
-        self.g_col, self.g_row = self.g[..., :, None], self.g[..., None, :]
-        self.trace, self.a_k, self.r, self.s1, self.h_val, self.innov1 = (buf() for _ in range(6))
-        self.r_c, self.s1_c, self.innov1_c = (v[..., None] for v in (self.r, self.s1, self.innov1))
-
-
-def _symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.add(a, a.swapaxes(-1, -2), out=out)
-    out *= 0.5
+    if p == 2:
+        s.take(_ADJ2_IDX, 0, out, "clip")  # in-range indices: clip skips a copy
+        np.negative(out[1:3], out=out[1:3])
+    elif p == 3:
+        s.take(_ADJ3_A, 0, cof[0], "clip")
+        s.take(_ADJ3_B, 0, cof[1], "clip")
+        cof[0] *= cof[1]
+        np.subtract(cof[0, 0], cof[0, 1], out=out)
+    else:
+        raise ValueError("position dimension must be 2 or 3")
     return out
 
 
+def _product_index(rows: int, inner: int, cols: int, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of ``C[i, j] = sum_k L[i, k] R[k, j]`` on entries-first operands.
+
+    ``left(i, k)`` and ``right(k, j)`` give the row of each operand's entry.
+    Both tables are ``(inner, rows * cols)``: row ``k`` gathers the ``k``-th
+    term of every entry of ``C``, row-major.
+    """
+    entries = [(i, j) for i in range(rows) for j in range(cols)]
+    return (
+        np.array([[left(i, k) for i, _ in entries] for k in range(inner)]),
+        np.array([[right(k, j) for _, j in entries] for k in range(inner)]),
+    )
+
+
+class _Layout:
+    """Entry rows of a decorrelated measurement, and the kernels' index tables, for one ``p``.
+
+    A measurement's rows are the position block ``cov_pos`` of its error
+    covariance (row-major), ``debiased_pos``, ``l_row``, then ``var_pseudo``,
+    ``debiased_pseudo`` and ``pseudo``. ``neutral`` is the placeholder of a
+    track that does not update: with ``R = I``, ``var_pseudo = 1`` and
+    zeros elsewhere every update is finite and well-posed, and its result
+    is discarded.
+    """
+
+    def __init__(self, p: int):
+        n, q = 2 * p, p * p
+        self.cov_pos, self.pos, self.l_row = slice(0, q), slice(q, q + p), slice(q + p, q + 2 * p)
+        self.var, self.debiased, self.pseudo = q + 2 * p, q + 2 * p + 1, q + 2 * p + 2
+        self.size = q + 2 * p + 3
+        self.neutral = np.zeros(self.size)
+        self.neutral[self.cov_pos] = np.eye(p).ravel()
+        self.neutral[self.var] = 1.0
+        square = [(i, j) for i in range(n) for j in range(n)]
+        self.transpose = np.array([j * n + i for i, j in square])
+        self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
+        self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
+        # K^T = adj(S) (H P) / det, where H P is the first p rows of P
+        self.gain = _product_index(p, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
+        # K (H P) and K R in one product on K^T and the rows of P followed by
+        # those of R, where K[i, k] = K^T[k, i]
+        khp = _product_index(n, p, n, lambda i, k: k * n + i, lambda k, j: k * n + j)
+        kr = _product_index(n, p, p, lambda i, k: k * n + i, lambda k, j: n * n + k * p + j)
+        self.khp_kr = tuple(np.concatenate(pair, axis=1) for pair in zip(khp, kr))
+        self.krk = _product_index(n, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
+        self.dx = np.array([k for k in range(p) for _ in range(n)])  # innovation k of K^T[k, j]
+        self.matvec = _product_index(n, n, 1, lambda i, k: i * n + k, lambda k, j: k)  # M v
+        self.outer = (np.array([i for i, _ in square]), np.array([j for _, j in square]))
+        # a_k's terms P[i, j] P[p + i, swap(j)], j-major: (2, n, p)
+        swap = _BLOCK_SWAP[p]
+        self.a_k = np.array(
+            [[[i * n + j for i in range(p)] for j in range(n)],
+             [[(p + i) * n + swap[j] for i in range(p)] for j in range(n)]]
+        )
+        self.trace = [i * n + p + i for i in range(p)]  # the diagonal of P_pv
+        self.det = np.array([range(p), [q + k * p for k in range(p)]])  # S[0, k], adj(S)[k, 0]
+
+
+@functools.cache
+def _layout(p: int) -> _Layout:
+    """The layout of position dimension ``p``, built on first use."""
+    if p not in (1, 2, 3):
+        raise ValueError("position dimension must be 1, 2 or 3")
+    return _Layout(p)
+
+
+def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
+    """:func:`decorrelate` of every item of ``z`` into the entry rows ``out``.
+
+    ``out`` is ``(size,) + items`` in the row order of :class:`_Layout`; it
+    may be a strided view. Returns the per-item validity mask.
+
+    The row comes in closed form, for all items at once, from the LDL^T
+    elimination of each joint covariance (without pivoting, as in
+    :func:`~rcmkf.conversion._ldl`). Eliminating the ``p`` position columns
+    leaves the multipliers ``L`` and, as the last pivot, the Schur
+    complement ``var_pseudo``; ``l_row`` solves the unit upper triangular
+    ``L_pp^T l = -L_p``, so that ``l^T = -R_ep R_pp^-1``. An item whose
+    position pivots are not all positive and finite (a singular or
+    indefinite block) falls back to a solve. An item is invalid when its
+    position block is singular while the cross row is nonzero, or when its
+    residual variance is negative beyond rounding; its rows are then
+    meaningless.
+    """
+    p = z.dim
+    lay = _layout(p)
+    items = out.shape[1:]
+    cov = np.moveaxis(np.asarray(z.cov, dtype=float), (-2, -1), (0, 1))
+    mu = np.moveaxis(np.asarray(z.mu, dtype=float), -1, 0)
+    position = np.moveaxis(np.asarray(z.position, dtype=float), -1, 0)
+    r_ep, r_ee, l_row = cov[p, :p], cov[p, p], out[lay.l_row]
+    np.copyto(out[lay.cov_pos].reshape((p, p) + items), cov[:p, :p])
+
+    def dot(a, b):
+        terms = a * b
+        return _sum_rows(terms, np.empty(terms.shape[1:]))
+
+    a = [[cov[i, j] for j in range(i + 1)] for i in range(p + 1)]  # the lower triangle
+    mult = {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for c in range(p):
+            for i in range(c + 1, p + 1):
+                mult[i, c] = a[i][c] / a[c][c]
+                for j in range(c + 1, i + 1):
+                    a[i][j] = a[i][j] - mult[i, c] * a[j][c]
+        for c in reversed(range(p)):
+            np.negative(mult[p, c], out=l_row[c, ...])
+            for i in range(c + 1, p):
+                l_row[c] -= mult[i, c] * l_row[i]
+        var_eps = np.asarray(a[p][p])  # a new array: the last pivot
+        pivots = [a[c][c] for c in range(p)]
+        # NaN fails both tests
+        if r_ee.size and not all(d.min() > 0 and d.max() < np.inf for d in pivots):
+            bad = ~np.logical_and.reduce([(d > 0) & (d < np.inf) for d in pivots])
+            # a zero cross row needs no solve; a singular block elsewhere gives NaN
+            l_row[..., bad] = -np.moveaxis(
+                _solve_each(
+                    np.moveaxis(cov[:p, :p][..., bad], -1, 0),
+                    np.moveaxis(r_ep[..., bad], -1, 0)[..., None],
+                    lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
+                )[..., 0],
+                0,
+                -1,
+            )
+            var_eps[bad] = r_ee[bad] + dot(l_row[..., bad], r_ep[..., bad])
+    ok = np.isfinite(l_row).all(axis=0) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
+    np.maximum(var_eps, 0.0, out=out[lay.var, ...])
+    np.subtract(position, mu[:p], out=out[lay.pos])
+    pseudo = np.add(dot(l_row, position), z.pseudo, out=out[lay.pseudo, ...])
+    np.subtract(pseudo, dot(l_row, mu[:p]) + mu[p], out=out[lay.debiased, ...])
+    return ok
+
+
+def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
+    """Remove the position/pseudo error correlation from a conversion.
+
+    With the joint covariance split into position block ``R_pp``, cross row
+    ``R_ep`` and scalar ``R_ee``, the row ``L = -R_ep @ inv(R_pp)`` makes the
+    transformed pseudo error ``L @ pos_err + eta_err`` uncorrelated with the
+    position errors; its variance is ``R_ee - R_ep inv(R_pp) R_ep^T``.
+    Raises :class:`DegenerateCovarianceError` when the position block is
+    singular or the residual variance is negative beyond rounding.
+    """
+    p, lay, items = z.dim, _layout(z.dim), np.shape(z.pseudo)
+    rows = np.empty((lay.size,) + items)
+    if not np.all(_decorrelate(z, rows)):
+        raise DegenerateCovarianceError(
+            "singular position error covariance or negative residual pseudo-measurement variance"
+        )
+    # item-major views of the entry rows
+    return DecorrelatedMeasurement(
+        cov_pos=np.moveaxis(rows[lay.cov_pos].reshape((p, p) + items), (0, 1), (-2, -1)),
+        pseudo=rows[lay.pseudo],
+        var_pseudo=rows[lay.var],
+        l_row=np.moveaxis(rows[lay.l_row], 0, -1),
+        debiased_pos=np.moveaxis(rows[lay.pos], 0, -1),
+        debiased_pseudo=rows[lay.debiased],
+        dim=p,
+    )
+
+
+_HALF = np.array(0.5)  # a 0-d array multiplies faster than a Python float
+
+
+class _Workspace:
+    """Entry-row buffers of the stage kernels for ``tracks`` tracks of size ``n``, made once.
+
+    A state is ``(n, tracks)`` and a covariance ``(n * n, tracks)``, one
+    contiguous row per entry (row-major). Predict writes ``x``, ``cov``; the
+    position update reads them and writes ``x1``, ``cov1``, which the pseudo
+    update reads; the rest hold temporaries. The views of all of them, and
+    the lists of rows that get summed, are made here once.
+    """
+
+    def __init__(self, tracks: int, n: int):
+        p = self.p = n // 2
+        self.n = n
+        lay = self.lay = _layout(p)
+        pn, nn, q = p * n, n * n, p * p
+
+        def buf(*shape):
+            return np.empty(shape + (tracks,))
+
+        def gathered(inner, entries):
+            ga = buf(inner, entries)
+            return ga, buf(inner, entries), list(ga)
+
+        # the model's sampling interval and process noise rows, set by predict
+        self.model, self.t, self.q = None, np.empty(()), buf(nn)
+        self.x, self.x1, self.cov1, self.a, self.nn, self.tr = (
+            buf(n), buf(n), buf(nn), buf(nn), buf(nn), buf(nn)
+        )
+        self.x_pos, self.x_vel, self.x1_pos, self.x1_vel = (
+            self.x[:p], self.x[p:], self.x1[:p], self.x1[p:]
+        )
+        # P is followed by the rows of R, for the product K [H P | R]
+        self.cov_r = buf(nn + q)
+        self.cov, self.r = self.cov_r[:nn], self.cov_r[nn:]
+        self.a_top, self.a_bottom, self.nn_top, self.nn_bottom, self.tr_top, self.tr_bottom = (
+            self.a[:pn], self.a[pn:], self.nn[:pn], self.nn[pn:], self.tr[:pn], self.tr[pn:]
+        )
+        # position update: S, then its adjugate, in one buffer for det's gather
+        self.s_adj, self.cof, self.det_terms, self.det = buf(2 * q), buf(2, 2, q), buf(2, p), buf()
+        self.s, self.adj = self.s_adj[:q], self.s_adj[q:]
+        self.det_rows = list(self.det_terms[0])
+        self.gain_t, self.innov, self.dx_terms, self.dx = buf(pn), buf(p), buf(p, n), buf(n)
+        self.dx_rows, self.dx_sum = self.dx_terms.reshape(pn, tracks), list(self.dx_terms)
+        self.khp_kr, self.h_cols = buf(nn + pn), buf(pn)
+        self.khp, self.kr = self.khp_kr[:nn], self.khp_kr[nn:]
+        self.g_gain, self.g_khp_kr = gathered(p, pn), gathered(p, nn + pn)
+        self.g_krk = gathered(p, nn)
+        # pseudo update
+        self.h, self.ph, self.g, self.mv, self.tn = buf(n), buf(n), buf(n), buf(n), buf(n)
+        self.h_pos, self.h_vel, self.tn_rows = self.h[:p], self.h[p:], list(self.tn)
+        self.g_matvec, self.g_outer = gathered(n, n), (buf(nn), buf(nn))
+        self.a_k_terms, self.a_k_rows = buf(2, n, p), buf(p)
+        self.a_k_sum, self.a_k_rows_sum = list(self.a_k_terms[0]), list(self.a_k_rows)
+        self.trace_rows = [self.cov1[i] for i in lay.trace]
+        self.pos_terms = buf(p)
+        self.pos_rows = list(self.pos_terms)
+        self.trace, self.a_k, self.r_k, self.s1, self.h_val, self.innov1 = (
+            buf() for _ in range(6)
+        )
+
+
+def _symmetrize_rows(ws: _Workspace, a: np.ndarray, out: np.ndarray) -> None:
+    """``(a + a^T) / 2`` of covariance rows ``a`` into ``out``."""
+    a.take(ws.lay.transpose, 0, ws.tr, "clip")
+    np.add(a, ws.tr, out=out)
+    out *= _HALF
+
+
+def _product(a: np.ndarray, b: np.ndarray, index, gathered, out: np.ndarray) -> np.ndarray:
+    """Small matrix products of entry rows: ``out[e] = sum_k a[ia[k, e]] b[ib[k, e]]``.
+
+    ``index`` is ``(ia, ib)`` from :func:`_product_index`; ``gathered`` is
+    two buffers that the terms are gathered into, and the list of the
+    first one's rows. The terms are multiplied as rows and summed in order
+    of ``k``.
+    """
+    ga, gb, terms = gathered
+    a.take(index[0], 0, ga, "clip")  # in-range indices: clip skips a copy
+    b.take(index[1], 0, gb, "clip")
+    ga *= gb
+    return _sum_rows(terms, out)
+
+
+def _outer(ws: _Workspace, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of ``u v^T`` for state rows ``u``, ``v``, in ``ws.g_outer[0]``."""
+    gu, gv = ws.g_outer
+    u.take(ws.lay.outer[0], 0, gu, "clip")
+    v.take(ws.lay.outer[1], 0, gv, "clip")
+    gu *= gv
+    return gu
+
+
 def _predict(ws: _Workspace, mean: np.ndarray, cov: np.ndarray, model: DynamicModel) -> None:
-    """Time update of ``(mean, cov)`` into ``ws.x``, ``ws.cov``."""
-    if mean.shape[-1] != model.n:
+    """Time update of the rows ``mean`` ``(n, tracks)``, ``cov`` ``(n * n, tracks)``.
+
+    Writes ``ws.x`` and ``ws.cov``.
+
+    ``phi = [[I, t I], [0, I]]`` acts on rows: ``A = phi P`` adds ``t`` times
+    the velocity rows to the position rows, and ``(A phi^T)^T = phi A^T``
+    is the same step on the rows of ``A^T``.
+    """
+    if len(mean) != model.n:
         raise ValueError("belief size does not match the model")
-    # x' = (pos + t vel, vel) elementwise: a matrix product rounds by the
-    # batch shape (BLAS gemv for a single track, gemm for a batch)
-    vel = mean[..., ws.p :]
-    np.multiply(vel, model.t, out=ws.x_pos)
-    np.add(mean[..., : ws.p], ws.x_pos, out=ws.x_pos)
-    ws.x_vel[...] = vel
-    np.matmul(model.phi, cov, out=ws.a)
-    np.matmul(ws.a, model.phi_t, out=ws.nn)
-    ws.nn += model.process_noise_cov()
-    _symmetrize(ws.nn, out=ws.cov)
+    if model is not ws.model:
+        ws.model, ws.t = model, np.array(model.t)
+        ws.q[...] = model.process_noise_cov().reshape(-1, 1)
+    p, t, pn = ws.p, ws.t, ws.p * ws.n
+    np.multiply(mean[p:], t, out=ws.x_pos)
+    np.add(mean[:p], ws.x_pos, out=ws.x_pos)
+    ws.x_vel[...] = mean[p:]
+    np.multiply(cov[pn:], t, out=ws.a_top)
+    np.add(cov[:pn], ws.a_top, out=ws.a_top)
+    ws.a_bottom[...] = cov[pn:]
+    ws.a.take(ws.lay.transpose, 0, ws.tr, "clip")
+    np.multiply(ws.tr_bottom, t, out=ws.nn_top)
+    np.add(ws.tr_top, ws.nn_top, out=ws.nn_top)
+    ws.nn_bottom[...] = ws.tr_bottom
+    ws.nn += ws.q
+    _symmetrize_rows(ws, ws.nn, ws.cov)
 
 
-def _update_position(ws: _Workspace, d: DecorrelatedMeasurement, key) -> None:
-    """Update of ``ws.x``, ``ws.cov`` with ``d[key]``'s position into ``ws.x1``, ``ws.cov1``."""
-    if 2 * d.dim != ws.n:
+def _update_position(ws: _Workspace, m: np.ndarray) -> None:
+    """Update of ``ws.x``, ``ws.cov`` with the position of the measurement rows ``m``.
+
+    Writes ``ws.x1`` and ``ws.cov1``.
+    """
+    p, lay = ws.p, ws.lay
+    if len(m) != lay.size:
         raise ValueError("measurement dimension does not match the belief")
-    r = d.cov_pos[key]
-    np.add(ws.cov_pp, r, out=ws.s)
-    if ws.p == 2:
-        ws.s_flat.take(_ADJ2_IDX, -1, ws.adj, "clip")  # in-range indices: clip skips a copy
-        ws.adj *= _ADJ2_SIGN
-    elif ws.p == 3:
-        ws.s_flat.take(_ADJ3_A, -1, ws.cof, "clip")
-        ws.cof *= ws.s_flat.take(_ADJ3_B, -1)
-        np.subtract(ws.cof[..., 0, :], ws.cof[..., 1, :], out=ws.adj)
+    ws.r[...] = m[lay.cov_pos]
+    ws.cov.take(lay.pp, 0, ws.s, "clip")
+    ws.s += ws.r  # S = H P H^T + R
+    _adjugate(ws.s, p, ws.adj, ws.cof)
+    ws.s_adj.take(lay.det, 0, ws.det_terms, "clip")  # S[0, k] adj(S)[k, 0]
+    ws.det_terms[0] *= ws.det_terms[1]
+    det = _sum_rows(ws.det_rows, ws.det)
+    _product(ws.adj, ws.cov, lay.gain, ws.g_gain, ws.gain_t)  # adj(S) (H P)
+    if det.min() > 0 and det.max() < np.inf:  # NaN fails both
+        ws.gain_t /= det
     else:
-        raise ValueError("position dimension must be 2 or 3")
-    np.multiply(ws.s_row0, ws.adj_col0, out=ws.terms)
-    np.add.reduce(ws.terms, -1, out=ws.det)
-    np.matmul(ws.adj_m, ws.hp, out=ws.gain_t)
-    if ws.det.min() > 0 and ws.det.max() < np.inf:  # NaN fails both
-        ws.gain_t /= ws.det_m
-    else:
-        bad = ~((ws.det > 0) & (ws.det < np.inf))
-        ws.gain_t /= np.where(bad, 1.0, ws.det)[..., None, None]
+        bad = ~((det > 0) & (det < np.inf))
+        ws.gain_t /= np.where(bad, 1.0, det)
         # an exactly singular S comes from a collapsed (noise-free) covariance,
         # where the minimum-norm gain is the correct limit
-        ws.gain_t[bad] = _solve_each(
-            ws.s[bad], ws.hp[bad], lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0]
-        )
+        ws.gain_t[:, bad] = _solve_each(
+            ws.s[:, bad].T.reshape(-1, p, p),
+            ws.cov[: p * ws.n, bad].T.reshape(-1, p, ws.n),
+            lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0],
+        ).reshape(-1, p * ws.n).T
     if not (ws.gain_t.min() > -np.inf and ws.gain_t.max() < np.inf):
         raise DegenerateCovarianceError("position innovation covariance is singular")
-    np.subtract(d.debiased_pos[key], ws.x_pos, out=ws.innov_v)
-    np.matmul(ws.innov, ws.gain_t, out=ws.dx)
-    np.add(ws.x, ws.dx_v, out=ws.x1)
-    np.matmul(ws.gain, ws.hp, out=ws.a)
-    np.subtract(ws.cov, ws.a, out=ws.a)  # A = P - K (H P)
-    np.matmul(ws.gain, r, out=ws.kr)
-    np.subtract(ws.a_pos, ws.kr, out=ws.kr)  # A H^T - K R
-    np.matmul(ws.kr, ws.gain_t, out=ws.nn)
+    np.subtract(m[lay.pos], ws.x_pos, out=ws.innov)
+    ws.innov.take(lay.dx, 0, ws.dx_rows, "clip")
+    ws.dx_rows *= ws.gain_t
+    np.add(ws.x, _sum_rows(ws.dx_sum, ws.dx), out=ws.x1)
+    _product(ws.gain_t, ws.cov_r, lay.khp_kr, ws.g_khp_kr, ws.khp_kr)  # K (H P), K R
+    np.subtract(ws.cov, ws.khp, out=ws.a)  # A = P - K (H P)
+    ws.a.take(lay.h_cols, 0, ws.h_cols, "clip")
+    ws.h_cols -= ws.kr  # A H^T - K R
+    _product(ws.h_cols, ws.gain_t, lay.krk, ws.g_krk, ws.nn)
     np.subtract(ws.a, ws.nn, out=ws.nn)
-    _symmetrize(ws.nn, out=ws.cov1)
+    _symmetrize_rows(ws, ws.nn, ws.cov1)
 
 
 def _quadratic(ws: _Workspace) -> None:
     """``tr(P_pv)`` into ``ws.trace`` and ``a_k`` into ``ws.a_k``, for ``P = ws.cov1``."""
-    np.add.reduce(ws.pv_diag, -1, out=ws.trace)
-    ws.cov1_vel.take(_BLOCK_SWAP[ws.p], -1, ws.swap, "clip")
-    ws.swap *= ws.cov1_pos
-    np.add.reduce(ws.swap, (-2, -1), out=ws.a_k)
+    _sum_rows(ws.trace_rows, ws.trace)
+    ws.cov1.take(ws.lay.a_k, 0, ws.a_k_terms, "clip")
+    ws.a_k_terms[0] *= ws.a_k_terms[1]
+    _sum_rows(ws.a_k_sum, ws.a_k_rows)  # over j, then over i
+    _sum_rows(ws.a_k_rows_sum, ws.a_k)
 
 
-def _update_pseudo(ws: _Workspace, d: DecorrelatedMeasurement, key, mean_out, cov_out) -> None:
-    """Update of ``ws.x1``, ``ws.cov1`` with ``d[key]``'s pseudo into ``mean_out``, ``cov_out``."""
-    if 2 * d.dim != ws.n:
-        raise ValueError("measurement dimension does not match the belief")
-    pseudo_jacobian(ws.x1, d.l_row[key], out=ws.h_v)
+def _update_pseudo(
+    ws: _Workspace, m: np.ndarray, mean_out: np.ndarray, cov_out: np.ndarray
+) -> None:
+    """Update of ``ws.x1``, ``ws.cov1`` with the pseudo of the rows ``m``.
+
+    Writes ``mean_out`` and ``cov_out``.
+    """
+    lay = ws.lay
+    np.add(ws.x1_vel, m[lay.l_row], out=ws.h_pos)  # h = (l_row + vel, pos)
+    ws.h_vel[...] = ws.x1_pos
     _quadratic(ws)
-    np.matmul(ws.cov1, ws.h, out=ws.ph)  # P h
-    np.add(d.var_pseudo[key], ws.a_k, out=ws.r)
-    np.multiply(ws.h_v, ws.ph_v, out=ws.tn)
-    np.add.reduce(ws.tn, -1, out=ws.s1)
-    ws.s1 += ws.r
-    np.multiply(ws.h_pos, ws.x1_pos, out=ws.terms)
-    np.add.reduce(ws.terms, -1, out=ws.h_val)  # (l_row + vel) @ pos
+    _product(ws.cov1, ws.h, lay.matvec, ws.g_matvec, ws.ph)  # P h
+    np.add(m[lay.var], ws.a_k, out=ws.r_k)
+    np.multiply(ws.h, ws.ph, out=ws.tn)
+    _sum_rows(ws.tn_rows, ws.s1)
+    ws.s1 += ws.r_k
+    np.multiply(ws.h_pos, ws.x1_pos, out=ws.pos_terms)
+    _sum_rows(ws.pos_rows, ws.h_val)  # (l_row + vel) @ pos
     # less the second-order mean correction delta2 / 2 = tr(P_pv)
-    np.subtract(d.debiased_pseudo[key], ws.h_val, out=ws.innov1)
+    np.subtract(m[lay.debiased], ws.h_val, out=ws.innov1)
     ws.innov1 -= ws.trace
     # the true variance is nonnegative for PSD inputs, so s <= 0 is a
     # collapsed (deterministic) measurement: a no-op when the innovation is
     # consistent, a genuine degeneracy otherwise; NaN also takes this branch
     collapsed = None if ws.s1.min() > 0 else ws.s1 <= 0
     if collapsed is not None:
-        scale = np.maximum(np.maximum(np.abs(d.pseudo[key]), np.abs(ws.h_val)), 1.0)
+        scale = np.maximum(np.maximum(np.abs(m[lay.pseudo]), np.abs(ws.h_val)), 1.0)
         if np.any(collapsed & (np.abs(ws.innov1) > 1e-9 * scale)):
             raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
         ws.s1[collapsed] = 1.0
-    np.divide(ws.ph_v, ws.s1_c, out=ws.g)
-    np.multiply(ws.g, ws.innov1_c, out=ws.tn)
+    np.divide(ws.ph, ws.s1, out=ws.g)
+    np.multiply(ws.g, ws.innov1, out=ws.tn)
     np.add(ws.x1, ws.tn, out=mean_out)
-    np.multiply(ws.g_col, ws.ph_row, out=ws.a)
-    np.subtract(ws.cov1, ws.a, out=ws.a)  # A = P - g (P h)^T
-    np.matmul(ws.a, ws.h, out=ws.m)
-    np.multiply(ws.r_c, ws.g, out=ws.tn)
-    ws.m_v -= ws.tn  # A h - r g
-    np.multiply(ws.m, ws.g_row, out=ws.nn)
-    np.subtract(ws.a, ws.nn, out=ws.nn)
-    _symmetrize(ws.nn, out=cov_out)
+    np.subtract(ws.cov1, _outer(ws, ws.g, ws.ph), out=ws.a)  # A = P - g (P h)^T
+    _product(ws.a, ws.h, lay.matvec, ws.g_matvec, ws.mv)
+    np.multiply(ws.r_k, ws.g, out=ws.tn)
+    ws.mv -= ws.tn  # A h - r g
+    np.subtract(ws.a, _outer(ws, ws.mv, ws.g), out=ws.nn)
+    _symmetrize_rows(ws, ws.nn, cov_out)
     if collapsed is not None:
-        np.copyto(mean_out, ws.x1, where=collapsed[..., None])
-        np.copyto(cov_out, ws.cov1, where=collapsed[..., None, None])
+        np.copyto(mean_out, ws.x1, where=collapsed)
+        np.copyto(cov_out, ws.cov1, where=collapsed)
+
+
+def _tracks(a, entry_axes: int) -> np.ndarray:
+    """Item-major ``a`` with ``entry_axes`` trailing entry axes, as rows ``(entries, tracks)``."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape((-1, math.prod(a.shape[a.ndim - entry_axes :]))).T
+
+
+def _items(rows: np.ndarray, batch: tuple[int, ...], entries: tuple[int, ...]) -> np.ndarray:
+    """Entry rows ``(entries, tracks)`` as an item-major ``batch + entries`` view."""
+    return rows.T.reshape(batch + entries)
+
+
+def _measurement_rows(d: DecorrelatedMeasurement) -> np.ndarray:
+    """A :class:`DecorrelatedMeasurement`'s fields as entry rows ``(size, tracks)``."""
+    p = d.dim
+    fields = [np.reshape(d.cov_pos, d.cov_pos.shape[:-2] + (p * p,)), d.debiased_pos, d.l_row]
+    fields += [np.asarray(f)[..., None] for f in (d.var_pseudo, d.debiased_pseudo, d.pseudo)]
+    return np.concatenate([_tracks(f, 1) for f in fields])
 
 
 def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
     """Time update through the dynamic model (filters assume zero input)."""
-    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
-    _predict(ws, belief.mean, belief.cov, model)
-    return GaussianBelief(ws.x, ws.cov)
+    batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    ws = _Workspace(math.prod(batch), n)
+    _predict(ws, _tracks(belief.mean, 1), _tracks(belief.cov, 2), model)
+    return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
 
 
 def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -385,16 +626,17 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     ``z - mu - H x``. Joseph form, in the factored product of the module
     docstring, keeps the covariance PSD.
     """
-    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
-    ws.x[...], ws.cov[...] = belief.mean, belief.cov
-    _update_position(ws, d, ...)
-    return GaussianBelief(ws.x1, ws.cov1)
+    batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    ws = _Workspace(math.prod(batch), n)
+    ws.x[...], ws.cov[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
+    _update_position(ws, _measurement_rows(d))
+    return GaussianBelief(_items(ws.x1, batch, (n,)), _items(ws.cov1, batch, (n, n)))
 
 
-def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray, out=None) -> np.ndarray:
-    """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector (into ``out``, if given)."""
+def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
+    """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector."""
     p = np.shape(l_row)[-1]
-    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], -1, out, "clip")  # (vel, pos)
+    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], -1)  # (vel, pos)
     h_row[..., :p] += l_row
     return h_row
 
@@ -412,10 +654,11 @@ def quadratic_correction(cov: np.ndarray):
     rows ``P[:p]`` with the block-swapped rows ``P[p:]``.
     """
     cov = np.asarray(cov, dtype=float)
-    ws = _Workspace(cov.shape[:-2], cov.shape[-1])
-    ws.cov1[...] = cov
+    batch, n = cov.shape[:-2], cov.shape[-1]
+    ws = _Workspace(math.prod(batch), n)
+    ws.cov1[...] = _tracks(cov, 2)
     _quadratic(ws)
-    return 2.0 * ws.trace, ws.a_k
+    return 2.0 * ws.trace.reshape(batch), ws.a_k.reshape(batch)
 
 
 def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -426,10 +669,11 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     denominator carries the quadratic variance inflation on top of the
     residual measurement variance.
     """
-    ws = _Workspace(belief.mean.shape[:-1], belief.mean.shape[-1])
-    ws.x1[...], ws.cov1[...] = belief.mean, belief.cov
-    _update_pseudo(ws, d, ..., ws.x, ws.cov)
-    return GaussianBelief(ws.x, ws.cov)
+    batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    ws = _Workspace(math.prod(batch), n)
+    ws.x1[...], ws.cov1[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
+    _update_pseudo(ws, _measurement_rows(d), ws.x, ws.cov)
+    return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
 
 
 def initialize_belief(
@@ -441,8 +685,8 @@ def initialize_belief(
     from the difference quotient; the covariance follows from propagating the
     two independent position error covariances through the differencing map.
     """
-    if t <= 0:
-        raise ValueError("sampling interval must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"sampling interval must be positive and finite, got {t!r}")
     if z1.dim != z2.dim:
         raise ValueError("measurements must share dimensionality")
     p = z1.dim
@@ -452,7 +696,7 @@ def initialize_belief(
     r1 = z1.cov[..., :p, :p]
     r2 = z2.cov[..., :p, :p]
     cov = np.block([[r2, r2 / t], [r2 / t, (r1 + r2) / t**2]])
-    return GaussianBelief(mean, _symmetrize(cov))
+    return GaussianBelief(mean, 0.5 * (cov + cov.swapaxes(-1, -2)))
 
 
 def filter_scans(
@@ -472,33 +716,55 @@ def filter_scans(
     others stay predict-only for that scan. A failing update raises with the
     step attached. Returns the post-update beliefs with leading axes
     ``(scans, *batch)`` and the mask of updated (scan, track) pairs.
+
+    Every scan is decorrelated up front, into scan-major entry rows
+    ``(scans, entry, tracks)``. The outputs are stored entries first,
+    ``(n, scans, tracks)`` and ``(n * n, scans, tracks)``, and returned as
+    views in the item-major layout. A scan where only some tracks update
+    runs the same kernels on every track, the others on a neutral
+    placeholder measurement, and then puts back their prediction.
     """
-    d, valid = _decorrelate(z)
-    ok = ok & valid
-    per_scan = ok.reshape(len(ok), -1)
-    every = per_scan.all(axis=1).tolist()
-    some = per_scan.any(axis=1).tolist()
-    means = np.empty(ok.shape + init.mean.shape[-1:])
-    covs = np.empty(ok.shape + init.cov.shape[-2:])
-    ws = _Workspace(ok.shape[1:], init.mean.shape[-1])
-    mean, cov = init.mean, init.cov
+    ok = np.asarray(ok, dtype=bool)
+    scans, batch = ok.shape[0], ok.shape[1:]
+    steps = list(steps)
+    if len(steps) != scans:
+        raise ValueError(f"got {len(steps)} step numbers for {scans} scans")
+    if init.mean.shape[:-1] != batch:
+        raise ValueError(
+            f"initial beliefs of batch shape {init.mean.shape[:-1]} do not match the "
+            f"tracks' {batch}"
+        )
+    n, lay, tracks = init.mean.shape[-1], _layout(z.dim), math.prod(batch)
+    rows = np.empty((scans, lay.size) + batch)
+    ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))
+    rows = rows.reshape(scans, lay.size, tracks)
+    update = ok.reshape(scans, tracks)
+    every, some = update.all(axis=1).tolist(), update.any(axis=1).tolist()
+    if not all(every):
+        np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
+    means, covs = np.empty((scans, n, tracks)), np.empty((scans, n * n, tracks))
+    ws = _Workspace(tracks, n)
+    mean, cov = _tracks(init.mean, 1), _tracks(init.cov, 2)
     for k, step in enumerate(steps):
         _predict(ws, mean, cov, model)
         mean, cov = means[k], covs[k]  # this scan's output, the next one's input
-        try:
-            if every[k]:
-                _update_position(ws, d, k)
-                _update_pseudo(ws, d, k, mean, cov)
-                continue
+        if not some[k]:
             mean[...], cov[...] = ws.x, ws.cov
-            if some[k]:
-                sel = ok[k]
-                dk, prior = d[k][sel], GaussianBelief(ws.x, ws.cov)[sel]
-                post = ekf_update_pseudo(kf_update_position(prior, dk), dk)
-                mean[sel], cov[sel] = post.mean, post.cov
+            continue
+        try:
+            _update_position(ws, rows[k])
+            _update_pseudo(ws, rows[k], mean, cov)
         except (DegenerateCovarianceError, ValueError) as exc:
             raise type(exc)(f"step {step}: {exc}") from exc
-    return GaussianBelief(means, covs), ok
+        if not every[k]:
+            keep = ~update[k]
+            np.copyto(mean, ws.x, where=keep)
+            np.copyto(cov, ws.cov, where=keep)
+    post = GaussianBelief(
+        np.moveaxis(means.reshape((scans, n) + batch), 1, -1),
+        np.moveaxis(covs.reshape((scans, n, n) + batch), (1, 2), (-2, -1)),
+    )
+    return post, ok
 
 
 @dataclass(eq=False)

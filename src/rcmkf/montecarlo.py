@@ -140,6 +140,7 @@ def _filter_chunk(
     init = initialize_belief(z[0], z[1], scenario.model.t)
     steps = np.arange(INIT_SCANS, scenario.steps)
     post, updated = filter_scans(init, z[INIT_SCANS:], ok[INIT_SCANS:], steps, scenario.model)
+    # zero-copy views of the filter's entries-first outputs, in the ensemble's layout
     return Ensemble(
         scenario.name,
         variants,

@@ -54,9 +54,7 @@ class DynamicModel:
     ``phi`` couples each position to its velocity over ``t``; the white noise
     ``w`` (covariance ``q = accel_noise_std**2 * I``) and the per-axis input
     ``u`` act at acceleration level through ``gamma = [[t^2/2 * I], [t * I]]``.
-    The matrices are built once from the three fields and are read-only;
-    ``phi_t`` is ``phi.T`` as its own C-contiguous array, which stacked
-    products multiply faster than the strided transpose view.
+    The matrices are built once from the three fields and are read-only.
     """
 
     dim: int = 2
@@ -77,8 +75,8 @@ class DynamicModel:
         phi = np.block([[eye, t * eye], [np.zeros((self.dim, self.dim)), eye]])
         gamma = np.vstack([0.5 * t**2 * eye, t * eye])
         q = self.accel_noise_std**2 * eye
-        matrices = (phi, np.ascontiguousarray(phi.T), gamma, q, gamma @ q @ gamma.T)
-        for name, value in zip(("phi", "phi_t", "gamma", "q", "_process_noise"), matrices):
+        matrices = (phi, gamma, q, gamma @ q @ gamma.T)
+        for name, value in zip(("phi", "gamma", "q", "_process_noise"), matrices):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

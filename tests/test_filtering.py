@@ -86,6 +86,88 @@ def test_decorrelate_singular_position_block():
         decorrelate(make_converted(cov))
 
 
+def _joint_batch(rng, p, count, spread):
+    """Random ``(count, p + 1, p + 1)`` joint covariances and conversions around them.
+
+    ``spread`` is ``"scales"`` for ill-conditioning by the entries' scales
+    (standard deviations over four decades on a random correlation
+    structure, as position errors in m beside a pseudo error in m^2/s), or
+    ``"eigenvalues"`` for eigenvalues over eight decades in a random basis.
+    Only covariances with condition numbers up to 1e8 are kept.
+    """
+    k = p + 1
+    q = np.linalg.qr(rng.standard_normal((count, k, k)))[0]
+    if spread == "scales":
+        scale = 10.0 ** rng.uniform(-1.0, 3.0, (count, k))
+        cov = (q * rng.uniform(0.2, 1.0, (count, 1, k))) @ q.swapaxes(1, 2)
+        cov *= scale[:, :, None] * scale[:, None, :]
+    else:
+        scale = np.ones((count, k))
+        cov = (q * 10.0 ** rng.uniform(0.0, 8.0, (count, 1, k))) @ q.swapaxes(1, 2)
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    cond = np.linalg.cond(cov)
+    keep = cond <= 1e8
+    assert cond[keep].max() > 5e7  # the draw reaches the stated conditioning
+    cov, scale, m = cov[keep], scale[keep], int(keep.sum())
+    z = ConvertedMeasurement(
+        position=rng.standard_normal((m, p)) * 10.0 * scale[:, :p],
+        pseudo=rng.standard_normal(m) * 10.0 * scale[:, p],
+        mu=rng.standard_normal((m, k)) * scale,
+        cov=cov,
+        dim=p,
+    )
+    return z
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_decorrelation_matches_a_solve(p):
+    # the closed form against LAPACK solve, on covariances whose condition
+    # numbers reach 1e8 through the scales of their entries
+    z = _joint_batch(np.random.default_rng(40 + p), p, 2000, "scales")
+    d = decorrelate(z)
+    cov = z.cov
+    l_row = -np.linalg.solve(cov[:, :p, :p], cov[:, p, :p, None])[..., 0]
+    var = cov[:, p, p] + np.einsum("ni,ni->n", l_row, cov[:, p, :p])
+    pseudo = np.einsum("ni,ni->n", l_row, z.position) + z.pseudo
+    debiased = pseudo - (np.einsum("ni,ni->n", l_row, z.mu[:, :p]) + z.mu[:, p])
+    assert np.all(np.abs(d.l_row - l_row).max(axis=-1) <= 1e-10 * np.abs(l_row).max(axis=-1))
+    assert np.all(np.abs(d.var_pseudo - var) <= 1e-10 * var)
+    assert np.all(np.abs(d.debiased_pseudo - debiased) <= 1e-10 * np.abs(debiased))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_decorrelation_is_backward_stable(p):
+    # with eigenvalues over eight decades in a random basis the solution
+    # itself is ill-conditioned; the row still solves R_pp l = -R_pe to
+    # rounding, as LAPACK's does (an adjugate over the determinant leaves
+    # residuals up to 5e-5 of the terms here in 3D), and the variance is
+    # the Schur complement of that row
+    z = _joint_batch(np.random.default_rng(50 + p), p, 2000, "eigenvalues")
+    d = decorrelate(z)
+    r_pp, r_ep, r_ee = z.cov[:, :p, :p], z.cov[:, p, :p], z.cov[:, p, p]
+    resid = np.einsum("nij,nj->ni", r_pp, d.l_row) + r_ep
+    scale = np.abs(r_pp).max(axis=(1, 2)) * np.abs(d.l_row).max(axis=-1) + np.abs(r_ep).max(axis=-1)
+    assert np.all(np.abs(resid).max(axis=-1) <= 1e-14 * scale)
+    schur = r_ee + np.einsum("ni,ni->n", d.l_row, r_ep)
+    assert np.all(np.abs(d.var_pseudo - schur) <= 1e-14 * (r_ee + np.abs(d.l_row * r_ep).sum(-1)))
+
+
+def test_decorrelate_singular_block_valid_only_without_cross_row():
+    # zero and rank-one position blocks, each with a zero and a nonzero cross
+    # row; the closed form's division by a zero pivot warns nothing
+    blocks = [np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))]
+    cross = [np.zeros(2), np.array([0.5, 0.0]), np.zeros(2), np.array([1.0, 1.0])]
+    cov = np.zeros((4, 3, 3))
+    cov[:, :2, :2], cov[:, 2, :2], cov[:, :2, 2], cov[:, 2, 2] = blocks, cross, cross, 4.0
+    z = ConvertedMeasurement(np.ones((4, 2)), np.ones(4), np.zeros((4, 3)), cov, 2)
+    rows = np.empty((filtering._layout(2).size, 4))
+    ok = filtering._decorrelate(z, rows)
+    np.testing.assert_array_equal(ok, [True, False, True, False])
+    d = decorrelate(z[ok])
+    np.testing.assert_array_equal(d.l_row, 0.0)
+    np.testing.assert_array_equal(d.var_pseudo, 4.0)
+
+
 def test_kf_predict_identity():
     # a target at rest, known exactly and without process noise, stays put
     model = DynamicModel(2, 1.0, 0.0)
@@ -390,6 +472,13 @@ def test_initialize_belief_rejects_bad_interval():
         initialize_belief(z, z, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_initialize_belief_rejects_non_finite_interval(t):
+    z = make_converted(np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        initialize_belief(z, z, t)
+
+
 def test_posterior_covariances_stay_symmetric_psd():
     sc = generate_case(2)
     rng = np.random.default_rng(11)
@@ -656,3 +745,48 @@ def test_filter_scans_equals_the_public_stages_scan_by_scan(monkeypatch, p, acce
     for i, a in enumerate(returned):
         assert not any(np.shares_memory(a, b) for b in buffers)
         assert not any(np.shares_memory(a, b) for b in returned[i + 1 :])
+
+
+@pytest.mark.parametrize("accel_std", [0.0, 2.0])
+@pytest.mark.parametrize("p", [2, 3])
+def test_filter_scans_gives_a_track_the_same_bits_alone(p, accel_std):
+    # every kernel adds its terms in order, so no operation rounds a lone
+    # track (whose entry axis is contiguous) apart from the same track in a
+    # batch, on a partial-update scan and a predict-only scan too
+    rng = np.random.default_rng(10 + p)
+    shape, scans = (3, 2), 8
+    init, z = _scan_batch(rng, p, shape, scans)
+    ok = np.ones((scans,) + shape, dtype=bool)
+    ok[2, 1, 0] = False  # a partial-update scan
+    ok[5] = False  # a predict-only scan
+    model = DynamicModel(p, 0.7, accel_std)
+    post, updated = filter_scans(init, z, ok, range(scans), model)
+    for i in np.ndindex(shape):
+        key = (slice(None),) + i
+        alone, alone_updated = filter_scans(init[i], z[key], ok[key], range(scans), model)
+        np.testing.assert_array_equal(alone_updated, updated[key])
+        assert alone.mean.tobytes() == post.mean[key].tobytes(), f"mean of track {i}"
+        assert alone.cov.tobytes() == post.cov[key].tobytes(), f"covariance of track {i}"
+
+
+def _small_scan_batch(shape=(2, 2), scans=4):
+    init, z = _scan_batch(np.random.default_rng(0), 2, shape, scans)
+    return init, z, np.ones((scans,) + shape, dtype=bool), DynamicModel(2, 1.0, 1.0)
+
+
+def test_filter_scans_rejects_fewer_steps_than_scans():
+    init, z, ok, model = _small_scan_batch()
+    with pytest.raises(ValueError, match="3 step numbers for 4 scans"):
+        filter_scans(init, z, ok, range(3), model)
+
+
+def test_filter_scans_rejects_more_steps_than_scans():
+    init, z, ok, model = _small_scan_batch()
+    with pytest.raises(ValueError, match="5 step numbers for 4 scans"):
+        filter_scans(init, z, ok, range(5), model)
+
+
+def test_filter_scans_rejects_an_initial_batch_of_another_shape():
+    init, z, ok, model = _small_scan_batch()
+    with pytest.raises(ValueError, match=r"batch shape \(1, 2\)"):
+        filter_scans(init[:1], z, ok, range(4), model)
