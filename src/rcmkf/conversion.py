@@ -27,9 +27,11 @@ passes the items that are certainly positive definite, and only the rest go
 through an eigendecomposition that clamps rounding negatives and flags
 indefinite items. Every conversion, one measurement or a batch, goes
 through ``_stats_batch``. The screen's batched LDL^T elimination, ``_ldl``,
-is the one kernel of the library for such forms: it also gives the
-quadratic forms ``e^T C^{-1} e`` of the NES and NEES statistics in
-``rcmkf.evaluation``.
+is the one elimination of the library, for every symmetric system: it also
+gives the quadratic forms ``e^T C^{-1} e`` of the NES and NEES statistics
+in ``rcmkf.evaluation``, and its multipliers and last pivot decorrelate the
+filter's pseudo-measurement. The filter's gain runs the same elimination
+(``_factor``, ``_forward``, ``_back``) in place on buffers it made once.
 
 The kernel works entries first: a batch of vectors is ``(d,) + items`` and
 a batch of matrices ``(d, d) + items``, so each entry is one contiguous row
@@ -267,39 +269,70 @@ _SCREEN_MARGIN = 1e-8
 _PSD_TOL = 1e-9
 
 
+def _less_product(x, m, y, tmp):
+    """``x - m * y``: a new array, or with scratch ``tmp`` written into ``x``."""
+    return np.subtract(x, np.multiply(m, y, out=tmp), out=None if tmp is None else x)
+
+
+def _factor(a: list, mult: list, tmp=None) -> None:
+    """LDL^T elimination, without pivoting, of the lower triangle ``a[i][j]``, ``j <= i``.
+
+    Column by column the multiplier ``L[i, k] = a[i][k] / a[k][k]`` goes
+    into ``mult[i][k]`` (into its array, if it holds one) and each later
+    entry takes ``a[i][j] - L[i, k] a[j][k]``, so the diagonal ends as the
+    pivots. An updated entry is a new array or, given scratch ``tmp`` for
+    the products, the entry's own array overwritten.
+    """
+    n = len(a)
+    for k in range(n):
+        for i in range(k + 1, n):
+            mult[i][k] = np.divide(a[i][k], a[k][k], out=mult[i][k])
+            for j in range(k + 1, i + 1):
+                a[i][j] = _less_product(a[i][j], mult[i][k], a[j][k], tmp)
+
+
+def _forward(mult: list, y: list, tmp=None) -> None:
+    """``y <- L^-1 y`` for the multipliers of :func:`_factor`; ``tmp`` as there."""
+    for k in range(len(y)):
+        for i in range(k + 1, len(y)):
+            y[i] = _less_product(y[i], mult[i][k], y[k], tmp)
+
+
+def _back(mult: list, x: list, tmp=None) -> None:
+    """``x <- L^-T x`` in the leading ``len(x)`` columns; ``tmp`` as in :func:`_factor`."""
+    for c in reversed(range(len(x))):
+        for i in range(c + 1, len(x)):
+            x[c] = _less_product(x[c], mult[i][c], x[i], tmp)
+
+
 def _ldl(cov: np.ndarray, e: np.ndarray | None = None, shift=0.0):
     """Batched LDL^T elimination of symmetric matrices, entries first.
 
     ``cov`` is ``(n, n) + items``: ``cov[i, j]`` holds entry (i, j) of every
-    item. Eliminates every item at once, one column at a time on the
-    lower-triangle entries (the upper triangle is not read), of ``cov -
-    shift * I`` (``shift`` broadcasts against the items). Returns ``(pivots,
-    quad)``: the list of the ``n`` pivots ``d_k``, each shaped like the
-    items, and, when a right-hand side ``e`` (``(n,) + items``, broadcasting
-    against the items) is given, the quadratic form ``e^T (cov - shift *
-    I)^{-1} e = sum_k (L^{-1} e)_k^2 / d_k``, else None. There is no
-    pivoting and no check: a zero, negative or non-finite pivot is returned
-    as computed, and the caller decides what it means.
+    item. Eliminates every item of ``cov - shift * I`` at once
+    (:func:`_factor`; ``shift`` broadcasts against the items). Returns
+    ``(pivots, mult, quad)``: the ``n`` pivots ``d_k``, each shaped like the
+    items; the multipliers ``mult[i][k] = L[i, k]``, ``k < i``; and, given a
+    right-hand side ``e`` (``(n,) + items``, broadcasting against the
+    items), the quadratic form ``e^T (cov - shift * I)^{-1} e = sum_k
+    (L^{-1} e)_k^2 / d_k``, else None. There is no pivoting and no check: a
+    zero, negative or non-finite pivot is returned as computed, and the
+    caller decides what it means.
     """
     n = cov.shape[0]
-    y = None if e is None else [e[i] for i in range(n)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = [[cov[i, j] for j in range(i)] + [cov[i, i] - shift] for i in range(n)]
-        for k in range(n):
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                col = a[i][k] / pivot
-                for j in range(k + 1, i + 1):
-                    a[i][j] = a[i][j] - col * a[j][k]
-                if y is not None:
-                    y[i] = y[i] - col * y[k]
+        mult = [[None] * i for i in range(n)]
+        _factor(a, mult)
         pivots = [a[k][k] for k in range(n)]
         quad = None
-        if y is not None:
+        if e is not None:
+            y = [e[i] for i in range(n)]
+            _forward(mult, y)
             quad = y[0] ** 2 / pivots[0]
             for k in range(1, n):
                 quad = quad + y[k] ** 2 / pivots[k]
-    return pivots, quad
+    return pivots, mult, quad
 
 
 def _trace(a: np.ndarray):
@@ -319,7 +352,7 @@ def _screen_pd(cov: np.ndarray) -> np.ndarray:
     """
     with np.errstate(invalid="ignore", over="ignore"):
         shift = _SCREEN_MARGIN * _trace(cov)
-    pivots, _ = _ldl(cov, shift=shift)
+    pivots, _, _ = _ldl(cov, shift=shift)
     passed = pivots[0] > 0
     for pivot in pivots[1:]:
         passed &= pivot > 0

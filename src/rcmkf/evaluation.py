@@ -59,7 +59,7 @@ def _quad_form(covs: np.ndarray, e: np.ndarray, what: str) -> np.ndarray:
     """
     if covs.shape[:2] != (e.shape[0],) * 2:
         raise ValueError(f"{what} of shape {covs.shape} does not fit errors of shape {e.shape}")
-    pivots, quad = _ldl(covs, e)
+    pivots, _, quad = _ldl(covs, e)
     for d in pivots:
         if not np.all(np.isfinite(d) & (d != 0.0)):
             raise DegenerateCovarianceError(f"{what} is singular or not finite")

@@ -15,11 +15,13 @@ semidefinite under rounding for any gain. It is evaluated in factored form:
 with ``A = (I - K H) P = P - K (H P)``, the product is
 ``A - (A H^T - K R) K^T``, which needs no identity matrix and no ``n x n``
 gain product. For the position update ``H = [I 0]``, so ``H P`` and
-``A H^T`` are row and column selections, and the gain comes from
-``K^T = S^{-1} (H P)`` with the ``2 x 2`` / ``3 x 3`` inverse of
-``S = P_pp + R`` in closed form (adjugate over determinant); an item whose
-determinant is not positive and finite falls back to a solve, or to the
-minimum-norm least-squares gain when ``S`` is exactly singular. For the
+``A H^T`` are row and column selections. The gain ``K^T = S^{-1} (H P)``
+comes from one elimination, the LDL^T elimination of ``S = P_pp + R``
+that also decorrelates the pseudo-measurement (``conversion._ldl``), with
+forward substitution, pivot scaling and back substitution on the rows of
+``H P``; an item whose pivots are not all positive and finite falls back
+to a solve, or to the minimum-norm least-squares gain when ``S`` is
+exactly singular. For the
 scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
@@ -60,6 +62,7 @@ from typing import Iterable
 import numpy as np
 
 from .conversion import ConversionMethod, ConvertedMeasurement, convert
+from .conversion import _back, _factor, _forward, _ldl
 from .errors import DegenerateCovarianceError
 from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement
 
@@ -173,42 +176,8 @@ def _sum_rows(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Adjugates of 2x2 and 3x3 matrices on their row-major flattening. In 2D
-# adj = s[_ADJ2_IDX] with the off-diagonal entries negated. In 3D each entry
-# is a difference of two products, adj = f[0] - f[1] with f = s[_ADJ3_A] *
-# s[_ADJ3_B]: entry (i, j) is the cofactor of (j, i), s[j+1, i+1] s[j+2, i+2]
-# - s[j+1, i+2] s[j+2, i+1] with indices mod 3, whose cyclic order carries
-# the sign.
-_ADJ2_IDX = np.array([3, 1, 2, 0])
-
-
-def _cofactor_index(dj: int, di: int) -> np.ndarray:
-    """Flat index of ``s[(j + dj) % 3, (i + di) % 3]`` for each adjugate entry (i, j)."""
-    return np.array([3 * ((j + dj) % 3) + (i + di) % 3 for i in range(3) for j in range(3)])
-
-
-_ADJ3_A = np.stack([_cofactor_index(1, 1), _cofactor_index(1, 2)])
-_ADJ3_B = np.stack([_cofactor_index(2, 2), _cofactor_index(2, 1)])
 # Indices exchanging the position and velocity halves of a state.
 _BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
-
-
-def _adjugate(s: np.ndarray, p: int, out: np.ndarray, cof: np.ndarray) -> np.ndarray:
-    """Adjugates of the ``p x p`` matrices in the entry rows ``s`` into ``out``.
-
-    ``cof`` is a ``(2, 2, p * p, tracks)`` scratch buffer, used for ``p = 3``.
-    """
-    if p == 2:
-        s.take(_ADJ2_IDX, 0, out, "clip")  # in-range indices: clip skips a copy
-        np.negative(out[1:3], out=out[1:3])
-    elif p == 3:
-        s.take(_ADJ3_A, 0, cof[0], "clip")
-        s.take(_ADJ3_B, 0, cof[1], "clip")
-        cof[0] *= cof[1]
-        np.subtract(cof[0, 0], cof[0, 1], out=out)
-    else:
-        raise ValueError("position dimension must be 2 or 3")
-    return out
 
 
 def _product_index(rows: int, inner: int, cols: int, left, right) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +217,6 @@ class _Layout:
         self.transpose = np.array([j * n + i for i, j in square])
         self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
         self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
-        # K^T = adj(S) (H P) / det, where H P is the first p rows of P
-        self.gain = _product_index(p, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
         # K (H P) and K R in one product on K^T and the rows of P followed by
         # those of R, where K[i, k] = K^T[k, i]
         khp = _product_index(n, p, n, lambda i, k: k * n + i, lambda k, j: k * n + j)
@@ -266,7 +233,6 @@ class _Layout:
              [[(p + i) * n + swap[j] for i in range(p)] for j in range(n)]]
         )
         self.trace = [i * n + p + i for i in range(p)]  # the diagonal of P_pv
-        self.det = np.array([range(p), [q + k * p for k in range(p)]])  # S[0, k], adj(S)[k, 0]
 
 
 @functools.cache
@@ -283,14 +249,13 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     ``out`` is ``(size,) + items`` in the row order of :class:`_Layout`; it
     may be a strided view. Returns the per-item validity mask.
 
-    The row comes in closed form, for all items at once, from the LDL^T
-    elimination of each joint covariance (without pivoting, as in
-    :func:`~rcmkf.conversion._ldl`). Eliminating the ``p`` position columns
-    leaves the multipliers ``L`` and, as the last pivot, the Schur
-    complement ``var_pseudo``; ``l_row`` solves the unit upper triangular
-    ``L_pp^T l = -L_p``, so that ``l^T = -R_ep R_pp^-1``. An item whose
-    position pivots are not all positive and finite (a singular or
-    indefinite block) falls back to a solve. An item is invalid when its
+    The row comes in closed form, for all items at once, from the one LDL^T
+    elimination of the library, :func:`~rcmkf.conversion._ldl`, of each
+    joint covariance: the last pivot is the Schur complement
+    ``var_pseudo``, and back substitution with the multipliers ``L`` solves
+    ``L_pp^T l = -L_p`` for ``l_row``, so that ``l^T = -R_ep R_pp^-1``. An
+    item whose position pivots are not all positive and finite (a singular
+    or indefinite block) falls back to a solve. An item is invalid when its
     position block is singular while the cross row is nonzero, or when its
     residual variance is negative beyond rounding; its rows are then
     meaningless.
@@ -308,33 +273,20 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
         terms = a * b
         return _sum_rows(terms, np.empty(terms.shape[1:]))
 
-    a = [[cov[i, j] for j in range(i + 1)] for i in range(p + 1)]  # the lower triangle
-    mult = {}
+    pivots, mult, _ = _ldl(cov)
+    var_eps = np.asarray(pivots.pop())  # a new array: the last pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in range(p):
-            for i in range(c + 1, p + 1):
-                mult[i, c] = a[i][c] / a[c][c]
-                for j in range(c + 1, i + 1):
-                    a[i][j] = a[i][j] - mult[i, c] * a[j][c]
-        for c in reversed(range(p)):
-            np.negative(mult[p, c], out=l_row[c, ...])
-            for i in range(c + 1, p):
-                l_row[c] -= mult[i, c] * l_row[i]
-        var_eps = np.asarray(a[p][p])  # a new array: the last pivot
-        pivots = [a[c][c] for c in range(p)]
+        l_rows = [np.negative(mult[p][c], out=l_row[c, ...]) for c in range(p)]
+        _back(mult, l_rows, np.empty(items))
         # NaN fails both tests
         if r_ee.size and not all(d.min() > 0 and d.max() < np.inf for d in pivots):
             bad = ~np.logical_and.reduce([(d > 0) & (d < np.inf) for d in pivots])
             # a zero cross row needs no solve; a singular block elsewhere gives NaN
-            l_row[..., bad] = -np.moveaxis(
-                _solve_each(
-                    np.moveaxis(cov[:p, :p][..., bad], -1, 0),
-                    np.moveaxis(r_ep[..., bad], -1, 0)[..., None],
-                    lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
-                )[..., 0],
-                0,
-                -1,
-            )
+            l_row[..., bad] = -_solve_each(
+                cov[:p, :p][..., bad].transpose(2, 0, 1),
+                r_ep[..., bad].T[..., None],
+                lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
+            )[..., 0].T
             var_eps[bad] = r_ee[bad] + dot(l_row[..., bad], r_ep[..., bad])
     ok = np.isfinite(l_row).all(axis=0) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
     np.maximum(var_eps, 0.0, out=out[lay.var, ...])
@@ -412,15 +364,20 @@ class _Workspace:
         self.a_top, self.a_bottom, self.nn_top, self.nn_bottom, self.tr_top, self.tr_bottom = (
             self.a[:pn], self.a[pn:], self.nn[:pn], self.nn[pn:], self.tr[:pn], self.tr[pn:]
         )
-        # position update: S, then its adjugate, in one buffer for det's gather
-        self.s_adj, self.cof, self.det_terms, self.det = buf(2 * q), buf(2, 2, q), buf(2, p), buf()
-        self.s, self.adj = self.s_adj[:q], self.s_adj[q:]
-        self.det_rows = list(self.det_terms[0])
-        self.gain_t, self.innov, self.dx_terms, self.dx = buf(pn), buf(p), buf(p, n), buf(n)
+        # position update: S, eliminated in place so that its diagonal ends as
+        # the pivots, and the rows of K^T followed by the pivots' logarithms
+        self.s, self.mult, self.s_tmp, self.gain_tmp = buf(q), buf(p, p), buf(), buf(n)
+        self.s_lower = [[self.s[i * p + j] for j in range(i + 1)] for i in range(p)]
+        self.mult_lower = [[self.mult[i, k] for k in range(i)] for i in range(p)]
+        self.pivots, self.hp, self.gain_log = self.s[:: p + 1], self.cov[:pn], buf(pn + p)
+        self.gain_t, self.log_pivots = self.gain_log[:pn], self.gain_log[pn:]
+        self.gain_k, self.pivot_cols = self.gain_t.reshape(p, n, tracks), self.pivots[:, None]
+        self.gain_rows = list(self.gain_k)
+        self.innov, self.dx_terms, self.dx = buf(p), buf(p, n), buf(n)
         self.dx_rows, self.dx_sum = self.dx_terms.reshape(pn, tracks), list(self.dx_terms)
         self.khp_kr, self.h_cols = buf(nn + pn), buf(pn)
         self.khp, self.kr = self.khp_kr[:nn], self.khp_kr[nn:]
-        self.g_gain, self.g_khp_kr = gathered(p, pn), gathered(p, nn + pn)
+        self.g_khp_kr = gathered(p, nn + pn)
         self.g_krk = gathered(p, nn)
         # pseudo update
         self.h, self.ph, self.g, self.mv, self.tn = buf(n), buf(n), buf(n), buf(n), buf(n)
@@ -507,25 +464,27 @@ def _update_position(ws: _Workspace, m: np.ndarray) -> None:
     ws.r[...] = m[lay.cov_pos]
     ws.cov.take(lay.pp, 0, ws.s, "clip")
     ws.s += ws.r  # S = H P H^T + R
-    _adjugate(ws.s, p, ws.adj, ws.cof)
-    ws.s_adj.take(lay.det, 0, ws.det_terms, "clip")  # S[0, k] adj(S)[k, 0]
-    ws.det_terms[0] *= ws.det_terms[1]
-    det = _sum_rows(ws.det_rows, ws.det)
-    _product(ws.adj, ws.cov, lay.gain, ws.g_gain, ws.gain_t)  # adj(S) (H P)
-    if det.min() > 0 and det.max() < np.inf:  # NaN fails both
-        ws.gain_t /= det
-    else:
-        bad = ~((det > 0) & (det < np.inf))
-        ws.gain_t /= np.where(bad, 1.0, det)
+    # K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P) by the LDL^T elimination of S
+    _factor(ws.s_lower, ws.mult_lower, ws.s_tmp)
+    np.copyto(ws.gain_t, ws.hp)
+    _forward(ws.mult_lower, ws.gain_rows, ws.gain_tmp)
+    ws.gain_k /= ws.pivot_cols
+    _back(ws.mult_lower, ws.gain_rows, ws.gain_tmp)
+    # log d is finite exactly when the pivot d is positive and finite, so one
+    # test passes the gain rows and the pivots together (NaN fails both)
+    np.log(ws.pivots, out=ws.log_pivots)
+    if not (ws.gain_log.min() > -np.inf and ws.gain_log.max() < np.inf):
+        bad = ~np.isfinite(ws.log_pivots).all(axis=0)
+        s = ws.cov.take(lay.pp, 0)[:, bad] + ws.r[:, bad]  # the elimination overwrote S
         # an exactly singular S comes from a collapsed (noise-free) covariance,
         # where the minimum-norm gain is the correct limit
         ws.gain_t[:, bad] = _solve_each(
-            ws.s[:, bad].T.reshape(-1, p, p),
-            ws.cov[: p * ws.n, bad].T.reshape(-1, p, ws.n),
+            s.T.reshape(-1, p, p),
+            ws.hp[:, bad].T.reshape(-1, p, ws.n),
             lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0],
         ).reshape(-1, p * ws.n).T
-    if not (ws.gain_t.min() > -np.inf and ws.gain_t.max() < np.inf):
-        raise DegenerateCovarianceError("position innovation covariance is singular")
+        if not (ws.gain_t.min() > -np.inf and ws.gain_t.max() < np.inf):
+            raise DegenerateCovarianceError("position innovation covariance is singular")
     np.subtract(m[lay.pos], ws.x_pos, out=ws.innov)
     ws.innov.take(lay.dx, 0, ws.dx_rows, "clip")
     ws.dx_rows *= ws.gain_t
@@ -629,7 +588,8 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
     ws = _Workspace(math.prod(batch), n)
     ws.x[...], ws.cov[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
-    _update_position(ws, _measurement_rows(d))
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in filter_scans
+        _update_position(ws, _measurement_rows(d))
     return GaussianBelief(_items(ws.x1, batch, (n,)), _items(ws.cov1, batch, (n, n)))
 
 
@@ -734,6 +694,9 @@ def filter_scans(
             f"initial beliefs of batch shape {init.mean.shape[:-1]} do not match the "
             f"tracks' {batch}"
         )
+    for shape in (z.position.shape[:-1], np.shape(z.pseudo), z.mu.shape[:-1], z.cov.shape[:-2]):
+        if shape != ok.shape:
+            raise ValueError(f"measurement batch {shape} does not match the mask's {ok.shape}")
     n, lay, tracks = init.mean.shape[-1], _layout(z.dim), math.prod(batch)
     rows = np.empty((scans, lay.size) + batch)
     ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))
@@ -745,21 +708,22 @@ def filter_scans(
     means, covs = np.empty((scans, n, tracks)), np.empty((scans, n * n, tracks))
     ws = _Workspace(tracks, n)
     mean, cov = _tracks(init.mean, 1), _tracks(init.cov, 2)
-    for k, step in enumerate(steps):
-        _predict(ws, mean, cov, model)
-        mean, cov = means[k], covs[k]  # this scan's output, the next one's input
-        if not some[k]:
-            mean[...], cov[...] = ws.x, ws.cov
-            continue
-        try:
-            _update_position(ws, rows[k])
-            _update_pseudo(ws, rows[k], mean, cov)
-        except (DegenerateCovarianceError, ValueError) as exc:
-            raise type(exc)(f"step {step}: {exc}") from exc
-        if not every[k]:
-            keep = ~update[k]
-            np.copyto(mean, ws.x, where=keep)
-            np.copyto(cov, ws.cov, where=keep)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero pivots go to the gain's fallback
+        for k, step in enumerate(steps):
+            _predict(ws, mean, cov, model)
+            mean, cov = means[k], covs[k]  # this scan's output, the next one's input
+            if not some[k]:
+                mean[...], cov[...] = ws.x, ws.cov
+                continue
+            try:
+                _update_position(ws, rows[k])
+                _update_pseudo(ws, rows[k], mean, cov)
+            except (DegenerateCovarianceError, ValueError) as exc:
+                raise type(exc)(f"step {step}: {exc}") from exc
+            if not every[k]:
+                keep = ~update[k]
+                np.copyto(mean, ws.x, where=keep)
+                np.copyto(cov, ws.cov, where=keep)
     post = GaussianBelief(
         np.moveaxis(means.reshape((scans, n) + batch), 1, -1),
         np.moveaxis(covs.reshape((scans, n, n) + batch), (1, 2), (-2, -1)),

@@ -60,6 +60,8 @@ class Ensemble:
         if self.truth.ndim != 3 or len(self.truth) == 0:
             raise ValueError(f"truth must be (runs >= 1, steps, n), got shape {self.truth.shape}")
         runs, steps, n = self.truth.shape
+        if not self.variants:
+            raise ValueError("an ensemble needs at least one filter variant")
         if len(set(self.variants)) != len(self.variants):
             raise ValueError(f"variants must be distinct, got {self.variants}")
         scans = (runs, len(self.variants), steps - INIT_SCANS)

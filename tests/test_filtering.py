@@ -86,16 +86,16 @@ def test_decorrelate_singular_position_block():
         decorrelate(make_converted(cov))
 
 
-def _joint_batch(rng, p, count, spread):
-    """Random ``(count, p + 1, p + 1)`` joint covariances and conversions around them.
+def _spread_covs(rng, k, count, spread):
+    """Random ``(k, k)`` covariances, ill-conditioned by ``spread``, and their entry scales.
 
     ``spread`` is ``"scales"`` for ill-conditioning by the entries' scales
     (standard deviations over four decades on a random correlation
     structure, as position errors in m beside a pseudo error in m^2/s), or
     ``"eigenvalues"`` for eigenvalues over eight decades in a random basis.
-    Only covariances with condition numbers up to 1e8 are kept.
+    Of the ``count`` drawn, only those with condition numbers up to 1e8 are
+    kept.
     """
-    k = p + 1
     q = np.linalg.qr(rng.standard_normal((count, k, k)))[0]
     if spread == "scales":
         scale = 10.0 ** rng.uniform(-1.0, 3.0, (count, k))
@@ -108,7 +108,14 @@ def _joint_batch(rng, p, count, spread):
     cond = np.linalg.cond(cov)
     keep = cond <= 1e8
     assert cond[keep].max() > 5e7  # the draw reaches the stated conditioning
-    cov, scale, m = cov[keep], scale[keep], int(keep.sum())
+    return cov[keep], scale[keep]
+
+
+def _joint_batch(rng, p, count, spread):
+    """Random joint covariances (:func:`_spread_covs`) and conversions around them."""
+    k = p + 1
+    cov, scale = _spread_covs(rng, k, count, spread)
+    m = len(cov)
     z = ConvertedMeasurement(
         position=rng.standard_normal((m, p)) * 10.0 * scale[:, :p],
         pseudo=rng.standard_normal(m) * 10.0 * scale[:, p],
@@ -150,6 +157,33 @@ def test_closed_form_decorrelation_is_backward_stable(p):
     assert np.all(np.abs(resid).max(axis=-1) <= 1e-14 * scale)
     schur = r_ee + np.einsum("ni,ni->n", d.l_row, r_ep)
     assert np.all(np.abs(d.var_pseudo - schur) <= 1e-14 * (r_ee + np.abs(d.l_row * r_ep).sum(-1)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_position_gain_is_backward_stable(p):
+    # with the eigenvalues of P over eight decades in a random basis, the
+    # gain still solves S K^T = H P to rounding (an adjugate over the
+    # determinant leaves residuals up to 5e-6 of the terms here in 3D). With
+    # R = 0, a zero prior mean and the unit innovation e_k, the posterior
+    # mean is exactly row k of K^T.
+    n = 2 * p
+    cov, _ = _spread_covs(np.random.default_rng(60 + p), n, 2000, "eigenvalues")
+    m = len(cov) * p  # item i * p + k takes the innovation e_k
+    prior = GaussianBelief(np.zeros((m, n)), np.repeat(cov, p, axis=0))
+    d = filtering.DecorrelatedMeasurement(
+        cov_pos=np.zeros((m, p, p)),
+        pseudo=np.zeros(m),
+        var_pseudo=np.ones(m),
+        l_row=np.zeros((m, p)),
+        debiased_pos=np.tile(np.eye(p), (len(cov), 1)),
+        debiased_pseudo=np.zeros(m),
+        dim=p,
+    )
+    gain_t = kf_update_position(prior, d).mean.reshape(len(cov), p, n)
+    s, hp = cov[:, :p, :p], cov[:, :p]
+    resid = np.abs(s @ gain_t - hp).max(axis=(1, 2))
+    scale = np.abs(s).max(axis=(1, 2)) * np.abs(gain_t).max(axis=(1, 2)) + np.abs(hp).max(axis=(1, 2))
+    assert np.all(resid <= 1e-14 * scale)
 
 
 def test_decorrelate_singular_block_valid_only_without_cross_row():
@@ -790,3 +824,12 @@ def test_filter_scans_rejects_an_initial_batch_of_another_shape():
     init, z, ok, model = _small_scan_batch()
     with pytest.raises(ValueError, match=r"batch shape \(1, 2\)"):
         filter_scans(init[:1], z, ok, range(4), model)
+
+
+@pytest.mark.parametrize("key", [np.s_[:, :, :1], np.s_[:1]], ids=["tracks", "scans"])
+def test_filter_scans_rejects_measurements_of_another_batch_shape(key):
+    # a batch that broadcasts against the mask would update tracks with
+    # another track's (or scan's) measurements
+    init, z, ok, model = _small_scan_batch()
+    with pytest.raises(ValueError, match=r"does not match the mask's \(4, 2, 2\)"):
+        filter_scans(init, z[key], ok, range(4), model)

@@ -171,6 +171,11 @@ def test_ensemble_rejects_a_bad_layout():
         Ensemble(ens.scenario, VARIANTS, **{**arrays, "truth": arrays["truth"][:0]})
 
 
+def test_run_ensemble_rejects_no_variants():
+    with pytest.raises(ValueError, match="at least one filter variant"):
+        run_ensemble(dataclasses.replace(SCENARIOS["case1"], runs=2), ())
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
