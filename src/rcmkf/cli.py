@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -46,10 +47,15 @@ __all__ = ["entry", "main"]
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One line per row of the equal-length numeric ``columns``, each number at
-    17 significant digits: enough for exact float round-trips."""
-    row = ",".join(["%.17g"] * len(columns))
-    lines = [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    """One line per row of the numeric ``columns``, each number at 17
+    significant digits: enough for exact float round-trips.
+
+    A column is a sequence, and the sequences have equal lengths; a scalar
+    column holds one value for every row and is formatted once.
+    """
+    row = ",".join("%.17g" % c if np.ndim(c) == 0 else "%.17g" for c in columns)
+    varying = [np.asarray(c).tolist() for c in columns if np.ndim(c) != 0]
+    lines = [row % values for values in zip(*varying)]
     path.write_text("\n".join([",".join(header)] + lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -91,11 +97,10 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out} is not writable")
     return out
 
 
@@ -117,13 +122,12 @@ def cmd_simulate(args) -> int:
         [rmse_report.steps] + [rmse_report.rmse[v.name] for v in variants],
     )
     # State NEES per step: a diagnostic of this library, not a benchmark output.
-    rows = len(nees_report.steps)
     _write_csv(
         out / f"nees_{tag}.csv",
         ["step"] + [f"nees_{c}" for c in cols] + ["lower_bound", "upper_bound"],
         [nees_report.steps]
         + [nees_report.nees[v.name] for v in variants]
-        + [[nees_report.lower] * rows, [nees_report.upper] * rows],
+        + [nees_report.lower, nees_report.upper],
     )
     # Predict-only scans (degenerate conversion or decorrelation) per variant.
     skipped = {v.name.lower(): int((~ens.updated[:, i]).sum()) for i, v in enumerate(variants)}
@@ -167,7 +171,7 @@ def cmd_consistency(args) -> int:
             "lower_bound",
             "upper_bound",
         ],
-        [grid, cond.avg_nes, nest.avg_nes, [cond.lower] * grid.size, [cond.upper] * grid.size],
+        [grid, cond.avg_nes, nest.avg_nes, cond.lower, cond.upper],
     )
     _write_manifest(out / "manifest_consistency.json", "consistency", cfg)
     print(f"wrote {out / 'consistency.csv'} ({grid.size} grid points, N={cc.samples})")

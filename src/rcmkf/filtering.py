@@ -259,10 +259,22 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     position block is singular while the cross row is nonzero, or when its
     residual variance is negative beyond rounding; its rows are then
     meaningless.
+
+    Every field of ``z`` must carry the leading axes ``items`` of ``out``
+    and of the mask; a field that would only broadcast to them raises
+    :class:`ValueError`, as it would pair items with other items' values.
     """
     p = z.dim
     lay = _layout(p)
     items = out.shape[1:]
+    for name, shape in (
+        ("position", np.shape(z.position)[:-1]),
+        ("pseudo", np.shape(z.pseudo)),
+        ("mu", np.shape(z.mu)[:-1]),
+        ("cov", np.shape(z.cov)[:-2]),
+    ):
+        if shape != items:
+            raise ValueError(f"measurement {name} batch {shape} does not match the mask's {items}")
     cov = np.moveaxis(np.asarray(z.cov, dtype=float), (-2, -1), (0, 1))
     mu = np.moveaxis(np.asarray(z.mu, dtype=float), -1, 0)
     position = np.moveaxis(np.asarray(z.position, dtype=float), -1, 0)
@@ -694,9 +706,6 @@ def filter_scans(
             f"initial beliefs of batch shape {init.mean.shape[:-1]} do not match the "
             f"tracks' {batch}"
         )
-    for shape in (z.position.shape[:-1], np.shape(z.pseudo), z.mu.shape[:-1], z.cov.shape[:-2]):
-        if shape != ok.shape:
-            raise ValueError(f"measurement batch {shape} does not match the mask's {ok.shape}")
     n, lay, tracks = init.mean.shape[-1], _layout(z.dim), math.prod(batch)
     rows = np.empty((scans, lay.size) + batch)
     ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))

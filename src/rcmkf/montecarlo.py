@@ -37,6 +37,13 @@ from .scenario import (
 __all__ = ["Ensemble", "run_ensemble", "run_single"]
 
 
+def _check_variants(variants: tuple[FilterVariant, ...]) -> None:
+    if not variants:
+        raise ValueError("an ensemble needs at least one filter variant")
+    if len(set(variants)) != len(variants):
+        raise ValueError(f"variants must be distinct, got {variants}")
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Every realization of a Monte Carlo ensemble, as arrays ordered by run.
@@ -60,10 +67,7 @@ class Ensemble:
         if self.truth.ndim != 3 or len(self.truth) == 0:
             raise ValueError(f"truth must be (runs >= 1, steps, n), got shape {self.truth.shape}")
         runs, steps, n = self.truth.shape
-        if not self.variants:
-            raise ValueError("an ensemble needs at least one filter variant")
-        if len(set(self.variants)) != len(self.variants):
-            raise ValueError(f"variants must be distinct, got {self.variants}")
+        _check_variants(self.variants)
         scans = (runs, len(self.variants), steps - INIT_SCANS)
         expected = {
             "measurements": (runs, steps, 4),
@@ -162,7 +166,10 @@ def run_ensemble(
 
     One child seed per run is spawned from ``scenario.seed`` before any
     work starts, and every run is filtered in one lockstep chunk. Runs come
-    back in seed order along the first axis.
+    back in seed order along the first axis. The variants are checked
+    before any of that: at least one, and no two the same.
     """
+    variants = tuple(variants)
+    _check_variants(variants)
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.runs)
-    return _filter_chunk(scenario, tuple(variants), children)
+    return _filter_chunk(scenario, variants, children)

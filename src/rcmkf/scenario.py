@@ -215,11 +215,6 @@ class Scenario:
         return self.model.dim
 
 
-def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product ``a @ x`` over matching leading axes."""
-    return (a @ x[..., None])[..., 0]
-
-
 def _spherical(states: np.ndarray):
     """Noise-free ``(r, theta, phi, rdot)`` of Cartesian states with any leading axes.
 
@@ -266,12 +261,33 @@ def _noise_matrix(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarra
     """Standard-normal driven draws of (r, theta, phi, rdot) errors.
 
     One ``(4,) + size`` draw scaled in place by :func:`_scale_noise`. The
-    measurement synthesis, the consistency sweep and the nested reference
-    use it; the Monte Carlo oracle draws into its own ``(4, batch)``
-    float64 buffer (about 32 B per draw) and scales it with the same
-    helper, so every consumer sees the identical noise construction.
+    consistency sweep and the nested reference use it; the measurement
+    synthesis draws every run's block into one ``(runs, 4, steps)``
+    buffer, and the Monte Carlo oracle into its own ``(4, batch)`` float64
+    buffer (about 32 B per draw), and both scale it with the same helper,
+    so every consumer sees the identical noise construction.
     """
     return _scale_noise(noise, rng.standard_normal((4,) + tuple(np.atleast_1d(size))))
+
+
+def _running_sum(start: np.ndarray, increments) -> np.ndarray:
+    """Running sums of ``start`` and interleaved per-step increments along axis 1.
+
+    ``start`` is ``(runs, dim)`` and each increment broadcasts to ``(runs,
+    steps - 1, dim)``. The increments of one step are added one at a time,
+    in the order given, after those of the step before: the additions of a
+    step-by-step loop, in its order, so the sums carry its rounding bit for
+    bit. Returns ``(runs, steps, dim)``, a strided view of the running sums.
+    """
+    runs, dim = start.shape
+    m = len(increments)
+    sums = np.empty((runs, 1 + m * np.shape(increments[0])[-2], dim))
+    sums[:, 0] = start
+    per_step = sums[:, 1:].reshape(runs, -1, m, dim)
+    for j, inc in enumerate(increments):
+        per_step[:, :, j] = inc
+    np.cumsum(sums, axis=1, out=sums)
+    return sums[:, ::m]
 
 
 def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
@@ -279,23 +295,33 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
 
     Each run draws its process noise as one ``(steps - 1, dim)`` block from
     its own generator: the same numbers in the same order as one draw per
-    step. The runs then step together.
+    step. The transition ``x' = phi @ x + gamma @ u + gamma @ w`` is then
+    unrolled into running sums over the whole ensemble. ``gamma`` is
+    diagonal per block, so its products are elementwise: ``g_v = t`` for
+    the velocity and ``g_p = t^2 / 2`` for the position. Every step adds,
+    in this order,
+
+    - to the velocity: ``g_v u_k``, then ``g_v w_k``;
+    - to the position: ``t v_k`` (the velocity before the step), then
+      ``g_p u_k``, then ``g_p w_k``.
+
+    That is the addition order of the step loop ``phi @ x_k + gamma @ u_k +
+    gamma @ w_k``, so the trajectories equal that loop's bit for bit.
     """
     model = scenario.model
-    size = (scenario.steps - 1, model.dim)
-    w = np.stack([model.accel_noise_std * rng.standard_normal(size) for rng in rngs])
-    # the inputs of every transition, formed before stepping: gamma @ u per step
-    # and gamma @ w per (run, step), added after phi @ x in that order
-    accel = np.array(
-        [scenario.maneuvers.accel_at(k, model.dim) for k in range(scenario.steps - 1)]
-    )
-    gu = _mv(model.gamma, accel)
-    gw = _mv(model.gamma, w)
-    states = np.empty((len(rngs), scenario.steps, model.n))
-    states[:, 0] = scenario.initial_state
-    for k in range(scenario.steps - 1):
-        states[:, k + 1] = _mv(model.phi, states[:, k]) + gu[k] + gw[:, k]
-    return states
+    dim, t = model.dim, model.t
+    w = np.empty((len(rngs), scenario.steps - 1, dim))
+    for rng, run in zip(rngs, w):
+        rng.standard_normal(out=run)
+    w *= model.accel_noise_std
+    accel = np.zeros((scenario.steps - 1, dim))  # u_k, as ManeuverSchedule.accel_at(k)
+    for start, a in scenario.maneuvers.entries:
+        accel[start:] = a
+    g_pos, g_vel = model.gamma[0, 0], model.gamma[dim, 0]
+    x0 = np.broadcast_to(scenario.initial_state, (len(rngs), model.n))
+    vel = _running_sum(x0[:, dim:], [g_vel * accel, g_vel * w])
+    pos = _running_sum(x0[:, :dim], [t * vel[:, :-1], g_pos * accel, g_pos * w])
+    return np.concatenate([pos, vel], axis=-1)
 
 
 def simulate_truth(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
@@ -306,10 +332,14 @@ def simulate_truth(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 def _synthesize(truths: np.ndarray, noise: NoiseSpec, rngs) -> np.ndarray:
     """Noisy ``(r, theta, phi, rdot)`` rows for ``(runs, steps, n)`` truths.
 
-    Returns ``(runs, steps, 4)``; run ``i`` draws its noise from ``rngs[i]``.
-    In 2D the phi column is zero.
+    Returns ``(runs, steps, 4)``; run ``i`` draws its ``(4, steps)`` noise
+    from ``rngs[i]``, as :func:`_noise_matrix` would, into one buffer that
+    one :func:`_scale_noise` call scales. In 2D the phi column is zero.
     """
-    draws = np.stack([_noise_matrix(noise, truths.shape[1], rng) for rng in rngs], axis=1)
+    draws = np.empty((len(rngs), 4, truths.shape[1]))
+    for rng, run in zip(rngs, draws):
+        rng.standard_normal(out=run)
+    draws = _scale_noise(noise, draws.swapaxes(0, 1))  # (4, runs, steps)
     r, theta, phi, rdot = _spherical(truths)
     if position_dim(truths) == 3:
         phi = phi + draws[2]

@@ -17,7 +17,7 @@ import yaml
 
 import rcmkf
 from rcmkf import conversion
-from rcmkf.cli import main
+from rcmkf.cli import _write_csv, main
 from rcmkf.config import (
     _CASES,
     ConfigError,
@@ -611,6 +611,23 @@ def test_cli_golden_zero_noise_point(tmp_path):
     lines = (tmp_path / "o" / "golden_moments.csv").read_text().splitlines()
     vals = [float(v) for v in lines[1].split(",")[10:]]
     assert all(v == 0.0 for v in vals)
+
+
+def test_write_csv_formats_a_constant_column_like_a_repeated_one(tmp_path):
+    steps, values, bound = np.arange(3), np.array([0.1, 1e-300, -2.5e17]), 9.487729036781154
+    _write_csv(tmp_path / "c.csv", ["k", "v", "b"], [steps, values, bound])
+    _write_csv(tmp_path / "r.csv", ["k", "v", "b"], [steps, values, [bound] * 3])
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+    assert (tmp_path / "c.csv").read_text().splitlines()[3] == "2,-2.5e+17,9.487729036781154"
+
+
+def test_cli_unwritable_out_exits_2_before_computing(tmp_path, capsys, monkeypatch):
+    # a path below a regular file can be neither made nor written, even as root
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr("rcmkf.cli.run_ensemble", lambda *a: pytest.fail("ran the ensemble"))
+    code = main(["simulate", "--case", "1", "--runs", "2", "--out", str(tmp_path / "file" / "sub")])
+    assert code == 2
+    assert "is not writable" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_golden_samples(tmp_path, capsys):

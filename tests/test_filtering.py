@@ -78,6 +78,21 @@ def test_decorrelate_kills_cross_covariance():
         assert d.var_pseudo == pytest.approx(expect, rel=1e-10)
 
 
+def test_decorrelate_rejects_fields_of_different_batches():
+    # mu and cov of one item would broadcast over three positions and pseudos
+    z = ConvertedMeasurement(
+        position=np.zeros((3, 2)),
+        pseudo=np.zeros(3),
+        mu=np.zeros((1, 3)),
+        cov=np.eye(3)[None],
+        dim=2,
+    )
+    with pytest.raises(ValueError, match=r"measurement mu batch \(1,\) does not match"):
+        decorrelate(z)
+    with pytest.raises(ValueError, match=r"measurement cov batch \(1,\) does not match"):
+        decorrelate(dataclasses.replace(z, mu=np.zeros((3, 3))))
+
+
 def test_decorrelate_singular_position_block():
     cov = np.zeros((3, 3))
     cov[2, 2] = 1.0

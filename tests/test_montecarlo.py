@@ -171,9 +171,17 @@ def test_ensemble_rejects_a_bad_layout():
         Ensemble(ens.scenario, VARIANTS, **{**arrays, "truth": arrays["truth"][:0]})
 
 
-def test_run_ensemble_rejects_no_variants():
+def test_run_ensemble_rejects_no_variants(monkeypatch):
+    # the variants are checked before any run is simulated
+    def simulate(*args):
+        raise AssertionError("simulated a run for an ensemble without variants")
+
+    monkeypatch.setattr("rcmkf.montecarlo._simulate_truths", simulate)
+    scenario = dataclasses.replace(SCENARIOS["case1"], runs=2)
     with pytest.raises(ValueError, match="at least one filter variant"):
-        run_ensemble(dataclasses.replace(SCENARIOS["case1"], runs=2), ())
+        run_ensemble(scenario, ())
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble(scenario, (FilterVariant.RCMKF_D, FilterVariant.RCMKF_U, FilterVariant.RCMKF_D))
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

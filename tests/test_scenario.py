@@ -16,6 +16,9 @@ from rcmkf.scenario import (
     Scenario,
     SphericalMeasurement,
     _noise_matrix,
+    _simulate_truths,
+    _spherical,
+    _synthesize,
     simulate_truth,
     synthesize_measurements,
 )
@@ -247,3 +250,76 @@ def test_spherical_measurement_rejects_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SphericalMeasurement(**kwargs)
+
+
+def scenario_3d(t, runs=3):
+    return Scenario(
+        model=DynamicModel(dim=3, t=t, accel_noise_std=0.5),
+        initial_state=np.array([12e3, -5e3, 2e3, 50.0, 10.0, -5.0]),
+        maneuvers=ManeuverSchedule.from_pairs([(4, (1.0, -2.0, 0.5)), (9, (0.0, 0.0, 0.0))]),
+        noise=NoiseSpec(100.0, 0.01, 1.0, rho=0.4, sigma_phi=0.02),
+        steps=40,
+        runs=runs,
+        seed=3,
+    )
+
+
+def ensemble_scenario(name, t):
+    if name == "3d":
+        return scenario_3d(t)
+    case = generate_case(int(name[-1]))
+    return dataclasses.replace(case, model=dataclasses.replace(case.model, t=t), runs=3)
+
+
+def run_generators(scenario, runs=None):
+    seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.runs)
+    return [np.random.default_rng(s) for s in seeds[:runs]]
+
+
+def stepwise_truth(scenario, rng):
+    """``x_{k+1} = phi x_k + gamma u_k + gamma w_k``, one step at a time."""
+    model = scenario.model
+    w = model.accel_noise_std * rng.standard_normal((scenario.steps - 1, model.dim))
+    states = [np.array(scenario.initial_state, dtype=float)]
+    for k in range(scenario.steps - 1):
+        u = scenario.maneuvers.accel_at(k, model.dim)
+        states.append(model.phi @ states[-1] + model.gamma @ u + model.gamma @ w[k])
+    return np.array(states)
+
+
+ENSEMBLES = [(name, t) for name in ("case1", "case2", "3d") for t in (0.1, 0.7, 1.0, 1.3)]
+
+
+@pytest.mark.parametrize("name, t", ENSEMBLES)
+def test_simulate_truths_equal_a_stepwise_loop(name, t):
+    # the running sums add in the loop's order, so they keep its bits
+    sc = ensemble_scenario(name, t)
+    truths = _simulate_truths(sc, run_generators(sc))
+    reference = [stepwise_truth(sc, rng) for rng in run_generators(sc)]
+    np.testing.assert_array_equal(truths, reference)
+
+
+@pytest.mark.parametrize("name, t", ENSEMBLES[::4])
+def test_synthesize_equals_per_run_noise_draws(name, t):
+    sc = ensemble_scenario(name, t)
+    truths = _simulate_truths(sc, run_generators(sc))
+    rows = _synthesize(truths, sc.noise, run_generators(sc))
+    for truth, rng, got in zip(truths, run_generators(sc), rows):
+        dr, dth, dph, drd = _noise_matrix(sc.noise, sc.steps, rng)
+        r, theta, phi, rdot = _spherical(truth)
+        if sc.dim == 3:
+            phi = phi + dph
+        np.testing.assert_array_equal(got, np.stack([r + dr, theta + dth, phi, rdot + drd], -1))
+
+
+@pytest.mark.parametrize("name", ["case2", "3d"])
+def test_a_runs_truth_and_rows_do_not_depend_on_the_other_runs(name):
+    sc = ensemble_scenario(name, 1.0)
+    rngs = run_generators(sc)
+    truths = _simulate_truths(sc, rngs)
+    rows = _synthesize(truths, sc.noise, rngs)
+    for runs in (1, 2):
+        few = run_generators(sc, runs)
+        few_truths = _simulate_truths(sc, few)
+        np.testing.assert_array_equal(few_truths, truths[:runs])
+        np.testing.assert_array_equal(_synthesize(few_truths, sc.noise, few), rows[:runs])
