@@ -241,11 +241,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sigma_theta_deg_max must be at least 0.5 (empty sweep grid)")
     if not 0.0 < cfg.consistency.tail < 0.5:
         raise ConfigError("consistency tail probability must lie in (0, 0.5)")
-    if cfg.consistency.noise.sigma_phi_deg != 0:
-        raise ConfigError(
-            "config.consistency.noise.sigma_phi_deg must be 0: the sweep's 2D radar "
-            f"measures no elevation, got {cfg.consistency.noise.sigma_phi_deg!r}"
-        )
+    for name, why in (
+        ("sigma_phi_deg", "the sweep's 2D radar measures no elevation"),
+        ("sigma_theta_deg", "the sweep sets the bearing noise from its grid"),
+    ):
+        value = getattr(cfg.consistency.noise, name)
+        if value != 0:
+            raise ConfigError(f"config.consistency.noise.{name} must be 0: {why}, got {value!r}")
     if cfg.golden.samples < 10_000:
         raise ConfigError("golden samples must be >= 1e4")
     points = [("consistency.geometry", cfg.consistency.geometry)]

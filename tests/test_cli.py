@@ -455,6 +455,19 @@ LIST_SCENARIO_OK = {
             id="consistency-elevation-noise",
         ),
         pytest.param(
+            "simulate",
+            LIST_SCENARIO_YAML.format(
+                **{**LIST_SCENARIO_OK, "maneuvers": "[{start_step: -3, accel_mps2: [5.0, 0.0]}]"}
+            ),
+            "invalid scenario: maneuver start steps must be >= 0, got -3",
+            id="maneuver-negative-start",
+        ),
+        pytest.param(
+            "consistency", "consistency: {noise: {sigma_theta_deg: 7.0}}\n",
+            "config.consistency.noise.sigma_theta_deg must be 0",
+            id="consistency-bearing-noise",
+        ),
+        pytest.param(
             "consistency", "consistency: {geometry: {r_m: -5.0}}\n",
             "config.consistency.geometry.r_m must be > 0, got -5.0",
             id="geometry-negative-range",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcmkf.conversion as conversion
 import rcmkf.filtering as filtering
 from rcmkf import scenario
 from rcmkf.config import generate_case
@@ -29,6 +30,7 @@ from rcmkf.filtering import (
 from rcmkf.scenario import (
     DynamicModel,
     NoiseSpec,
+    SphericalMeasurement,
     simulate_truth,
     synthesize_measurements,
 )
@@ -147,11 +149,7 @@ def test_closed_form_decorrelation_matches_a_solve(p):
     # numbers reach 1e8 through the scales of their entries
     z = _joint_batch(np.random.default_rng(40 + p), p, 2000, "scales")
     d = decorrelate(z)
-    cov = z.cov
-    l_row = -np.linalg.solve(cov[:, :p, :p], cov[:, p, :p, None])[..., 0]
-    var = cov[:, p, p] + np.einsum("ni,ni->n", l_row, cov[:, p, :p])
-    pseudo = np.einsum("ni,ni->n", l_row, z.position) + z.pseudo
-    debiased = pseudo - (np.einsum("ni,ni->n", l_row, z.mu[:, :p]) + z.mu[:, p])
+    l_row, var, _, debiased = _decorrelate_ref(z)
     assert np.all(np.abs(d.l_row - l_row).max(axis=-1) <= 1e-10 * np.abs(l_row).max(axis=-1))
     assert np.all(np.abs(d.var_pseudo - var) <= 1e-10 * var)
     assert np.all(np.abs(d.debiased_pseudo - debiased) <= 1e-10 * np.abs(debiased))
@@ -419,6 +417,15 @@ def test_run_filter_requires_measurements():
         )
 
 
+def test_run_filter_rejects_a_stream_of_mixed_dimensionality():
+    # converted as one batch, a 3D report would otherwise lose its elevation
+    stream = [SphericalMeasurement(1e4, 0.5, 10.0, step=2, dim=2)]
+    stream.append(SphericalMeasurement(1e4, 0.5, 10.0, phi=0.3, step=3, dim=3))
+    belief = GaussianBelief(np.array([8775.0, 4794.0, 0.0, 0.0]), np.eye(4) * 1e4)
+    with pytest.raises(ValueError, match="one dimensionality"):
+        run_filter(FilterVariant.RCMKF_U, stream, NoiseSpec(100.0, 0.01, 2.0), DynamicModel(2), belief)
+
+
 def test_run_filter_attaches_step_to_update_errors():
     sc = generate_case(1)
     rng = np.random.default_rng(3)
@@ -435,14 +442,16 @@ def test_run_filter_skips_degenerate_conversions(monkeypatch):
     truth = simulate_truth(sc, rng)
     meas = synthesize_measurements(truth, sc.noise, rng)[:10]
 
-    real_convert = convert
+    target = next(m.r for m in meas if m.step == 5)  # its range singles out the scan
+    real = conversion._moments
 
-    def flaky(m, noise, method=ConversionMethod.MEASUREMENT_CONDITIONED):
-        if m.step == 5:
-            raise DegenerateCovarianceError("forced")
-        return real_convert(m, noise, method)
+    def forced(methods, rm, theta, phi, rdot, noise, dim):
+        conv, mu, cov = real(methods, rm, theta, phi, rdot, noise, dim)
+        # indefinite beyond any tolerance; the kernel's arrays are entries first
+        cov[:, :, np.asarray(rm) == target] = -np.eye(dim + 1)[..., None, None]
+        return conv, mu, cov
 
-    monkeypatch.setattr(filtering, "convert", flaky)
+    monkeypatch.setattr(conversion, "_moments", forced)
     init = initialize_belief(
         convert(meas[0], sc.noise), convert(meas[1], sc.noise), 1.0
     )
@@ -550,6 +559,16 @@ def test_posterior_covariances_stay_symmetric_psd():
 # where S is exactly singular), the expanded Joseph form
 # (I - K H) P (I - K H)^T + K R K^T, and the second-order EKF with an
 # explicit h and traces.
+
+
+def _decorrelate_ref(z):
+    """``decorrelate`` by a solve: ``(l_row, var_pseudo, pseudo, debiased_pseudo)``."""
+    p, cov = z.dim, z.cov
+    l_row = -np.linalg.solve(cov[..., :p, :p], cov[..., p, :p, None])[..., 0]
+    var = cov[..., p, p] + np.einsum("...i,...i->...", l_row, cov[..., p, :p])
+    pseudo = np.einsum("...i,...i->...", l_row, z.position) + z.pseudo
+    debiased = pseudo - (np.einsum("...i,...i->...", l_row, z.mu[..., :p]) + z.mu[..., p])
+    return l_row, var, pseudo, debiased
 
 
 def _predict_ref(mean, cov, model):

@@ -1,4 +1,4 @@
-"""Tests for the run-batched Monte Carlo engine against the per-run path."""
+"""Tests for the run-batched Monte Carlo engine: chunking, the per-run API, a dense reference."""
 
 import dataclasses
 import importlib
@@ -12,20 +12,29 @@ import pytest
 
 import rcmkf.conversion as conversion
 from rcmkf.config import generate_case
-from rcmkf.conversion import ConversionMethod
+from rcmkf.conversion import ConversionMethod, convert
 from rcmkf.errors import DegenerateCovarianceError
-from rcmkf.filtering import FilterVariant
+from rcmkf.filtering import FilterVariant, initialize_belief, run_filter
 from rcmkf.montecarlo import INIT_SCANS, Ensemble, _filter_chunk, run_ensemble, run_single
-from rcmkf.scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario
+from rcmkf.scenario import (
+    DynamicModel,
+    ManeuverSchedule,
+    NoiseSpec,
+    Scenario,
+    simulate_truth,
+    synthesize_measurements,
+)
+from test_filtering import _decorrelate_ref, _position_ref, _predict_ref, _pseudo_ref
 
 VARIANTS = (FilterVariant.RCMKF_U, FilterVariant.RCMKF_D)
 RUNS = 8
 
-# The batched engine converts a whole chunk through the array moment code
-# and takes its filter products over stacked matrices; the per-run path
-# converts scan by scan. The arithmetic is the same up to the order of a few
-# sums, so estimates may differ in the last digits, amplified by the filter
-# recursion: seen at <= 5e-9 m and <= 5e-12 relative on these scenarios.
+# The dense reference below converts scan by scan with the public
+# ``convert``, decorrelates with a solve and updates with explicit matrices
+# in the expanded Joseph form; the engine takes its products entry by entry
+# and its solves by elimination. The two agree up to rounding, amplified by
+# the filter recursion: seen at <= 4e-9 m and <= 5e-12 relative on these
+# scenarios.
 EST_ATOL_M = 1e-6
 COV_RTOL = 1e-8
 
@@ -86,13 +95,72 @@ def test_batched_engine_matches_per_run_path(key):
     ens = run_ensemble(sc, VARIANTS)
     seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
     assert ens.variants == VARIANTS and len(ens.truth) == sc.runs
-    assert_ensembles_close(ens, join([run_single(sc, VARIANTS, seed) for seed in seeds]))
+    assert_ensembles_equal(ens, join([run_single(sc, VARIANTS, seed) for seed in seeds]))
     # a run's arrays do not depend on the chunk it is filtered in
     chunked = [
         _filter_chunk(sc, VARIANTS, seeds[first:last])
         for first, last in ((0, 1), (1, 4), (4, sc.runs))
     ]
     assert_ensembles_equal(ens, join(chunked))
+
+
+def _per_run_stream(sc, seed):
+    """One run's truth and measurement objects, drawn through the public per-run API."""
+    rng = np.random.default_rng(seed)
+    truth = simulate_truth(sc, rng)
+    return truth, synthesize_measurements(truth, sc.noise, rng)
+
+
+def _dense_track(sc, variant, measurements):
+    """One variant's posteriors on one run, scan by scan with dense matrices."""
+    p, zs = sc.dim, [convert(m, sc.noise, variant.method) for m in measurements]
+    belief = initialize_belief(zs[0], zs[1], sc.model.t)
+    mean, cov, means, covs = belief.mean, belief.cov, [], []
+    for z in zs[INIT_SCANS:]:
+        l_row, var, pseudo, debiased = _decorrelate_ref(z)
+        predicted = _predict_ref(mean, cov, sc.model)
+        mean, cov = _position_ref(*predicted, z.position - z.mu[:p], z.cov[:p, :p])
+        mean, cov = _pseudo_ref(mean, cov, l_row, pseudo, debiased, var)
+        means.append(mean)
+        covs.append(cov)
+    return np.array(means), np.array(covs)
+
+
+@pytest.mark.parametrize("key", ["case1", "inline3d"])
+def test_batched_engine_matches_a_dense_scalar_reference(key):
+    sc = dataclasses.replace(SCENARIOS[key], runs=3, seed=42)
+    ens = run_ensemble(sc, VARIANTS)
+    seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
+    streams = [_per_run_stream(sc, seed) for seed in seeds]
+    tracks = [[_dense_track(sc, v, meas) for v in VARIANTS] for _, meas in streams]
+    ref = Ensemble(
+        sc.name,
+        VARIANTS,
+        np.array([truth for truth, _ in streams]),
+        np.array([[[m.r, m.theta, m.phi, m.rdot] for m in meas] for _, meas in streams]),
+        np.array([[means for means, _ in run] for run in tracks]),
+        np.array([[covs for _, covs in run] for run in tracks]),
+        np.ones(ens.updated.shape, dtype=bool),
+    )
+    assert_ensembles_close(ens, ref)
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_run_filter_equals_the_engines_track_bit_for_bit(key):
+    sc = dataclasses.replace(SCENARIOS[key], runs=3, seed=42)
+    ens = run_ensemble(sc, VARIANTS)
+    run = 1
+    _, meas = _per_run_stream(sc, np.random.SeedSequence(sc.seed).spawn(sc.runs)[run])
+    for v, variant in enumerate(VARIANTS):
+        init = initialize_belief(
+            convert(meas[0], sc.noise, variant.method),
+            convert(meas[1], sc.noise, variant.method),
+            sc.model.t,
+        )
+        track = run_filter(variant, meas[INIT_SCANS:], sc.noise, sc.model, init)
+        assert track.skipped_steps == [] and ens.updated[run, v].all()
+        np.testing.assert_array_equal([b.mean for b in track.beliefs], ens.means[run, v])
+        np.testing.assert_array_equal([b.cov for b in track.beliefs], ens.covs[run, v])
 
 
 @pytest.mark.parametrize("t", [0.1, 0.7, 1.3])
@@ -139,7 +207,7 @@ def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
     assert not np.array_equal(hit.means[run, u, k], base.means[run, u, k])
     # the per-run path skips the same scan
     single = run_single(sc, VARIANTS, np.random.SeedSequence(9).spawn(sc.runs)[run])
-    assert_ensembles_close(run_of(hit, run), single)
+    assert_ensembles_equal(run_of(hit, run), single)
 
 
 def test_degenerate_initialization_scan_raises(monkeypatch):

@@ -227,6 +227,13 @@ def test_maneuver_schedule_must_be_sorted():
         ManeuverSchedule.from_pairs([(10, (1.0, 1.0)), (5, (0.0, 0.0))])
 
 
+def test_maneuver_schedule_rejects_a_negative_start():
+    # the truth would apply it to the last steps, accel_at from step 0
+    with pytest.raises(ValueError, match="start steps must be >= 0, got -3"):
+        ManeuverSchedule.from_pairs([(-3, (5.0, 0.0)), (5, (0.0, 0.0))])
+    ManeuverSchedule.from_pairs([(0, (5.0, 0.0))])
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-1.0, 0.1, 1.0)
