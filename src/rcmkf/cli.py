@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +29,8 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     _validate,
+    build_geometry,
+    build_golden_point,
     build_noise,
     build_scenario,
     config_to_dict,
@@ -41,7 +42,6 @@ from .conversion import ConversionMethod, mc_moment_oracle
 from .evaluation import consistency_sweep, nees, rmse
 from .filtering import FilterVariant
 from .montecarlo import run_ensemble
-from .scenario import NoiseSpec, SphericalMeasurement
 
 __all__ = ["entry", "main"]
 
@@ -143,15 +143,7 @@ def cmd_consistency(args) -> int:
     cfg = _load_and_override(args)
     cc = cfg.consistency
     grid = default_sigma_grid(cc.sigma_theta_deg_max)
-    try:
-        geometry = SphericalMeasurement(
-            r=cc.geometry.r_m,
-            theta=math.radians(cc.geometry.theta_deg),
-            rdot=cc.geometry.rdot_mps,
-            dim=2,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid consistency geometry: {exc}") from exc
+    geometry = build_geometry(cc.geometry)
     noise = build_noise(cc.noise)
     out = _out_dir(cfg)
 
@@ -192,28 +184,7 @@ def cmd_golden(args) -> int:
         + [f"r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
         + [f"se_r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
     )
-    try:
-        inputs = [
-            (
-                SphericalMeasurement(
-                    r=pt.r_m,
-                    theta=math.radians(pt.theta_deg),
-                    phi=math.radians(pt.phi_deg),
-                    rdot=pt.rdot_mps,
-                    dim=3,
-                ),
-                NoiseSpec(
-                    sigma_r=pt.sigma_r_m,
-                    sigma_theta=math.radians(pt.sigma_theta_deg),
-                    sigma_phi=math.radians(pt.sigma_phi_deg),
-                    sigma_rdot=pt.sigma_rdot_mps,
-                    rho=pt.rho,
-                ),
-            )
-            for pt in points
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"invalid golden point: {exc}") from exc
+    inputs = [build_golden_point(pt) for pt in points]
     out = _out_dir(cfg)
     rows = []
     for pt, (m, noise), seed in zip(points, inputs, seeds):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .filtering import FilterVariant
-from .scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario
+from .scenario import DynamicModel, ManeuverSchedule, NoiseSpec, Scenario, SphericalMeasurement
 
 __all__ = [
     "ConfigError",
@@ -32,6 +32,8 @@ __all__ = [
     "ManeuverConfig",
     "NoiseConfig",
     "ScenarioConfig",
+    "build_geometry",
+    "build_golden_point",
     "build_noise",
     "build_scenario",
     "config_from_dict",
@@ -279,17 +281,40 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(data or {})
 
 
+def _noise_spec(nc: NoiseConfig | GoldenPoint) -> NoiseSpec:
+    """The :class:`NoiseSpec` of a config's noise fields; raises ValueError if invalid."""
+    return NoiseSpec(
+        sigma_r=nc.sigma_r_m,
+        sigma_theta=math.radians(nc.sigma_theta_deg),
+        sigma_phi=math.radians(nc.sigma_phi_deg),
+        sigma_rdot=nc.sigma_rdot_mps,
+        rho=nc.rho,
+    )
+
+
 def build_noise(nc: NoiseConfig) -> NoiseSpec:
     try:
-        return NoiseSpec(
-            sigma_r=nc.sigma_r_m,
-            sigma_theta=math.radians(nc.sigma_theta_deg),
-            sigma_phi=math.radians(nc.sigma_phi_deg),
-            sigma_rdot=nc.sigma_rdot_mps,
-            rho=nc.rho,
-        )
+        return _noise_spec(nc)
     except ValueError as exc:
         raise ConfigError(f"invalid noise spec: {exc}") from exc
+
+
+def build_geometry(gc: GeometryConfig) -> SphericalMeasurement:
+    """The consistency sweep's true point, a 2D radar report."""
+    try:
+        return SphericalMeasurement(gc.r_m, math.radians(gc.theta_deg), gc.rdot_mps, dim=2)
+    except ValueError as exc:
+        raise ConfigError(f"invalid consistency geometry: {exc}") from exc
+
+
+def build_golden_point(pt: GoldenPoint) -> tuple[SphericalMeasurement, NoiseSpec]:
+    """A golden operating point's 3D radar report and noise."""
+    theta, phi = math.radians(pt.theta_deg), math.radians(pt.phi_deg)
+    try:
+        m = SphericalMeasurement(pt.r_m, theta, pt.rdot_mps, phi=phi, dim=3)
+        return m, _noise_spec(pt)
+    except ValueError as exc:
+        raise ConfigError(f"invalid golden point: {exc}") from exc
 
 
 def build_scenario(cfg: ExperimentConfig) -> Scenario:

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix, _scale_noise
+from .scenario import NoiseSpec, SphericalMeasurement, _check_no_2d_elevation, _noise_matrix
+from .scenario import _scale_noise
 
 __all__ = [
     "ConversionMethod",
@@ -80,7 +81,7 @@ class ConversionMethod(enum.Enum):
     NESTED_CONDITIONING = "nested_conditioning"
 
 
-def _spherical(m: SphericalMeasurement):
+def _fields(m: SphericalMeasurement):
     """``(r, theta, phi, rdot)`` of a measurement; phi is zero for a 2D radar."""
     return m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
 
@@ -105,11 +106,6 @@ def _cart(r, theta, phi, rdot, out=None):
     np.multiply(r, np.sin(phi, out=z), out=z)
     np.multiply(r, rdot, out=eta)
     return out
-
-
-def _reject_2d_elevation(noise: NoiseSpec, dim: int) -> None:
-    if dim == 2 and noise.sigma_phi != 0:
-        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
 
 
 def _noiseless(noise: NoiseSpec) -> bool:
@@ -192,7 +188,7 @@ def _moments(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
     is ``r u*(1 - d)`` with ``-rho s_r s_d`` for eta (nested:
     ``r u*d*(d - 1)`` with ``+rho s_r s_d``).
     """
-    _reject_2d_elevation(noise, dim)
+    _check_no_2d_elevation(noise, dim)
     rm, theta, phi, rdot = _bcast(rm, theta, phi, rdot)
     shape = rm.shape + (len(methods),)
     ct, st = np.cos(theta), np.sin(theta)
@@ -426,6 +422,12 @@ def _stats_batch(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
     return ok, conv, mu, cov
 
 
+def _point_stats(method: ConversionMethod, m: SphericalMeasurement, noise: NoiseSpec):
+    ok, _, mu, cov = _stats_batch([method], *_fields(m), noise, m.dim)
+    _raise_if_indefinite(ok)
+    return mu[..., 0], cov[..., 0]
+
+
 def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
     """Measurement-conditioned error mean and covariance of one conversion.
 
@@ -435,10 +437,7 @@ def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
     indefinite beyond rounding, and ValueError for a 2D radar with an
     elevation noise.
     """
-    method = ConversionMethod.MEASUREMENT_CONDITIONED
-    ok, _, mu, cov = _stats_batch([method], *_spherical(m), noise, m.dim)
-    _raise_if_indefinite(ok)
-    return mu[..., 0], cov[..., 0]
+    return _point_stats(ConversionMethod.MEASUREMENT_CONDITIONED, m, noise)
 
 
 def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -448,10 +447,7 @@ def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
     analytic reduction of :func:`nested_stats_numeric` and agrees with it to
     well under half a percent per entry.
     """
-    method = ConversionMethod.NESTED_CONDITIONING
-    ok, _, mu, cov = _stats_batch([method], *_spherical(m), noise, m.dim)
-    _raise_if_indefinite(ok)
-    return mu[..., 0], cov[..., 0]
+    return _point_stats(ConversionMethod.NESTED_CONDITIONING, m, noise)
 
 
 def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -466,7 +462,7 @@ def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
     (x, y, z, eta) form regardless of ``dim``; a reference for the tests,
     directly checkable against a fixed-truth Monte Carlo.
     """
-    _, mu, cov = _moments([ConversionMethod.MEASUREMENT_CONDITIONED], *_spherical(m), noise, 3)
+    _, mu, cov = _moments([ConversionMethod.MEASUREMENT_CONDITIONED], *_fields(m), noise, 3)
     return -mu[..., 0], cov[..., 0]
 
 
@@ -489,7 +485,7 @@ def nested_stats_numeric(
     if samples < 100_000:
         raise ValueError("the nested reference needs at least 1e5 draws")
     rng = np.random.default_rng(0) if rng is None else rng
-    r, theta, phi, rdot = _spherical(m)
+    r, theta, phi, rdot = _fields(m)
     draws = _noise_matrix(noise, samples, rng)
     _, mu_t, cov_t = _moments(
         [ConversionMethod.MEASUREMENT_CONDITIONED],
@@ -545,12 +541,12 @@ def mc_moment_oracle(
     errors tile by tile. Raises ValueError for a 2D radar with an elevation
     noise, as the closed forms do.
     """
-    _reject_2d_elevation(noise, m.dim)
+    _check_no_2d_elevation(noise, m.dim)
     if samples < 10_000:
         raise ValueError("oracle needs at least 1e4 samples")
     if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
         raise ValueError(f"oracle batch must be an integer >= 1, got {batch!r}")
-    r, theta, phi, rdot = _spherical(m)
+    r, theta, phi, rdot = _fields(m)
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
     zbuf = np.empty(4 * min(batch, samples))
@@ -632,7 +628,7 @@ def convert(
     This is :func:`_convert_batch` on one row; raises
     :class:`DegenerateCovarianceError` if the statistics are indefinite.
     """
-    z, ok = _convert_batch(np.array(_spherical(m)), noise, [method], m.dim)
+    z, ok = _convert_batch(np.array(_fields(m)), noise, [method], m.dim)
     _raise_if_indefinite(ok)
     return z[0]
 

@@ -61,11 +61,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, _spherical
+from .conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, _fields
 from .conversion import _back, _factor, _forward, _ldl
 from .conversion import convert  # unused; the tracer wraps it (test_benchmark_trace_hooks_resolve)
 from .errors import DegenerateCovarianceError
-from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement
+from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _check_interval
 
 __all__ = [
     "DecorrelatedMeasurement",
@@ -658,8 +658,7 @@ def initialize_belief(
     from the difference quotient; the covariance follows from propagating the
     two independent position error covariances through the differencing map.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"sampling interval must be positive and finite, got {t!r}")
+    _check_interval(t)
     if z1.dim != z2.dim:
         raise ValueError("measurements must share dimensionality")
     p = z1.dim
@@ -691,8 +690,8 @@ def filter_scans(
     ``(scans, *batch)`` and the mask of updated (scan, track) pairs.
 
     Every scan is decorrelated up front, into scan-major entry rows
-    ``(scans, entry, tracks)``. The outputs are stored entries first,
-    ``(n, scans, tracks)`` and ``(n * n, scans, tracks)``, and returned as
+    ``(scans, entry, tracks)``. The outputs are stored scan-major too,
+    ``(scans, n, tracks)`` and ``(scans, n * n, tracks)``, and returned as
     views in the item-major layout. A scan where only some tracks update
     runs the same kernels on every track, the others on a neutral
     placeholder measurement, and then puts back their prediction.
@@ -771,7 +770,7 @@ def run_filter(
     steps, dim = [m.step for m in measurements], measurements[0].dim
     if any(m.dim != dim for m in measurements):
         raise ValueError("run_filter needs measurements of one dimensionality")
-    rows = np.array([_spherical(m) for m in measurements])
+    rows = np.array([_fields(m) for m in measurements])
     z, ok = _convert_batch(rows, noise, [variant.method], dim)
     post, updated = filter_scans(init, z[:, 0], ok[:, 0], steps, model)
     return FilterRun(

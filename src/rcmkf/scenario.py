@@ -37,6 +37,16 @@ __all__ = [
 INIT_SCANS = 2
 
 
+def _check_interval(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"sampling interval must be positive and finite, got {t!r}")
+
+
+def _check_no_2d_elevation(noise: NoiseSpec, dim: int) -> None:
+    if dim == 2 and noise.sigma_phi != 0:
+        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
+
+
 def position_dim(state: np.ndarray) -> int:
     """Spatial dimension (2 or 3) encoded by the length of a state vector."""
     n = np.shape(state)[-1]
@@ -64,8 +74,7 @@ class DynamicModel:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError(f"sampling interval must be positive and finite, got {self.t!r}")
+        _check_interval(self.t)
         if not (math.isfinite(self.accel_noise_std) and self.accel_noise_std >= 0):
             raise ValueError(
                 "acceleration noise std must be finite and nonnegative, "
@@ -94,7 +103,9 @@ class ManeuverSchedule:
     """Piecewise-constant acceleration schedule applied to truth generation.
 
     Each entry ``(start_step, accel)`` holds from its step (>= 0) until the
-    next entry begins; before the first entry the acceleration is zero.
+    next entry begins; before the first entry the acceleration is zero. Of
+    two entries with the same start, the later one wins. Every ``accel``
+    has one component per axis, shape ``(dim,)`` (checked by :class:`Scenario`).
     """
 
     entries: tuple[tuple[int, np.ndarray], ...] = ()
@@ -115,15 +126,12 @@ class ManeuverSchedule:
             tuple((int(s), np.asarray(a, dtype=float)) for s, a in pairs)
         )
 
-    def accel_at(self, step: int, dim: int) -> np.ndarray:
-        """Acceleration in force at transition ``step -> step + 1``."""
-        current = np.zeros(dim)
+    def table(self, steps: int, dim: int) -> np.ndarray:
+        """Acceleration ``u_k`` of each transition ``k -> k + 1``, shape ``(steps - 1, dim)``."""
+        accel = np.zeros((steps - 1, dim))
         for start, a in self.entries:
-            if step >= start:
-                current = a
-            else:
-                break
-        return current
+            accel[start:] = a
+        return accel
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,8 @@ class Scenario:
     ``steps`` counts the scans of a run; it must exceed ``INIT_SCANS``, the
     scans that two-point initialization consumes before filtering starts.
     A 2D scenario has no elevation, so its ``noise.sigma_phi`` must be 0.
-    The initial position must not be the sensor origin.
+    The initial position must not be the sensor origin, and every maneuver
+    acceleration has shape ``(dim,)``.
     """
 
     model: DynamicModel
@@ -209,8 +218,9 @@ class Scenario:
             raise ValueError(
                 "initial position is the sensor origin, where range and angles are undefined"
             )
-        if self.dim == 2 and self.noise.sigma_phi != 0:
-            raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
+        if any(np.shape(a) != (self.dim,) for _, a in self.maneuvers.entries):
+            raise ValueError(f"maneuver accelerations must have shape ({self.dim},)")
+        _check_no_2d_elevation(self.noise, self.dim)
 
     @property
     def dim(self) -> int:
@@ -316,9 +326,7 @@ def _simulate_truths(scenario: Scenario, rngs) -> np.ndarray:
     for rng, run in zip(rngs, w):
         rng.standard_normal(out=run)
     w *= model.accel_noise_std
-    accel = np.zeros((scenario.steps - 1, dim))  # u_k, as ManeuverSchedule.accel_at(k)
-    for start, a in scenario.maneuvers.entries:
-        accel[start:] = a
+    accel = scenario.maneuvers.table(scenario.steps, dim)
     g_pos, g_vel = model.gamma[0, 0], model.gamma[dim, 0]
     x0 = np.broadcast_to(scenario.initial_state, (len(rngs), model.n))
     vel = _running_sum(x0[:, dim:], [g_vel * accel, g_vel * w])

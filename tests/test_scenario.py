@@ -41,6 +41,21 @@ def noise_free_truth(initial, steps=3, t=1.0, maneuvers=()):
     return simulate_truth(sc, np.random.default_rng(0))
 
 
+def accel_at(schedule, step, dim):
+    """Acceleration in force at transition ``step -> step + 1``.
+
+    A per-step reading of the schedule of its own, so the truth checks do
+    not compare ``ManeuverSchedule.table`` with itself.
+    """
+    current = np.zeros(dim)
+    for start, a in schedule.entries:
+        if step >= start:
+            current = a
+        else:
+            break
+    return current
+
+
 def measurement_of(state, noise=NO_NOISE, seed=0):
     """The measurement of one state, synthesized with ``noise``."""
     return synthesize_measurements(np.asarray(state)[None], noise, np.random.default_rng(seed))[0]
@@ -207,19 +222,58 @@ def test_case2_truth_continuity():
     sc = dataclasses.replace(sc, model=DynamicModel(2, 1.0, 0.0))
     truth = simulate_truth(sc, np.random.default_rng(0))
     for k in range(sc.steps - 1):
-        a = sc.maneuvers.accel_at(k, 2)
+        a = accel_at(sc.maneuvers, k, 2)
         np.testing.assert_allclose(truth[k + 1, 2:], truth[k, 2:] + a, atol=1e-9)
         np.testing.assert_allclose(
             truth[k + 1, :2], truth[k, :2] + truth[k, 2:] + 0.5 * a, atol=1e-9
         )
 
 
-def test_maneuver_schedule_accel_at():
-    sched = ManeuverSchedule.from_pairs([(5, (1.0, 0.0)), (10, (0.0, 0.0))])
-    np.testing.assert_array_equal(sched.accel_at(0, 2), [0.0, 0.0])
-    np.testing.assert_array_equal(sched.accel_at(5, 2), [1.0, 0.0])
-    np.testing.assert_array_equal(sched.accel_at(9, 2), [1.0, 0.0])
-    np.testing.assert_array_equal(sched.accel_at(10, 2), [0.0, 0.0])
+TABLE_STEPS = 12
+
+
+@pytest.mark.parametrize(
+    "pairs, step, expected",
+    [
+        pytest.param([], 0, (0.0, 0.0), id="no-entries"),
+        pytest.param([(4, (1.0, -2.0))], 3, (0.0, 0.0), id="zeros-before-the-first"),
+        pytest.param(
+            [(5, (1.0, 0.0)), (10, (0.0, 0.0))], 9, (1.0, 0.0), id="held-until-the-next"
+        ),
+        pytest.param(
+            [(2, (1.0, 1.0)), (TABLE_STEPS - 1, (9.0, 9.0)), (TABLE_STEPS + 5, (7.0, 7.0))],
+            TABLE_STEPS - 2, (1.0, 1.0),
+            id="start-at-or-beyond-the-last-transition",
+        ),
+        pytest.param(
+            [(3, (1.0, 1.0)), (6, (2.0, -2.0)), (6, (3.0, 4.0))], 6, (3.0, 4.0),
+            id="equal-starts-the-later-wins",
+        ),
+    ],
+)
+def test_maneuver_table_follows_the_per_step_rule(pairs, step, expected):
+    sched = ManeuverSchedule.from_pairs(pairs)
+    table = sched.table(TABLE_STEPS, 2)
+    rule = [accel_at(sched, k, 2) for k in range(TABLE_STEPS - 1)]
+    np.testing.assert_array_equal(table, rule)
+    np.testing.assert_array_equal(table[step], expected)
+
+
+@pytest.mark.parametrize(
+    "initial, accel",
+    [
+        # one component would broadcast to both axes of the truth
+        pytest.param([100.0, 0.0, 0.0, 0.0], (3.0,), id="1-in-2d"),
+        pytest.param([100.0, 0.0, 0.0, 0.0], 3.0, id="scalar-in-2d"),
+        pytest.param([100.0, 0.0, 0.0, 0.0], (1.0, 2.0, 3.0), id="3-in-2d"),
+        pytest.param([100.0, 0.0, 0.0, 0.0], ((1.0, 2.0),), id="1x2-in-2d"),
+        pytest.param([100.0, 0.0, 0.0, 0.0, 0.0, 0.0], (1.0, 2.0), id="2-in-3d"),
+    ],
+)
+def test_scenario_rejects_a_maneuver_of_the_wrong_shape(initial, accel):
+    dim = len(initial) // 2
+    with pytest.raises(ValueError, match=rf"maneuver accelerations must have shape \({dim},\)"):
+        noise_free_truth(initial, steps=8, maneuvers=[(5, accel)])
 
 
 def test_maneuver_schedule_must_be_sorted():
@@ -228,7 +282,7 @@ def test_maneuver_schedule_must_be_sorted():
 
 
 def test_maneuver_schedule_rejects_a_negative_start():
-    # the truth would apply it to the last steps, accel_at from step 0
+    # the truth's table would apply it to the last steps, a per-step rule from step 0
     with pytest.raises(ValueError, match="start steps must be >= 0, got -3"):
         ManeuverSchedule.from_pairs([(-3, (5.0, 0.0)), (5, (0.0, 0.0))])
     ManeuverSchedule.from_pairs([(0, (5.0, 0.0))])
@@ -289,7 +343,7 @@ def stepwise_truth(scenario, rng):
     w = model.accel_noise_std * rng.standard_normal((scenario.steps - 1, model.dim))
     states = [np.array(scenario.initial_state, dtype=float)]
     for k in range(scenario.steps - 1):
-        u = scenario.maneuvers.accel_at(k, model.dim)
+        u = accel_at(scenario.maneuvers, k, model.dim)
         states.append(model.phi @ states[-1] + model.gamma @ u + model.gamma @ w[k])
     return np.array(states)
 
