@@ -172,6 +172,11 @@ def _parse(tp, value, path: str):
         kind, noun = _SCALARS[tp]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{path} must be {noun}, got {value!r}")
+        if tp is float:
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond the float range; not echoed
+                raise ConfigError(f"{path} is too large for a real number") from None
         return value
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
@@ -276,7 +281,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer over 4300 digits
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return config_from_dict(data or {})
 

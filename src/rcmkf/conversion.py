@@ -49,8 +49,10 @@ that circulate with typographical slips.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -507,17 +509,33 @@ class OracleMoments:
     samples: int
 
 
-# Columns per oracle tile: the tile's (4, tile) scratch stays cache-sized,
-# and few enough tiles keep the per-allocation cost small where every
-# allocation is traced (tracemalloc).
+# Columns per oracle tile, the unit of work a thread takes: few enough tiles
+# keep the per-allocation cost small where every allocation is traced
+# (tracemalloc).
 _ORACLE_TILE = 65_536
+# Columns per step of a tile's error pass: its truth scratch stays cache-sized.
+# The pass is elementwise, so this size changes no bits.
+_ORACLE_SUBTILE = 8_192
 
 
-def _tiles(z: np.ndarray, scratch: np.ndarray):
-    """``(z[:, cols], scratch[:, :width])`` for consecutive column tiles of ``z``."""
-    for lo in range(0, z.shape[1], _ORACLE_TILE):
-        tile = z[:, lo : lo + _ORACLE_TILE]
-        yield tile, scratch[:, : tile.shape[1]]
+def _oracle_workers() -> int:
+    """Threads the oracle may use: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _tile_map(workers: int):
+    """A ``map`` for tile work: inline on one worker, else on threads that end with the block."""
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def mc_moment_oracle(
@@ -538,49 +556,69 @@ def mc_moment_oracle(
 
     The draws are taken ``batch`` at a time into one ``(4, batch)`` float64
     buffer (about 32 B per draw), whose columns are overwritten by their
-    errors tile by tile. Raises ValueError for a 2D radar with an elevation
+    errors. The calling thread draws every normal; the errors and the
+    centered product sums of each ``_ORACLE_TILE``-column tile run on one
+    thread per CPU the process may run on, each thread with a small truth
+    scratch of its own, and the caller adds the tiles' sums in tile order.
+    So the memory is the one buffer plus about 0.3 MB per thread (the
+    scratch and a row temporary), and the results are the same bits on any
+    number of CPUs. Raises ValueError for a 2D radar with an elevation
     noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
-    if samples < 10_000:
-        raise ValueError("oracle needs at least 1e4 samples")
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise ValueError(f"oracle batch must be an integer >= 1, got {batch!r}")
+    for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"oracle {name} must be an integer >= {least}, got {value!r}")
     r, theta, phi, rdot = _fields(m)
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
-    zbuf = np.empty(4 * min(batch, samples))
-    scratch = np.empty((4, _ORACLE_TILE))
+    width = min(batch, samples)
+    zbuf = np.empty(4 * width)
 
-    def errors(k: int) -> np.ndarray:
-        """The conversion errors of the next ``k`` draws, a ``(4, k)`` view of the buffer."""
-        z = zbuf[: 4 * k].reshape(4, k)
-        rng.standard_normal(out=z)
-        for tile, truth in _tiles(z, scratch):
-            # the tile's draws are read out before its errors overwrite them
-            np.copyto(truth, tile)
-            np.subtract(measured, _scale_noise(noise, truth), out=truth)
-            np.subtract(converted, _cart(*truth, out=tile), out=tile)
-        return z
+    def errors(tile: np.ndarray) -> None:
+        """Overwrite a tile's draws with their conversion errors."""
+        scratch = np.empty((4, min(_ORACLE_SUBTILE, tile.shape[1])))
+        for lo in range(0, tile.shape[1], _ORACLE_SUBTILE):
+            sub = tile[:, lo : lo + _ORACLE_SUBTILE]
+            truth = scratch[:, : sub.shape[1]]
+            np.subtract(measured, _scale_noise(noise, sub), out=truth)
+            np.subtract(converted, _cart(*truth, out=sub), out=sub)
+
+    def products(tile: np.ndarray):
+        """Center a tile of errors in place; its sum, product sum and squared-product sum."""
+        tile -= center[:, None]
+        sums = tile.sum(axis=1), tile @ tile.T
+        np.square(tile, out=tile)
+        return *sums, tile @ tile.T
+
+    def errors_and_products(tile: np.ndarray):
+        errors(tile)
+        return products(tile)
 
     n_done = 0
     sum_c = np.zeros(4)
     sum_cc = np.zeros((4, 4))
     sum_cc_sq = np.zeros((4, 4))
-    while n_done < samples:
-        z = errors(min(batch, samples - n_done))
-        if n_done == 0:
-            # Centering on the first batch's mean keeps the accumulated
-            # products small; the recentering at the end is exact for the
-            # mean and covariance.
-            center = z.mean(axis=1)
-        for tile, c in _tiles(z, scratch):
-            np.subtract(tile, center[:, None], out=c)
-            sum_c += c.sum(axis=1)
-            sum_cc += c @ c.T
-            np.square(c, out=c)
-            sum_cc_sq += c @ c.T
-        n_done += z.shape[1]
+    with _tile_map(min(_oracle_workers(), -(-width // _ORACLE_TILE))) as each:
+        while n_done < samples:
+            k = min(batch, samples - n_done)
+            z = zbuf[: 4 * k].reshape(4, k)
+            rng.standard_normal(out=z)
+            tiles = [z[:, lo : lo + _ORACLE_TILE] for lo in range(0, k, _ORACLE_TILE)]
+            if n_done == 0:
+                list(each(errors, tiles))
+                # Centering on the first batch's mean keeps the accumulated
+                # products small; the recentering at the end is exact for the
+                # mean and covariance.
+                center = z.mean(axis=1)
+                tile_sums = each(products, tiles)
+            else:
+                tile_sums = each(errors_and_products, tiles)
+            for s, cc, cc_sq in tile_sums:  # in tile order, whichever tile finished first
+                sum_c += s
+                sum_cc += cc
+                sum_cc_sq += cc_sq
+            n_done += k
 
     mean_c = sum_c / n_done
     mean = center + mean_c

@@ -498,6 +498,43 @@ def test_cli_non_list_config_field_exits_2(tmp_path, capsys, command, config, me
     assert not (tmp_path / "o").exists()
 
 
+HUGE_INT = "1" + "0" * 400  # too large for a float
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        pytest.param(
+            "golden", _golden_yaml(theta_deg=int(HUGE_INT)),
+            "config.golden.points[0].theta_deg is too large for a real number",
+            id="point-angle",
+        ),
+        pytest.param(
+            "simulate", f"case: null\nscenario: {{sample_interval_s: {HUGE_INT}}}\n",
+            "config.scenario.sample_interval_s is too large for a real number",
+            id="interval",
+        ),
+        pytest.param(
+            "simulate", f"case: null\nscenario: {{initial_position_m: [{HUGE_INT}, 0.0]}}\n",
+            "config.scenario.initial_position_m[0] is too large for a real number",
+            id="position",
+        ),
+        pytest.param(
+            "golden", "seed: " + "1" * 4301 + "\n", "cannot parse config file", id="4301-digits",
+        ),
+    ],
+)
+def test_cli_huge_config_integer_exits_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "exp.yaml"
+    path.write_text(config, encoding="utf-8")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "0" * 40 not in err and "1" * 40 not in err  # the number is not echoed
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_keeps_values_as_written():
     # an integer in a real field stays an integer, so the manifest echoes it as written
     cfg = config_from_dict({"scenario": {"sample_interval_s": 2, "noise": {"rho": 0}}})

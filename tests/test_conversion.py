@@ -1,7 +1,10 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +26,7 @@ from rcmkf.conversion import (
 )
 from rcmkf.errors import DegenerateCovarianceError
 from rcmkf.evaluation import consistency_sweep
-from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
+from rcmkf.scenario import NoiseSpec, SphericalMeasurement, _noise_matrix, _scale_noise
 
 CASE_NOISE = NoiseSpec(sigma_r=200.0, sigma_theta=math.radians(2.5), sigma_rdot=1.0, rho=0.3)
 NO_NOISE = NoiseSpec(0.0, 0.0, 0.0)
@@ -383,9 +386,10 @@ def test_oracle_settles_pseudo_bias_sign():
     assert abs(est.mean[-1] - (-60.0)) < 3 * est.se_mean[-1]
 
 
-def test_oracle_rejects_tiny_sample_counts():
-    with pytest.raises(ValueError):
-        mc_moment_oracle(sph(1000.0, 0.0, 1.0), CASE_NOISE, 5000, np.random.default_rng(0))
+@pytest.mark.parametrize("samples", [5000, 1.5e6, 20000.0, True, None])
+def test_oracle_rejects_tiny_sample_counts(samples):
+    with pytest.raises(ValueError, match="samples"):
+        mc_moment_oracle(sph(1000.0, 0.0, 1.0), CASE_NOISE, samples, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("batch", [0, -5, 2.5, 1e6, True, None])
@@ -396,6 +400,107 @@ def test_oracle_rejects_bad_batch(batch):
 
 def test_oracle_peak_memory_is_one_draw_buffer():
     # one (4, batch) float64 buffer of 32 B per draw, plus a cache-sized tile
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        mc_moment_oracle(sph(113137.0, 45.0, 282.8), CASE_NOISE, 1_200_000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 32e6
+
+
+def _serial_oracle(m, noise, samples, rng, batch):
+    """The oracle's arithmetic on one thread, one tile after another.
+
+    The same draws, truths and errors, centered on the first batch's mean;
+    each tile's sum, product sum and squared-product sum is added in tile
+    order, so the result is a bitwise reference for any worker count.
+    """
+    r, theta, phi, rdot = m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
+    measured = np.array([r, theta, phi, rdot])[:, None]
+    converted = conversion._cart(r, theta, phi, rdot)[:, None]
+    sum_c, sum_cc, sum_cc_sq = np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4))
+    n = 0
+    while n < samples:
+        k = min(batch, samples - n)
+        z = _scale_noise(noise, rng.standard_normal((4, k)))
+        e = converted - conversion._cart(*(measured - z))
+        if n == 0:
+            center = e.mean(axis=1)
+        for lo in range(0, k, conversion._ORACLE_TILE):
+            c = e[:, lo : lo + conversion._ORACLE_TILE] - center[:, None]
+            sq = c * c
+            sum_c += c.sum(axis=1)
+            sum_cc += c @ c.T
+            sum_cc_sq += sq @ sq.T
+        n += k
+    mean_c = sum_c / n
+    cov = (sum_cc / n - np.outer(mean_c, mean_c)) * (n / (n - 1))
+    se_cov = np.sqrt(np.maximum(sum_cc_sq / n - (sum_cc / n) ** 2, 0.0) / n)
+    se_mean = np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
+    idx = [0, 1, 3] if m.dim == 2 else [0, 1, 2, 3]
+    return center[idx] + mean_c[idx], cov[np.ix_(idx, idx)], se_mean[idx], se_cov[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("phi_deg", [None, 25.0])
+def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg):
+    # batches of 140000, 140000 and 20001 draws: three tiles, the last one
+    # partial, then a last batch of one partial tile; 16 workers is more
+    # than the tiles of any batch
+    sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
+    noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
+    m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
+    want = [a.tobytes() for a in _serial_oracle(m, noise, 300_001, np.random.default_rng(5), 140_000)]
+    cart = conversion._cart
+    threads = set()
+
+    def recording_cart(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return cart(*args, **kwargs)
+
+    monkeypatch.setattr(conversion, "_cart", recording_cart)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, so a shared-state slip would show
+    try:
+        for workers in (1, 2, 3, 16):
+            monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
+            threads.clear()
+            est = mc_moment_oracle(m, noise, 300_001, np.random.default_rng(5), batch=140_000)
+            assert est.samples == 300_001
+            got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
+            assert got == want, workers
+            # more than one worker runs the tiles off the calling thread
+            assert (threads == {threading.get_ident()}) == (workers == 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("fail_at", [4, 30])  # a tile of the first batch, or of the second
+def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, workers, fail_at):
+    calls = itertools.count(1)
+    cart = conversion._cart
+    error = RuntimeError("tile failed")
+
+    def failing_cart(*args, **kwargs):
+        if next(calls) == fail_at:
+            raise error
+        return cart(*args, **kwargs)
+
+    monkeypatch.setattr(conversion, "_cart", failing_cart)
+    monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
+    before = threading.active_count()
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError) as info:
+        mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, rng, batch=140_000)
+    assert info.value is error
+    assert threading.active_count() == before
+
+
+def test_oracle_peak_memory_holds_with_many_workers(monkeypatch):
+    # 16 threads, one per tile of a 1e6 batch, each with its own truth scratch
+    monkeypatch.setattr(conversion, "_oracle_workers", lambda: 16)
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
