@@ -221,7 +221,26 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
         _require_size(m.accel_mps2, f"{path}.maneuvers[{i}].accel_mps2", (dim,))
 
 
+# Counts (runs, steps, samples) size arrays, so none may exceed numpy's
+# index type; a larger one is a config error before any output exists.
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
+def _check_counts(cfg: ExperimentConfig) -> None:
+    counts = {
+        "runs": cfg.runs,
+        "consistency.samples": cfg.consistency.samples,
+        "golden.samples": cfg.golden.samples,
+    }
+    if cfg.scenario is not None:
+        counts.update({"scenario.steps": cfg.scenario.steps, "scenario.runs": cfg.scenario.runs})
+    for path, value in counts.items():
+        if value is not None and value > _MAX_COUNT:  # not echoed: it can run to many digits
+            raise ConfigError(f"config.{path} must be at most {_MAX_COUNT}")
+
+
 def _validate(cfg: ExperimentConfig) -> None:
+    _check_counts(cfg)
     if cfg.scenario is not None:
         _validate_scenario(cfg.scenario)
     if not cfg.variants:

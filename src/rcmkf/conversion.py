@@ -42,15 +42,19 @@ functions.
 
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
-truth the closed forms are tested against. See FORMULA_NOTES.md for the
-places where this implementation deviates from variants of these formulas
-that circulate with typographical slips.
+truth the closed forms are tested against. It is a pipeline: the calling
+thread draws the next block of standard normals while threads turn the
+drawn blocks into errors and product sums, which the caller adds in a fixed
+order, so its output bits do not depend on the number of CPUs. See
+FORMULA_NOTES.md for the places where this implementation deviates from
+variants of these formulas that circulate with typographical slips.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -509,33 +513,48 @@ class OracleMoments:
     samples: int
 
 
-# Columns per oracle tile, the unit of work a thread takes: few enough tiles
-# keep the per-allocation cost small where every allocation is traced
-# (tracemalloc).
+# Columns per oracle tile, the unit of work a thread takes, and the default
+# block of normals drawn at a time: few enough tiles keep the per-allocation
+# cost small where every allocation is traced (tracemalloc), and one-tile
+# blocks let the next block's draw overlap this one's trigonometry.
 _ORACLE_TILE = 65_536
 # Columns per step of a tile's error pass: its truth scratch stays cache-sized.
 # The pass is elementwise, so this size changes no bits.
 _ORACLE_SUBTILE = 8_192
+# Most threads the oracle starts. The calling thread's draw bounds the
+# pipeline: one tile's normals take about as long as its errors and sums on
+# one thread (4.7-5.2 ms against 5.1-5.5 ms, medians of 60 tiles in three
+# runs, 2 vCPUs), so two threads keep pace with it and four leave room for
+# threads slowed by the interpreter lock. Each further thread would hold one
+# more block buffer (2 MB at the default block) and cannot outrun the draw.
+_ORACLE_MAX_WORKERS = 4
 
 
 def _oracle_workers() -> int:
-    """Threads the oracle may use: one per CPU this process may run on."""
+    """Threads the oracle may use: one per CPU this process may run on, at most the cap."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity query on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _ORACLE_MAX_WORKERS)
 
 
 @contextlib.contextmanager
-def _tile_map(workers: int):
-    """A ``map`` for tile work: inline on one worker, else on threads that end with the block."""
+def _tile_runner(workers: int):
+    """``start(fn, tile)``, which returns a call that gives ``fn(tile)``.
+
+    On one worker the tile runs inline when that call is made; otherwise it
+    starts at once on one of ``workers`` threads, which all end with the
+    ``with`` statement, and the call waits for it and raises what the tile
+    raised.
+    """
     if workers == 1:
-        yield map
+        yield functools.partial
         return
     from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
+        yield lambda fn, tile: pool.submit(fn, tile).result
 
 
 def mc_moment_oracle(
@@ -543,7 +562,7 @@ def mc_moment_oracle(
     noise: NoiseSpec,
     samples: int,
     rng: np.random.Generator,
-    batch: int = 1_000_000,
+    batch: int = _ORACLE_TILE,
 ) -> OracleMoments:
     """Brute-force estimate of the measurement-conditioned moments.
 
@@ -554,16 +573,19 @@ def mc_moment_oracle(
     covariance entries come from the sample variance of the centered
     products. Results are deterministic given the generator state.
 
-    The draws are taken ``batch`` at a time into one ``(4, batch)`` float64
-    buffer (about 32 B per draw), whose columns are overwritten by their
-    errors. The calling thread draws every normal; the errors and the
-    centered product sums of each ``_ORACLE_TILE``-column tile run on one
-    thread per CPU the process may run on, each thread with a small truth
-    scratch of its own, and the caller adds the tiles' sums in tile order.
-    So the memory is the one buffer plus about 0.3 MB per thread (the
-    scratch and a row temporary), and the results are the same bits on any
-    number of CPUs. Raises ValueError for a 2D radar with an elevation
-    noise, as the closed forms do.
+    The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
+    ``standard_normal`` call (about 32 B per draw) whose columns are
+    overwritten by their errors, and each block splits into
+    ``_ORACLE_TILE``-column tiles. The calling thread draws every normal;
+    the errors and the centered product sums of the tiles run on one thread
+    per CPU the process may run on (at most ``_ORACLE_MAX_WORKERS``), each
+    with a small truth scratch of its own. While the threads work on the
+    drawn blocks, the caller draws the next one into a free buffer, and it
+    adds the tiles' sums in (block, tile) order. So the memory is one block
+    buffer per thread plus one (about 2 MB each at the default ``batch`` of
+    one tile) and about 0.3 MB of scratch per thread, and the results are
+    the same bits on any number of CPUs. Raises ValueError for a 2D radar
+    with an elevation noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
@@ -572,8 +594,6 @@ def mc_moment_oracle(
     r, theta, phi, rdot = _fields(m)
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
-    width = min(batch, samples)
-    zbuf = np.empty(4 * width)
 
     def errors(tile: np.ndarray) -> None:
         """Overwrite a tile's draws with their conversion errors."""
@@ -595,43 +615,57 @@ def mc_moment_oracle(
         errors(tile)
         return products(tile)
 
-    n_done = 0
-    sum_c = np.zeros(4)
-    sum_cc = np.zeros((4, 4))
-    sum_cc_sq = np.zeros((4, 4))
-    with _tile_map(min(_oracle_workers(), -(-width // _ORACLE_TILE))) as each:
-        while n_done < samples:
-            k = min(batch, samples - n_done)
-            z = zbuf[: 4 * k].reshape(4, k)
+    width = min(batch, samples)
+    tiles_per_block = -(-width // _ORACLE_TILE)
+    workers = min(_oracle_workers(), -(-samples // _ORACLE_TILE))  # at most one per tile
+    # Inline, one block at a time; on threads, the block being drawn and
+    # enough drawn ones to keep every thread busy meanwhile.
+    buffers = 1 if workers == 1 else 1 + -(-workers // tiles_per_block)
+    free = [np.empty(4 * width) for _ in range(min(buffers, -(-samples // batch)))]
+    in_flight = []  # (buffer, calls giving its tiles' sums) per block, oldest first
+    sums = (np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4)))
+
+    def retire_oldest() -> None:
+        buf, results = in_flight.pop(0)
+        for result in results:  # in (block, tile) order, whichever tile finished first
+            for total, part in zip(sums, result()):
+                total += part
+        free.append(buf)
+
+    with _tile_runner(workers) as start:
+        for lo in range(0, samples, batch):
+            if not free:
+                retire_oldest()
+            buf = free.pop()
+            z = buf[: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
-            tiles = [z[:, lo : lo + _ORACLE_TILE] for lo in range(0, k, _ORACLE_TILE)]
-            if n_done == 0:
-                list(each(errors, tiles))
-                # Centering on the first batch's mean keeps the accumulated
+            tiles = [z[:, t : t + _ORACLE_TILE] for t in range(0, z.shape[1], _ORACLE_TILE)]
+            if lo == 0:
+                for done in [start(errors, tile) for tile in tiles]:
+                    done()
+                # Centering on the first block's mean keeps the accumulated
                 # products small; the recentering at the end is exact for the
                 # mean and covariance.
                 center = z.mean(axis=1)
-                tile_sums = each(products, tiles)
+                in_flight.append((buf, [start(products, tile) for tile in tiles]))
             else:
-                tile_sums = each(errors_and_products, tiles)
-            for s, cc, cc_sq in tile_sums:  # in tile order, whichever tile finished first
-                sum_c += s
-                sum_cc += cc
-                sum_cc_sq += cc_sq
-            n_done += k
+                in_flight.append((buf, [start(errors_and_products, tile) for tile in tiles]))
+        while in_flight:
+            retire_oldest()
 
-    mean_c = sum_c / n_done
+    sum_c, sum_cc, sum_cc_sq = sums
+    mean_c = sum_c / samples
     mean = center + mean_c
-    cov = (sum_cc / n_done - np.outer(mean_c, mean_c)) * (n_done / (n_done - 1))
-    var_prod = sum_cc_sq / n_done - (sum_cc / n_done) ** 2
-    se_cov = np.sqrt(np.maximum(var_prod, 0.0) / n_done)
-    se_mean = np.sqrt(np.maximum(np.diag(cov), 0.0) / n_done)
+    cov = (sum_cc / samples - np.outer(mean_c, mean_c)) * (samples / (samples - 1))
+    var_prod = sum_cc_sq / samples - (sum_cc / samples) ** 2
+    se_cov = np.sqrt(np.maximum(var_prod, 0.0) / samples)
+    se_mean = np.sqrt(np.maximum(np.diag(cov), 0.0) / samples)
 
     if m.dim == 2:
         idx = _IDX_2D
         mean, cov = mean[idx], cov[np.ix_(idx, idx)]
         se_mean, se_cov = se_mean[idx], se_cov[np.ix_(idx, idx)]
-    return OracleMoments(mean=mean, cov=cov, se_mean=se_mean, se_cov=se_cov, samples=n_done)
+    return OracleMoments(mean=mean, cov=cov, se_mean=se_mean, se_cov=se_cov, samples=samples)
 
 
 @dataclass(frozen=True, eq=False)

@@ -276,7 +276,7 @@ def _noise_matrix(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarra
     consistency sweep and the nested reference use it; the measurement
     synthesis draws every run's block into one ``(runs, 4, steps)``
     buffer, and the Monte Carlo oracle into its own ``(4, batch)`` float64
-    buffer (about 32 B per draw), and both scale it with the same helper,
+    blocks (about 32 B per draw), and both scale it with the same helper,
     so every consumer sees the identical noise construction.
     """
     return _scale_noise(noise, rng.standard_normal((4,) + tuple(np.atleast_1d(size))))

@@ -535,6 +535,57 @@ def test_cli_huge_config_integer_exits_2(tmp_path, capsys, command, config, mess
     assert not (tmp_path / "o").exists()
 
 
+HUGE_COUNT = 10**30  # beyond any array size
+
+
+@pytest.mark.parametrize(
+    "argv, config, path",
+    [
+        pytest.param(["simulate"], f"runs: {HUGE_COUNT}\n", "config.runs", id="runs"),
+        pytest.param(["simulate", "--runs", str(HUGE_COUNT)], "{}\n", "config.runs", id="runs-flag"),
+        pytest.param(
+            ["simulate"], f"case: null\nscenario: {{steps: {HUGE_COUNT}}}\n",
+            "config.scenario.steps", id="steps",
+        ),
+        pytest.param(
+            ["simulate"], f"case: null\nscenario: {{runs: {HUGE_COUNT}}}\n",
+            "config.scenario.runs", id="scenario-runs",
+        ),
+        pytest.param(
+            ["consistency"], f"consistency: {{samples: {HUGE_COUNT}}}\n",
+            "config.consistency.samples", id="consistency-samples",
+        ),
+    ],
+)
+def test_cli_count_beyond_array_size_exits_2(tmp_path, capsys, argv, config, path):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(config, encoding="utf-8")
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path} must be at most {np.iinfo(np.intp).max}" in err
+    assert str(HUGE_COUNT) not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field", ["runs", "scenario.steps", "scenario.runs", "consistency.samples", "golden.samples"]
+)
+def test_config_counts_stop_at_the_array_size(field):
+    # checked on the config alone: golden with such a count would draw for ever
+    limit = int(np.iinfo(np.intp).max)
+    section, _, name = field.rpartition(".")
+
+    def config(count):
+        data = {"case": None, "scenario": {}}
+        (data.setdefault(section, {}) if section else data)[name] = count
+        return data
+
+    config_from_dict(config(limit))
+    with pytest.raises(ConfigError, match=f"config.{field} must be at most {limit}"):
+        config_from_dict(config(limit + 1))
+
+
 def test_config_keeps_values_as_written():
     # an integer in a real field stays an integer, so the manifest echoes it as written
     cfg = config_from_dict({"scenario": {"sample_interval_s": 2, "noise": {"rho": 0}}})

@@ -399,15 +399,17 @@ def test_oracle_rejects_bad_batch(batch):
 
 
 def test_oracle_peak_memory_is_one_draw_buffer():
-    # one (4, batch) float64 buffer of 32 B per draw, plus a cache-sized tile
+    # one (4, tile) float64 block buffer of 32 B per draw per thread, plus the
+    # one being drawn, and a block's worth of slack for the threads' scratch
     rng = np.random.default_rng(0)
+    block = 32 * conversion._ORACLE_TILE
     tracemalloc.start()
     try:
         mc_moment_oracle(sph(113137.0, 45.0, 282.8), CASE_NOISE, 1_200_000, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 32e6
+    assert peak <= (conversion._oracle_workers() + 2) * block
 
 
 def _serial_oracle(m, noise, samples, rng, batch):
@@ -443,15 +445,27 @@ def _serial_oracle(m, noise, samples, rng, batch):
     return center[idx] + mean_c[idx], cov[np.ix_(idx, idx)], se_mean[idx], se_cov[np.ix_(idx, idx)]
 
 
-@pytest.mark.parametrize("phi_deg", [None, 25.0])
-def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg):
-    # batches of 140000, 140000 and 20001 draws: three tiles, the last one
-    # partial, then a last batch of one partial tile; 16 workers is more
-    # than the tiles of any batch
+@pytest.mark.parametrize(
+    "phi_deg, batch",
+    [
+        # batches of 140000, 140000 and 20001 draws: three tiles, the last one
+        # partial, then a last batch of one partial tile; 16 workers is more
+        # than the tiles of any batch
+        pytest.param(None, 140_000, id="None"),
+        pytest.param(25.0, 140_000, id="25.0"),
+        # the default one-tile blocks: four full ones and a partial fifth,
+        # with up to 16 threads working on the drawn ones
+        pytest.param(None, None, id="None-default"),
+        pytest.param(25.0, None, id="25.0-default"),
+    ],
+)
+def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, batch):
     sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
     noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
     m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
-    want = [a.tobytes() for a in _serial_oracle(m, noise, 300_001, np.random.default_rng(5), 140_000)]
+    block = batch or conversion._ORACLE_TILE
+    want = [a.tobytes() for a in _serial_oracle(m, noise, 300_001, np.random.default_rng(5), block)]
+    kwargs = {} if batch is None else {"batch": batch}
     cart = conversion._cart
     threads = set()
 
@@ -466,7 +480,7 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg):
         for workers in (1, 2, 3, 16):
             monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
             threads.clear()
-            est = mc_moment_oracle(m, noise, 300_001, np.random.default_rng(5), batch=140_000)
+            est = mc_moment_oracle(m, noise, 300_001, np.random.default_rng(5), **kwargs)
             assert est.samples == 300_001
             got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
             assert got == want, workers
@@ -476,9 +490,15 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("fail_at", [4, 30])  # a tile of the first batch, or of the second
-def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, workers, fail_at):
+@pytest.mark.parametrize(
+    "fail_at, workers, batch",
+    # batches of 140000 draws: a tile of the first batch, or of the second
+    [pytest.param(f, w, 140_000, id=f"{f}-{w}") for w in (1, 3) for f in (4, 30)]
+    # the default one-tile blocks, 8 sub-tiles each: the first block, whose
+    # errors the centre waits for, or a later one
+    + [pytest.param(f, w, None, id=f"{f}-{w}-default") for w in (1, 3) for f in (4, 30)],
+)
+def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, workers, batch):
     calls = itertools.count(1)
     cart = conversion._cart
     error = RuntimeError("tile failed")
@@ -492,14 +512,15 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, workers,
     monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
     before = threading.active_count()
     rng = np.random.default_rng(0)
+    kwargs = {} if batch is None else {"batch": batch}
     with pytest.raises(RuntimeError) as info:
-        mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, rng, batch=140_000)
+        mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, rng, **kwargs)
     assert info.value is error
     assert threading.active_count() == before
 
 
 def test_oracle_peak_memory_holds_with_many_workers(monkeypatch):
-    # 16 threads, one per tile of a 1e6 batch, each with its own truth scratch
+    # 16 threads, each with a drawn block and its own truth scratch
     monkeypatch.setattr(conversion, "_oracle_workers", lambda: 16)
     rng = np.random.default_rng(0)
     tracemalloc.start()
