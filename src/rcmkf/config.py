@@ -265,6 +265,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sigma_theta_deg_max must be finite")
     if cfg.consistency.sigma_theta_deg_max < 0.5:
         raise ConfigError("sigma_theta_deg_max must be at least 0.5 (empty sweep grid)")
+    if cfg.consistency.sigma_theta_deg_max > 180.0:
+        raise ConfigError("sigma_theta_deg_max must be at most 180 (a half turn of bearing noise)")
     if not 0.0 < cfg.consistency.tail < 0.5:
         raise ConfigError("consistency tail probability must lie in (0, 0.5)")
     for name, why in (

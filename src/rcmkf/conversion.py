@@ -42,16 +42,18 @@ functions.
 
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
-truth the closed forms are tested against. It is a pipeline: the calling
-thread draws the next block of standard normals while threads turn the
-drawn blocks into errors and product sums, which the caller adds in a fixed
-order, so its output bits do not depend on the number of CPUs. See
+truth the closed forms are tested against. It is a pipeline whose one unit
+of work is a block of draws: the calling thread draws the next block of
+standard normals while threads turn each drawn block into its errors and
+product sums, which the caller adds in block order, so its output bits do
+not depend on the number of CPUs. See
 FORMULA_NOTES.md for the places where this implementation deviates from
 variants of these formulas that circulate with typographical slips.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import enum
 import functools
@@ -513,17 +515,18 @@ class OracleMoments:
     samples: int
 
 
-# Columns per oracle tile, the unit of work a thread takes, and the default
-# block of normals drawn at a time: few enough tiles keep the per-allocation
-# cost small where every allocation is traced (tracemalloc), and one-tile
-# blocks let the next block's draw overlap this one's trigonometry.
-_ORACLE_TILE = 65_536
-# Columns per step of a tile's error pass: its truth scratch stays cache-sized.
+# Columns per oracle block, the default ``batch``: the calling thread draws
+# one block of normals at a time and a thread turns it into its errors and
+# sums, so the next block's draw overlaps this one's trigonometry. Few enough
+# blocks keep the per-allocation cost small where every allocation is traced
+# (tracemalloc).
+_ORACLE_BLOCK = 65_536
+# Columns per step of a block's error pass: its truth scratch stays cache-sized.
 # The pass is elementwise, so this size changes no bits.
 _ORACLE_SUBTILE = 8_192
 # Most threads the oracle starts. The calling thread's draw bounds the
-# pipeline: one tile's normals take about as long as its errors and sums on
-# one thread (4.7-5.2 ms against 5.1-5.5 ms, medians of 60 tiles in three
+# pipeline: one block's normals take about as long as its errors and sums on
+# one thread (4.7-5.2 ms against 5.1-5.5 ms, medians of 60 blocks in three
 # runs, 2 vCPUs), so two threads keep pace with it and four leave room for
 # threads slowed by the interpreter lock. Each further thread would hold one
 # more block buffer (2 MB at the default block) and cannot outrun the draw.
@@ -540,12 +543,12 @@ def _oracle_workers() -> int:
 
 
 @contextlib.contextmanager
-def _tile_runner(workers: int):
-    """``start(fn, tile)``, which returns a call that gives ``fn(tile)``.
+def _block_runner(workers: int):
+    """``start(fn, block)``, which returns a call that gives ``fn(block)``.
 
-    On one worker the tile runs inline when that call is made; otherwise it
+    On one worker the block runs inline when that call is made; otherwise it
     starts at once on one of ``workers`` threads, which all end with the
-    ``with`` statement, and the call waits for it and raises what the tile
+    ``with`` statement, and the call waits for it and raises what the block
     raised.
     """
     if workers == 1:
@@ -554,7 +557,7 @@ def _tile_runner(workers: int):
     from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, tile: pool.submit(fn, tile).result
+        yield lambda fn, block: pool.submit(fn, block).result
 
 
 def mc_moment_oracle(
@@ -562,7 +565,7 @@ def mc_moment_oracle(
     noise: NoiseSpec,
     samples: int,
     rng: np.random.Generator,
-    batch: int = _ORACLE_TILE,
+    batch: int = _ORACLE_BLOCK,
 ) -> OracleMoments:
     """Brute-force estimate of the measurement-conditioned moments.
 
@@ -575,17 +578,16 @@ def mc_moment_oracle(
 
     The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
     ``standard_normal`` call (about 32 B per draw) whose columns are
-    overwritten by their errors, and each block splits into
-    ``_ORACLE_TILE``-column tiles. The calling thread draws every normal;
-    the errors and the centered product sums of the tiles run on one thread
-    per CPU the process may run on (at most ``_ORACLE_MAX_WORKERS``), each
-    with a small truth scratch of its own. While the threads work on the
-    drawn blocks, the caller draws the next one into a free buffer, and it
-    adds the tiles' sums in (block, tile) order. So the memory is one block
-    buffer per thread plus one (about 2 MB each at the default ``batch`` of
-    one tile) and about 0.3 MB of scratch per thread, and the results are
-    the same bits on any number of CPUs. Raises ValueError for a 2D radar
-    with an elevation noise, as the closed forms do.
+    overwritten by their errors. The calling thread draws every normal into
+    a ring of block buffers, one per thread plus one; each block's errors
+    and centered product sums are one task, run on one thread per CPU the
+    process may run on (at most ``_ORACLE_MAX_WORKERS``) with a small truth
+    scratch of its own. The caller adds the blocks' sums in block order,
+    the oldest before its buffer is drawn into again. So the memory is about
+    2 MB per buffer at the default ``batch`` and about 0.3 MB of scratch per
+    thread, and the results are the same bits on any number of CPUs. Raises
+    ValueError for a 2D radar with an elevation noise, as the closed forms
+    do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
@@ -595,65 +597,52 @@ def mc_moment_oracle(
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
 
-    def errors(tile: np.ndarray) -> None:
-        """Overwrite a tile's draws with their conversion errors."""
-        scratch = np.empty((4, min(_ORACLE_SUBTILE, tile.shape[1])))
-        for lo in range(0, tile.shape[1], _ORACLE_SUBTILE):
-            sub = tile[:, lo : lo + _ORACLE_SUBTILE]
+    def errors(block: np.ndarray) -> None:
+        """Overwrite a block's draws with their conversion errors."""
+        scratch = np.empty((4, min(_ORACLE_SUBTILE, block.shape[1])))
+        for lo in range(0, block.shape[1], _ORACLE_SUBTILE):
+            sub = block[:, lo : lo + _ORACLE_SUBTILE]
             truth = scratch[:, : sub.shape[1]]
             np.subtract(measured, _scale_noise(noise, sub), out=truth)
             np.subtract(converted, _cart(*truth, out=sub), out=sub)
 
-    def products(tile: np.ndarray):
-        """Center a tile of errors in place; its sum, product sum and squared-product sum."""
-        tile -= center[:, None]
-        sums = tile.sum(axis=1), tile @ tile.T
-        np.square(tile, out=tile)
-        return *sums, tile @ tile.T
+    def products(block: np.ndarray):
+        """Center a block of errors in place; its sum, product sum and squared-product sum."""
+        block -= center[:, None]
+        sums = block.sum(axis=1), block @ block.T
+        np.square(block, out=block)
+        return *sums, block @ block.T
 
-    def errors_and_products(tile: np.ndarray):
-        errors(tile)
-        return products(tile)
+    def errors_and_products(block: np.ndarray):
+        errors(block)
+        return products(block)
 
-    width = min(batch, samples)
-    tiles_per_block = -(-width // _ORACLE_TILE)
-    workers = min(_oracle_workers(), -(-samples // _ORACLE_TILE))  # at most one per tile
-    # Inline, one block at a time; on threads, the block being drawn and
-    # enough drawn ones to keep every thread busy meanwhile.
-    buffers = 1 if workers == 1 else 1 + -(-workers // tiles_per_block)
-    free = [np.empty(4 * width) for _ in range(min(buffers, -(-samples // batch)))]
-    in_flight = []  # (buffer, calls giving its tiles' sums) per block, oldest first
-    sums = (np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4)))
-
-    def retire_oldest() -> None:
-        buf, results = in_flight.pop(0)
-        for result in results:  # in (block, tile) order, whichever tile finished first
-            for total, part in zip(sums, result()):
-                total += part
-        free.append(buf)
-
-    with _tile_runner(workers) as start:
-        for lo in range(0, samples, batch):
-            if not free:
-                retire_oldest()
-            buf = free.pop()
-            z = buf[: 4 * min(batch, samples - lo)].reshape(4, -1)
+    blocks = -(-samples // batch)
+    workers = min(_oracle_workers(), blocks)
+    # Inline, one block at a time; on threads, the block being drawn and one
+    # drawn block per thread.
+    buffers = 1 if workers == 1 else min(workers + 1, blocks)
+    ring = [np.empty(4 * min(batch, samples)) for _ in range(buffers)]
+    pending = collections.deque()  # calls giving the sums of the blocks in flight, oldest first
+    parts = []  # each block's sum, product sum and squared-product sum, in block order
+    with _block_runner(workers) as start:
+        for k, lo in enumerate(range(0, samples, batch)):
+            if len(pending) == len(ring):  # the oldest block in flight holds this buffer
+                parts.append(pending.popleft()())
+            z = ring[k % len(ring)][: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
-            tiles = [z[:, t : t + _ORACLE_TILE] for t in range(0, z.shape[1], _ORACLE_TILE)]
-            if lo == 0:
-                for done in [start(errors, tile) for tile in tiles]:
-                    done()
+            if k == 0:
+                errors(z)
                 # Centering on the first block's mean keeps the accumulated
                 # products small; the recentering at the end is exact for the
                 # mean and covariance.
                 center = z.mean(axis=1)
-                in_flight.append((buf, [start(products, tile) for tile in tiles]))
+                pending.append(start(products, z))
             else:
-                in_flight.append((buf, [start(errors_and_products, tile) for tile in tiles]))
-        while in_flight:
-            retire_oldest()
+                pending.append(start(errors_and_products, z))
+        parts += [done() for done in pending]
 
-    sum_c, sum_cc, sum_cc_sq = sums
+    sum_c, sum_cc, sum_cc_sq = map(sum, zip(*parts))
     mean_c = sum_c / samples
     mean = center + mean_c
     cov = (sum_cc / samples - np.outer(mean_c, mean_c)) * (samples / (samples - 1))

@@ -614,6 +614,8 @@ def test_documented_schema_shows_the_defaults():
         ("tail: 0.7", "tail probability"),
         ("tail: .nan", "tail probability"),
         ("sigma_theta_deg_max: .nan", "sigma_theta_deg_max must be finite"),
+        ("sigma_theta_deg_max: 1.0e+300", "sigma_theta_deg_max must be at most 180"),
+        ("sigma_theta_deg_max: 181", "sigma_theta_deg_max must be at most 180"),
     ],
 )
 def test_cli_consistency_bad_sweep_settings_exit_2(tmp_path, capsys, entry, message):
@@ -628,6 +630,15 @@ def test_cli_consistency_nan_sigma_flag_exits_2(tmp_path, capsys):
     code = main(["consistency", "--sigma-theta-max", "nan", "--out", str(tmp_path)])
     assert code == 2
     assert "sigma_theta_deg_max must be finite" in capsys.readouterr().err
+
+
+def test_cli_consistency_huge_sigma_flag_exits_2(tmp_path, capsys):
+    # the grid has a point per degree up to the maximum, so 1e300 could never be built
+    out = tmp_path / "out"
+    code = main(["consistency", "--sigma-theta-max", "1e300", "--out", str(out)])
+    assert code == 2
+    assert "sigma_theta_deg_max must be at most 180" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_consistency_output(tmp_path):

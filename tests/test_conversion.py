@@ -369,6 +369,55 @@ def test_oracle_matches_dense_reference(samples, batch, rho, phi_deg):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+# Frozen oracle outputs at 200,003 draws (seed 7, the default batch): mean,
+# cov, se_mean and se_cov at 17 significant digits, as the pipeline that
+# split each block into tiles computed them.
+FROZEN_ORACLE = {
+    "2d": (
+        [215.03149439685623, 375.35548231202318, -392.96490374938764],
+        [
+            [12661166.908772716, -7083727.8008511495, 1554177.2499568914],
+            [-7083727.8008511495, 4478289.3637497108, 3504962.794706265],
+            [1554177.2499568914, 3504962.794706265, 4742420293.0974998],
+        ],
+        [7.9564367005958783, 4.7319246562138195, 153.9861870081231],
+        [
+            [40166.012571697938, 21878.348752219372, 547537.4435407517],
+            [21878.348752219372, 17646.996677957974, 327022.58224802517],
+            [547537.4435407517, 327022.58224802517, 14962510.483737402],
+        ],
+    ),
+    "3d": (
+        [280.13817979838512, 487.50534546137612, 85.252316581676254, -392.96490374938764],
+        [
+            [10587744.793268437, -5146638.2739037517, -1400825.2993664788, 1537326.5571709697],
+            [-5146638.2739037517, 4647205.4708113391, -2448829.6609447915, 3432370.1047408283],
+            [-1400825.2993664788, -2448829.6609447915, 6289358.275238811, 977633.61973015044],
+            [1537326.5571709697, 3432370.1047408283, 977633.61973015044, 4742420293.0974998],
+        ],
+        [7.2758456482661673, 4.8203401144394791, 5.6077018181603444, 153.9861870081231],
+        [
+            [33454.423509914479, 18849.358018959774, 18387.983910145627, 500662.74840972514],
+            [18849.358018959774, 16149.571999014159, 13143.272749078858, 332527.49945980631],
+            [18387.983910145627, 13143.272749078858, 19780.327764999936, 385559.54804257333],
+            [500662.74840972514, 332527.49945980631, 385559.54804257333, 14962510.483737402],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ORACLE))
+def test_oracle_bytes_frozen(case):
+    # the oracle's outputs are pinned bit for bit: a reordered draw, error or
+    # sum anywhere in its pipeline moves them
+    phi_deg, sigma_phi = (None, 0.0) if case == "2d" else (25.0, math.radians(8.0))
+    noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
+    est = mc_moment_oracle(sph(20000.0, 60.0, -150.0, phi_deg=phi_deg), noise, 200_003, np.random.default_rng(7))
+    assert est.samples == 200_003
+    for got, expected in zip((est.mean, est.cov, est.se_mean, est.se_cov), FROZEN_ORACLE[case]):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_oracle_reported_se_scales_as_sqrt_n():
     noise = NoiseSpec(100.0, 0.2, 5.0, rho=0.3)
     m = sph(10000.0, 45.0, 100.0)
@@ -399,10 +448,10 @@ def test_oracle_rejects_bad_batch(batch):
 
 
 def test_oracle_peak_memory_is_one_draw_buffer():
-    # one (4, tile) float64 block buffer of 32 B per draw per thread, plus the
-    # one being drawn, and a block's worth of slack for the threads' scratch
+    # one (4, block) float64 buffer of 32 B per draw per thread, plus the one
+    # being drawn, and a block's worth of slack for the threads' scratch
     rng = np.random.default_rng(0)
-    block = 32 * conversion._ORACLE_TILE
+    block = 32 * conversion._ORACLE_BLOCK
     tracemalloc.start()
     try:
         mc_moment_oracle(sph(113137.0, 45.0, 282.8), CASE_NOISE, 1_200_000, rng)
@@ -413,10 +462,10 @@ def test_oracle_peak_memory_is_one_draw_buffer():
 
 
 def _serial_oracle(m, noise, samples, rng, batch):
-    """The oracle's arithmetic on one thread, one tile after another.
+    """The oracle's arithmetic on one thread, one block after another.
 
     The same draws, truths and errors, centered on the first batch's mean;
-    each tile's sum, product sum and squared-product sum is added in tile
+    each block's sum, product sum and squared-product sum is added in block
     order, so the result is a bitwise reference for any worker count.
     """
     r, theta, phi, rdot = m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
@@ -430,12 +479,11 @@ def _serial_oracle(m, noise, samples, rng, batch):
         e = converted - conversion._cart(*(measured - z))
         if n == 0:
             center = e.mean(axis=1)
-        for lo in range(0, k, conversion._ORACLE_TILE):
-            c = e[:, lo : lo + conversion._ORACLE_TILE] - center[:, None]
-            sq = c * c
-            sum_c += c.sum(axis=1)
-            sum_cc += c @ c.T
-            sum_cc_sq += sq @ sq.T
+        c = e - center[:, None]
+        sq = c * c
+        sum_c += c.sum(axis=1)
+        sum_cc += c @ c.T
+        sum_cc_sq += sq @ sq.T
         n += k
     mean_c = sum_c / n
     cov = (sum_cc / n - np.outer(mean_c, mean_c)) * (n / (n - 1))
@@ -446,25 +494,29 @@ def _serial_oracle(m, noise, samples, rng, batch):
 
 
 @pytest.mark.parametrize(
-    "phi_deg, batch",
+    "phi_deg, batch, samples",
     [
-        # batches of 140000, 140000 and 20001 draws: three tiles, the last one
-        # partial, then a last batch of one partial tile; 16 workers is more
-        # than the tiles of any batch
-        pytest.param(None, 140_000, id="None"),
-        pytest.param(25.0, 140_000, id="25.0"),
-        # the default one-tile blocks: four full ones and a partial fifth,
-        # with up to 16 threads working on the drawn ones
-        pytest.param(None, None, id="None-default"),
-        pytest.param(25.0, None, id="25.0-default"),
+        # blocks of 140000, 140000 and 20001 draws; 16 workers is more than
+        # the blocks
+        pytest.param(None, 140_000, 300_001, id="None"),
+        pytest.param(25.0, 140_000, 300_001, id="25.0"),
+        # the default blocks: four full ones and a partial fifth, with up to
+        # 16 threads working on the drawn ones
+        pytest.param(None, None, 300_001, id="None-default"),
+        pytest.param(25.0, None, 300_001, id="25.0-default"),
+        # one block, which runs inline whatever the worker count; then a last
+        # block of one draw
+        pytest.param(None, None, 65_536, id="None-default-65536"),
+        pytest.param(25.0, None, 65_537, id="25.0-default-65537"),
     ],
 )
-def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, batch):
+def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, batch, samples):
     sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
     noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
     m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
-    block = batch or conversion._ORACLE_TILE
-    want = [a.tobytes() for a in _serial_oracle(m, noise, 300_001, np.random.default_rng(5), block)]
+    block = batch or conversion._ORACLE_BLOCK
+    want = [a.tobytes() for a in _serial_oracle(m, noise, samples, np.random.default_rng(5), block)]
+    blocks = -(-samples // block)
     kwargs = {} if batch is None else {"batch": batch}
     cart = conversion._cart
     threads = set()
@@ -480,28 +532,29 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
         for workers in (1, 2, 3, 16):
             monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
             threads.clear()
-            est = mc_moment_oracle(m, noise, 300_001, np.random.default_rng(5), **kwargs)
-            assert est.samples == 300_001
+            est = mc_moment_oracle(m, noise, samples, np.random.default_rng(5), **kwargs)
+            assert est.samples == samples
             got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
             assert got == want, workers
-            # more than one worker runs the tiles off the calling thread
-            assert (threads == {threading.get_ident()}) == (workers == 1)
+            # more than one worker runs the blocks after the first off the
+            # calling thread
+            assert (threads == {threading.get_ident()}) == (min(workers, blocks) == 1)
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(
     "fail_at, workers, batch",
-    # batches of 140000 draws: a tile of the first batch, or of the second
+    # blocks of 140000 draws: a sub-tile of the first block, or of the second
     [pytest.param(f, w, 140_000, id=f"{f}-{w}") for w in (1, 3) for f in (4, 30)]
-    # the default one-tile blocks, 8 sub-tiles each: the first block, whose
-    # errors the centre waits for, or a later one
+    # the default blocks, 8 sub-tiles each: the first block, whose errors run
+    # on the calling thread before the centre, or a later one
     + [pytest.param(f, w, None, id=f"{f}-{w}-default") for w in (1, 3) for f in (4, 30)],
 )
 def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, workers, batch):
     calls = itertools.count(1)
     cart = conversion._cart
-    error = RuntimeError("tile failed")
+    error = RuntimeError("block failed")
 
     def failing_cart(*args, **kwargs):
         if next(calls) == fail_at:
