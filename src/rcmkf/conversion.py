@@ -578,16 +578,16 @@ def mc_moment_oracle(
 
     The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
     ``standard_normal`` call (about 32 B per draw) whose columns are
-    overwritten by their errors. The calling thread draws every normal into
-    a ring of block buffers, one per thread plus one; each block's errors
-    and centered product sums are one task, run on one thread per CPU the
-    process may run on (at most ``_ORACLE_MAX_WORKERS``) with a small truth
-    scratch of its own. The caller adds the blocks' sums in block order,
-    the oldest before its buffer is drawn into again. So the memory is about
-    2 MB per buffer at the default ``batch`` and about 0.3 MB of scratch per
-    thread, and the results are the same bits on any number of CPUs. Raises
-    ValueError for a 2D radar with an elevation noise, as the closed forms
-    do.
+    overwritten by their errors. Each block's errors and centered product
+    sums are one task, run on one thread per CPU the process may run on (at
+    most ``_ORACLE_MAX_WORKERS``) with a small truth scratch of its own, or
+    inline on one CPU. The calling thread draws every normal into a ring of
+    block buffers, one per thread plus one (one inline), and takes the
+    oldest block's sums before it draws into that buffer again, so the sums
+    are added in block order. The memory is about 2 MB per buffer at the
+    default ``batch`` and about 0.3 MB of scratch per thread, and the
+    results are the same bits on any number of CPUs. Raises ValueError for
+    a 2D radar with an elevation noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
