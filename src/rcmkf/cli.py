@@ -28,6 +28,7 @@ from .config import (
     _CASE_IDS,
     ConfigError,
     ExperimentConfig,
+    GoldenPoint,
     _validate,
     build_geometry,
     build_golden_point,
@@ -175,27 +176,19 @@ def cmd_golden(args) -> int:
     points = cfg.golden.points or default_golden_grid()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(points))
 
-    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
-    header = (
-        ["r_m", "theta_deg", "phi_deg", "rdot_mps", "sigma_r_m", "sigma_theta_deg",
-         "sigma_phi_deg", "sigma_rdot_mps", "rho", "samples"]
-        + [f"mu_{k}" for k in "xyze"]
-        + [f"se_mu_{k}" for k in "xyze"]
-        + [f"r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
-        + [f"se_r_{a}{b}" for a, b in (("xyze"[i], "xyze"[j]) for i, j in pairs)]
-    )
+    upper = np.triu_indices(4)  # the entries (i, j), i <= j, row by row
+    entries = ["xyze"[i] + "xyze"[j] for i, j in zip(*upper)]
+    header = [f.name for f in dataclasses.fields(GoldenPoint)] + ["samples"]
+    header += [f"{stat}_{k}" for stat in ("mu", "se_mu") for k in "xyze"]
+    header += [f"{stat}_{e}" for stat in ("r", "se_r") for e in entries]
     inputs = [build_golden_point(pt) for pt in points]
     out = _out_dir(cfg)
     rows = []
     for pt, (m, noise), seed in zip(points, inputs, seeds):
         est = mc_moment_oracle(m, noise, cfg.golden.samples, np.random.default_rng(seed))
         rows.append(
-            [pt.r_m, pt.theta_deg, pt.phi_deg, pt.rdot_mps, pt.sigma_r_m, pt.sigma_theta_deg,
-             pt.sigma_phi_deg, pt.sigma_rdot_mps, pt.rho, est.samples]
-            + list(est.mean)
-            + list(est.se_mean)
-            + [est.cov[i, j] for i, j in pairs]
-            + [est.se_cov[i, j] for i, j in pairs]
+            [*dataclasses.astuple(pt), est.samples, *est.mean, *est.se_mean, *est.cov[upper],
+             *est.se_cov[upper]]
         )
     _write_csv(out / "golden_moments.csv", header, list(zip(*rows)))
     _write_manifest(out / "manifest_golden.json", "golden", cfg)

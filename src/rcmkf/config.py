@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import re
 import typing
 from dataclasses import dataclass, fields
 
@@ -294,12 +295,30 @@ def config_to_dict(cfg) -> dict:
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+@functools.cache
+def _yaml_loader():
+    """PyYAML's safe loader, reading numbers as YAML 1.2 does.
+
+    The YAML 1.1 resolver reads a float without a dot or an exponent sign,
+    such as ``1e1`` or ``1.0e300``, as a string; one more float resolver
+    reads it as the number it is.
+    """
     import yaml  # here, not at module top: runs without --config never parse YAML
+
+    class Loader(yaml.SafeLoader):
+        """PyYAML's safe loader with YAML 1.2's floats."""
+
+    exponent = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent, list("-+0123456789."))
+    return Loader
+
+
+def load_config(path: str) -> ExperimentConfig:
+    import yaml
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_yaml_loader())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer over 4300 digits

@@ -41,10 +41,11 @@ its views once; each operation writes with ``out=`` or in place.
 :func:`filter_scans` decorrelates every scan in one pass, into scan-major
 rows ``(scans, entry, tracks)``, and reuses one workspace for every scan: a
 scan's last operation writes straight into its output, which the next
-predict reads. A scan in which only some tracks update runs the same
-kernels on every track, the others on a neutral placeholder measurement,
-and puts their prediction back. The public stages are thin wrappers that
-run the same kernels on a fresh workspace.
+predict reads. Every scan takes the one path, whether all, some or none
+of its tracks update: the same kernels run on every track, a track that
+does not update on a neutral placeholder measurement, and such a track's
+prediction is put back. The public stages are thin wrappers that run the
+same kernels on a fresh workspace.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -56,7 +57,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -144,6 +145,31 @@ class DecorrelatedMeasurement:
             self.cov_pos[key], self.pseudo[key], self.var_pseudo[key], self.l_row[key],
             self.debiased_pos[key], self.debiased_pseudo[key], self.dim,
         )
+
+
+# Trailing entry axes of each array field of a converted or decorrelated measurement.
+_ENTRY_AXES = dict(position=1, pseudo=0, mu=1, cov=2, cov_pos=2, var_pseudo=0, l_row=1,
+                   debiased_pos=1, debiased_pseudo=0)
+
+
+def _batch(m, items=None, of=None) -> tuple[int, ...]:
+    """The leading axes that every field of the measurement ``m`` carries.
+
+    ``m`` is a :class:`ConvertedMeasurement` or a
+    :class:`DecorrelatedMeasurement`. Each field must carry ``items``, which
+    ``of`` names, or when ``items`` is not given the first field's leading
+    axes. A field that would only broadcast to them raises
+    :class:`ValueError` naming both batches, as it would pair items with
+    other items' values.
+    """
+    for f in fields(m):
+        if f.name in _ENTRY_AXES:
+            shape = np.shape(getattr(m, f.name))[: -_ENTRY_AXES[f.name] or None]
+            if items is None:
+                items, of = shape, f"the {f.name}'s"
+            elif shape != items:
+                raise ValueError(f"measurement {f.name} batch {shape} does not match {of} {items}")
+    return items
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray, fallback):
@@ -262,20 +288,11 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     meaningless.
 
     Every field of ``z`` must carry the leading axes ``items`` of ``out``
-    and of the mask; a field that would only broadcast to them raises
-    :class:`ValueError`, as it would pair items with other items' values.
+    and of the mask (:func:`_batch`).
     """
     p = z.dim
     lay = _layout(p)
-    items = out.shape[1:]
-    for name, shape in (
-        ("position", np.shape(z.position)[:-1]),
-        ("pseudo", np.shape(z.pseudo)),
-        ("mu", np.shape(z.mu)[:-1]),
-        ("cov", np.shape(z.cov)[:-2]),
-    ):
-        if shape != items:
-            raise ValueError(f"measurement {name} batch {shape} does not match the mask's {items}")
+    items = _batch(z, out.shape[1:], "the mask's")
     cov = np.moveaxis(np.asarray(z.cov, dtype=float), (-2, -1), (0, 1))
     mu = np.moveaxis(np.asarray(z.mu, dtype=float), -1, 0)
     position = np.moveaxis(np.asarray(z.position, dtype=float), -1, 0)
@@ -319,7 +336,7 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     Raises :class:`DegenerateCovarianceError` when the position block is
     singular or the residual variance is negative beyond rounding.
     """
-    p, lay, items = z.dim, _layout(z.dim), np.shape(z.pseudo)
+    p, lay, items = z.dim, _layout(z.dim), _batch(z)
     rows = np.empty((lay.size,) + items)
     if not np.all(_decorrelate(z, rows)):
         raise DegenerateCovarianceError(
@@ -575,12 +592,13 @@ def _items(rows: np.ndarray, batch: tuple[int, ...], entries: tuple[int, ...]) -
     return rows.T.reshape(batch + entries)
 
 
-def _measurement_rows(d: DecorrelatedMeasurement) -> np.ndarray:
-    """A :class:`DecorrelatedMeasurement`'s fields as entry rows ``(size, tracks)``."""
+def _measurement_rows(d: DecorrelatedMeasurement, batch: tuple[int, ...]) -> np.ndarray:
+    """The fields of ``d``, one measurement per belief of ``batch``, as rows ``(size, tracks)``."""
     p = d.dim
-    fields = [np.reshape(d.cov_pos, d.cov_pos.shape[:-2] + (p * p,)), d.debiased_pos, d.l_row]
-    fields += [np.asarray(f)[..., None] for f in (d.var_pseudo, d.debiased_pseudo, d.pseudo)]
-    return np.concatenate([_tracks(f, 1) for f in fields])
+    _batch(d, batch, "the belief's")
+    parts = [np.reshape(d.cov_pos, d.cov_pos.shape[:-2] + (p * p,)), d.debiased_pos, d.l_row]
+    parts += [np.asarray(f)[..., None] for f in (d.var_pseudo, d.debiased_pseudo, d.pseudo)]
+    return np.concatenate([_tracks(f, 1) for f in parts])
 
 
 def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
@@ -602,7 +620,7 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     ws = _Workspace(math.prod(batch), n)
     ws.x[...], ws.cov[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # as in filter_scans
-        _update_position(ws, _measurement_rows(d))
+        _update_position(ws, _measurement_rows(d, batch))
     return GaussianBelief(_items(ws.x1, batch, (n,)), _items(ws.cov1, batch, (n, n)))
 
 
@@ -645,7 +663,7 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
     ws = _Workspace(math.prod(batch), n)
     ws.x1[...], ws.cov1[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
-    _update_pseudo(ws, _measurement_rows(d), ws.x, ws.cov)
+    _update_pseudo(ws, _measurement_rows(d, batch), ws.x, ws.cov)
     return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
 
 
@@ -657,10 +675,12 @@ def initialize_belief(
     Position comes from the second (bias-compensated) measurement, velocity
     from the difference quotient; the covariance follows from propagating the
     two independent position error covariances through the differencing map.
+    Both measurements must carry one batch (:func:`_batch`).
     """
     _check_interval(t)
     if z1.dim != z2.dim:
         raise ValueError("measurements must share dimensionality")
+    _batch(z2, _batch(z1), "the first measurement's")
     p = z1.dim
     pos1 = z1.position - z1.mu[..., :p]
     pos2 = z2.position - z2.mu[..., :p]
@@ -692,9 +712,10 @@ def filter_scans(
     Every scan is decorrelated up front, into scan-major entry rows
     ``(scans, entry, tracks)``. The outputs are stored scan-major too,
     ``(scans, n, tracks)`` and ``(scans, n * n, tracks)``, and returned as
-    views in the item-major layout. A scan where only some tracks update
-    runs the same kernels on every track, the others on a neutral
-    placeholder measurement, and then puts back their prediction.
+    views in the item-major layout. Every scan, whether some or no tracks
+    update in it, runs the same kernels on every track, a track that does
+    not update on a neutral placeholder measurement, and then puts back
+    that track's prediction.
     """
     ok = np.asarray(ok, dtype=bool)
     scans, batch = ok.shape[0], ok.shape[1:]
@@ -711,9 +732,8 @@ def filter_scans(
     ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))
     rows = rows.reshape(scans, lay.size, tracks)
     update = ok.reshape(scans, tracks)
-    every, some = update.all(axis=1).tolist(), update.any(axis=1).tolist()
-    if not all(every):
-        np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
+    every = update.all(axis=1).tolist()
+    np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
     means, covs = np.empty((scans, n, tracks)), np.empty((scans, n * n, tracks))
     ws = _Workspace(tracks, n)
     mean, cov = _tracks(init.mean, 1), _tracks(init.cov, 2)
@@ -721,9 +741,6 @@ def filter_scans(
         for k, step in enumerate(steps):
             _predict(ws, mean, cov, model)
             mean, cov = means[k], covs[k]  # this scan's output, the next one's input
-            if not some[k]:
-                mean[...], cov[...] = ws.x, ws.cov
-                continue
             try:
                 _update_position(ws, rows[k])
                 _update_pseudo(ws, rows[k], mean, cov)

@@ -615,6 +615,8 @@ def test_documented_schema_shows_the_defaults():
         ("tail: .nan", "tail probability"),
         ("sigma_theta_deg_max: .nan", "sigma_theta_deg_max must be finite"),
         ("sigma_theta_deg_max: 1.0e+300", "sigma_theta_deg_max must be at most 180"),
+        ("sigma_theta_deg_max: 1e300", "sigma_theta_deg_max must be at most 180"),
+        ("sigma_theta_deg_max: '1e1'", "sigma_theta_deg_max must be a real number, got '1e1'"),
         ("sigma_theta_deg_max: 181", "sigma_theta_deg_max must be at most 180"),
     ],
 )
@@ -624,6 +626,17 @@ def test_cli_consistency_bad_sweep_settings_exit_2(tmp_path, capsys, entry, mess
     code = main(["consistency", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_consistency_reads_numbers_as_yaml_1_2_does(tmp_path):
+    # YAML 1.1 reads a float with neither a dot nor an exponent sign as a string
+    config = tmp_path / "exp.yaml"
+    config.write_text("consistency: {sigma_theta_deg_max: 1e1, samples: 200}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["consistency", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "consistency.csv").read_text().splitlines()[1:]
+    grid = [float(line.split(",")[0]) for line in lines]
+    assert grid == [0.5] + [float(k) for k in range(1, 11)]
 
 
 def test_cli_consistency_nan_sigma_flag_exits_2(tmp_path, capsys):

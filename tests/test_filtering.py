@@ -283,6 +283,34 @@ def test_kf_update_loewner_decrease():
         np.testing.assert_allclose(post.cov, post.cov.T, atol=1e-12)
 
 
+def _decorrelated_batch(batch):
+    """Decorrelated identity-covariance conversions, one per item of ``batch``."""
+    return decorrelate(ConvertedMeasurement(
+        position=np.ones(batch + (2,)),
+        pseudo=np.zeros(batch),
+        mu=np.zeros(batch + (3,)),
+        cov=np.broadcast_to(np.eye(3), batch + (3, 3)),
+        dim=2,
+    ))
+
+
+@pytest.mark.parametrize("stage", [kf_update_position, ekf_update_pseudo])
+@pytest.mark.parametrize(
+    "beliefs, measurements, message",
+    [((3,), (), r"batch \(\) does not match the belief's \(3,\)"),
+     ((3, 2), (2, 3), r"batch \(2, 3\) does not match the belief's \(3, 2\)")],
+    ids=["one-for-three", "transposed"],
+)
+def test_update_stages_reject_measurements_of_another_batch(stage, beliefs, measurements, message):
+    # broadcasting one measurement, or pairing by flat index, would update a
+    # belief with another belief's measurement
+    prior = GaussianBelief(np.zeros(beliefs + (4,)), np.broadcast_to(np.eye(4), beliefs + (4, 4)))
+    with pytest.raises(ValueError, match=message):
+        stage(prior, _decorrelated_batch(measurements))
+    post = stage(prior, _decorrelated_batch(beliefs))
+    assert post.mean.shape == beliefs + (4,)
+
+
 def test_pseudo_jacobian_direct_substitution():
     state = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     np.testing.assert_array_equal(pseudo_jacobian(state, np.zeros(3)), [4.0, 5.0, 6.0, 1.0, 2.0, 3.0])
@@ -537,6 +565,34 @@ def test_initialize_belief_rejects_non_finite_interval(t):
         initialize_belief(z, z, t)
 
 
+def test_initialize_belief_rejects_fields_of_different_batches():
+    # the conversion that decorrelate rejects: mu and cov of one item beside
+    # three positions and pseudos
+    z = ConvertedMeasurement(
+        position=np.zeros((3, 2)),
+        pseudo=np.zeros(3),
+        mu=np.zeros((1, 3)),
+        cov=np.eye(3)[None],
+        dim=2,
+    )
+    with pytest.raises(ValueError, match=r"measurement mu batch \(1,\) does not match"):
+        initialize_belief(z, z, 1.0)
+    z = dataclasses.replace(z, mu=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"measurement cov batch \(1,\) does not match"):
+        initialize_belief(z, z, 1.0)
+
+
+def test_initialize_belief_rejects_measurements_of_different_batches():
+    z1 = make_converted(np.eye(3)[None], mu=np.zeros((1, 3)), position=np.zeros((1, 2)),
+                        pseudo=np.zeros(1), dim=2)
+    z2 = make_converted(np.broadcast_to(np.eye(3), (3, 3, 3)), mu=np.zeros((3, 3)),
+                        position=np.ones((3, 2)), pseudo=np.zeros(3), dim=2)
+    message = r"batch \(3,\) does not match the first measurement's \(1,\)"
+    with pytest.raises(ValueError, match=message):
+        initialize_belief(z1, z2, 1.0)
+    assert initialize_belief(z2, z2, 1.0).mean.shape == (3, 4)
+
+
 def test_posterior_covariances_stay_symmetric_psd():
     sc = generate_case(2)
     rng = np.random.default_rng(11)
@@ -732,17 +788,13 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     scans = len(steps)
     filter_scans(init, z[2:], ok[2:], steps, sc.model)
     assert calls == {"_predict": scans, "_update_position": scans, "_update_pseudo": scans}
-    # a scan where only some tracks update is still one call per stage, and a
-    # scan where none does is predict-only
+    # a scan where only some tracks update, and one where none does, is still
+    # one call per stage
     ok[4, 0] = False
     ok[6] = False
     calls.clear()
     filter_scans(init, z[2:], ok[2:], steps, sc.model)
-    assert calls == {
-        "_predict": scans,
-        "_update_position": scans - 1,
-        "_update_pseudo": scans - 1,
-    }
+    assert calls == {"_predict": scans, "_update_position": scans, "_update_pseudo": scans}
 
 
 def _scan_batch(rng, p, shape, scans):
