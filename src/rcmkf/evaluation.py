@@ -267,13 +267,14 @@ def nees(ens: Ensemble, tail: float = 0.001) -> NeesReport:
     """
     runs, steps, n = ens.truth.shape
     lower, upper = chi_square_bounds(n, runs, tail)
-    err = ens.means - ens.truth[:, None, INIT_SCANS:]
-    # one batched quadratic form over every (run, variant, step), on views
-    # that put the entries first; the runs are then summed in order along
-    # axis 0, as a loop over them would
-    covs, err = np.moveaxis(ens.covs, (-2, -1), (0, 1)), np.moveaxis(err, -1, 0)
+    # one batched quadratic form over every (step, run, variant), on views in
+    # the filter's own scan-major layout, entries first and (run, variant)
+    # rows contiguous; the runs are then summed in order along axis 0, as a
+    # loop over them would
+    covs = ens.covs.transpose(3, 4, 2, 0, 1)
+    err = ens.means.transpose(3, 2, 0, 1) - ens.truth[:, None, INIT_SCANS:].transpose(3, 2, 0, 1)
     quad = _quad_form(covs, err, "a filter covariance")
-    avg = np.sum(np.ascontiguousarray(quad), axis=0) / runs
+    avg = np.sum(np.ascontiguousarray(quad.transpose(1, 2, 0)), axis=0) / runs
     return NeesReport(
         steps=np.arange(INIT_SCANS, steps),
         nees={v.name: avg[i] for i, v in enumerate(ens.variants)},

@@ -17,11 +17,11 @@ with ``A = (I - K H) P = P - K (H P)``, the product is
 gain product. For the position update ``H = [I 0]``, so ``H P`` and
 ``A H^T`` are row and column selections. The gain ``K^T = S^{-1} (H P)``
 comes from one elimination, the LDL^T elimination of ``S = P_pp + R``
-that also decorrelates the pseudo-measurement (``conversion._ldl``), with
-forward substitution, pivot scaling and back substitution on the rows of
-``H P``; an item whose pivots are not all positive and finite falls back
-to a solve, or to the minimum-norm least-squares gain when ``S`` is
-exactly singular. For the
+that also decorrelates the pseudo-measurement (``conversion._ldl``,
+unrolled on the filter's buffers), with forward substitution, pivot
+scaling and back substitution on the rows of ``H P``; an item whose
+pivots are not all positive and finite falls back to a solve, or to the
+minimum-norm least-squares gain when ``S`` is exactly singular. For the
 scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
@@ -34,9 +34,15 @@ module's index tables, multiplies them as rows and adds the terms in
 order, one explicit add each: a reduction over the entries would round a
 lone track apart from the same track in a batch, because numpy sums a
 contiguous axis (a single track's) pairwise. No operation rounds by the
-batch shape, so a track gives the same bits alone or in any batch. The
-kernels run on a workspace that preallocates every intermediate and makes
-its views once; each operation writes with ``out=`` or in place.
+batch shape, so a track gives the same bits alone or in any batch.
+
+The kernels are bound once per workspace, which preallocates every
+intermediate: each is a list of ufunc calls on views of its buffers, made
+with the workspace, the elimination and substitution loops unrolled for
+its ``p``, plus the few calls on the rows a scan passes in. Each call
+writes with ``out`` or in place, so a scan makes its numpy calls and
+little else. The position update forms ``K innov`` in the same product as
+``K (H P)`` and ``K R``, and tests its gain with one finiteness sum.
 
 :func:`filter_scans` decorrelates every scan in one pass, into scan-major
 rows ``(scans, entry, tracks)``, and reuses one workspace for every scan: a
@@ -44,8 +50,9 @@ scan's last operation writes straight into its output, which the next
 predict reads. Every scan takes the one path, whether all, some or none
 of its tracks update: the same kernels run on every track, a track that
 does not update on a neutral placeholder measurement, and such a track's
-prediction is put back. The public stages are thin wrappers that run the
-same kernels on a fresh workspace.
+prediction is put back. Sizes are checked once, by :func:`filter_scans`
+and the public stages, which are thin wrappers that run the same kernels
+on a fresh workspace.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -63,7 +70,7 @@ from typing import Iterable
 import numpy as np
 
 from .conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, _fields
-from .conversion import _back, _factor, _forward, _ldl
+from .conversion import _back, _ldl
 from .conversion import convert  # unused; the tracer wraps it (test_benchmark_trace_hooks_resolve)
 from .errors import DegenerateCovarianceError
 from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _check_interval
@@ -187,20 +194,21 @@ def _solve_each(a: np.ndarray, b: np.ndarray, fallback):
         return out
 
 
-def _sum_rows(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``terms[0] + terms[1] + ...`` into ``out``, added in order.
+def _adds(terms, out: np.ndarray) -> list:
+    """The calls that add ``terms[0] + terms[1] + ...`` into ``out``, in order.
 
-    Explicit adds round alike for any number of tracks; a reduction over
-    the entry axis would not, since numpy sums a contiguous axis (that of a
-    single track) pairwise.
+    A call is a pair ``(f, args)``. Explicit adds round alike for any number
+    of tracks; a reduction over the entry axis would not, since numpy sums a
+    contiguous axis (that of a single track) pairwise.
     """
     if len(terms) == 1:
-        np.copyto(out, terms[0])
-        return out
-    np.add(terms[0], terms[1], out=out)
-    for term in terms[2:]:
-        out += term
-    return out
+        return [(np.copyto, (out, terms[0]))]
+    return [(np.add, (terms[0], terms[1], out))] + [(np.add, (out, t, out)) for t in terms[2:]]
+
+
+def _run(calls: list) -> None:
+    for f, args in calls:
+        f(*args)
 
 
 # Indices exchanging the position and velocity halves of a state.
@@ -242,15 +250,15 @@ class _Layout:
         self.neutral[self.var] = 1.0
         square = [(i, j) for i in range(n) for j in range(n)]
         self.transpose = np.array([j * n + i for i, j in square])
-        self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
-        self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
-        # K (H P) and K R in one product on K^T and the rows of P followed by
-        # those of R, where K[i, k] = K^T[k, i]
+        # K (H P), K R and K innov in one product on K^T and the rows of P
+        # followed by those of R and the innovation, where K[i, k] = K^T[k, i]
         khp = _product_index(n, p, n, lambda i, k: k * n + i, lambda k, j: k * n + j)
         kr = _product_index(n, p, p, lambda i, k: k * n + i, lambda k, j: n * n + k * p + j)
-        self.khp_kr = tuple(np.concatenate(pair, axis=1) for pair in zip(khp, kr))
+        dx = _product_index(n, p, 1, lambda i, k: k * n + i, lambda k, j: n * n + q + k)
+        self.khp_kr_dx = tuple(np.concatenate(parts, axis=1) for parts in zip(khp, kr, dx))
         self.krk = _product_index(n, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
-        self.dx = np.array([k for k in range(p) for _ in range(n)])  # innovation k of K^T[k, j]
+        self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
+        self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
         self.matvec = _product_index(n, n, 1, lambda i, k: i * n + k, lambda k, j: k)  # M v
         self.outer = (np.array([i for i, _ in square]), np.array([j for _, j in square]))
         # a_k's terms P[i, j] P[p + i, swap(j)], j-major: (2, n, p)
@@ -301,7 +309,9 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
 
     def dot(a, b):
         terms = a * b
-        return _sum_rows(terms, np.empty(terms.shape[1:]))
+        out = np.empty(terms.shape[1:])
+        _run(_adds(terms, out))
+        return out
 
     pivots, mult, _ = _ldl(cov)
     var_eps = np.asarray(pivots.pop())  # a new array: the last pivot
@@ -357,105 +367,78 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
 _HALF = np.array(0.5)  # a 0-d array multiplies faster than a Python float
 
 
+def _product(a: np.ndarray, b: np.ndarray, index, gathered, out: np.ndarray) -> list:
+    """The calls of ``out[e] = sum_k a[ia[k, e]] b[ib[k, e]]`` on entry rows.
+
+    ``index`` is ``(ia, ib)`` from :func:`_product_index`. The terms are
+    gathered into the two buffers ``gathered``, multiplied as rows and
+    summed in order of ``k``.
+    """
+    ga, gb = gathered
+    # in-range indices: clip skips a copy
+    return [(a.take, (index[0], 0, ga, "clip")), (b.take, (index[1], 0, gb, "clip")),
+            (np.multiply, (ga, gb, ga))] + _adds(ga, out)
+
+
+def _less(x, m, y, tmp) -> list:
+    """The calls of ``x -= m * y`` through the scratch ``tmp``."""
+    return [(np.multiply, (m, y, tmp)), (np.subtract, (x, tmp, x))]
+
+
 class _Workspace:
-    """Entry-row buffers of the stage kernels for ``tracks`` tracks of size ``n``, made once.
+    """The stage kernels for ``tracks`` tracks of size ``n``, bound to buffers made once.
 
     A state is ``(n, tracks)`` and a covariance ``(n * n, tracks)``, one
-    contiguous row per entry (row-major). Predict writes ``x``, ``cov``; the
-    position update reads them and writes ``x1``, ``cov1``, which the pseudo
-    update reads; the rest hold temporaries. The views of all of them, and
-    the lists of rows that get summed, are made here once.
+    contiguous row per entry (row-major). ``predict(mean, cov, model)``
+    writes ``x``, ``cov``; ``update_position(m)``, on the measurement rows
+    ``m`` of :class:`_Layout`, reads them and writes ``x1``, ``cov1``;
+    ``update_pseudo(m, mean_out, cov_out)`` reads those. Each kernel is a
+    list of ufunc calls on views of the buffers, made once, on first use,
+    and a few calls on its arguments; the other buffers hold temporaries.
     """
 
     def __init__(self, tracks: int, n: int):
-        p = self.p = n // 2
-        self.n = n
-        lay = self.lay = _layout(p)
+        p, self.n, self.tracks = n // 2, n, tracks
+        self.p, self.lay = p, _layout(p)
         pn, nn, q = p * n, n * n, p * p
 
         def buf(*shape):
             return np.empty(shape + (tracks,))
 
-        def gathered(inner, entries):
-            ga = buf(inner, entries)
-            return ga, buf(inner, entries), list(ga)
-
         # the model's sampling interval and process noise rows, set by predict
-        self.model, self.t, self.q = None, np.empty(()), buf(nn)
+        self.t, self.q = np.empty(()), buf(nn)
         self.x, self.x1, self.cov1, self.a, self.nn, self.tr = (
             buf(n), buf(n), buf(nn), buf(nn), buf(nn), buf(nn)
         )
-        self.x_pos, self.x_vel, self.x1_pos, self.x1_vel = (
-            self.x[:p], self.x[p:], self.x1[:p], self.x1[p:]
-        )
-        # P is followed by the rows of R, for the product K [H P | R]
-        self.cov_r = buf(nn + q)
-        self.cov, self.r = self.cov_r[:nn], self.cov_r[nn:]
-        self.a_top, self.a_bottom, self.nn_top, self.nn_bottom, self.tr_top, self.tr_bottom = (
-            self.a[:pn], self.a[pn:], self.nn[:pn], self.nn[pn:], self.tr[:pn], self.tr[pn:]
-        )
+        # P followed by the rows of R and the innovation, for K [H P | R | innov]
+        self.cov_r = buf(nn + q + p)
+        self.cov, self.r, self.innov = self.cov_r[:nn], self.cov_r[nn:-p], self.cov_r[-p:]
         # position update: S, eliminated in place so that its diagonal ends as
         # the pivots, and the rows of K^T followed by the pivots' logarithms
         self.s, self.mult, self.s_tmp, self.gain_tmp = buf(q), buf(p, p), buf(), buf(n)
-        self.s_lower = [[self.s[i * p + j] for j in range(i + 1)] for i in range(p)]
-        self.mult_lower = [[self.mult[i, k] for k in range(i)] for i in range(p)]
-        self.pivots, self.hp, self.gain_log = self.s[:: p + 1], self.cov[:pn], buf(pn + p)
-        self.gain_t, self.log_pivots = self.gain_log[:pn], self.gain_log[pn:]
-        self.gain_k, self.pivot_cols = self.gain_t.reshape(p, n, tracks), self.pivots[:, None]
-        self.gain_rows = list(self.gain_k)
-        self.innov, self.dx_terms, self.dx = buf(p), buf(p, n), buf(n)
-        self.dx_rows, self.dx_sum = self.dx_terms.reshape(pn, tracks), list(self.dx_terms)
-        self.khp_kr, self.h_cols = buf(nn + pn), buf(pn)
-        self.khp, self.kr = self.khp_kr[:nn], self.khp_kr[nn:]
-        self.g_khp_kr = gathered(p, nn + pn)
-        self.g_krk = gathered(p, nn)
+        self.gain_log, self.khp_kr_dx, self.h_cols = buf(pn + p), buf(nn + pn + n), buf(pn)
+        self.g_khp_kr_dx = buf(p, nn + pn + n), buf(p, nn + pn + n)
+        self.g_krk = buf(p, nn), buf(p, nn)
         # pseudo update
-        self.h, self.ph, self.g, self.mv, self.tn = buf(n), buf(n), buf(n), buf(n), buf(n)
-        self.h_pos, self.h_vel, self.tn_rows = self.h[:p], self.h[p:], list(self.tn)
-        self.g_matvec, self.g_outer = gathered(n, n), (buf(nn), buf(nn))
-        self.a_k_terms, self.a_k_rows = buf(2, n, p), buf(p)
-        self.a_k_sum, self.a_k_rows_sum = list(self.a_k_terms[0]), list(self.a_k_rows)
-        self.trace_rows = [self.cov1[i] for i in lay.trace]
-        self.pos_terms = buf(p)
-        self.pos_rows = list(self.pos_terms)
-        self.trace, self.a_k, self.r_k, self.s1, self.h_val, self.innov1 = (
-            buf() for _ in range(6)
-        )
+        self.h, self.ph, self.g, self.mv, self.tn, self.dx1 = (buf(n) for _ in range(6))
+        self.g_matvec, self.g_outer = (buf(n, n), buf(n, n)), (buf(nn), buf(nn))
+        self.a_k_terms, self.a_k_rows, self.pos_terms = buf(2, n, p), buf(p), buf(p)
+        self.trace, self.a_k, self.r_k, self.s1, self.h_val, self.innov1 = (buf() for _ in range(6))
+
+    # a public stage binds only its own kernel
+    predict = functools.cached_property(lambda self: _predict(self))
+    update_position = functools.cached_property(lambda self: _update_position(self))
+    update_pseudo = functools.cached_property(lambda self: _update_pseudo(self))
 
 
-def _symmetrize_rows(ws: _Workspace, a: np.ndarray, out: np.ndarray) -> None:
-    """``(a + a^T) / 2`` of covariance rows ``a`` into ``out``."""
-    a.take(ws.lay.transpose, 0, ws.tr, "clip")
-    np.add(a, ws.tr, out=out)
-    out *= _HALF
+def _symmetrize(ws: _Workspace, a: np.ndarray, out: np.ndarray) -> list:
+    """The calls of ``(a + a^T) / 2`` of covariance rows ``a`` into ``out``."""
+    return [(a.take, (ws.lay.transpose, 0, ws.tr, "clip")), (np.add, (a, ws.tr, out)),
+            (np.multiply, (out, _HALF, out))]
 
 
-def _product(a: np.ndarray, b: np.ndarray, index, gathered, out: np.ndarray) -> np.ndarray:
-    """Small matrix products of entry rows: ``out[e] = sum_k a[ia[k, e]] b[ib[k, e]]``.
-
-    ``index`` is ``(ia, ib)`` from :func:`_product_index`; ``gathered`` is
-    two buffers that the terms are gathered into, and the list of the
-    first one's rows. The terms are multiplied as rows and summed in order
-    of ``k``.
-    """
-    ga, gb, terms = gathered
-    a.take(index[0], 0, ga, "clip")  # in-range indices: clip skips a copy
-    b.take(index[1], 0, gb, "clip")
-    ga *= gb
-    return _sum_rows(terms, out)
-
-
-def _outer(ws: _Workspace, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows of ``u v^T`` for state rows ``u``, ``v``, in ``ws.g_outer[0]``."""
-    gu, gv = ws.g_outer
-    u.take(ws.lay.outer[0], 0, gu, "clip")
-    v.take(ws.lay.outer[1], 0, gv, "clip")
-    gu *= gv
-    return gu
-
-
-def _predict(ws: _Workspace, mean: np.ndarray, cov: np.ndarray, model: DynamicModel) -> None:
-    """Time update of the rows ``mean`` ``(n, tracks)``, ``cov`` ``(n * n, tracks)``.
+def _predict(ws: _Workspace):
+    """The time update ``predict(mean, cov, model)`` of the rows ``mean``, ``cov``.
 
     Writes ``ws.x`` and ``ws.cov``.
 
@@ -463,122 +446,186 @@ def _predict(ws: _Workspace, mean: np.ndarray, cov: np.ndarray, model: DynamicMo
     the velocity rows to the position rows, and ``(A phi^T)^T = phi A^T``
     is the same step on the rows of ``A^T``.
     """
-    if len(mean) != model.n:
-        raise ValueError("belief size does not match the model")
-    if model is not ws.model:
-        ws.model, ws.t = model, np.array(model.t)
-        ws.q[...] = model.process_noise_cov().reshape(-1, 1)
-    p, t, pn = ws.p, ws.t, ws.p * ws.n
-    np.multiply(mean[p:], t, out=ws.x_pos)
-    np.add(mean[:p], ws.x_pos, out=ws.x_pos)
-    ws.x_vel[...] = mean[p:]
-    np.multiply(cov[pn:], t, out=ws.a_top)
-    np.add(cov[:pn], ws.a_top, out=ws.a_top)
-    ws.a_bottom[...] = cov[pn:]
-    ws.a.take(ws.lay.transpose, 0, ws.tr, "clip")
-    np.multiply(ws.tr_bottom, t, out=ws.nn_top)
-    np.add(ws.tr_top, ws.nn_top, out=ws.nn_top)
-    ws.nn_bottom[...] = ws.tr_bottom
-    ws.nn += ws.q
-    _symmetrize_rows(ws, ws.nn, ws.cov)
+    p, t, q, pn, tr, nn = ws.p, ws.t, ws.q, ws.p * ws.n, ws.tr, ws.nn
+    x_pos, x_vel, a_top, a_bottom = ws.x[:p], ws.x[p:], ws.a[:pn], ws.a[pn:]
+    calls = [
+        (ws.a.take, (ws.lay.transpose, 0, tr, "clip")),
+        (np.multiply, (tr[pn:], t, nn[:pn])),
+        (np.add, (tr[:pn], nn[:pn], nn[:pn])),
+        (np.copyto, (nn[pn:], tr[pn:])),
+        (np.add, (nn, q, nn)),
+        *_symmetrize(ws, nn, ws.cov),
+    ]
+    bound = None
+
+    def predict(mean, cov, model):
+        nonlocal bound
+        if model is not bound:
+            bound, t[...], q[...] = model, model.t, model.process_noise_cov().reshape(-1, 1)
+        vel, cov_vel = mean[p:], cov[pn:]
+        np.multiply(vel, t, x_pos)
+        np.add(mean[:p], x_pos, x_pos)
+        np.copyto(x_vel, vel)
+        np.multiply(cov_vel, t, a_top)
+        np.add(cov[:pn], a_top, a_top)
+        np.copyto(a_bottom, cov_vel)
+        for f, args in calls:
+            f(*args)
+
+    return predict
 
 
-def _update_position(ws: _Workspace, m: np.ndarray) -> None:
-    """Update of ``ws.x``, ``ws.cov`` with the position of the measurement rows ``m``.
+def _update_position(ws: _Workspace):
+    """The update of ``ws.x``, ``ws.cov`` with the position in the rows ``m``.
 
-    Writes ``ws.x1`` and ``ws.cov1``.
+    ``update_position(m)`` writes ``ws.x1`` and ``ws.cov1``.
+
+    ``K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P)`` comes from the LDL^T
+    elimination of ``S = H P H^T + R`` (as :func:`~rcmkf.conversion._factor`),
+    with forward substitution on the rows of ``H P`` as it goes, then pivot
+    scaling and back substitution, each unrolled for the workspace's ``p``.
     """
-    p, lay = ws.p, ws.lay
-    if len(m) != lay.size:
-        raise ValueError("measurement dimension does not match the belief")
-    ws.r[...] = m[lay.cov_pos]
-    ws.cov.take(lay.pp, 0, ws.s, "clip")
-    ws.s += ws.r  # S = H P H^T + R
-    # K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P) by the LDL^T elimination of S
-    _factor(ws.s_lower, ws.mult_lower, ws.s_tmp)
-    np.copyto(ws.gain_t, ws.hp)
-    _forward(ws.mult_lower, ws.gain_rows, ws.gain_tmp)
-    ws.gain_k /= ws.pivot_cols
-    _back(ws.mult_lower, ws.gain_rows, ws.gain_tmp)
-    # log d is finite exactly when the pivot d is positive and finite, so one
-    # test passes the gain rows and the pivots together (NaN fails both)
-    np.log(ws.pivots, out=ws.log_pivots)
-    if not (ws.gain_log.min() > -np.inf and ws.gain_log.max() < np.inf):
-        bad = ~np.isfinite(ws.log_pivots).all(axis=0)
-        s = ws.cov.take(lay.pp, 0)[:, bad] + ws.r[:, bad]  # the elimination overwrote S
-        # an exactly singular S comes from a collapsed (noise-free) covariance,
-        # where the minimum-norm gain is the correct limit
-        ws.gain_t[:, bad] = _solve_each(
-            s.T.reshape(-1, p, p),
-            ws.hp[:, bad].T.reshape(-1, p, ws.n),
+    p, n, lay, r, innov, x_pos = ws.p, ws.n, ws.lay, ws.r, ws.innov, ws.x[: ws.p]
+    nn, pn, cov_pos, pos = n * n, p * n, lay.cov_pos, lay.pos
+    s = [[ws.s[i * p + j] for j in range(i + 1)] for i in range(p)]
+    mult = [[ws.mult[i, k] for k in range(i)] for i in range(p)]
+    pivots, gain_log, gain_t = ws.s[:: p + 1], ws.gain_log, ws.gain_log[:pn]
+    gain, log_pivots = gain_t.reshape(p, n, ws.tracks), ws.gain_log[pn:]
+    calls = [(ws.cov.take, (lay.pp, 0, ws.s, "clip")), (np.add, (ws.s, r, ws.s)),  # S
+             (np.copyto, (gain_t, ws.cov[:pn]))]
+    for k in range(p):  # the elimination, and forward substitution on the rows of H P
+        for i in range(k + 1, p):
+            calls.append((np.divide, (s[i][k], s[k][k], mult[i][k])))
+            for j in range(k + 1, i + 1):
+                calls += _less(s[i][j], mult[i][k], s[j][k], ws.s_tmp)
+            calls += _less(gain[i], mult[i][k], gain[k], ws.gain_tmp)
+    calls.append((np.divide, (gain, pivots[:, None], gain)))
+    for c in reversed(range(p)):
+        for i in range(c + 1, p):
+            calls += _less(gain[c], mult[i][c], gain[i], ws.gain_tmp)
+    calls.append((np.log, (pivots, log_pivots)))
+    khp, kr, dx = ws.khp_kr_dx[:nn], ws.khp_kr_dx[nn : nn + pn], ws.khp_kr_dx[nn + pn :]
+    joseph = [
+        *_product(gain_t, ws.cov_r, lay.khp_kr_dx, ws.g_khp_kr_dx, ws.khp_kr_dx),
+        (np.add, (ws.x, dx, ws.x1)),
+        (np.subtract, (ws.cov, khp, ws.a)),  # A = P - K (H P)
+        (ws.a.take, (lay.h_cols, 0, ws.h_cols, "clip")),
+        (np.subtract, (ws.h_cols, kr, ws.h_cols)),  # A H^T - K R
+        *_product(ws.h_cols, gain_t, lay.krk, ws.g_krk, ws.nn),
+        (np.subtract, (ws.a, ws.nn, ws.nn)),
+        *_symmetrize(ws, ws.nn, ws.cov1),
+    ]
+
+    def solve_each():
+        bad = ~np.isfinite(log_pivots).all(axis=0)
+        # the elimination overwrote S; an exactly singular S comes from a
+        # collapsed (noise-free) covariance, where the minimum-norm gain is
+        # the correct limit
+        gain_t[:, bad] = _solve_each(
+            (ws.cov.take(lay.pp, 0)[:, bad] + r[:, bad]).T.reshape(-1, p, p),
+            ws.cov[:pn, bad].T.reshape(-1, p, n),
             lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0],
-        ).reshape(-1, p * ws.n).T
-        if not (ws.gain_t.min() > -np.inf and ws.gain_t.max() < np.inf):
+        ).reshape(-1, pn).T
+        if not np.isfinite(gain_t).all():
             raise DegenerateCovarianceError("position innovation covariance is singular")
-    np.subtract(m[lay.pos], ws.x_pos, out=ws.innov)
-    ws.innov.take(lay.dx, 0, ws.dx_rows, "clip")
-    ws.dx_rows *= ws.gain_t
-    np.add(ws.x, _sum_rows(ws.dx_sum, ws.dx), out=ws.x1)
-    _product(ws.gain_t, ws.cov_r, lay.khp_kr, ws.g_khp_kr, ws.khp_kr)  # K (H P), K R
-    np.subtract(ws.cov, ws.khp, out=ws.a)  # A = P - K (H P)
-    ws.a.take(lay.h_cols, 0, ws.h_cols, "clip")
-    ws.h_cols -= ws.kr  # A H^T - K R
-    _product(ws.h_cols, ws.gain_t, lay.krk, ws.g_krk, ws.nn)
-    np.subtract(ws.a, ws.nn, out=ws.nn)
-    _symmetrize_rows(ws, ws.nn, ws.cov1)
+
+    def update_position(m):
+        np.copyto(r, m[cov_pos])
+        for f, args in calls:
+            f(*args)
+        # log d is finite exactly when the pivot d is positive and finite, so
+        # one finite sum passes the gain rows and the pivots together (NaN
+        # fails it); a finite sum that overflows sends the scan item by item
+        if not math.isfinite(np.add.reduce(gain_log, None)):
+            solve_each()
+        np.subtract(m[pos], x_pos, innov)
+        for f, args in joseph:
+            f(*args)
+
+    return update_position
 
 
-def _quadratic(ws: _Workspace) -> None:
-    """``tr(P_pv)`` into ``ws.trace`` and ``a_k`` into ``ws.a_k``, for ``P = ws.cov1``."""
-    _sum_rows(ws.trace_rows, ws.trace)
-    ws.cov1.take(ws.lay.a_k, 0, ws.a_k_terms, "clip")
-    ws.a_k_terms[0] *= ws.a_k_terms[1]
-    _sum_rows(ws.a_k_sum, ws.a_k_rows)  # over j, then over i
-    _sum_rows(ws.a_k_rows_sum, ws.a_k)
+def _quadratic(ws: _Workspace) -> list:
+    """The calls of ``tr(P_pv)`` into ``ws.trace`` and ``a_k`` into ``ws.a_k``, for ``ws.cov1``."""
+    terms = ws.a_k_terms
+    return [
+        *_adds([ws.cov1[i] for i in ws.lay.trace], ws.trace),
+        (ws.cov1.take, (ws.lay.a_k, 0, terms, "clip")),
+        (np.multiply, (terms[0], terms[1], terms[0])),
+        *_adds(terms[0], ws.a_k_rows),  # over j, then over i
+        *_adds(ws.a_k_rows, ws.a_k),
+    ]
 
 
-def _update_pseudo(
-    ws: _Workspace, m: np.ndarray, mean_out: np.ndarray, cov_out: np.ndarray
-) -> None:
-    """Update of ``ws.x1``, ``ws.cov1`` with the pseudo of the rows ``m``.
+def _update_pseudo(ws: _Workspace):
+    """The update of ``ws.x1``, ``ws.cov1`` with the pseudo in the rows ``m``.
 
-    Writes ``mean_out`` and ``cov_out``.
+    ``update_pseudo(m, mean_out, cov_out)`` writes ``mean_out``, ``cov_out``.
     """
-    lay = ws.lay
-    np.add(ws.x1_vel, m[lay.l_row], out=ws.h_pos)  # h = (l_row + vel, pos)
-    ws.h_vel[...] = ws.x1_pos
-    _quadratic(ws)
-    _product(ws.cov1, ws.h, lay.matvec, ws.g_matvec, ws.ph)  # P h
-    np.add(m[lay.var], ws.a_k, out=ws.r_k)
-    np.multiply(ws.h, ws.ph, out=ws.tn)
-    _sum_rows(ws.tn_rows, ws.s1)
-    ws.s1 += ws.r_k
-    np.multiply(ws.h_pos, ws.x1_pos, out=ws.pos_terms)
-    _sum_rows(ws.pos_rows, ws.h_val)  # (l_row + vel) @ pos
-    # less the second-order mean correction delta2 / 2 = tr(P_pv)
-    np.subtract(m[lay.debiased], ws.h_val, out=ws.innov1)
-    ws.innov1 -= ws.trace
-    # the true variance is nonnegative for PSD inputs, so s <= 0 is a
-    # collapsed (deterministic) measurement: a no-op when the innovation is
-    # consistent, a genuine degeneracy otherwise; NaN also takes this branch
-    collapsed = None if ws.s1.min() > 0 else ws.s1 <= 0
-    if collapsed is not None:
-        scale = np.maximum(np.maximum(np.abs(m[lay.pseudo]), np.abs(ws.h_val)), 1.0)
-        if np.any(collapsed & (np.abs(ws.innov1) > 1e-9 * scale)):
-            raise DegenerateCovarianceError("pseudo-measurement innovation variance is not positive")
-        ws.s1[collapsed] = 1.0
-    np.divide(ws.ph, ws.s1, out=ws.g)
-    np.multiply(ws.g, ws.innov1, out=ws.tn)
-    np.add(ws.x1, ws.tn, out=mean_out)
-    np.subtract(ws.cov1, _outer(ws, ws.g, ws.ph), out=ws.a)  # A = P - g (P h)^T
-    _product(ws.a, ws.h, lay.matvec, ws.g_matvec, ws.mv)
-    np.multiply(ws.r_k, ws.g, out=ws.tn)
-    ws.mv -= ws.tn  # A h - r g
-    np.subtract(ws.a, _outer(ws, ws.mv, ws.g), out=ws.nn)
-    _symmetrize_rows(ws, ws.nn, cov_out)
-    if collapsed is not None:
-        np.copyto(mean_out, ws.x1, where=collapsed)
-        np.copyto(cov_out, ws.cov1, where=collapsed)
+    p, lay, x1, h, ph, g, tn, s1 = ws.p, ws.lay, ws.x1, ws.h, ws.ph, ws.g, ws.tn, ws.s1
+    r_k, h_val, innov1, (gu, gv) = ws.r_k, ws.h_val, ws.innov1, ws.g_outer
+    x1_pos, x1_vel, h_pos, a_k, trace, dx1, nn, tr, cov1 = (
+        x1[:p], x1[p:], h[:p], ws.a_k, ws.trace, ws.dx1, ws.nn, ws.tr, ws.cov1
+    )
+    l_row, var, debiased, pseudo = lay.l_row, lay.var, lay.debiased, lay.pseudo
+
+    def outer(u, v):  # the rows of u v^T, into gu
+        return [(u.take, (lay.outer[0], 0, gu, "clip")), (v.take, (lay.outer[1], 0, gv, "clip")),
+                (np.multiply, (gu, gv, gu))]
+
+    first = [*_quadratic(ws), (np.copyto, (h[p:], x1_pos))]  # h = (l_row + vel, pos)
+    variance = [
+        *_product(cov1, h, lay.matvec, ws.g_matvec, ph),  # P h
+        (np.multiply, (h, ph, tn)),
+        *_adds(tn, s1),
+        (np.add, (s1, r_k, s1)),
+        (np.multiply, (h_pos, x1_pos, ws.pos_terms)),
+        *_adds(ws.pos_terms, h_val),  # (l_row + vel) @ pos
+    ]
+    joseph = [
+        (np.divide, (ph, s1, g)),
+        (np.multiply, (g, innov1, dx1)),
+        *outer(g, ph),
+        (np.subtract, (cov1, gu, ws.a)),  # A = P - g (P h)^T
+        *_product(ws.a, h, lay.matvec, ws.g_matvec, ws.mv),
+        (np.multiply, (r_k, g, tn)),
+        (np.subtract, (ws.mv, tn, ws.mv)),  # A h - r g
+        *outer(ws.mv, g),
+        (np.subtract, (ws.a, gu, nn)),
+        (nn.take, (lay.transpose, 0, tr, "clip")),
+    ]
+
+    def update_pseudo(m, mean_out, cov_out):
+        for f, args in first:
+            f(*args)
+        np.add(x1_vel, m[l_row], h_pos)
+        np.add(m[var], a_k, r_k)
+        for f, args in variance:
+            f(*args)
+        # less the second-order mean correction delta2 / 2 = tr(P_pv)
+        np.subtract(m[debiased], h_val, innov1)
+        np.subtract(innov1, trace, innov1)
+        # the true variance is nonnegative for PSD inputs, so s <= 0 is a
+        # collapsed (deterministic) measurement: a no-op when the innovation is
+        # consistent, a genuine degeneracy otherwise; NaN also takes this branch
+        collapsed = None if s1.min() > 0 else s1 <= 0
+        if collapsed is not None:
+            scale = np.maximum(np.maximum(np.abs(m[pseudo]), np.abs(h_val)), 1.0)
+            if np.any(collapsed & (np.abs(innov1) > 1e-9 * scale)):
+                raise DegenerateCovarianceError(
+                    "pseudo-measurement innovation variance is not positive"
+                )
+            s1[collapsed] = 1.0
+        for f, args in joseph:
+            f(*args)
+        np.add(x1, dx1, mean_out)
+        np.add(nn, tr, cov_out)  # symmetrized
+        np.multiply(cov_out, _HALF, cov_out)
+        if collapsed is not None:
+            np.copyto(mean_out, x1, where=collapsed)
+            np.copyto(cov_out, cov1, where=collapsed)
+
+    return update_pseudo
 
 
 def _tracks(a, entry_axes: int) -> np.ndarray:
@@ -601,11 +648,21 @@ def _measurement_rows(d: DecorrelatedMeasurement, batch: tuple[int, ...]) -> np.
     return np.concatenate([_tracks(f, 1) for f in parts])
 
 
+def _check_state(n: int, p: int, cov_shape: tuple[int, ...] | None = None) -> None:
+    """Raise :class:`ValueError` unless a state of size ``n`` holds a position and a
+    velocity of dimension ``p`` and ``cov_shape``, if given, ends in ``(n, n)``."""
+    if n != 2 * p:
+        raise ValueError(f"a state of size {n} is not a position and a velocity of dimension {p}")
+    if cov_shape is not None and tuple(cov_shape[-2:]) != (n, n):
+        raise ValueError(f"a covariance of shape {tuple(cov_shape[-2:])} is not {n} x {n}")
+
+
 def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
     """Time update through the dynamic model (filters assume zero input)."""
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    _check_state(n, model.dim)
     ws = _Workspace(math.prod(batch), n)
-    _predict(ws, _tracks(belief.mean, 1), _tracks(belief.cov, 2), model)
+    ws.predict(_tracks(belief.mean, 1), _tracks(belief.cov, 2), model)
     return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
 
 
@@ -617,17 +674,19 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     docstring, keeps the covariance PSD.
     """
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    _check_state(n, d.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
     ws.x[...], ws.cov[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in filter_scans
-        _update_position(ws, _measurement_rows(d, batch))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in filter_scans
+        ws.update_position(_measurement_rows(d, batch))
     return GaussianBelief(_items(ws.x1, batch, (n,)), _items(ws.cov1, batch, (n, n)))
 
 
 def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
     """Gradient of ``h(x) = l_row @ pos + pos @ vel`` at a state vector."""
-    p = np.shape(l_row)[-1]
-    h_row = np.asarray(state, dtype=float).take(_BLOCK_SWAP[p], -1)  # (vel, pos)
+    state, p = np.asarray(state, dtype=float), np.shape(l_row)[-1]
+    _check_state(state.shape[-1], p)
+    h_row = state.take(_BLOCK_SWAP[p], -1)  # (vel, pos)
     h_row[..., :p] += l_row
     return h_row
 
@@ -646,9 +705,10 @@ def quadratic_correction(cov: np.ndarray):
     """
     cov = np.asarray(cov, dtype=float)
     batch, n = cov.shape[:-2], cov.shape[-1]
+    _check_state(n, n // 2, cov.shape)
     ws = _Workspace(math.prod(batch), n)
     ws.cov1[...] = _tracks(cov, 2)
-    _quadratic(ws)
+    _run(_quadratic(ws))
     return 2.0 * ws.trace.reshape(batch), ws.a_k.reshape(batch)
 
 
@@ -661,9 +721,10 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     residual measurement variance.
     """
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
+    _check_state(n, d.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
     ws.x1[...], ws.cov1[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
-    _update_pseudo(ws, _measurement_rows(d, batch), ws.x, ws.cov)
+    ws.update_pseudo(_measurement_rows(d, batch), ws.x, ws.cov)
     return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
 
 
@@ -728,6 +789,11 @@ def filter_scans(
             f"tracks' {batch}"
         )
     n, lay, tracks = init.mean.shape[-1], _layout(z.dim), math.prod(batch)
+    try:
+        _check_state(n, z.dim)
+        _check_state(n, model.dim)
+    except ValueError as exc:  # every update would fail, from the first scan's on
+        raise ValueError(f"step {steps[0]}: {exc}" if steps else str(exc)) from exc
     rows = np.empty((scans, lay.size) + batch)
     ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))
     rows = rows.reshape(scans, lay.size, tracks)
@@ -736,14 +802,16 @@ def filter_scans(
     np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
     means, covs = np.empty((scans, n, tracks)), np.empty((scans, n * n, tracks))
     ws = _Workspace(tracks, n)
+    predict, update_position, update_pseudo = ws.predict, ws.update_position, ws.update_pseudo
     mean, cov = _tracks(init.mean, 1), _tracks(init.cov, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero pivots go to the gain's fallback
+    # zero pivots go to the gain's fallback, and so does an overflowing finiteness sum
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, step in enumerate(steps):
-            _predict(ws, mean, cov, model)
-            mean, cov = means[k], covs[k]  # this scan's output, the next one's input
+            predict(mean, cov, model)
+            mean, cov, m = means[k], covs[k], rows[k]  # this scan's output, the next one's input
             try:
-                _update_position(ws, rows[k])
-                _update_pseudo(ws, rows[k], mean, cov)
+                update_position(m)
+                update_pseudo(m, mean, cov)
             except (DegenerateCovarianceError, ValueError) as exc:
                 raise type(exc)(f"step {step}: {exc}") from exc
             if not every[k]:

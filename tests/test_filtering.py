@@ -311,6 +311,55 @@ def test_update_stages_reject_measurements_of_another_batch(stage, beliefs, meas
     assert post.mean.shape == beliefs + (4,)
 
 
+@pytest.mark.parametrize("stage", [kf_update_position, ekf_update_pseudo])
+@pytest.mark.parametrize("n", [5, 6])
+def test_update_stages_reject_a_state_of_another_size(stage, n):
+    # a 3D or an odd state against a 2D measurement
+    prior = GaussianBelief(np.zeros(n), np.eye(n))
+    with pytest.raises(ValueError, match=f"state of size {n} is not .* of dimension 2"):
+        stage(prior, _decorrelated_batch(()))
+
+
+def test_kf_predict_rejects_a_belief_of_another_size():
+    with pytest.raises(ValueError, match="state of size 6 is not .* of dimension 2"):
+        kf_predict(GaussianBelief(np.zeros(6), np.eye(6)), DynamicModel(2))
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [(np.eye(3), "state of size 3 is not .* of dimension 1"),
+     (np.zeros((3, 4)), r"covariance of shape \(3, 4\) is not 4 x 4")],
+    ids=["odd", "not-square"],
+)
+def test_quadratic_correction_rejects_a_covariance_of_another_size(cov, message):
+    with pytest.raises(ValueError, match=message):
+        quadratic_correction(cov)
+
+
+def test_pseudo_jacobian_rejects_a_state_of_another_size():
+    with pytest.raises(ValueError, match="state of size 5 is not .* of dimension 2"):
+        pseudo_jacobian(np.arange(5.0), np.ones(2))
+
+
+def test_position_gain_check_passes_finite_gains_whose_sum_overflows():
+    # each track's gain rows hold 6e307 (finite, as is one track's sum), and
+    # the sum over both tracks overflows: the scan goes item by item, which
+    # changes nothing, and each track keeps the bits it has alone
+    cov = np.eye(4)
+    cov[:2, 2:] = cov[2:, :2] = 6e307 * np.eye(2)
+    prior = GaussianBelief(np.zeros((2, 4)), np.stack([cov, cov]))
+    d = filtering.DecorrelatedMeasurement(
+        cov_pos=np.zeros((2, 2, 2)), pseudo=np.zeros(2), var_pseudo=np.ones(2),
+        l_row=np.zeros((2, 2)), debiased_pos=np.ones((2, 2)), debiased_pseudo=np.zeros(2), dim=2,
+    )
+    post = kf_update_position(prior, d)
+    np.testing.assert_array_equal(post.mean[:, 2:], 6e307)
+    for i in range(2):
+        alone = kf_update_position(prior[i], d[i])
+        assert alone.mean.tobytes() == post.mean[i].tobytes()
+        np.testing.assert_array_equal(alone.cov, post.cov[i])
+
+
 def test_pseudo_jacobian_direct_substitution():
     state = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     np.testing.assert_array_equal(pseudo_jacobian(state, np.zeros(3)), [4.0, 5.0, 6.0, 1.0, 2.0, 3.0])
@@ -774,16 +823,20 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     init = initialize_belief(z[0], z[1], sc.model.t)
     steps = np.arange(2, 12)
     calls = {}
-    # the stage kernels: the loop runs them on its workspace, the public
-    # stages on a fresh one
-    for name in ("_predict", "_update_position", "_update_pseudo"):
-        real = getattr(filtering, name)
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args)
+    # the stage kernels, bound to the loop's workspace
+    class CountingWorkspace(filtering._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            for name in ("predict", "update_position", "update_pseudo"):
 
-        monkeypatch.setattr(filtering, name, counting)
+                def counting(*args, _real=getattr(self, name), _name=f"_{name}"):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _real(*args)
+
+                setattr(self, name, counting)
+
+    monkeypatch.setattr(filtering, "_Workspace", CountingWorkspace)
     assert ok.all()
     scans = len(steps)
     filter_scans(init, z[2:], ok[2:], steps, sc.model)
@@ -919,3 +972,9 @@ def test_filter_scans_rejects_measurements_of_another_batch_shape(key):
     init, z, ok, model = _small_scan_batch()
     with pytest.raises(ValueError, match=r"does not match the mask's \(4, 2, 2\)"):
         filter_scans(init, z[key], ok, range(4), model)
+
+
+def test_filter_scans_rejects_a_model_of_another_size():
+    init, z, ok, _ = _small_scan_batch()
+    with pytest.raises(ValueError, match="step 0: a state of size 4 is not .* of dimension 3"):
+        filter_scans(init, z, ok, range(4), DynamicModel(3))

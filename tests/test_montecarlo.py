@@ -1,6 +1,7 @@
 """Tests for the run-batched Monte Carlo engine: chunking, the per-run API, a dense reference."""
 
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import math
@@ -124,6 +125,38 @@ def _dense_track(sc, variant, measurements):
         means.append(mean)
         covs.append(cov)
     return np.array(means), np.array(covs)
+
+
+# sha256 of the C-order bytes of ``means``, ``covs`` and ``updated`` at 8
+# runs, seed 42. A change to the filter's arithmetic that should keep every
+# bit (a faster kernel, say) must leave these as they are.
+FROZEN_SHA256 = {
+    "case1": (
+        "c5e2cbe9e36c13abaf60bfc1b4a33ae4c7af0e8e5006fb00113d3ea6f1dfa82e",
+        "47ce463b3e6d3bf6fb304ad8375eb5d61325dde1b49fe42a3651b119114d2927",
+        "2580b8f4d43523776340a2895a99bcb943f42f6aa46ff7d35692ac7b2113aa8a",
+    ),
+    "case2": (
+        "6533e345bb53667cd98d9a254d578d12c941dc4115a1de5a61ba495c960a6c0f",
+        "e8be5dbc06ea66122d02f5a10d1a54360df13e02175762cbcafc78bb00da8712",
+        "2580b8f4d43523776340a2895a99bcb943f42f6aa46ff7d35692ac7b2113aa8a",
+    ),
+    "inline3d": (
+        "9fdd86bb6f068d9135e8ee6329554107732e0cb6086c6716b9d0ff58204ce37a",
+        "b684135f6107995b4e0dc0052475162fe34f8051bcd90b84c044b92ccd79edbe",
+        "06523179898681366f4ae1f0c5600459e978a214d62841fb8d7ced66935626f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_SHA256))
+def test_engine_bytes_are_frozen(key):
+    ens = run_ensemble(dataclasses.replace(SCENARIOS[key], seed=42), VARIANTS)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(getattr(ens, f)).tobytes()).hexdigest()
+        for f in ("means", "covs", "updated")
+    )
+    assert digests == FROZEN_SHA256[key]
 
 
 @pytest.mark.parametrize("key", ["case1", "inline3d"])
