@@ -54,9 +54,7 @@ variants of these formulas that circulate with typographical slips.
 from __future__ import annotations
 
 import collections
-import contextlib
 import enum
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -542,24 +540,6 @@ def _oracle_workers() -> int:
     return min(cpus, _ORACLE_MAX_WORKERS)
 
 
-@contextlib.contextmanager
-def _block_runner(workers: int):
-    """``start(fn, block)``, which returns a call that gives ``fn(block)``.
-
-    On one worker the block runs inline when that call is made; otherwise it
-    starts at once on one of ``workers`` threads, which all end with the
-    ``with`` statement, and the call waits for it and raises what the block
-    raised.
-    """
-    if workers == 1:
-        yield functools.partial
-        return
-    from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield lambda fn, block: pool.submit(fn, block).result
-
-
 def mc_moment_oracle(
     m: SphericalMeasurement,
     noise: NoiseSpec,
@@ -579,10 +559,12 @@ def mc_moment_oracle(
     The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
     ``standard_normal`` call (about 32 B per draw) whose columns are
     overwritten by their errors. Each block's errors and centered product
-    sums are one task, run on one thread per CPU the process may run on (at
-    most ``_ORACLE_MAX_WORKERS``) with a small truth scratch of its own, or
-    inline on one CPU. The calling thread draws every normal into a ring of
-    block buffers, one per thread plus one (one inline), and takes the
+    sums are one task, run on a pool of one thread per CPU the process may
+    run on (at most ``_ORACLE_MAX_WORKERS``), one CPU included, with a
+    small truth scratch of its own; only the first block's errors, which
+    give the centre, run on the calling thread. The calling thread draws
+    every normal into a ring of block buffers, one per thread plus one (one
+    for a single thread, which so runs one block at a time), and takes the
     oldest block's sums before it draws into that buffer again, so the sums
     are added in block order. The memory is about 2 MB per buffer at the
     default ``batch`` and about 0.3 MB of scratch per thread, and the
@@ -617,18 +599,20 @@ def mc_moment_oracle(
         errors(block)
         return products(block)
 
+    from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
+
     blocks = -(-samples // batch)
     workers = min(_oracle_workers(), blocks)
-    # Inline, one block at a time; on threads, the block being drawn and one
-    # drawn block per thread.
+    # One worker runs one block at a time; more run one drawn block each while
+    # the next is drawn.
     buffers = 1 if workers == 1 else min(workers + 1, blocks)
     ring = [np.empty(4 * min(batch, samples)) for _ in range(buffers)]
-    pending = collections.deque()  # calls giving the sums of the blocks in flight, oldest first
+    pending = collections.deque()  # the futures of the blocks in flight, oldest first
     parts = []  # each block's sum, product sum and squared-product sum, in block order
-    with _block_runner(workers) as start:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for k, lo in enumerate(range(0, samples, batch)):
             if len(pending) == len(ring):  # the oldest block in flight holds this buffer
-                parts.append(pending.popleft()())
+                parts.append(pending.popleft().result())
             z = ring[k % len(ring)][: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
             if k == 0:
@@ -637,10 +621,10 @@ def mc_moment_oracle(
                 # products small; the recentering at the end is exact for the
                 # mean and covariance.
                 center = z.mean(axis=1)
-                pending.append(start(products, z))
+                pending.append(pool.submit(products, z))
             else:
-                pending.append(start(errors_and_products, z))
-        parts += [done() for done in pending]
+                pending.append(pool.submit(errors_and_products, z))
+        parts += [done.result() for done in pending]
 
     sum_c, sum_cc, sum_cc_sq = map(sum, zip(*parts))
     mean_c = sum_c / samples

@@ -504,8 +504,8 @@ def _serial_oracle(m, noise, samples, rng, batch):
         # 16 threads working on the drawn ones
         pytest.param(None, None, 300_001, id="None-default"),
         pytest.param(25.0, None, 300_001, id="25.0-default"),
-        # one block, which runs inline whatever the worker count; then a last
-        # block of one draw
+        # one block, whose errors run on the calling thread whatever the
+        # worker count; then a last block of one draw
         pytest.param(None, None, 65_536, id="None-default-65536"),
         pytest.param(25.0, None, 65_537, id="25.0-default-65537"),
     ],
@@ -536,9 +536,9 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
             assert est.samples == samples
             got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
             assert got == want, workers
-            # more than one worker runs the blocks after the first off the
-            # calling thread
-            assert (threads == {threading.get_ident()}) == (min(workers, blocks) == 1)
+            # the first block's errors run on the calling thread and every
+            # later block's on the pool, whatever the worker count
+            assert (threads == {threading.get_ident()}) == (blocks == 1)
     finally:
         sys.setswitchinterval(interval)
 
