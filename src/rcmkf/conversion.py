@@ -30,8 +30,14 @@ through ``_stats_batch``. The screen's batched LDL^T elimination, ``_ldl``,
 is the one elimination of the library, for every symmetric system: it also
 gives the quadratic forms ``e^T C^{-1} e`` of the NES and NEES statistics
 in ``rcmkf.evaluation``, and its multipliers and last pivot decorrelate the
-filter's pseudo-measurement. The filter's gain runs the same elimination
-(``_factor``, ``_forward``, ``_back``) in place on buffers it made once.
+filter's pseudo-measurement. The filter's gain alone runs its own copy of
+these steps, ``rcmkf.filtering._update_position``: the same operations in
+the same order, unrolled into bound ufunc calls on buffers its workspace
+made once, because it runs on every scan. The two stay apart because
+``_ldl`` makes a new array per entry, which is cheaper for its one-off
+calls: run through the filter's call lists on copied buffers, the screen
+and the quadratic form each took 10-25 us longer per call at 2000 x 2
+items.
 
 The kernel works entries first: a batch of vectors is ``(d,) + items`` and
 a batch of matrices ``(d, d) + items``, so each entry is one contiguous row
@@ -271,40 +277,33 @@ _SCREEN_MARGIN = 1e-8
 _PSD_TOL = 1e-9
 
 
-def _less_product(x, m, y, tmp):
-    """``x - m * y``: a new array, or with scratch ``tmp`` written into ``x``."""
-    return np.subtract(x, np.multiply(m, y, out=tmp), out=None if tmp is None else x)
-
-
-def _factor(a: list, mult: list, tmp=None) -> None:
+def _factor(a: list, mult: list) -> None:
     """LDL^T elimination, without pivoting, of the lower triangle ``a[i][j]``, ``j <= i``.
 
     Column by column the multiplier ``L[i, k] = a[i][k] / a[k][k]`` goes
-    into ``mult[i][k]`` (into its array, if it holds one) and each later
-    entry takes ``a[i][j] - L[i, k] a[j][k]``, so the diagonal ends as the
-    pivots. An updated entry is a new array or, given scratch ``tmp`` for
-    the products, the entry's own array overwritten.
+    into ``mult[i][k]`` and each later entry becomes the new array ``a[i][j]
+    - L[i, k] a[j][k]``, so the diagonal ends as the pivots.
     """
     n = len(a)
     for k in range(n):
         for i in range(k + 1, n):
-            mult[i][k] = np.divide(a[i][k], a[k][k], out=mult[i][k])
+            mult[i][k] = a[i][k] / a[k][k]
             for j in range(k + 1, i + 1):
-                a[i][j] = _less_product(a[i][j], mult[i][k], a[j][k], tmp)
+                a[i][j] = a[i][j] - mult[i][k] * a[j][k]
 
 
-def _forward(mult: list, y: list, tmp=None) -> None:
-    """``y <- L^-1 y`` for the multipliers of :func:`_factor`; ``tmp`` as there."""
+def _forward(mult: list, y: list) -> None:
+    """``y <- L^-1 y`` for the multipliers of :func:`_factor`, in new arrays."""
     for k in range(len(y)):
         for i in range(k + 1, len(y)):
-            y[i] = _less_product(y[i], mult[i][k], y[k], tmp)
+            y[i] = y[i] - mult[i][k] * y[k]
 
 
-def _back(mult: list, x: list, tmp=None) -> None:
-    """``x <- L^-T x`` in the leading ``len(x)`` columns; ``tmp`` as in :func:`_factor`."""
+def _back(mult: list, x: list, tmp) -> None:
+    """``x <- L^-T x`` in the leading ``len(x)`` columns, in place through the scratch ``tmp``."""
     for c in reversed(range(len(x))):
         for i in range(c + 1, len(x)):
-            x[c] = _less_product(x[c], mult[i][c], x[i], tmp)
+            np.subtract(x[c], np.multiply(mult[i][c], x[i], out=tmp), out=x[c])
 
 
 def _ldl(cov: np.ndarray, e: np.ndarray | None = None, shift=0.0):

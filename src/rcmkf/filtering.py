@@ -16,12 +16,17 @@ with ``A = (I - K H) P = P - K (H P)``, the product is
 ``A - (A H^T - K R) K^T``, which needs no identity matrix and no ``n x n``
 gain product. For the position update ``H = [I 0]``, so ``H P`` and
 ``A H^T`` are row and column selections. The gain ``K^T = S^{-1} (H P)``
-comes from one elimination, the LDL^T elimination of ``S = P_pp + R``
-that also decorrelates the pseudo-measurement (``conversion._ldl``,
-unrolled on the filter's buffers), with forward substitution, pivot
-scaling and back substitution on the rows of ``H P``; an item whose
-pivots are not all positive and finite falls back to a solve, or to the
-minimum-norm least-squares gain when ``S`` is exactly singular. For the
+comes from the LDL^T elimination of ``S = P_pp + R``, with forward
+substitution, pivot scaling and back substitution on the rows of ``H P``.
+These are the operations of ``conversion._ldl``, which decorrelates the
+pseudo-measurement, in the same order, but in the gain's own copy,
+unrolled into calls bound once on the workspace's buffers, because it runs
+on every scan. ``_ldl`` makes new arrays, which suits its one-off callers:
+through bound calls on copied buffers, the PSD screen and the NES
+quadratic form each took 10-25 us longer per call at 2000 x 2 items. An
+item whose pivots are not all positive and finite falls back to a solve,
+or to the minimum-norm least-squares gain when ``S`` is exactly singular.
+For the
 scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
@@ -481,7 +486,8 @@ def _update_position(ws: _Workspace):
     ``update_position(m)`` writes ``ws.x1`` and ``ws.cov1``.
 
     ``K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P)`` comes from the LDL^T
-    elimination of ``S = H P H^T + R`` (as :func:`~rcmkf.conversion._factor`),
+    elimination of ``S = H P H^T + R`` (the operations of
+    :func:`~rcmkf.conversion._factor`, in its order, on the workspace),
     with forward substitution on the rows of ``H P`` as it goes, then pivot
     scaling and back substitution, each unrolled for the workspace's ``p``.
     """

@@ -105,7 +105,7 @@ def _filter_chunk(
     Each run keeps its own generator and draw order, so a run's arrays do
     not depend on which chunk it is in. A degenerate conversion skips only
     its own (run, variant, scan); one in an initialization scan fails the
-    chunk.
+    chunk with an error that names the first such scan, run and variant.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     truth = _simulate_truths(scenario, rngs)  # (runs, steps, n)
@@ -115,8 +115,10 @@ def _filter_chunk(
         meas.swapaxes(0, 1), scenario.noise, [v.method for v in variants], scenario.dim
     )
     if not np.all(ok[:INIT_SCANS]):
+        scan, run, v = np.argwhere(~ok[:INIT_SCANS])[0]  # the first, in (scan, run, variant) order
         raise DegenerateCovarianceError(
-            "initialization scan: conversion covariance is indefinite beyond tolerance"
+            f"initialization scan {scan} of run {run}, variant {variants[v].name}: "
+            "conversion covariance is indefinite beyond tolerance"
         )
     init = initialize_belief(z[0], z[1], scenario.model.t)
     steps = np.arange(INIT_SCANS, scenario.steps)

@@ -130,6 +130,21 @@ def test_default_golden_grid_covers_spec_axes():
     assert {p.r_m for p in grid} == {1000.0, 10000.0, 100000.0}
     assert {p.sigma_theta_deg for p in grid} == {1.0, 5.0, 15.0, 30.0}
     assert {p.rho for p in grid} == {0.0, 0.3, 0.9}
+    # every point, in the order golden writes them: range, then noise, then rho
+    fixed = dict(theta_deg=30.0, phi_deg=20.0, rdot_mps=100.0, sigma_r_m=100.0, sigma_rdot_mps=5.0)
+    expected = [
+        dict(r_m=r_m, sigma_theta_deg=sig, sigma_phi_deg=sig, rho=rho, **fixed)
+        for r_m in (1e3, 1e4, 1e5)
+        for sig in (1.0, 5.0, 15.0, 30.0)
+        for rho in (0.0, 0.3, 0.9)
+    ]
+    assert [dataclasses.asdict(p) for p in grid] == expected
+
+
+def test_config_golden_samples_start_at_1e4():
+    assert config_from_dict({"golden": {"samples": 10_000}}).golden.samples == 10_000
+    with pytest.raises(ConfigError, match="golden samples must be >= 1e4"):
+        config_from_dict({"golden": {"samples": 9_999}})
 
 
 def test_cli_simulate_outputs(tmp_path):
@@ -203,6 +218,24 @@ def test_cli_unknown_case_exits_2(tmp_path, capsys):
     code = main(["simulate", "--case", "3", "--out", str(tmp_path)])
     assert code == 2
     assert "unknown case" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("variants: [foo]\n", "unknown filter variant 'foo'"),
+        ("case: null\n", "either a case id or an inline scenario is required"),
+        (None, "cannot read config file"),
+    ],
+    ids=["variant", "no-case", "missing-file"],
+)
+def test_cli_bad_config_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "exp.yaml"
+    if config is not None:  # else the file does not exist
+        path.write_text(config, encoding="utf-8")
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf"])
@@ -618,6 +651,7 @@ def test_documented_schema_shows_the_defaults():
         ("sigma_theta_deg_max: 1e300", "sigma_theta_deg_max must be at most 180"),
         ("sigma_theta_deg_max: '1e1'", "sigma_theta_deg_max must be a real number, got '1e1'"),
         ("sigma_theta_deg_max: 181", "sigma_theta_deg_max must be at most 180"),
+        ("samples: 0", "consistency samples must be >= 1"),
     ],
 )
 def test_cli_consistency_bad_sweep_settings_exit_2(tmp_path, capsys, entry, message):

@@ -572,6 +572,14 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (16, 4), (None, 1)])
+def test_oracle_workers_without_an_affinity_query(monkeypatch, cpus, workers):
+    # a platform without sched_getaffinity counts every CPU, up to the cap
+    monkeypatch.delattr(conversion.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(conversion.os, "cpu_count", lambda: cpus)
+    assert conversion._oracle_workers() == workers
+
+
 def test_oracle_peak_memory_holds_with_many_workers(monkeypatch):
     # 16 threads, each with a drawn block and its own truth scratch
     monkeypatch.setattr(conversion, "_oracle_workers", lambda: 16)

@@ -614,6 +614,16 @@ def test_initialize_belief_rejects_non_finite_interval(t):
         initialize_belief(z, z, t)
 
 
+def test_initialize_belief_rejects_measurements_of_different_dimensions():
+    with pytest.raises(ValueError, match="measurements must share dimensionality"):
+        initialize_belief(make_converted(np.eye(3)), make_converted(np.eye(4)), 1.0)
+
+
+def test_gaussian_belief_rejects_a_covariance_of_another_size():
+    with pytest.raises(ValueError, match="covariance shape does not match the state length"):
+        GaussianBelief(np.zeros(4), np.eye(3))
+
+
 def test_initialize_belief_rejects_fields_of_different_batches():
     # the conversion that decorrelate rejects: mu and cov of one item beside
     # three positions and pseudos
@@ -978,3 +988,15 @@ def test_filter_scans_rejects_a_model_of_another_size():
     init, z, ok, _ = _small_scan_batch()
     with pytest.raises(ValueError, match="step 0: a state of size 4 is not .* of dimension 3"):
         filter_scans(init, z, ok, range(4), DynamicModel(3))
+
+
+def test_filter_scans_names_the_step_of_a_failing_update():
+    # a NaN start in one track makes the first scan's innovation covariance
+    # NaN, which no fallback can solve
+    init, z, ok, model = _small_scan_batch()
+    mean, cov = init.mean.copy(), init.cov.copy()
+    mean[1, 0], cov[1, 0] = np.nan, np.nan
+    with pytest.raises(
+        DegenerateCovarianceError, match="^step 7: position innovation covariance is singular$"
+    ):
+        filter_scans(GaussianBelief(mean, cov), z, ok, range(7, 11), model)

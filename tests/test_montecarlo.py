@@ -256,7 +256,11 @@ def test_degenerate_initialization_scan_raises(monkeypatch):
         return conv, mu, cov
 
     monkeypatch.setattr(conversion, "_moments", forced)
-    with pytest.raises(DegenerateCovarianceError, match="initialization scan"):
+    # both variants of the run fail at scan 0; the message names the first
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=f"^initialization scan 0 of run {run}, variant {VARIANTS[0].name}: ",
+    ):
         run_ensemble(sc, VARIANTS)
 
 

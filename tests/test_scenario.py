@@ -19,6 +19,7 @@ from rcmkf.scenario import (
     _simulate_truths,
     _spherical,
     _synthesize,
+    position_dim,
     simulate_truth,
     synthesize_measurements,
 )
@@ -89,6 +90,23 @@ def test_scenario_needs_more_steps_than_initialization():
         with pytest.raises(ValueError, match=f"steps must be > {INIT_SCANS}"):
             dataclasses.replace(generate_case(1), steps=steps)
     assert dataclasses.replace(generate_case(1), steps=INIT_SCANS + 1).steps == 3
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("runs", 0, "runs must be >= 1"),
+        ("initial_state", [1000.0, math.nan, 0.0, 0.0], "initial state must be finite"),
+    ],
+)
+def test_scenario_rejects_bad_runs_and_state(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(generate_case(1), **{field: value})
+
+
+def test_position_dim_rejects_a_state_of_another_length():
+    with pytest.raises(ValueError, match=r"state length must be 4 \(2D\) or 6 \(3D\), got 5"):
+        position_dim(np.zeros(5))
 
 
 @pytest.mark.parametrize("std", [-1.0, -1e-300, math.nan, math.inf])
@@ -288,6 +306,11 @@ def test_maneuver_schedule_rejects_a_negative_start():
     ManeuverSchedule.from_pairs([(0, (5.0, 0.0))])
 
 
+def test_maneuver_schedule_rejects_a_non_finite_acceleration():
+    with pytest.raises(ValueError, match="maneuver accelerations must be finite"):
+        ManeuverSchedule.from_pairs([(5, (math.nan, 0.0))])
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(-1.0, 0.1, 1.0)
@@ -302,6 +325,12 @@ def test_noise_spec_rejects_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         NoiseSpec(**kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_spherical_measurement_rejects_a_bad_dimension(dim):
+    with pytest.raises(ValueError, match="dim must be 2 or 3"):
+        SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, dim=dim)
 
 
 @pytest.mark.parametrize("field", ["r", "theta", "rdot", "phi"])
