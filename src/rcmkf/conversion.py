@@ -30,14 +30,10 @@ through ``_stats_batch``. The screen's batched LDL^T elimination, ``_ldl``,
 is the one elimination of the library, for every symmetric system: it also
 gives the quadratic forms ``e^T C^{-1} e`` of the NES and NEES statistics
 in ``rcmkf.evaluation``, and its multipliers and last pivot decorrelate the
-filter's pseudo-measurement. The filter's gain alone runs its own copy of
-these steps, ``rcmkf.filtering._update_position``: the same operations in
-the same order, unrolled into bound ufunc calls on buffers its workspace
-made once, because it runs on every scan. The two stay apart because
-``_ldl`` makes a new array per entry, which is cheaper for its one-off
-calls: run through the filter's call lists on copied buffers, the screen
-and the quadratic form each took 10-25 us longer per call at 2000 x 2
-items.
+filter's pseudo-measurement. Only the filter's gain runs its own copy of
+these operations, in the same order: ``rcmkf.filtering._update_position``
+binds them once on its workspace's buffers (that module says why the two
+stay apart).
 
 The kernel works entries first: a batch of vectors is ``(d,) + items`` and
 a batch of matrices ``(d, d) + items``, so each entry is one contiguous row
