@@ -45,12 +45,13 @@ functions.
 ``mc_moment_oracle`` estimates the measurement-conditioned moments by brute
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
 truth the closed forms are tested against. It is a pipeline whose one unit
-of work is a block of draws: the calling thread draws the next block of
-standard normals while threads turn each drawn block into its errors and
-product sums, which the caller adds in block order, so its output bits do
-not depend on the number of CPUs. See
-FORMULA_NOTES.md for the places where this implementation deviates from
-variants of these formulas that circulate with typographical slips.
+of work is a block of draws: the calling thread only draws the next block
+of standard normals, while worker threads turn each drawn block, the first
+included, into its errors and product sums, which the caller adds in block
+order, so its output bits do not depend on the number of CPUs. It holds one
+block buffer per thread that can run at once. See FORMULA_NOTES.md for the
+places where this implementation deviates from variants of these formulas
+that circulate with typographical slips.
 """
 
 from __future__ import annotations
@@ -517,22 +518,30 @@ _ORACLE_BLOCK = 65_536
 # Columns per step of a block's error pass: its truth scratch stays cache-sized.
 # The pass is elementwise, so this size changes no bits.
 _ORACLE_SUBTILE = 8_192
-# Most threads the oracle starts. The calling thread's draw bounds the
+# Most worker threads the oracle starts. The calling thread's draw bounds the
 # pipeline: one block's normals take about as long as its errors and sums on
 # one thread (4.7-5.2 ms against 5.1-5.5 ms, medians of 60 blocks in three
-# runs, 2 vCPUs), so two threads keep pace with it and four leave room for
-# threads slowed by the interpreter lock. Each further thread would hold one
-# more block buffer (2 MB at the default block) and cannot outrun the draw.
+# runs, 2 vCPUs), so one worker about keeps pace with it and four leave room
+# for workers slowed by the interpreter lock. Each further worker would hold
+# one more block buffer (2 MB at the default block) and cannot outrun the draw.
 _ORACLE_MAX_WORKERS = 4
 
 
-def _oracle_workers() -> int:
-    """Threads the oracle may use: one per CPU this process may run on, at most the cap."""
+def _oracle_cpus() -> int:
+    """The number of CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity query on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _ORACLE_MAX_WORKERS)
+        return os.cpu_count() or 1
+
+
+def _oracle_workers() -> int:
+    """Worker threads for the oracle: one per CPU beside the drawing caller's, at least one.
+
+    At most ``_ORACLE_MAX_WORKERS``; a single CPU gets one worker, which the
+    caller's draw and it then share.
+    """
+    return max(1, min(_oracle_cpus() - 1, _ORACLE_MAX_WORKERS))
 
 
 def mc_moment_oracle(
@@ -554,17 +563,20 @@ def mc_moment_oracle(
     The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
     ``standard_normal`` call (about 32 B per draw) whose columns are
     overwritten by their errors. Each block's errors and centered product
-    sums are one task, run on a pool of one thread per CPU the process may
-    run on (at most ``_ORACLE_MAX_WORKERS``), one CPU included, with a
-    small truth scratch of its own; only the first block's errors, which
-    give the centre, run on the calling thread. The calling thread draws
-    every normal into a ring of block buffers, one per thread plus one (one
-    for a single thread, which so runs one block at a time), and takes the
-    oldest block's sums before it draws into that buffer again, so the sums
-    are added in block order. The memory is about 2 MB per buffer at the
-    default ``batch`` and about 0.3 MB of scratch per thread, and the
-    results are the same bits on any number of CPUs. Raises ValueError for
-    a 2D radar with an elevation noise, as the closed forms do.
+    sums are one task, run on a pool of one worker thread per CPU the
+    process may run on beside the caller's (at least one, at most
+    ``_ORACLE_MAX_WORKERS``), each with a small truth scratch of its own,
+    so the calling thread only draws. Block 0's task publishes the centre,
+    its mean error, which the other blocks' products wait on; if its errors
+    raise, they raise the same error. The calling thread draws every normal
+    into a ring of block buffers, one per thread that can run at once (the
+    caller and each worker; one on a single CPU), and takes the oldest
+    block's sums before it draws into that buffer again, so the sums are
+    added in block order. The memory is about 2 MB per buffer at the
+    default ``batch`` (two on 2 CPUs, at most five) and about 0.3 MB of
+    scratch per worker, and the results are the same bits on any number of
+    CPUs. Raises ValueError for a 2D radar with an elevation noise, as the
+    closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
@@ -583,25 +595,40 @@ def mc_moment_oracle(
             np.subtract(measured, _scale_noise(noise, sub), out=truth)
             np.subtract(converted, _cart(*truth, out=sub), out=sub)
 
-    def products(block: np.ndarray):
+    def products(block: np.ndarray, center: np.ndarray):
         """Center a block of errors in place; its sum, product sum and squared-product sum."""
         block -= center[:, None]
         sums = block.sum(axis=1), block @ block.T
         np.square(block, out=block)
         return *sums, block @ block.T
 
-    def errors_and_products(block: np.ndarray):
-        errors(block)
-        return products(block)
+    def first_block(block: np.ndarray):
+        """Block 0's task: its errors, then the centre every block's products wait on."""
+        try:
+            errors(block)
+            # Centering on the first block's mean keeps the accumulated products
+            # small; the recentering at the end is exact for the mean and covariance.
+            center = block.mean(axis=1)
+        except BaseException as exc:  # the blocks waiting on the centre raise it too
+            centre.set_exception(exc)
+            raise
+        centre.set_result(center)
+        return products(block, center)
 
-    from concurrent.futures import ThreadPoolExecutor  # here: its import costs ~5 ms
+    def later_block(block: np.ndarray):
+        errors(block)
+        return products(block, centre.result())
+
+    from concurrent.futures import Future, ThreadPoolExecutor  # here: the import costs ~5 ms
 
     blocks = -(-samples // batch)
     workers = min(_oracle_workers(), blocks)
-    # One worker runs one block at a time; more run one drawn block each while
-    # the next is drawn.
-    buffers = 1 if workers == 1 else min(workers + 1, blocks)
+    # One buffer per thread that can run at once: the drawing caller and each
+    # worker, or only one on a single CPU, where a second buffer, drawn while
+    # the worker runs, measured 3-11% slower (CHANGES.md).
+    buffers = 1 if _oracle_cpus() == 1 else min(workers + 1, blocks)
     ring = [np.empty(4 * min(batch, samples)) for _ in range(buffers)]
+    centre = Future()
     pending = collections.deque()  # the futures of the blocks in flight, oldest first
     parts = []  # each block's sum, product sum and squared-product sum, in block order
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -610,20 +637,12 @@ def mc_moment_oracle(
                 parts.append(pending.popleft().result())
             z = ring[k % len(ring)][: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
-            if k == 0:
-                errors(z)
-                # Centering on the first block's mean keeps the accumulated
-                # products small; the recentering at the end is exact for the
-                # mean and covariance.
-                center = z.mean(axis=1)
-                pending.append(pool.submit(products, z))
-            else:
-                pending.append(pool.submit(errors_and_products, z))
+            pending.append(pool.submit(first_block if k == 0 else later_block, z))
         parts += [done.result() for done in pending]
 
     sum_c, sum_cc, sum_cc_sq = map(sum, zip(*parts))
     mean_c = sum_c / samples
-    mean = center + mean_c
+    mean = centre.result() + mean_c
     cov = (sum_cc / samples - np.outer(mean_c, mean_c)) * (samples / (samples - 1))
     var_prod = sum_cc_sq / samples - (sum_cc / samples) ** 2
     se_cov = np.sqrt(np.maximum(var_prod, 0.0) / samples)

@@ -103,22 +103,28 @@ def _filter_chunk(
     """Filter one run per seed, all in lockstep.
 
     Each run keeps its own generator and draw order, so a run's arrays do
-    not depend on which chunk it is in. A degenerate conversion skips only
-    its own (run, variant, scan); one in an initialization scan fails the
-    chunk with an error that names the first such scan, run and variant.
+    not depend on which chunk it is in. A measurement whose range is not
+    positive, or a degenerate conversion, skips only its own (run, variant,
+    scan); one in an initialization scan fails the chunk with an error that
+    names the first such scan, run and variant.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     truth = _simulate_truths(scenario, rngs)  # (runs, steps, n)
     meas = _synthesize(truth, scenario.noise, rngs)  # (runs, steps, 4)
     # leading axes (scans, runs, variants) from here on
-    z, ok = _convert_batch(
-        meas.swapaxes(0, 1), scenario.noise, [v.method for v in variants], scenario.dim
-    )
+    scans = meas.swapaxes(0, 1)
+    z, ok = _convert_batch(scans, scenario.noise, [v.method for v in variants], scenario.dim)
+    ok &= scans[..., 0, None] > 0  # a range <= 0 is no measurement, for every variant
     if not np.all(ok[:INIT_SCANS]):
         scan, run, v = np.argwhere(~ok[:INIT_SCANS])[0]  # the first, in (scan, run, variant) order
+        r = scans[scan, run, 0]
+        reason = (
+            f"invalid measurement, range {r:g} m is not positive"
+            if not r > 0
+            else "conversion covariance is indefinite beyond tolerance"
+        )
         raise DegenerateCovarianceError(
-            f"initialization scan {scan} of run {run}, variant {variants[v].name}: "
-            "conversion covariance is indefinite beyond tolerance"
+            f"initialization scan {scan} of run {run}, variant {variants[v].name}: {reason}"
         )
     init = initialize_belief(z[0], z[1], scenario.model.t)
     steps = np.arange(INIT_SCANS, scenario.steps)

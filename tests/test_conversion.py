@@ -1,5 +1,6 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -504,8 +505,8 @@ def _serial_oracle(m, noise, samples, rng, batch):
         # 16 threads working on the drawn ones
         pytest.param(None, None, 300_001, id="None-default"),
         pytest.param(25.0, None, 300_001, id="25.0-default"),
-        # one block, whose errors run on the calling thread whatever the
-        # worker count; then a last block of one draw
+        # one block, whose errors give the centre; then a last block of one
+        # draw
         pytest.param(None, None, 65_536, id="None-default-65536"),
         pytest.param(25.0, None, 65_537, id="25.0-default-65537"),
     ],
@@ -516,13 +517,13 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
     m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
     block = batch or conversion._ORACLE_BLOCK
     want = [a.tobytes() for a in _serial_oracle(m, noise, samples, np.random.default_rng(5), block)]
-    blocks = -(-samples // block)
     kwargs = {} if batch is None else {"batch": batch}
     cart = conversion._cart
     threads = set()
 
     def recording_cart(*args, **kwargs):
-        threads.add(threading.get_ident())
+        if "out" in kwargs:  # a block's conversion, not the measurement's own
+            threads.add(threading.get_ident())
         return cart(*args, **kwargs)
 
     monkeypatch.setattr(conversion, "_cart", recording_cart)
@@ -536,9 +537,8 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
             assert est.samples == samples
             got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
             assert got == want, workers
-            # the first block's errors run on the calling thread and every
-            # later block's on the pool, whatever the worker count
-            assert (threads == {threading.get_ident()}) == (blocks == 1)
+            # every block's errors run on the pool, whatever the worker count
+            assert threads and threading.get_ident() not in threads
     finally:
         sys.setswitchinterval(interval)
 
@@ -547,8 +547,8 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
     "fail_at, workers, batch",
     # blocks of 140000 draws: a sub-tile of the first block, or of the second
     [pytest.param(f, w, 140_000, id=f"{f}-{w}") for w in (1, 3) for f in (4, 30)]
-    # the default blocks, 8 sub-tiles each: the first block, whose errors run
-    # on the calling thread before the centre, or a later one
+    # the default blocks, 8 sub-tiles each: the first block, whose errors
+    # give the centre, or a later one
     + [pytest.param(f, w, None, id=f"{f}-{w}-default") for w in (1, 3) for f in (4, 30)],
 )
 def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, workers, batch):
@@ -572,7 +572,62 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 3), (16, 4), (None, 1)])
+@pytest.mark.parametrize("workers", [1, 2, 16])
+def test_oracle_first_block_error_releases_the_blocks_waiting_on_the_centre(monkeypatch, workers):
+    # Block 0's errors raise while later blocks wait on its centre: they must
+    # raise too, or the pool never shuts down. The oracle runs on a thread
+    # joined with a timeout, so such a hang fails here instead of stalling
+    # the suite; the centres left unset are then failed, which lets the
+    # stuck workers end and the interpreter exit.
+    error = RuntimeError("first block failed")
+    rng = np.random.default_rng(0)
+    first = []  # the buffer of the first draw, which only block 0 uses before it fails
+
+    class Recording:
+        def standard_normal(self, out):
+            if not first:
+                first.append(out)
+            return rng.standard_normal(out=out)
+
+    cart = conversion._cart
+
+    def failing_cart(*args, out=None):
+        if out is not None and np.shares_memory(out, first[0]):
+            raise error
+        return cart(*args, out=out)
+
+    centres = []
+
+    class RecordedFuture(concurrent.futures.Future):
+        def __init__(self):
+            super().__init__()
+            centres.append(self)
+
+    monkeypatch.setattr(conversion, "_cart", failing_cart)
+    monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
+    monkeypatch.setattr(concurrent.futures, "Future", RecordedFuture)
+    raised = []
+
+    def run():
+        try:
+            mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, Recording())
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    try:
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "the oracle hangs after block 0's errors raised"
+        assert raised == [error]
+    finally:
+        for centre in centres:
+            if not centre.done():
+                centre.set_exception(RuntimeError("centre never published"))
+        caller.join(timeout=30)
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 2), (16, 4), (None, 1)])
 def test_oracle_workers_without_an_affinity_query(monkeypatch, cpus, workers):
     # a platform without sched_getaffinity counts every CPU, up to the cap
     monkeypatch.delattr(conversion.os, "sched_getaffinity", raising=False)
