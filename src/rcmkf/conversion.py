@@ -400,6 +400,11 @@ def _finalize(cov: np.ndarray, abs_scale=0.0):
     return cov, ok
 
 
+def _not_positive(r) -> str:
+    """Why a scan of range ``r`` that is not positive (NaN included) is no measurement."""
+    return f"invalid measurement, range {r:g} m is not positive"
+
+
 def _raise_if_indefinite(ok) -> None:
     if not np.all(ok):
         raise DegenerateCovarianceError(
@@ -685,8 +690,11 @@ def convert(
     """Convert one measurement and attach the method's error statistics.
 
     This is :func:`_convert_batch` on one row; raises
-    :class:`DegenerateCovarianceError` if the statistics are indefinite.
+    :class:`DegenerateCovarianceError` if the range is not positive, which
+    is no measurement, or if the statistics are indefinite.
     """
+    if not m.r > 0:
+        raise DegenerateCovarianceError(_not_positive(m.r))
     z, ok = _convert_batch(np.array(_fields(m)), noise, [method], m.dim)
     _raise_if_indefinite(ok)
     return z[0]
@@ -697,11 +705,13 @@ def _convert_batch(meas: np.ndarray, noise: NoiseSpec, methods, dim: int):
 
     Returns ``(z, ok)``: a :class:`ConvertedMeasurement` whose leading axes
     are ``meas.shape[:-1] + (len(methods),)``, and the mask of conversions
-    whose statistics are positive semidefinite. Each item is finalized on
-    its own, so an indefinite item flags only itself.
+    whose range is positive and whose statistics are positive semidefinite.
+    Each item is finalized on its own, so an indefinite item flags only
+    itself.
     """
     r, theta, phi, rdot = np.moveaxis(np.asarray(meas, dtype=float), -1, 0)
     ok, conv, mu, cov = _stats_batch(methods, r, theta, phi, rdot, noise, dim)
+    ok &= r[..., None] > 0  # a range <= 0 (or NaN) is no measurement, for every method
     shape = r.shape + (len(methods),)
     position = np.moveaxis(conv[:dim], 0, -1)
     # item-major views of the entries-first rows, which the filter reads back

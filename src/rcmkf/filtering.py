@@ -16,7 +16,7 @@ with ``A = (I - K H) P = P - K (H P)``, the product is
 ``A - (A H^T - K R) K^T``, which needs no identity matrix and no ``n x n``
 gain product. For the position update ``H = [I 0]``, so ``H P`` and
 ``A H^T`` are row and column selections. The gain ``K^T = S^{-1} (H P)``
-comes from the LDL^T elimination of ``S = P_pp + R``, with forward
+comes from the LDL^T elimination of ``S = P_pp + R``, then forward
 substitution, pivot scaling and back substitution on the rows of ``H P``.
 These are the operations of ``conversion._ldl``, which decorrelates the
 pseudo-measurement, in the same order, but the gain runs its own copy,
@@ -47,6 +47,18 @@ its ``p``, plus the few calls on the rows a scan passes in. Each call
 writes with ``out`` or in place, so a scan makes its numpy calls and
 little else. The position update forms ``K innov`` in the same product as
 ``K (H P)`` and ``K R``, and tests its gain with one finiteness sum.
+
+At a few tracks a call costs its dispatch, not its arithmetic, so every
+bound call takes array operands of its output's shape (or 0-d), all
+C-contiguous, and each ``take`` reads and writes contiguous buffers:
+numpy's equal-shape fast path. A multiply that broadcasts a per-track row
+over 4 rows of 8 tracks took about 0.95 us against 0.41 us with operands of
+one shape (2 vCPUs, numpy 2.4.6), and a log of 2 strided rows 0.8 us
+against 0.4 us contiguous. A per-track scalar that multiplies whole rows is
+therefore first repeated over those rows by one ``take``: the multipliers
+and pivots of the gain's elimination, and the pseudo update's innovation
+variance, innovation and residual variance. Every element still gets the
+same operations on the same values, so the bits do not change.
 
 :func:`filter_scans` decorrelates every scan in one pass, into scan-major
 rows ``(scans, entry, tracks)``, and reuses one workspace for every scan: a
@@ -262,6 +274,13 @@ class _Layout:
         self.khp_kr_dx = tuple(np.concatenate(parts, axis=1) for parts in zip(khp, kr, dx))
         self.krk = _product_index(n, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
         self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
+        # on the rows of S followed by those of its multipliers: each
+        # multiplier L[i, k] (k < i, in elimination order), then each pivot,
+        # repeated over the n columns of a row of K^T, then the pivots once
+        self.lower = [(i, k) for k in range(p) for i in range(k + 1, p)]
+        mult, diag = [q + i * p + k for i, k in self.lower], [i * (p + 1) for i in range(p)]
+        self.mult_pivots_n = np.r_[np.repeat(mult + diag, n), diag]
+        self.scalars_n = np.repeat(np.arange(3), n)  # s, innov and r of the pseudo update
         self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
         self.matvec = _product_index(n, n, 1, lambda i, k: i * n + k, lambda k, j: k)  # M v
         self.outer = (np.array([i for i, _ in square]), np.array([j for _, j in square]))
@@ -399,6 +418,10 @@ class _Workspace:
     ``update_pseudo(m, mean_out, cov_out)`` reads those. Each kernel is a
     list of ufunc calls on views of the buffers, made once, on first use,
     and a few calls on its arguments; the other buffers hold temporaries.
+    Every listed call takes array operands of its output's shape (or 0-d),
+    all C-contiguous; a per-track scalar that multiplies whole rows has a
+    buffer that holds it repeated over them (``mult_pivots_n``,
+    ``scalars_n``).
     """
 
     def __init__(self, tracks: int, n: int):
@@ -418,8 +441,12 @@ class _Workspace:
         self.cov_r = buf(nn + q + p)
         self.cov, self.r, self.innov = self.cov_r[:nn], self.cov_r[nn:-p], self.cov_r[-p:]
         # position update: S, eliminated in place so that its diagonal ends as
-        # the pivots, and the rows of K^T followed by the pivots' logarithms
-        self.s, self.mult, self.s_tmp, self.gain_tmp = buf(q), buf(p, p), buf(), buf(n)
+        # the pivots, followed by its multipliers; those repeated for the rows
+        # of K^T (``_Layout.mult_pivots_n``); the rows of K^T followed by the
+        # pivots' logarithms
+        self.s_mult, self.s_tmp, self.gain_tmp = buf(2 * q), buf(), buf(n)
+        self.s, self.mult = self.s_mult[:q], self.s_mult[q:].reshape(p, p, tracks)
+        self.mult_pivots_n = buf(len(self.lay.mult_pivots_n))
         self.gain_log, self.khp_kr_dx, self.h_cols = buf(pn + p), buf(nn + pn + n), buf(pn)
         self.g_khp_kr_dx = buf(p, nn + pn + n), buf(p, nn + pn + n)
         self.g_krk = buf(p, nn), buf(p, nn)
@@ -427,7 +454,10 @@ class _Workspace:
         self.h, self.ph, self.g, self.mv, self.tn, self.dx1 = (buf(n) for _ in range(6))
         self.g_matvec, self.g_outer = (buf(n, n), buf(n, n)), (buf(nn), buf(nn))
         self.a_k_terms, self.a_k_rows, self.pos_terms = buf(2, n, p), buf(p), buf(p)
-        self.trace, self.a_k, self.r_k, self.s1, self.h_val, self.innov1 = (buf() for _ in range(6))
+        self.trace, self.a_k, self.h_val = buf(), buf(), buf()
+        # s1, innov1 and r_k, and each repeated over n rows
+        self.scalars, self.scalars_n = buf(3), buf(3 * n)
+        self.s1, self.innov1, self.r_k = self.scalars
 
     # a public stage binds only its own kernel
     predict = functools.cached_property(lambda self: _predict(self))
@@ -486,28 +516,38 @@ def _update_position(ws: _Workspace):
 
     ``K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P)`` comes from the LDL^T
     elimination of ``S = H P H^T + R`` (the operations of
-    :func:`~rcmkf.conversion._factor`, in its order, on the workspace),
-    with forward substitution on the rows of ``H P`` as it goes, then pivot
-    scaling and back substitution, each unrolled for the workspace's ``p``.
+    :func:`~rcmkf.conversion._factor`, in its order, on the workspace).
+    One ``take`` then repeats each multiplier and each pivot over the ``n``
+    columns of a row of ``K^T``, and copies the pivots once, contiguous,
+    for their logarithms. On those rows the forward substitution on the
+    rows of ``H P`` (row by row in the elimination's ``(k, i)`` order), the
+    pivot scaling and the back substitution take operands of one shape,
+    each unrolled for the workspace's ``p``. The substitution reads only
+    final multipliers and pivots, so running it after the elimination
+    changes no bit.
     """
     p, n, lay, r, innov, x_pos = ws.p, ws.n, ws.lay, ws.r, ws.innov, ws.x[: ws.p]
     nn, pn, cov_pos, pos = n * n, p * n, lay.cov_pos, lay.pos
     s = [[ws.s[i * p + j] for j in range(i + 1)] for i in range(p)]
     mult = [[ws.mult[i, k] for k in range(i)] for i in range(p)]
-    pivots, gain_log, gain_t = ws.s[:: p + 1], ws.gain_log, ws.gain_log[:pn]
-    gain, log_pivots = gain_t.reshape(p, n, ws.tracks), ws.gain_log[pn:]
-    calls = [(ws.cov.take, (lay.pp, 0, ws.s, "clip")), (np.add, (ws.s, r, ws.s)),  # S
-             (np.copyto, (gain_t, ws.cov[:pn]))]
-    for k in range(p):  # the elimination, and forward substitution on the rows of H P
+    gain_log, gain_t, log_pivots = ws.gain_log, ws.gain_log[:pn], ws.gain_log[pn:]
+    gain, reps = gain_t.reshape(p, n, ws.tracks), ws.mult_pivots_n
+    mult_n = {ik: reps[b * n : (b + 1) * n] for b, ik in enumerate(lay.lower)}
+    pivots_n, pivots = reps[len(lay.lower) * n : -p], reps[-p:]
+    calls = [(ws.cov.take, (lay.pp, 0, ws.s, "clip")), (np.add, (ws.s, r, ws.s))]  # S
+    for k in range(p):  # the elimination
         for i in range(k + 1, p):
             calls.append((np.divide, (s[i][k], s[k][k], mult[i][k])))
             for j in range(k + 1, i + 1):
                 calls += _less(s[i][j], mult[i][k], s[j][k], ws.s_tmp)
-            calls += _less(gain[i], mult[i][k], gain[k], ws.gain_tmp)
-    calls.append((np.divide, (gain, pivots[:, None], gain)))
+    calls += [(ws.s_mult.take, (lay.mult_pivots_n, 0, reps, "clip")),
+              (np.copyto, (gain_t, ws.cov[:pn]))]
+    for i, k in lay.lower:  # forward substitution on the rows of H P
+        calls += _less(gain[i], mult_n[i, k], gain[k], ws.gain_tmp)
+    calls.append((np.divide, (gain_t, pivots_n, gain_t)))
     for c in reversed(range(p)):
         for i in range(c + 1, p):
-            calls += _less(gain[c], mult[i][c], gain[i], ws.gain_tmp)
+            calls += _less(gain[c], mult_n[i, c], gain[i], ws.gain_tmp)
     calls.append((np.log, (pivots, log_pivots)))
     khp, kr, dx = ws.khp_kr_dx[:nn], ws.khp_kr_dx[nn : nn + pn], ws.khp_kr_dx[nn + pn :]
     joseph = [
@@ -566,9 +606,15 @@ def _update_pseudo(ws: _Workspace):
     """The update of ``ws.x1``, ``ws.cov1`` with the pseudo in the rows ``m``.
 
     ``update_pseudo(m, mean_out, cov_out)`` writes ``mean_out``, ``cov_out``.
+
+    The scalars ``s1``, ``innov1`` and ``r_k`` are the rows of one buffer:
+    the Joseph list's first call, after the collapsed-variance patch,
+    repeats each over ``n`` rows, so that the gain, the mean step and
+    ``r g`` take operands of one shape.
     """
-    p, lay, x1, h, ph, g, tn, s1 = ws.p, ws.lay, ws.x1, ws.h, ws.ph, ws.g, ws.tn, ws.s1
+    p, n, lay, x1, h, ph, g, tn, s1 = ws.p, ws.n, ws.lay, ws.x1, ws.h, ws.ph, ws.g, ws.tn, ws.s1
     r_k, h_val, innov1, (gu, gv) = ws.r_k, ws.h_val, ws.innov1, ws.g_outer
+    s1_n, innov1_n, r_k_n = ws.scalars_n.reshape(3, n, ws.tracks)
     x1_pos, x1_vel, h_pos, a_k, trace, dx1, nn, tr, cov1 = (
         x1[:p], x1[p:], h[:p], ws.a_k, ws.trace, ws.dx1, ws.nn, ws.tr, ws.cov1
     )
@@ -588,12 +634,13 @@ def _update_pseudo(ws: _Workspace):
         *_adds(ws.pos_terms, h_val),  # (l_row + vel) @ pos
     ]
     joseph = [
-        (np.divide, (ph, s1, g)),
-        (np.multiply, (g, innov1, dx1)),
+        (ws.scalars.take, (lay.scalars_n, 0, ws.scalars_n, "clip")),
+        (np.divide, (ph, s1_n, g)),
+        (np.multiply, (g, innov1_n, dx1)),
         *outer(g, ph),
         (np.subtract, (cov1, gu, ws.a)),  # A = P - g (P h)^T
         *_product(ws.a, h, lay.matvec, ws.g_matvec, ws.mv),
-        (np.multiply, (r_k, g, tn)),
+        (np.multiply, (r_k_n, g, tn)),
         (np.subtract, (ws.mv, tn, ws.mv)),  # A h - r g
         *outer(ws.mv, g),
         (np.subtract, (ws.a, gu, nn)),
@@ -850,9 +897,10 @@ def run_filter(
     Converts the stream with the variant's statistics in one batch, then
     runs it through :func:`filter_scans` as one track: per scan, predict,
     decorrelate, position update, pseudo update; the post-pseudo belief is
-    emitted. A degenerate conversion (indefinite statistics or singular
-    position block) skips that scan's updates and records the step; other
-    failures propagate with the step attached. Filters get no maneuver input.
+    emitted. A range that is not positive, as in the ensemble engine, or a
+    degenerate conversion (indefinite statistics or singular position
+    block) skips that scan's updates and records the step; other failures
+    propagate with the step attached. Filters get no maneuver input.
     """
     measurements = list(measurements)
     if not measurements:

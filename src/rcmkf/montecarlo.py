@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _convert_batch
+from .conversion import _convert_batch, _not_positive
 from .errors import DegenerateCovarianceError
 from .filtering import FilterVariant, filter_scans, initialize_belief
 from .scenario import INIT_SCANS, Scenario, _simulate_truths, _synthesize
@@ -114,14 +114,11 @@ def _filter_chunk(
     # leading axes (scans, runs, variants) from here on
     scans = meas.swapaxes(0, 1)
     z, ok = _convert_batch(scans, scenario.noise, [v.method for v in variants], scenario.dim)
-    ok &= scans[..., 0, None] > 0  # a range <= 0 is no measurement, for every variant
     if not np.all(ok[:INIT_SCANS]):
         scan, run, v = np.argwhere(~ok[:INIT_SCANS])[0]  # the first, in (scan, run, variant) order
         r = scans[scan, run, 0]
         reason = (
-            f"invalid measurement, range {r:g} m is not positive"
-            if not r > 0
-            else "conversion covariance is indefinite beyond tolerance"
+            "conversion covariance is indefinite beyond tolerance" if r > 0 else _not_positive(r)
         )
         raise DegenerateCovarianceError(
             f"initialization scan {scan} of run {run}, variant {variants[v].name}: {reason}"

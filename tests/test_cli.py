@@ -1,6 +1,7 @@
 """Tests for the CLI, config handling and the Monte Carlo harness."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -212,6 +213,26 @@ def test_cli_simulate_jobs_equivalent(tmp_path):
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "p")]) == 0
     for name in ("rmse_case1.csv", "nees_case1.csv"):
         assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+
+# sha256 of the files ``simulate --case {1,2} --runs 500 --seed 42`` writes,
+# taken with numpy 2.4.6. A change that should keep every output bit (a
+# faster kernel, say) must leave these as they are.
+SIMULATE_500_SHA256 = {
+    "rmse_case1.csv": "1933c1dd3c7f1ac6523efb17020b7f5ef1f106967bd7f594b1b38e097ffedef8",
+    "nees_case1.csv": "e8703e11e3154cff96c315906e6ac5d0f5dbd5206830344229e1e9b735e7be1a",
+    "rmse_case2.csv": "73a94652a179691dc97a4a4cc6e90551c3f9095d1aac1e9fab3fbb934d1e42ff",
+    "nees_case2.csv": "70d595c05716802d46ca094916a65c4980c24c97bf9c1b4119a03368c9485214",
+}
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_cli_simulate_bytes_are_frozen_at_500_runs(tmp_path, case):
+    assert main(["simulate", "--case", str(case), "--runs", "500", "--seed", "42",
+                 "--out", str(tmp_path)]) == 0
+    for name in (f"rmse_case{case}.csv", f"nees_case{case}.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == SIMULATE_500_SHA256[name], name
 
 
 def test_cli_unknown_case_exits_2(tmp_path, capsys):

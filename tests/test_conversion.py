@@ -851,6 +851,16 @@ def test_stats_raise_on_indefinite(monkeypatch):
             consistency_sweep([method], m, CASE_NOISE, [1.0], 100, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("r, shown", [(-5e4, "-50000"), (0.0, "0"), (-0.0, "-0")])
+@pytest.mark.parametrize("method", list(ConversionMethod))
+def test_convert_rejects_a_range_that_is_not_positive(r, shown, method):
+    # as the ensemble engine does: such a scan is no measurement
+    with pytest.raises(
+        DegenerateCovarianceError, match=f"^invalid measurement, range {shown} m is not positive$"
+    ):
+        convert(sph(r, 40.0, 100.0), CASE_NOISE, method)
+
+
 def test_convert_packages_fields():
     z = convert(sph(10000.0, 45.0, 100.0), CASE_NOISE, ConversionMethod.MEASUREMENT_CONDITIONED)
     assert z.dim == 2

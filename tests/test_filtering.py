@@ -860,6 +860,47 @@ def test_filter_scans_calls_each_stage_once_per_scan(monkeypatch):
     assert calls == {"_predict": scans, "_update_position": scans, "_update_pseudo": scans}
 
 
+def _bound_calls(kernel):
+    """The ``(f, args)`` calls of the lists a stage kernel closes over."""
+    lists = [c.cell_contents for c in kernel.__closure__ if isinstance(c.cell_contents, list)]
+    return [
+        call for calls in lists if calls and all(
+            isinstance(c, tuple) and len(c) == 2 and callable(c[0]) for c in calls
+        ) for call in calls
+    ]
+
+
+def _off_the_fast_path(f, args) -> str | None:
+    """Why the call ``f(*args)`` leaves numpy's equal-shape fast path, or None.
+
+    A ufunc's and ``copyto``'s array operands must carry their output's
+    shape (or be 0-d) and be C-contiguous; a ``take`` must read and write
+    contiguous buffers.
+    """
+    if getattr(f, "__name__", None) == "take":
+        arrays, out = [f.__self__, args[2]], None
+    else:
+        out, ins = (args[f.nin], args[: f.nin]) if isinstance(f, np.ufunc) else (args[0], args[1:])
+        arrays = [out, *(a for a in ins if isinstance(a, np.ndarray))]  # copyto(dst, src)
+    for a in arrays:
+        if not a.flags.c_contiguous:
+            return f"{f.__name__}: an operand of strides {a.strides} is not contiguous"
+        if out is not None and a.ndim and a.shape != out.shape:
+            return f"{f.__name__}: an operand of shape {a.shape} broadcasts to {out.shape}"
+    return None
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_every_bound_kernel_call_takes_equal_shape_contiguous_operands(p):
+    # a call that broadcasts a per-track row over a gain's rows, or reads a
+    # strided view, costs about twice an equal-shape call of the same size
+    ws = filtering._Workspace(5, 2 * p)
+    calls = [c for k in (ws.predict, ws.update_position, ws.update_pseudo) for c in _bound_calls(k)]
+    assert len(calls) > 60
+    assert {f for f, _ in calls} >= {np.add, np.subtract, np.multiply, np.divide, np.log}
+    assert [why for why in (_off_the_fast_path(*c) for c in calls) if why] == []
+
+
 def _scan_batch(rng, p, shape, scans):
     """Random beliefs and conversions for ``filter_scans``, with item 0 collapsed.
 

@@ -293,6 +293,27 @@ def test_a_non_positive_range_makes_only_its_own_scan_predict_only(monkeypatch):
     np.testing.assert_array_equal(hit.means[run, :, :k], base.means[run, :, :k])
 
 
+@pytest.mark.parametrize("value", [-5e4, 0.0])
+def test_run_filter_skips_a_non_positive_range_as_the_engine_does(monkeypatch, value):
+    sc = dataclasses.replace(SCENARIOS["case1"], runs=3, seed=42)
+    run, step = 1, 40
+    _, meas = _per_run_stream(sc, np.random.SeedSequence(sc.seed).spawn(sc.runs)[run])
+    meas[step] = dataclasses.replace(meas[step], r=value)
+    _with_range(monkeypatch, run, step, value)
+    ens = run_ensemble(sc, VARIANTS)
+    for v, variant in enumerate(VARIANTS):
+        init = initialize_belief(
+            convert(meas[0], sc.noise, variant.method),
+            convert(meas[1], sc.noise, variant.method),
+            sc.model.t,
+        )
+        track = run_filter(variant, meas[INIT_SCANS:], sc.noise, sc.model, init)
+        assert track.skipped_steps == [step]
+        assert np.flatnonzero(~ens.updated[run, v]).tolist() == [step - INIT_SCANS]
+        np.testing.assert_array_equal([b.mean for b in track.beliefs], ens.means[run, v])
+        np.testing.assert_array_equal([b.cov for b in track.beliefs], ens.covs[run, v])
+
+
 def test_a_non_positive_range_in_an_initialization_scan_raises(monkeypatch):
     sc = dataclasses.replace(SCENARIOS["case1"], seed=9)
     _with_range(monkeypatch, 3, 0, -5e4)
@@ -358,6 +379,45 @@ def test_the_pipeline_is_invariant_under_rotation_and_mirror_about_the_sensor(mo
         )
         for name, got in nees(turned).nees.items():
             np.testing.assert_allclose(got, want[name], rtol=INVARIANCE_NEES_RTOL, atol=0)
+
+
+def _scaled(sc, c):
+    """``sc`` with every length, and so every speed and acceleration, times ``c``."""
+    return dataclasses.replace(
+        sc,
+        model=dataclasses.replace(sc.model, accel_noise_std=c * sc.model.accel_noise_std),
+        initial_state=c * sc.initial_state,
+        maneuvers=ManeuverSchedule(tuple((s, c * a) for s, a in sc.maneuvers.entries)),
+        noise=dataclasses.replace(
+            sc.noise, sigma_r=c * sc.noise.sigma_r, sigma_rdot=c * sc.noise.sigma_rdot
+        ),
+    )
+
+
+# At c = 3 the scaled pipeline rounds apart from the original: seen at
+# <= 5.2e-11 of each state component's (and covariance entry's) largest
+# magnitude and <= 6.1e-11 relative in NEES on these scenarios at 50 runs.
+SCALE_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("c", [4.0, 0.25, 3.0])
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_the_pipeline_is_invariant_under_a_range_scale(key, c):
+    # with the same draws, the truth, the range and range-rate errors, the
+    # conversion statistics and the process noise all scale with the
+    # lengths, and the bearing does not: every mean scales by c, every
+    # covariance by c^2, and every NEES stays; a power of two scales
+    # without rounding, so exactly
+    sc = dataclasses.replace(SCENARIOS[key], runs=50)
+    base, scaled = run_ensemble(sc, VARIANTS), run_ensemble(_scaled(sc, c), VARIANTS)
+    np.testing.assert_array_equal(scaled.updated, base.updated)
+    rtol = 0.0 if math.frexp(c)[0] == 0.5 else SCALE_RTOL
+    for got, want in ((scaled.means, c * base.means), (scaled.covs, c * c * base.covs)):
+        scale = np.abs(want).max(axis=(0, 1, 2))  # of each state component or entry
+        assert np.all(np.abs(got - want) <= rtol * scale)
+    want = nees(base).nees
+    for name, got in nees(scaled).nees.items():
+        np.testing.assert_allclose(got, want[name], rtol=rtol, atol=0)
 
 
 def test_ensemble_rejects_a_bad_layout():
