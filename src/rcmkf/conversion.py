@@ -46,10 +46,10 @@ functions.
 force (reconstructing hypothetical truths ``Z_m - noise``) and is the ground
 truth the closed forms are tested against. It is a pipeline whose one unit
 of work is a block of draws: the calling thread only draws the next block
-of standard normals, while worker threads turn each drawn block, the first
-included, into its errors and product sums, which the caller adds in block
-order, so its output bits do not depend on the number of CPUs. It holds one
-block buffer per thread that can run at once. See FORMULA_NOTES.md for the
+of standard normals, while one worker thread turns each drawn block, in
+order, into its errors and product sums, which the caller adds in block
+order. It holds at most two block buffers (one on a single CPU), and its
+output bits do not depend on the number of CPUs. See FORMULA_NOTES.md for the
 places where this implementation deviates from variants of these formulas
 that circulate with typographical slips.
 """
@@ -430,6 +430,8 @@ def _stats_batch(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
 
 
 def _point_stats(method: ConversionMethod, m: SphericalMeasurement, noise: NoiseSpec):
+    if not m.r > 0:
+        raise DegenerateCovarianceError(_not_positive(m.r))
     ok, _, mu, cov = _stats_batch([method], *_fields(m), noise, m.dim)
     _raise_if_indefinite(ok)
     return mu[..., 0], cov[..., 0]
@@ -440,9 +442,9 @@ def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
 
     Returns ``(mu, cov)`` of size 4 / 4x4 in 3D and 3 / 3x3 in 2D, where
     they are the 3D statistics at ``phi = 0`` without the z row/column.
-    Raises :class:`DegenerateCovarianceError` if the covariance is
-    indefinite beyond rounding, and ValueError for a 2D radar with an
-    elevation noise.
+    Raises :class:`DegenerateCovarianceError` if the range is not positive,
+    which is no measurement, or if the covariance is indefinite beyond
+    rounding, and ValueError for a 2D radar with an elevation noise.
     """
     return _point_stats(ConversionMethod.MEASUREMENT_CONDITIONED, m, noise)
 
@@ -515,7 +517,7 @@ class OracleMoments:
 
 
 # Columns per oracle block, the default ``batch``: the calling thread draws
-# one block of normals at a time and a thread turns it into its errors and
+# one block of normals at a time and the worker turns it into its errors and
 # sums, so the next block's draw overlaps this one's trigonometry. Few enough
 # blocks keep the per-allocation cost small where every allocation is traced
 # (tracemalloc).
@@ -523,13 +525,6 @@ _ORACLE_BLOCK = 65_536
 # Columns per step of a block's error pass: its truth scratch stays cache-sized.
 # The pass is elementwise, so this size changes no bits.
 _ORACLE_SUBTILE = 8_192
-# Most worker threads the oracle starts. The calling thread's draw bounds the
-# pipeline: one block's normals take about as long as its errors and sums on
-# one thread (4.7-5.2 ms against 5.1-5.5 ms, medians of 60 blocks in three
-# runs, 2 vCPUs), so one worker about keeps pace with it and four leave room
-# for workers slowed by the interpreter lock. Each further worker would hold
-# one more block buffer (2 MB at the default block) and cannot outrun the draw.
-_ORACLE_MAX_WORKERS = 4
 
 
 def _oracle_cpus() -> int:
@@ -538,15 +533,6 @@ def _oracle_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity query on this platform
         return os.cpu_count() or 1
-
-
-def _oracle_workers() -> int:
-    """Worker threads for the oracle: one per CPU beside the drawing caller's, at least one.
-
-    At most ``_ORACLE_MAX_WORKERS``; a single CPU gets one worker, which the
-    caller's draw and it then share.
-    """
-    return max(1, min(_oracle_cpus() - 1, _ORACLE_MAX_WORKERS))
 
 
 def mc_moment_oracle(
@@ -567,87 +553,69 @@ def mc_moment_oracle(
 
     The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
     ``standard_normal`` call (about 32 B per draw) whose columns are
-    overwritten by their errors. Each block's errors and centered product
-    sums are one task, run on a pool of one worker thread per CPU the
-    process may run on beside the caller's (at least one, at most
-    ``_ORACLE_MAX_WORKERS``), each with a small truth scratch of its own,
-    so the calling thread only draws. Block 0's task publishes the centre,
-    its mean error, which the other blocks' products wait on; if its errors
-    raise, they raise the same error. The calling thread draws every normal
-    into a ring of block buffers, one per thread that can run at once (the
-    caller and each worker; one on a single CPU), and takes the oldest
-    block's sums before it draws into that buffer again, so the sums are
-    added in block order. The memory is about 2 MB per buffer at the
-    default ``batch`` (two on 2 CPUs, at most five) and about 0.3 MB of
-    scratch per worker, and the results are the same bits on any number of
-    CPUs. Raises ValueError for a 2D radar with an elevation noise, as the
-    closed forms do.
+    overwritten by their errors. One worker thread turns each block, in
+    order, into its errors and centered product sums, centered on block 0's
+    mean error, so the calling thread only draws. The draws go into a ring
+    of at most two block buffers (one on a single CPU), and the caller takes
+    the oldest block's sums before it draws into that buffer again, so the
+    sums are added in block order. The memory is about 2 MB per buffer at
+    the default ``batch`` and about 0.3 MB of worker scratch, and the
+    results are the same bits on any number of CPUs. Raises
+    :class:`DegenerateCovarianceError` for a range that is not positive,
+    which is no measurement, and ValueError for a 2D radar with an
+    elevation noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"oracle {name} must be an integer >= {least}, got {value!r}")
+    if not m.r > 0:
+        raise DegenerateCovarianceError(_not_positive(m.r))
     r, theta, phi, rdot = _fields(m)
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
 
-    def errors(block: np.ndarray) -> None:
-        """Overwrite a block's draws with their conversion errors."""
+    def block_sums(block: np.ndarray, first: bool):
+        """A block's errors, centered in place; their sum, product sum and squared-product sum."""
+        nonlocal center
         scratch = np.empty((4, min(_ORACLE_SUBTILE, block.shape[1])))
         for lo in range(0, block.shape[1], _ORACLE_SUBTILE):
             sub = block[:, lo : lo + _ORACLE_SUBTILE]
             truth = scratch[:, : sub.shape[1]]
             np.subtract(measured, _scale_noise(noise, sub), out=truth)
             np.subtract(converted, _cart(*truth, out=sub), out=sub)
-
-    def products(block: np.ndarray, center: np.ndarray):
-        """Center a block of errors in place; its sum, product sum and squared-product sum."""
+        if first:
+            # Centering on the first block's mean keeps the accumulated products
+            # small; the recentering at the end is exact for the mean and covariance.
+            center = block.mean(axis=1)
         block -= center[:, None]
         sums = block.sum(axis=1), block @ block.T
         np.square(block, out=block)
         return *sums, block @ block.T
 
-    def first_block(block: np.ndarray):
-        """Block 0's task: its errors, then the centre every block's products wait on."""
-        try:
-            errors(block)
-            # Centering on the first block's mean keeps the accumulated products
-            # small; the recentering at the end is exact for the mean and covariance.
-            center = block.mean(axis=1)
-        except BaseException as exc:  # the blocks waiting on the centre raise it too
-            centre.set_exception(exc)
-            raise
-        centre.set_result(center)
-        return products(block, center)
+    from concurrent.futures import ThreadPoolExecutor  # here: the import costs ~5 ms
 
-    def later_block(block: np.ndarray):
-        errors(block)
-        return products(block, centre.result())
-
-    from concurrent.futures import Future, ThreadPoolExecutor  # here: the import costs ~5 ms
-
-    blocks = -(-samples // batch)
-    workers = min(_oracle_workers(), blocks)
-    # One buffer per thread that can run at once: the drawing caller and each
-    # worker, or only one on a single CPU, where a second buffer, drawn while
-    # the worker runs, measured 3-11% slower (CHANGES.md).
-    buffers = 1 if _oracle_cpus() == 1 else min(workers + 1, blocks)
+    # A second buffer lets the caller draw while the worker runs; on a single
+    # CPU it measured 3-11% slower (CHANGES.md).
+    buffers = 1 if _oracle_cpus() == 1 else min(2, -(-samples // batch))
     ring = [np.empty(4 * min(batch, samples)) for _ in range(buffers)]
-    centre = Future()
+    # Block 0's mean error: the one worker runs the blocks in order, so block 0
+    # sets it before any later block reads it.
+    center = None
     pending = collections.deque()  # the futures of the blocks in flight, oldest first
     parts = []  # each block's sum, product sum and squared-product sum, in block order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for k, lo in enumerate(range(0, samples, batch)):
             if len(pending) == len(ring):  # the oldest block in flight holds this buffer
                 parts.append(pending.popleft().result())
             z = ring[k % len(ring)][: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
-            pending.append(pool.submit(first_block if k == 0 else later_block, z))
+            pending.append(pool.submit(block_sums, z, k == 0))
         parts += [done.result() for done in pending]
 
     sum_c, sum_cc, sum_cc_sq = map(sum, zip(*parts))
     mean_c = sum_c / samples
-    mean = centre.result() + mean_c
+    mean = center + mean_c
     cov = (sum_cc / samples - np.outer(mean_c, mean_c)) * (samples / (samples - 1))
     var_prod = sum_cc_sq / samples - (sum_cc / samples) ** 2
     se_cov = np.sqrt(np.maximum(var_prod, 0.0) / samples)

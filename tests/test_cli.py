@@ -389,6 +389,11 @@ LIST_SCENARIO_OK = {
             id="points-mapping",
         ),
         pytest.param(
+            # the fields' dataclass rejects the call: the path leads its words
+            "golden", "golden: {points: [{r_m: 1000.0}]}\n", "config.golden.points[0]: ",
+            id="point-missing-fields",
+        ),
+        pytest.param(
             "simulate", "variants: [rcmkf_u, RCMKF_U]\n", "filter variants must be distinct",
             id="variants-duplicate",
         ),

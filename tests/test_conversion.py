@@ -1,6 +1,5 @@
 """Tests for the conversion statistics against oracles and frozen values."""
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -449,8 +448,9 @@ def test_oracle_rejects_bad_batch(batch):
 
 
 def test_oracle_peak_memory_is_one_draw_buffer():
-    # one (4, block) float64 buffer of 32 B per draw per thread, plus the one
-    # being drawn, and a block's worth of slack for the threads' scratch
+    # at most two (4, block) float64 buffers of 32 B per draw, one being drawn
+    # while the worker turns the other into errors, and a block's worth of
+    # slack for the worker's scratch and sums
     rng = np.random.default_rng(0)
     block = 32 * conversion._ORACLE_BLOCK
     tracemalloc.start()
@@ -459,7 +459,7 @@ def test_oracle_peak_memory_is_one_draw_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (conversion._oracle_workers() + 2) * block
+    assert peak <= 3 * block
 
 
 def _serial_oracle(m, noise, samples, rng, batch):
@@ -467,7 +467,7 @@ def _serial_oracle(m, noise, samples, rng, batch):
 
     The same draws, truths and errors, centered on the first batch's mean;
     each block's sum, product sum and squared-product sum is added in block
-    order, so the result is a bitwise reference for any worker count.
+    order, so the result is a bitwise reference for the pipelined oracle.
     """
     r, theta, phi, rdot = m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
     measured = np.array([r, theta, phi, rdot])[:, None]
@@ -497,12 +497,10 @@ def _serial_oracle(m, noise, samples, rng, batch):
 @pytest.mark.parametrize(
     "phi_deg, batch, samples",
     [
-        # blocks of 140000, 140000 and 20001 draws; 16 workers is more than
-        # the blocks
+        # blocks of 140000, 140000 and 20001 draws
         pytest.param(None, 140_000, 300_001, id="None"),
         pytest.param(25.0, 140_000, 300_001, id="25.0"),
-        # the default blocks: four full ones and a partial fifth, with up to
-        # 16 threads working on the drawn ones
+        # the default blocks: four full ones and a partial fifth
         pytest.param(None, None, 300_001, id="None-default"),
         pytest.param(25.0, None, 300_001, id="25.0-default"),
         # one block, whose errors give the centre; then a last block of one
@@ -511,7 +509,10 @@ def _serial_oracle(m, noise, samples, rng, batch):
         pytest.param(25.0, None, 65_537, id="25.0-default-65537"),
     ],
 )
-def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, batch, samples):
+@pytest.mark.parametrize("cpus", [1, 2])  # a ring of one buffer, and of two
+def test_oracle_bytes_equal_the_serial_reference_off_the_calling_thread(
+    monkeypatch, cpus, phi_deg, batch, samples
+):
     sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
     noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
     m = sph(20000.0, 60.0, -150.0, phi_deg=phi_deg)
@@ -527,31 +528,29 @@ def test_oracle_bytes_do_not_depend_on_the_worker_count(monkeypatch, phi_deg, ba
         return cart(*args, **kwargs)
 
     monkeypatch.setattr(conversion, "_cart", recording_cart)
+    monkeypatch.setattr(conversion, "_oracle_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often, so a shared-state slip would show
     try:
-        for workers in (1, 2, 3, 16):
-            monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
-            threads.clear()
-            est = mc_moment_oracle(m, noise, samples, np.random.default_rng(5), **kwargs)
-            assert est.samples == samples
-            got = [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)]
-            assert got == want, workers
-            # every block's errors run on the pool, whatever the worker count
-            assert threads and threading.get_ident() not in threads
+        est = mc_moment_oracle(m, noise, samples, np.random.default_rng(5), **kwargs)
     finally:
         sys.setswitchinterval(interval)
+    assert est.samples == samples
+    assert [a.tobytes() for a in (est.mean, est.cov, est.se_mean, est.se_cov)] == want
+    # every block's errors run on the worker, none on the drawing caller
+    assert threads and threading.get_ident() not in threads
 
 
 @pytest.mark.parametrize(
-    "fail_at, workers, batch",
+    "fail_at, cpus, batch",
+    # a ring of one buffer, and of two (as on any host with more than one CPU)
     # blocks of 140000 draws: a sub-tile of the first block, or of the second
-    [pytest.param(f, w, 140_000, id=f"{f}-{w}") for w in (1, 3) for f in (4, 30)]
+    [pytest.param(f, c, 140_000, id=f"{f}-{c}") for c in (1, 3) for f in (4, 30)]
     # the default blocks, 8 sub-tiles each: the first block, whose errors
     # give the centre, or a later one
-    + [pytest.param(f, w, None, id=f"{f}-{w}-default") for w in (1, 3) for f in (4, 30)],
+    + [pytest.param(f, c, None, id=f"{f}-{c}-default") for c in (1, 3) for f in (4, 30)],
 )
-def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, workers, batch):
+def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, cpus, batch):
     calls = itertools.count(1)
     cart = conversion._cart
     error = RuntimeError("block failed")
@@ -562,7 +561,7 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
         return cart(*args, **kwargs)
 
     monkeypatch.setattr(conversion, "_cart", failing_cart)
-    monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
+    monkeypatch.setattr(conversion, "_oracle_cpus", lambda: cpus)
     before = threading.active_count()
     rng = np.random.default_rng(0)
     kwargs = {} if batch is None else {"batch": batch}
@@ -572,80 +571,12 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("workers", [1, 2, 16])
-def test_oracle_first_block_error_releases_the_blocks_waiting_on_the_centre(monkeypatch, workers):
-    # Block 0's errors raise while later blocks wait on its centre: they must
-    # raise too, or the pool never shuts down. The oracle runs on a thread
-    # joined with a timeout, so such a hang fails here instead of stalling
-    # the suite; the centres left unset are then failed, which lets the
-    # stuck workers end and the interpreter exit.
-    error = RuntimeError("first block failed")
-    rng = np.random.default_rng(0)
-    first = []  # the buffer of the first draw, which only block 0 uses before it fails
-
-    class Recording:
-        def standard_normal(self, out):
-            if not first:
-                first.append(out)
-            return rng.standard_normal(out=out)
-
-    cart = conversion._cart
-
-    def failing_cart(*args, out=None):
-        if out is not None and np.shares_memory(out, first[0]):
-            raise error
-        return cart(*args, out=out)
-
-    centres = []
-
-    class RecordedFuture(concurrent.futures.Future):
-        def __init__(self):
-            super().__init__()
-            centres.append(self)
-
-    monkeypatch.setattr(conversion, "_cart", failing_cart)
-    monkeypatch.setattr(conversion, "_oracle_workers", lambda: workers)
-    monkeypatch.setattr(concurrent.futures, "Future", RecordedFuture)
-    raised = []
-
-    def run():
-        try:
-            mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, Recording())
-        except RuntimeError as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    try:
-        caller.join(timeout=30)
-        assert not caller.is_alive(), "the oracle hangs after block 0's errors raised"
-        assert raised == [error]
-    finally:
-        for centre in centres:
-            if not centre.done():
-                centre.set_exception(RuntimeError("centre never published"))
-        caller.join(timeout=30)
-
-
-@pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 2), (16, 4), (None, 1)])
-def test_oracle_workers_without_an_affinity_query(monkeypatch, cpus, workers):
-    # a platform without sched_getaffinity counts every CPU, up to the cap
+@pytest.mark.parametrize("count, cpus", [(1, 1), (3, 3), (16, 16), (None, 1)])
+def test_oracle_cpus_without_an_affinity_query(monkeypatch, count, cpus):
+    # a platform without sched_getaffinity counts every CPU, at least one
     monkeypatch.delattr(conversion.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(conversion.os, "cpu_count", lambda: cpus)
-    assert conversion._oracle_workers() == workers
-
-
-def test_oracle_peak_memory_holds_with_many_workers(monkeypatch):
-    # 16 threads, each with a drawn block and its own truth scratch
-    monkeypatch.setattr(conversion, "_oracle_workers", lambda: 16)
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        mc_moment_oracle(sph(113137.0, 45.0, 282.8), CASE_NOISE, 1_200_000, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 32e6
+    monkeypatch.setattr(conversion.os, "cpu_count", lambda: count)
+    assert conversion._oracle_cpus() == cpus
 
 
 def test_debias_correctness_under_reconstructed_truths():
@@ -859,6 +790,24 @@ def test_convert_rejects_a_range_that_is_not_positive(r, shown, method):
         DegenerateCovarianceError, match=f"^invalid measurement, range {shown} m is not positive$"
     ):
         convert(sph(r, 40.0, 100.0), CASE_NOISE, method)
+
+
+@pytest.mark.parametrize("r, shown", [(-5e4, "-50000"), (0.0, "0")])
+@pytest.mark.parametrize(
+    "moments",
+    [
+        unbiased_stats,
+        nested_stats,
+        lambda m, noise: mc_moment_oracle(m, noise, 10_000, np.random.default_rng(0)),
+    ],
+    ids=["unbiased_stats", "nested_stats", "mc_moment_oracle"],
+)
+def test_point_moments_reject_a_range_that_is_not_positive(r, shown, moments):
+    # the same words as convert's: such a measurement has no moments
+    with pytest.raises(
+        DegenerateCovarianceError, match=f"^invalid measurement, range {shown} m is not positive$"
+    ):
+        moments(sph(r, 40.0, 100.0), CASE_NOISE)
 
 
 def test_convert_packages_fields():

@@ -95,6 +95,12 @@ def test_decorrelate_rejects_fields_of_different_batches():
         decorrelate(dataclasses.replace(z, mu=np.zeros((3, 3))))
 
 
+@pytest.mark.parametrize("dim", [0, 4])
+def test_decorrelate_rejects_a_position_dimension_without_a_layout(dim):
+    with pytest.raises(ValueError, match="^position dimension must be 1, 2 or 3$"):
+        decorrelate(make_converted(np.eye(dim + 1)))
+
+
 def test_decorrelate_singular_position_block():
     cov = np.zeros((3, 3))
     cov[2, 2] = 1.0
