@@ -35,6 +35,16 @@ these operations, in the same order: ``rcmkf.filtering._update_position``
 binds them once on its workspace's buffers (that module says why the two
 stay apart).
 
+A single point has no conversion statistics when its range is not positive
+(NaN included), which is no measurement, or else when a conversion
+covariance of it is indefinite beyond rounding. ``_raise_if_no_stats`` is
+the one wording of that rule, and every single-point entry raises
+:class:`DegenerateCovarianceError` through it: ``convert``,
+``unbiased_stats`` and ``nested_stats``; their references
+``truth_conditioned_stats``, ``nested_stats_numeric`` and
+``mc_moment_oracle``; and ``rcmkf.evaluation.consistency_sweep``, at its
+true point. A batch flags such items in its ``ok`` mask instead.
+
 The kernel works entries first: a batch of vectors is ``(d,) + items`` and
 a batch of matrices ``(d, d) + items``, so each entry is one contiguous row
 over the items. Item-major ``(..., d, d)`` arrays are built only where a
@@ -400,16 +410,21 @@ def _finalize(cov: np.ndarray, abs_scale=0.0):
     return cov, ok
 
 
-def _not_positive(r) -> str:
-    """Why a scan of range ``r`` that is not positive (NaN included) is no measurement."""
-    return f"invalid measurement, range {r:g} m is not positive"
+def _raise_if_no_stats(r, ok=True, where: str = "") -> None:
+    """The one rule for a point of range ``r`` that has no conversion statistics.
 
-
-def _raise_if_indefinite(ok) -> None:
-    if not np.all(ok):
-        raise DegenerateCovarianceError(
-            "assembled conversion covariance is indefinite beyond tolerance"
-        )
+    Raises :class:`DegenerateCovarianceError`, its message led by ``where``,
+    if ``r`` is not positive (NaN included), which is no measurement
+    whatever ``ok`` says, or else if ``ok`` (the point's flags from
+    :func:`_finalize`) holds a false.
+    """
+    if not r > 0:
+        reason = f"invalid measurement, range {r:g} m is not positive"
+    elif not np.all(ok):
+        reason = "conversion covariance is indefinite beyond tolerance"
+    else:
+        return
+    raise DegenerateCovarianceError(where + reason)
 
 
 def _stats_batch(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
@@ -429,34 +444,28 @@ def _stats_batch(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
     return ok, conv, mu, cov
 
 
-def _point_stats(method: ConversionMethod, m: SphericalMeasurement, noise: NoiseSpec):
-    if not m.r > 0:
-        raise DegenerateCovarianceError(_not_positive(m.r))
-    ok, _, mu, cov = _stats_batch([method], *_fields(m), noise, m.dim)
-    _raise_if_indefinite(ok)
-    return mu[..., 0], cov[..., 0]
-
-
 def unbiased_stats(m: SphericalMeasurement, noise: NoiseSpec):
     """Measurement-conditioned error mean and covariance of one conversion.
 
     Returns ``(mu, cov)`` of size 4 / 4x4 in 3D and 3 / 3x3 in 2D, where
     they are the 3D statistics at ``phi = 0`` without the z row/column.
-    Raises :class:`DegenerateCovarianceError` if the range is not positive,
-    which is no measurement, or if the covariance is indefinite beyond
-    rounding, and ValueError for a 2D radar with an elevation noise.
+    These are :func:`convert`'s ``mu`` and ``cov``, and it raises as
+    :func:`convert` does.
     """
-    return _point_stats(ConversionMethod.MEASUREMENT_CONDITIONED, m, noise)
+    z = convert(m, noise, ConversionMethod.MEASUREMENT_CONDITIONED)
+    return z.mu, z.cov
 
 
 def nested_stats(m: SphericalMeasurement, noise: NoiseSpec):
     """Nested-conditioning error mean and covariance (closed form).
 
-    Same shape conventions as :func:`unbiased_stats`. The closed form is the
-    analytic reduction of :func:`nested_stats_numeric` and agrees with it to
+    Same shape conventions and errors as :func:`unbiased_stats`: these are
+    :func:`convert`'s ``mu`` and ``cov``. The closed form is the analytic
+    reduction of :func:`nested_stats_numeric` and agrees with it to
     well under half a percent per entry.
     """
-    return _point_stats(ConversionMethod.NESTED_CONDITIONING, m, noise)
+    z = convert(m, noise, ConversionMethod.NESTED_CONDITIONING)
+    return z.mu, z.cov
 
 
 def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
@@ -469,8 +478,11 @@ def truth_conditioned_stats(m: SphericalMeasurement, noise: NoiseSpec):
     and the range/range-rate error product contributes
     ``+rho sigma_r sigma_rdot`` to the pseudo error. Returned in the full
     (x, y, z, eta) form regardless of ``dim``; a reference for the tests,
-    directly checkable against a fixed-truth Monte Carlo.
+    directly checkable against a fixed-truth Monte Carlo. Raises
+    :class:`DegenerateCovarianceError` for a true range that is not
+    positive, by the module's one rule; no covariance is finalized here.
     """
+    _raise_if_no_stats(m.r)
     _, mu, cov = _moments([ConversionMethod.MEASUREMENT_CONDITIONED], *_fields(m), noise, 3)
     return -mu[..., 0], cov[..., 0]
 
@@ -490,9 +502,13 @@ def nested_stats_numeric(
     its contiguous row of draws (numpy's pairwise summation); a running sum
     over the draws one by one differs from it only by rounding, under 1e-13
     of the entry at 1e6 draws, far inside the average's sampling error.
+    Raises :class:`DegenerateCovarianceError`, by the module's one rule,
+    for a range that is not positive, before any draw, and for an averaged
+    covariance indefinite beyond rounding.
     """
     if samples < 100_000:
         raise ValueError("the nested reference needs at least 1e5 draws")
+    _raise_if_no_stats(m.r)
     rng = np.random.default_rng(0) if rng is None else rng
     r, theta, phi, rdot = _fields(m)
     draws = _noise_matrix(noise, samples, rng)
@@ -501,7 +517,7 @@ def nested_stats_numeric(
         r - draws[0], theta - draws[1], phi - draws[2], rdot - draws[3], noise, m.dim,
     )
     cov, ok = _finalize(cov_t[..., 0].mean(axis=-1), abs_scale=r**2 + noise.sigma_r**2)
-    _raise_if_indefinite(ok)
+    _raise_if_no_stats(r, ok)
     return -mu_t[..., 0].mean(axis=-1), cov
 
 
@@ -561,16 +577,15 @@ def mc_moment_oracle(
     sums are added in block order. The memory is about 2 MB per buffer at
     the default ``batch`` and about 0.3 MB of worker scratch, and the
     results are the same bits on any number of CPUs. Raises
-    :class:`DegenerateCovarianceError` for a range that is not positive,
-    which is no measurement, and ValueError for a 2D radar with an
-    elevation noise, as the closed forms do.
+    :class:`DegenerateCovarianceError` for a range that is not positive, by
+    the module's one rule, and ValueError for a 2D radar with an elevation
+    noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"oracle {name} must be an integer >= {least}, got {value!r}")
-    if not m.r > 0:
-        raise DegenerateCovarianceError(_not_positive(m.r))
+    _raise_if_no_stats(m.r)
     r, theta, phi, rdot = _fields(m)
     measured = np.array([r, theta, phi, rdot])[:, None]
     converted = _cart(r, theta, phi, rdot)[:, None]
@@ -657,14 +672,13 @@ def convert(
 ) -> ConvertedMeasurement:
     """Convert one measurement and attach the method's error statistics.
 
-    This is :func:`_convert_batch` on one row; raises
-    :class:`DegenerateCovarianceError` if the range is not positive, which
-    is no measurement, or if the statistics are indefinite.
+    This is :func:`_convert_batch` on one row, and the row's ``ok`` decides:
+    raises :class:`DegenerateCovarianceError` by the module's one rule, for
+    a range that is not positive before an indefinite covariance, and
+    ValueError for a 2D radar with an elevation noise.
     """
-    if not m.r > 0:
-        raise DegenerateCovarianceError(_not_positive(m.r))
     z, ok = _convert_batch(np.array(_fields(m)), noise, [method], m.dim)
-    _raise_if_indefinite(ok)
+    _raise_if_no_stats(m.r, ok)
     return z[0]
 
 

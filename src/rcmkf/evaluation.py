@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .conversion import _IDX_2D, ConversionMethod, _cart, _ldl, _raise_if_indefinite, _stats_batch
+from .conversion import _IDX_2D, ConversionMethod, _cart, _ldl, _raise_if_no_stats, _stats_batch
 from .errors import DegenerateCovarianceError
 from .montecarlo import INIT_SCANS, Ensemble
 from .scenario import NoiseSpec, SphericalMeasurement, _noise_matrix
@@ -175,8 +175,10 @@ def consistency_sweep(
     screen uses, on the kernel's entries-first arrays. The draws do not
     depend on ``methods``, so a method's report equals the one a sweep of
     that method alone gives on a generator in the same state. Returns one :class:`NesReport` per
-    method. Raises :class:`DegenerateCovarianceError` if any hypothesized
-    covariance is indefinite beyond rounding or singular.
+    method. Raises :class:`DegenerateCovarianceError` by the conversion's
+    one rule (``conversion._raise_if_no_stats``) if the true range is not
+    positive or a hypothesized covariance is indefinite beyond rounding,
+    and also if one is singular.
     """
     methods = tuple(methods)
     if not methods:
@@ -184,6 +186,7 @@ def consistency_sweep(
     grid = np.asarray(sigma_theta_deg, dtype=float)
     if grid.size == 0:
         raise ValueError("sweep grid must not be empty")
+    _raise_if_no_stats(geometry.r)
     dim = geometry.dim
     idx = _IDX_2D if dim == 2 else np.arange(4)
     phi0 = geometry.phi if dim == 3 else 0.0
@@ -199,7 +202,7 @@ def consistency_sweep(
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]
         ok, conv, mus, covs = _stats_batch(methods, rm, thm, phm, rdm, noise, dim)
-        _raise_if_indefinite(ok)
+        _raise_if_no_stats(geometry.r, ok)
         errors = conv - truth
         quad = _quad_form(covs, errors[..., None] - mus, "a per-sample covariance")
         for k, method in enumerate(methods):

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _convert_batch, _not_positive
-from .errors import DegenerateCovarianceError
+from .conversion import _convert_batch, _raise_if_no_stats
 from .filtering import FilterVariant, filter_scans, initialize_belief
 from .scenario import INIT_SCANS, Scenario, _simulate_truths, _synthesize
 
@@ -90,8 +89,6 @@ def run_single(
     seed. :func:`run_ensemble` gives the same run, bit for bit, from any
     chunk.
     """
-    variants = tuple(variants)
-    _check_variants(variants)
     return _filter_chunk(scenario, variants, [seed])
 
 
@@ -102,12 +99,15 @@ def _filter_chunk(
 ) -> Ensemble:
     """Filter one run per seed, all in lockstep.
 
+    The variants are checked first: at least one, and no two the same.
     Each run keeps its own generator and draw order, so a run's arrays do
     not depend on which chunk it is in. A measurement whose range is not
     positive, or a degenerate conversion, skips only its own (run, variant,
     scan); one in an initialization scan fails the chunk with an error that
     names the first such scan, run and variant.
     """
+    variants = tuple(variants)
+    _check_variants(variants)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     truth = _simulate_truths(scenario, rngs)  # (runs, steps, n)
     meas = _synthesize(truth, scenario.noise, rngs)  # (runs, steps, 4)
@@ -116,12 +116,10 @@ def _filter_chunk(
     z, ok = _convert_batch(scans, scenario.noise, [v.method for v in variants], scenario.dim)
     if not np.all(ok[:INIT_SCANS]):
         scan, run, v = np.argwhere(~ok[:INIT_SCANS])[0]  # the first, in (scan, run, variant) order
-        r = scans[scan, run, 0]
-        reason = (
-            "conversion covariance is indefinite beyond tolerance" if r > 0 else _not_positive(r)
-        )
-        raise DegenerateCovarianceError(
-            f"initialization scan {scan} of run {run}, variant {variants[v].name}: {reason}"
+        _raise_if_no_stats(
+            scans[scan, run, 0],
+            ok[scan, run, v],
+            f"initialization scan {scan} of run {run}, variant {variants[v].name}: ",
         )
     init = initialize_belief(z[0], z[1], scenario.model.t)
     steps = np.arange(INIT_SCANS, scenario.steps)
@@ -144,12 +142,9 @@ def run_ensemble(
 ) -> Ensemble:
     """Execute the scenario's Monte Carlo ensemble in this process.
 
-    One child seed per run is spawned from ``scenario.seed`` before any
-    work starts, and every run is filtered in one lockstep chunk. Runs come
-    back in seed order along the first axis. The variants are checked
-    before any of that: at least one, and no two the same.
+    One child seed per run is spawned from ``scenario.seed``, and every run
+    is filtered in one lockstep chunk, which checks the variants before it
+    simulates any run. Runs come back in seed order along the first axis.
     """
-    variants = tuple(variants)
-    _check_variants(variants)
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.runs)
     return _filter_chunk(scenario, variants, children)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rcmkf import conversion
 from rcmkf.conversion import (
     ConversionMethod,
+    _convert_batch,
     _finalize,
     convert,
     mc_moment_oracle,
@@ -772,13 +773,14 @@ def test_stats_raise_on_indefinite(monkeypatch):
 
     monkeypatch.setattr(conversion, "_moments", forced)
     m = sph(10000.0, 45.0, 100.0)
+    indefinite = "^conversion covariance is indefinite beyond tolerance$"
     for stats in (unbiased_stats, nested_stats):
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match=indefinite):
             stats(m, CASE_NOISE)
     for method in ConversionMethod:
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match=indefinite):
             convert(m, CASE_NOISE, method)
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match=indefinite):
             consistency_sweep([method], m, CASE_NOISE, [1.0], 100, np.random.default_rng(0))
 
 
@@ -799,8 +801,21 @@ def test_convert_rejects_a_range_that_is_not_positive(r, shown, method):
         unbiased_stats,
         nested_stats,
         lambda m, noise: mc_moment_oracle(m, noise, 10_000, np.random.default_rng(0)),
+        truth_conditioned_stats,
+        lambda m, noise: nested_stats_numeric(m, noise, samples=100_000),
+        lambda m, noise: consistency_sweep(
+            [ConversionMethod.MEASUREMENT_CONDITIONED], m, noise, [1.0], 100,
+            np.random.default_rng(0),
+        ),
     ],
-    ids=["unbiased_stats", "nested_stats", "mc_moment_oracle"],
+    ids=[
+        "unbiased_stats",
+        "nested_stats",
+        "mc_moment_oracle",
+        "truth_conditioned_stats",
+        "nested_stats_numeric",
+        "consistency_sweep",
+    ],
 )
 def test_point_moments_reject_a_range_that_is_not_positive(r, shown, moments):
     # the same words as convert's: such a measurement has no moments
@@ -808,6 +823,48 @@ def test_point_moments_reject_a_range_that_is_not_positive(r, shown, moments):
         DegenerateCovarianceError, match=f"^invalid measurement, range {shown} m is not positive$"
     ):
         moments(sph(r, 40.0, 100.0), CASE_NOISE)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        CASE_NOISE,
+        dataclasses.replace(CASE_NOISE, sigma_theta=0.0),
+        NO_NOISE,
+        dataclasses.replace(CASE_NOISE, sigma_theta=math.radians(30.0)),
+    ],
+    ids=["case1", "no_angle_noise", "noiseless", "angles_30deg"],
+)
+def test_convert_gives_a_row_the_bits_of_its_batch(dim, noise):
+    # convert is _convert_batch on one row: without angle noise the position
+    # block is rank-deficient, so the screen fails and eigh runs
+    if dim == 3:
+        noise = dataclasses.replace(noise, sigma_phi=noise.sigma_theta)
+    rng = np.random.default_rng(7)
+    batch = np.column_stack(
+        [
+            rng.uniform(1e3, 1e5, 64),
+            rng.uniform(-math.pi, math.pi, 64),
+            rng.uniform(-1.4, 1.4, 64) if dim == 3 else np.zeros(64),
+            rng.uniform(-300.0, 300.0, 64),
+        ]
+    )
+    batch[::9, 0] *= -1.0  # no measurement
+    methods = list(ConversionMethod)
+    z, ok = _convert_batch(batch, noise, methods, dim)
+    assert not ok[::9].any()
+    for i, (r, theta, phi, rdot) in enumerate(batch):
+        m = SphericalMeasurement(r=r, theta=theta, phi=phi, rdot=rdot, dim=dim)
+        for k, method in enumerate(methods):
+            if not ok[i, k]:
+                with pytest.raises(DegenerateCovarianceError):
+                    convert(m, noise, method)
+                continue
+            one = convert(m, noise, method)
+            for field in ("position", "pseudo", "mu", "cov"):
+                expected = np.asarray(getattr(z[i, k], field))
+                assert np.asarray(getattr(one, field)).tobytes() == expected.tobytes(), field
 
 
 def test_convert_packages_fields():

@@ -261,7 +261,8 @@ def test_degenerate_initialization_scan_raises(monkeypatch):
     # both variants of the run fail at scan 0; the message names the first
     with pytest.raises(
         DegenerateCovarianceError,
-        match=f"^initialization scan 0 of run {run}, variant {VARIANTS[0].name}: ",
+        match=f"^initialization scan 0 of run {run}, variant {VARIANTS[0].name}: "
+        "conversion covariance is indefinite beyond tolerance$",
     ):
         run_ensemble(sc, VARIANTS)
 
