@@ -176,8 +176,9 @@ def consistency_sweep(
     depend on ``methods``, so a method's report equals the one a sweep of
     that method alone gives on a generator in the same state. Returns one :class:`NesReport` per
     method. Raises :class:`DegenerateCovarianceError` by the conversion's
-    one rule (``conversion._raise_if_no_stats``) if the true range is not
-    positive or a hypothesized covariance is indefinite beyond rounding,
+    one rule (``conversion._raise_if_no_stats``) if the true range or a
+    drawn one is not positive, naming the grid value and how many draws
+    are, or if a hypothesized covariance is indefinite beyond rounding,
     and also if one is singular.
     """
     methods = tuple(methods)
@@ -198,6 +199,11 @@ def consistency_sweep(
         noise = replace(noise_base, sigma_theta=np.deg2rad(sig_deg))
         draws = _noise_matrix(noise, samples, rng)
         rm = geometry.r + draws[0]
+        low = rm.min()
+        if not low > 0:  # a drawn range that is not positive is no measurement
+            bad = np.count_nonzero(~(rm > 0))
+            where = f"sigma_theta {sig_deg:g} deg, {bad} of {samples} draws: "
+            _raise_if_no_stats(low, where=where)
         thm = geometry.theta + draws[1]
         phm = phi0 + draws[2]
         rdm = geometry.rdot + draws[3]

@@ -30,45 +30,76 @@ scalar pseudo update the same product reads ``A - (A h - r g) g^T`` with
 ``A = P - g (P h)^T``. Every covariance-producing operation symmetrizes its
 output.
 
-Each stage is one kernel over a batch of tracks, entries first: a state is
-``(n, tracks)`` and a covariance ``(n * n, tracks)``, one contiguous row
-per matrix entry, so each operation is one numpy call over every track. A
-small matrix product gathers the rows of its terms with ``take`` and the
+Each stage is one kernel over a batch of tracks, entries first. A belief
+is one ``n x (n + 1)`` block ``[P | x]``, row-major, one contiguous row per
+entry: ``(n * (n + 1), tracks)``. The state rides in the last column of its
+covariance, so a call that acts on the rows of ``P`` acts on ``x`` too. The
+transition ``phi [P | x]`` steps the mean with the covariance. With the
+innovation formed negated (``H x - z``, as ``a - b = -(b - a)``),
+``x + K innov`` is the state column of ``[P | x] - K H [P | x]``, and the
+pseudo update's ``x + g innov`` joins its ``P - g (P h)^T`` likewise. The
+symmetrization ``(a + a^T) / 2`` maps the state column to itself, since
+``(x + x) / 2 = x`` for ``|x| < 2**1023``.
+
+Where such a call has nothing to do in the state column, the column's
+operand is an exact identity: ``-0.0`` to add, ``+0.0`` to subtract,
+``1.0`` to multiply, never ``+0.0`` to add, which turns ``-0.0`` into
+``+0.0``. Each element therefore gets the operations it got with the state
+in rows of its own, on the same values, and the bits do not change. The
+one exception is the sign of a state entry that is an exact zero before
+and after a step that is an exact zero: the negated step may carry the
+other sign of zero, so ``+0.0`` and ``-0.0`` can swap there.
+
+A small matrix product gathers the rows of its terms with ``take`` and the
 module's index tables, multiplies them as rows and adds the terms in
 order, one explicit add each: a reduction over the entries would round a
 lone track apart from the same track in a batch, because numpy sums a
 contiguous axis (a single track's) pairwise. No operation rounds by the
 batch shape, so a track gives the same bits alone or in any batch.
+Independent calls of one ufunc share one call where their operands sit in
+adjacent rows. ``h_pos @ x_pos``, ``-debiased_pseudo`` and ``tr(P_pv)`` are
+one more entry of the ``P h`` product, added in the order the negated
+pseudo innovation needs. ``S = H P H^T + R`` and the negated position
+innovation are one add, and so are ``r_k`` and ``h_pos``. ``r g`` is the
+last term of the ``A h`` product, subtracted. The ``take`` that gathers
+``a_k``'s terms also gathers the halves of the state. ``tr(P_pv)`` keeps
+its own adds: as terms of the ``a_k`` gather, padded with ``-0.0 * 1.0``,
+it doubled that gather's rows, which at 1000 tracks cost more than the add
+it saved.
 
 The kernels are bound once per workspace, which preallocates every
 intermediate: each is a list of ufunc calls on views of its buffers, made
 with the workspace, the elimination and substitution loops unrolled for
-its ``p``, plus the few calls on the rows a scan passes in. Each call
-writes with ``out`` or in place, so a scan makes its numpy calls and
-little else. The position update forms ``K innov`` in the same product as
-``K (H P)`` and ``K R``, and tests its gain with one finiteness sum.
+its ``p``, plus the few calls on the arguments of a scan. Each call writes
+with ``out`` or in place, so a scan makes its numpy calls and little else.
+The position update tests its gain with one finiteness check.
 
-At a few tracks a call costs its dispatch, not its arithmetic, so every
-bound call takes array operands of its output's shape (or 0-d), all
-C-contiguous, and each ``take`` reads and writes contiguous buffers:
-numpy's equal-shape fast path. A multiply that broadcasts a per-track row
-over 4 rows of 8 tracks took about 0.95 us against 0.41 us with operands of
-one shape (2 vCPUs, numpy 2.4.6), and a log of 2 strided rows 0.8 us
-against 0.4 us contiguous. A per-track scalar that multiplies whole rows is
-therefore first repeated over those rows by one ``take``: the multipliers
-and pivots of the gain's elimination, and the pseudo update's innovation
-variance, innovation and residual variance. Every element still gets the
-same operations on the same values, so the bits do not change.
+At a few tracks a call costs its dispatch, about 0.3 us, not its
+arithmetic, so every bound call takes array operands of its output's shape
+(or 0-d), all C-contiguous, and each ``take`` reads and writes contiguous
+buffers: numpy's equal-shape fast path. A multiply that broadcasts a
+per-track row over 4 rows of 8 tracks took about 0.95 us against 0.41 us
+with operands of one shape (2 vCPUs, numpy 2.4.6), and a log of 2 strided
+rows 0.8 us against 0.4 us contiguous. A per-track scalar that multiplies
+whole rows is therefore first repeated over those rows by one ``take``:
+the multipliers and pivots of the gain's elimination, and the pseudo
+update's innovation variance. At ``p = 2`` a scan makes 77 numpy calls:
+71 bound (predict 7, position update 27, pseudo update 37, pinned for
+every ``p`` by the call budget in ``tests/test_filtering.py``) and 6 on
+the arguments (predict's step of the input block, 3 calls; the copy of
+the measurement rows; the pseudo update's add and halving into its
+output), plus two checks, the gain's finiteness ``dot`` and the minimum of
+the pseudo innovation variance.
 
 :func:`filter_scans` decorrelates every scan in one pass, into scan-major
 rows ``(scans, entry, tracks)``, and reuses one workspace for every scan: a
-scan's last operation writes straight into its output, which the next
-predict reads. Every scan takes the one path, whether all, some or none
-of its tracks update: the same kernels run on every track, a track that
-does not update on a neutral placeholder measurement, and such a track's
-prediction is put back. Sizes are checked once, by :func:`filter_scans`
-and the public stages, which are thin wrappers that run the same kernels
-on a fresh workspace.
+scan's last operation writes straight into its output block, which the
+next predict reads. Every scan takes the one path, whether all, some or
+none of its tracks update: the same kernels run on every track, a track
+that does not update on a neutral placeholder measurement, and such a
+track's prediction is put back, one ``copyto`` of its block. Sizes are
+checked once, by :func:`filter_scans` and the public stages, which are
+thin wrappers that run the same kernels on a fresh workspace.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -222,6 +253,14 @@ def _adds(terms, out: np.ndarray) -> list:
     return [(np.add, (terms[0], terms[1], out))] + [(np.add, (out, t, out)) for t in terms[2:]]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the leading (entry) axis, its terms added in order."""
+    terms = a * b
+    out = np.empty(terms.shape[1:])
+    _run(_adds(terms, out))
+    return out
+
+
 def _run(calls: list) -> None:
     for f, args in calls:
         f(*args)
@@ -231,66 +270,136 @@ def _run(calls: list) -> None:
 _BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
 
 
-def _product_index(rows: int, inner: int, cols: int, left, right) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of ``C[i, j] = sum_k L[i, k] R[k, j]`` on entries-first operands.
+def _product_index(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables of ``C[e] = sum_k L[a_ek] R[b_ek]`` on entries-first operands.
 
-    ``left(i, k)`` and ``right(k, j)`` give the row of each operand's entry.
-    Both tables are ``(inner, rows * cols)``: row ``k`` gathers the ``k``-th
-    term of every entry of ``C``, row-major.
+    ``terms[e]`` lists the pairs ``(a_ek, b_ek)`` of entry ``e``, the same
+    number for every entry. Both tables are ``(inner, entries)``: row ``k``
+    gathers the ``k``-th term of every entry.
     """
-    entries = [(i, j) for i in range(rows) for j in range(cols)]
-    return (
-        np.array([[left(i, k) for i, _ in entries] for k in range(inner)]),
-        np.array([[right(k, j) for _, j in entries] for k in range(inner)]),
-    )
+    pairs = np.array(terms).transpose(2, 1, 0)
+    return np.ascontiguousarray(pairs[0]), np.ascontiguousarray(pairs[1])
 
 
 class _Layout:
-    """Entry rows of a decorrelated measurement, and the kernels' index tables, for one ``p``.
+    """Entry rows of a measurement and of a belief, and the kernels' tables, for one ``p``.
 
     A measurement's rows are the position block ``cov_pos`` of its error
-    covariance (row-major), ``debiased_pos``, ``l_row``, then ``var_pseudo``,
-    ``debiased_pseudo`` and ``pseudo``. ``neutral`` is the placeholder of a
-    track that does not update: with ``R = I``, ``var_pseudo = 1`` and
-    zeros elsewhere every update is finite and well-posed, and its result
-    is discarded.
+    covariance (row-major) next to ``-debiased_pos``, ``var_pseudo`` next to
+    ``l_row``, ``-debiased_pseudo`` and ``pseudo``: the ``kernel`` rows the
+    updates read. ``debiased_pos`` and ``debiased_pseudo`` follow. The
+    negated rows let the updates form their innovations negated (see
+    :func:`_update_position`).
+    ``neutral`` is the placeholder of a track that does not update: with
+    ``R = I``, ``var_pseudo = 1`` and zeros elsewhere every update is
+    finite and well-posed, and its result is discarded.
+
+    A belief is the ``n x (n + 1)`` block ``[P | x]``, row-major: entry
+    ``(i, j)`` is row ``entry(i, j)`` and ``x[i]`` is ``entry(i, n)``. The
+    ``_Workspace`` buffers a table reads are named beside it; an index past
+    a buffer's computed rows reads one of its constant pads.
     """
 
     def __init__(self, p: int):
         n, q = 2 * p, p * p
-        self.cov_pos, self.pos, self.l_row = slice(0, q), slice(q, q + p), slice(q + p, q + 2 * p)
-        self.var, self.debiased, self.pseudo = q + 2 * p, q + 2 * p + 1, q + 2 * p + 2
-        self.size = q + 2 * p + 3
+        self.block = b = n * (n + 1)
+        self.cov_pos, self.r_innov = slice(0, q), slice(0, q + p)
+        self.var, self.l_row = q + p, slice(q + p + 1, q + 2 * p + 1)
+        self.var_l_row, self.neg_debiased = slice(q + p, q + 2 * p + 1), q + 2 * p + 1
+        self.neg_pos, self.pseudo, self.kernel = slice(q, q + p), q + 2 * p + 2, q + 2 * p + 3
+        self.pos, self.debiased = slice(q + 2 * p + 3, q + 3 * p + 3), q + 3 * p + 3
+        self.size = q + 3 * p + 4
         self.neutral = np.zeros(self.size)
         self.neutral[self.cov_pos] = np.eye(p).ravel()
         self.neutral[self.var] = 1.0
-        square = [(i, j) for i in range(n) for j in range(n)]
-        self.transpose = np.array([j * n + i for i, j in square])
-        # K (H P), K R and K innov in one product on K^T and the rows of P
-        # followed by those of R and the innovation, where K[i, k] = K^T[k, i]
-        khp = _product_index(n, p, n, lambda i, k: k * n + i, lambda k, j: k * n + j)
-        kr = _product_index(n, p, p, lambda i, k: k * n + i, lambda k, j: n * n + k * p + j)
-        dx = _product_index(n, p, 1, lambda i, k: k * n + i, lambda k, j: n * n + q + k)
-        self.khp_kr_dx = tuple(np.concatenate(parts, axis=1) for parts in zip(khp, kr, dx))
-        self.krk = _product_index(n, p, n, lambda i, k: i * p + k, lambda k, j: k * n + j)
-        self.pp = np.array([i * n + j for i in range(p) for j in range(p)])  # H P H^T
-        # on the rows of S followed by those of its multipliers: each
-        # multiplier L[i, k] (k < i, in elimination order), then each pivot,
-        # repeated over the n columns of a row of K^T, then the pivots once
+
+        def entry(i, j):
+            return i * (n + 1) + j
+
+        def x(i):
+            return entry(i, n)
+
+        cells = [(i, j) for i in range(n) for j in range(n + 1)]
+        # (a + a^T) / 2 takes x to (x + x) / 2 = x
+        self.transpose = np.array([entry(j, i) if j < n else x(i) for i, j in cells])
+        # predict, on ``a_pad``: the rows of A_P^T next to x, the velocity
+        # ones first with -0.0 for x, so that adding t times them to the
+        # position ones leaves x as it is
+        vel = [[entry(j, p + i) for j in range(n)] + [b] for i in range(p)]
+        rows = [[entry(j, i) for j in range(n)] + [x(i)] for i in range(n)]
+        self.predict = np.concatenate(vel + rows)
+
+        # position update. ``inputs`` is [P | x], the kernel rows of the
+        # measurement, S and the negated innovation H x - z, S's multipliers
+        s, mult = b + self.kernel, b + self.kernel + q + p
+        self.inputs = mult + q
+        # on ``inputs``, into ``gather``: the rows of H P (the gain's start),
+        # the pivots' logarithms (written later), then H P H^T next to x_pos,
+        # to which one add gives S = H P H^T + R next to x_pos - z
+        self.pp = np.array([entry(i, j) for i in range(p) for j in range(p)])
+        self.hp = np.array([entry(k, j) for k in range(p) for j in range(n)])
+        self.gather = np.r_[self.hp, np.zeros(p, int), self.pp, [x(i) for i in range(p)]]
+        self.gather_zero = p * n + 2 * p + q  # +0.0
+        # on ``inputs`` from S: each multiplier L[i, k] (k < i, in
+        # elimination order), then each pivot, repeated over the n columns of
+        # a row of K^T, then the pivots once
         self.lower = [(i, k) for k in range(p) for i in range(k + 1, p)]
-        mult, diag = [q + i * p + k for i, k in self.lower], [i * (p + 1) for i in range(p)]
-        self.mult_pivots_n = np.r_[np.repeat(mult + diag, n), diag]
-        self.scalars_n = np.repeat(np.arange(3), n)  # s, innov and r of the pseudo update
-        self.h_cols = np.array([i * n + j for i in range(n) for j in range(p)])  # A H^T
-        self.matvec = _product_index(n, n, 1, lambda i, k: i * n + k, lambda k, j: k)  # M v
-        self.outer = (np.array([i for i, _ in square]), np.array([j for _, j in square]))
-        # a_k's terms P[i, j] P[p + i, swap(j)], j-major: (2, n, p)
-        swap = _BLOCK_SWAP[p]
-        self.a_k = np.array(
-            [[[i * n + j for i in range(p)] for j in range(n)],
-             [[(p + i) * n + swap[j] for i in range(p)] for j in range(n)]]
+        pivots = [s + i * (p + 1) for i in range(p)]
+        self.mult_pivots_n = np.r_[np.repeat([mult + i * p + k for i, k in self.lower] + pivots, n),
+                                   pivots]
+        # K [H P | H x - z] and K R in one product on K^T (K[i, k] = K^T[k, i])
+        # and ``inputs``
+        self.khp_kr = _product_index(
+            [[(k * n + i, entry(k, j) if j < n else s + q + k) for k in range(p)] for i, j in cells]
+            + [[(k * n + i, b + k * p + j) for k in range(p)] for i in range(n) for j in range(p)]
         )
-        self.trace = [i * n + p + i for i in range(p)]  # the diagonal of P_pv
+        self.h_cols = np.array([entry(i, j) for i in range(n) for j in range(p)])  # A H^T
+        # (A H^T - K R) K^T, on its rows followed by +0.0 and on ``gather``:
+        # +0.0 * +0.0 for x
+        self.krk = _product_index(
+            [[(i * p + k, k * n + j) if j < n else (p * n, self.gather_zero) for k in range(p)]
+             for i, j in cells]
+        )
+
+        # pseudo update, on ``x1``, which is [P | x] followed by -0.0 and 1.0,
+        # into ``u``: a_k's terms P[i, j] P[p + i, swap(j)], j-major (2, n, p);
+        # then tr(P_pv), a_k, x_vel, r_k, h = (l_row + x_vel, x_pos), 1.0 and
+        # s1, so that x_vel follows a_k as l_row follows var_pseudo: r_k and
+        # h_pos are one add. The take writes the rows between as well, which
+        # the adds then fill
+        neg0, one, swap = b, b + 1, _BLOCK_SWAP[p]
+        quad = np.array([[[entry(i, j) for i in range(p)] for j in range(n)],
+                         [[entry(p + i, swap[j]) for i in range(p)] for j in range(n)]])
+        self.trace = [entry(i, p + i) for i in range(p)]
+        u = 2 * n * p
+        self.u_trace, self.u_x_vel, self.u_r_k, self.u_h = u, u + 2, u + p + 2, u + p + 3
+        self.u_one, self.u_s1 = u + 3 * p + 3, u + 3 * p + 4
+        self.quadratic = np.r_[quad.ravel(), [0, 0], [x(p + i) for i in range(p)],
+                               np.zeros(p + 1, int), [x(i) for i in range(p)]]
+        # P h next to -innov1 = h_pos @ x_pos - debiased_pseudo + tr(P_pv),
+        # whose terms are added in that order, on ``x1`` and on ``inputs``
+        # followed by ``u``; the terms are padded with -0.0 * 1.0
+        h, u_one, inner = self.inputs + self.u_h, self.inputs + self.u_one, max(n, p + 2)
+        negd, trace = b + self.neg_debiased, self.inputs + self.u_trace
+        self.ph = _product_index(
+            [[(entry(i, k), h + k) for k in range(n)] + [(neg0, u_one)] * (inner - n)
+             for i in range(n)]
+            + [[(x(k), h + k) for k in range(p)] + [(one, negd), (one, trace)]
+               + [(neg0, u_one)] * (inner - p - 2)]
+        )
+        # A h - r g, on A followed by g and +0.0 (``ag``) and on ``u``: r g is
+        # the last term, subtracted
+        self.a_h_rg = _product_index(
+            [[(entry(i, k), self.u_h + k) for k in range(n)] + [(b + i, self.u_r_k)]
+             for i in range(n)]
+        )
+        self.s1_n = np.full(n, self.u_s1)
+        # g (P h)^T next to g (-innov1), on ``ag`` and on P h followed by
+        # -innov1; (A h - r g) g^T next to +0.0 * +0.0, on A h - r g followed
+        # by +0.0 and on ``ag``
+        self.outer_g_ph = (np.array([b + i for i, _ in cells]), np.array([j for _, j in cells]))
+        self.outer_mv_g = (np.array([i if j < n else n for i, j in cells]),
+                           np.array([b + j for _, j in cells]))
 
 
 @functools.cache
@@ -330,12 +439,6 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     r_ep, r_ee, l_row = cov[p, :p], cov[p, p], out[lay.l_row]
     np.copyto(out[lay.cov_pos].reshape((p, p) + items), cov[:p, :p])
 
-    def dot(a, b):
-        terms = a * b
-        out = np.empty(terms.shape[1:])
-        _run(_adds(terms, out))
-        return out
-
     pivots, mult, _ = _ldl(cov)
     var_eps = np.asarray(pivots.pop())  # a new array: the last pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -350,12 +453,14 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
                 r_ep[..., bad].T[..., None],
                 lambda a, b: np.zeros_like(b) if not np.any(b) else np.full_like(b, np.nan),
             )[..., 0].T
-            var_eps[bad] = r_ee[bad] + dot(l_row[..., bad], r_ep[..., bad])
+            var_eps[bad] = r_ee[bad] + _dot(l_row[..., bad], r_ep[..., bad])
     ok = np.isfinite(l_row).all(axis=0) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
     np.maximum(var_eps, 0.0, out=out[lay.var, ...])
     np.subtract(position, mu[:p], out=out[lay.pos])
-    pseudo = np.add(dot(l_row, position), z.pseudo, out=out[lay.pseudo, ...])
-    np.subtract(pseudo, dot(l_row, mu[:p]) + mu[p], out=out[lay.debiased, ...])
+    pseudo = np.add(_dot(l_row, position), z.pseudo, out=out[lay.pseudo, ...])
+    np.subtract(pseudo, _dot(l_row, mu[:p]) + mu[p], out=out[lay.debiased, ...])
+    np.negative(out[lay.pos], out=out[lay.neg_pos])
+    np.negative(out[lay.debiased, ...], out=out[lay.neg_debiased, ...])
     return ok
 
 
@@ -390,17 +495,26 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
 _HALF = np.array(0.5)  # a 0-d array multiplies faster than a Python float
 
 
-def _product(a: np.ndarray, b: np.ndarray, index, gathered, out: np.ndarray) -> list:
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as one row per entry, ``(entries, tracks)``: a 2-D operand calls faster."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+
+
+def _product(ws: "_Workspace", a: np.ndarray, b: np.ndarray, index, out: np.ndarray,
+             minus=False) -> list:
     """The calls of ``out[e] = sum_k a[ia[k, e]] b[ib[k, e]]`` on entry rows.
 
     ``index`` is ``(ia, ib)`` from :func:`_product_index`. The terms are
-    gathered into the two buffers ``gathered``, multiplied as rows and
-    summed in order of ``k``.
+    gathered into ``ws``'s two gather buffers, multiplied as rows and
+    summed in order of ``k``; with ``minus`` the last term is subtracted.
     """
-    ga, gb = gathered
+    ga, gb = ws.gathered(index)
     # in-range indices: clip skips a copy
-    return [(a.take, (index[0], 0, ga, "clip")), (b.take, (index[1], 0, gb, "clip")),
-            (np.multiply, (ga, gb, ga))] + _adds(ga, out)
+    calls = [(a.take, (index[0], 0, ga, "clip")), (b.take, (index[1], 0, gb, "clip")),
+             (np.multiply, (_rows(ga), _rows(gb), _rows(ga)))]
+    if minus:
+        return calls + _adds(ga[:-1], out) + [(np.subtract, (out, ga[-1], out))]
+    return calls + _adds(ga, out)
 
 
 def _less(x, m, y, tmp) -> list:
@@ -411,53 +525,74 @@ def _less(x, m, y, tmp) -> list:
 class _Workspace:
     """The stage kernels for ``tracks`` tracks of size ``n``, bound to buffers made once.
 
-    A state is ``(n, tracks)`` and a covariance ``(n * n, tracks)``, one
-    contiguous row per entry (row-major). ``predict(mean, cov, model)``
-    writes ``x``, ``cov``; ``update_position(m)``, on the measurement rows
-    ``m`` of :class:`_Layout`, reads them and writes ``x1``, ``cov1``;
-    ``update_pseudo(m, mean_out, cov_out)`` reads those. Each kernel is a
-    list of ufunc calls on views of the buffers, made once, on first use,
-    and a few calls on its arguments; the other buffers hold temporaries.
-    Every listed call takes array operands of its output's shape (or 0-d),
-    all C-contiguous; a per-track scalar that multiplies whole rows has a
-    buffer that holds it repeated over them (``mult_pivots_n``,
-    ``scalars_n``).
+    A belief is a block ``[P | x]`` of ``_Layout.block`` rows, one
+    contiguous row per entry. ``predict(block, model)`` writes the block
+    ``block``; ``update_position(m)`` copies the kernel rows ``m`` of a
+    measurement (:class:`_Layout`) into ``m``, reads them and ``block`` and
+    writes ``x1``; ``update_pseudo(out)`` reads ``m`` and ``x1`` and writes
+    the block ``out``. Each kernel is a list of ufunc calls on views of the
+    buffers, made once, on first use, and a few calls on its arguments; the
+    other buffers hold temporaries. Every listed call takes array operands
+    of its output's shape (or 0-d), all C-contiguous; a per-track scalar
+    that multiplies whole rows has a buffer that holds it repeated over
+    them (``mult_pivots_n``, ``s1_n``). Some buffers end in constant rows
+    that the tables read as pads: ``-0.0`` after ``A = phi [P | x]``,
+    ``-0.0`` and ``1.0`` after ``x1``, ``+0.0`` after ``gather``,
+    ``A H^T - K R``, ``g`` and ``A h - r g``, and ``1.0`` in ``u``.
     """
 
     def __init__(self, tracks: int, n: int):
         p, self.n, self.tracks = n // 2, n, tracks
         self.p, self.lay = p, _layout(p)
-        pn, nn, q = p * n, n * n, p * p
+        lay, pn, q, b = self.lay, p * n, p * p, self.lay.block
 
         def buf(*shape):
             return np.empty(shape + (tracks,))
 
+        def padded(rows, *pads):  # ``rows`` rows followed by constant rows
+            out = buf(rows + len(pads))
+            out[rows:] = np.reshape(pads, (-1, 1))
+            return out
+
         # the model's sampling interval and process noise rows, set by predict
-        self.t, self.q = np.empty(()), buf(nn)
-        self.x, self.x1, self.cov1, self.a, self.nn, self.tr = (
-            buf(n), buf(n), buf(nn), buf(nn), buf(nn), buf(nn)
-        )
-        # P followed by the rows of R and the innovation, for K [H P | R | innov]
-        self.cov_r = buf(nn + q + p)
-        self.cov, self.r, self.innov = self.cov_r[:nn], self.cov_r[nn:-p], self.cov_r[-p:]
-        # position update: S, eliminated in place so that its diagonal ends as
-        # the pivots, followed by its multipliers; those repeated for the rows
-        # of K^T (``_Layout.mult_pivots_n``); the rows of K^T followed by the
-        # pivots' logarithms
-        self.s_mult, self.s_tmp, self.gain_tmp = buf(2 * q), buf(), buf(n)
-        self.s, self.mult = self.s_mult[:q], self.s_mult[q:].reshape(p, p, tracks)
-        self.mult_pivots_n = buf(len(self.lay.mult_pivots_n))
-        self.gain_log, self.khp_kr_dx, self.h_cols = buf(pn + p), buf(nn + pn + n), buf(pn)
-        self.g_khp_kr_dx = buf(p, nn + pn + n), buf(p, nn + pn + n)
-        self.g_krk = buf(p, nn), buf(p, nn)
+        self.t, self.q = np.empty(()), buf(b)
+        self.a_pad, self.tr = padded(b, -0.0), buf(b)
+        # the terms of every product and outer product, gathered, and
+        # predict's rows of A_P^T, in turn: buffers shared by the stages keep
+        # their working set small at many tracks
+        tables = (lay.khp_kr, lay.krk, lay.ph, lay.a_h_rg, lay.outer_g_ph)
+        rows = max([t[0].size for t in tables] + [p * (n + 1) + b])
+        self.g = buf(rows), buf(rows)
+        self.w = self.g[0][: p * (n + 1) + b]
+        # K [H P | H x - z] next to K R, then (A H^T - K R) K^T over it, then
+        # the pseudo update's A - (A h - r g) g^T
+        self.nn = buf(b + pn)
+        # A = P - K H P, later P - g (P h)^T, next to g, then +0.0
+        self.ag = padded(b + n, 0.0)
+        self.a = self.ag[:b]
+        # [P | x], the kernel rows of the scan's measurement, S (eliminated in
+        # place, so that its diagonal ends as the pivots) next to the negated
+        # innovation, S's multipliers; then the pseudo update's ``u``
+        self.inputs_u = buf(lay.inputs + lay.u_s1 + 1)
+        self.inputs, self.u = self.inputs_u[: lay.inputs], self.inputs_u[lay.inputs :]
+        self.block, self.m = self.inputs[:b], self.inputs[b : b + lay.kernel]
+        self.u[lay.u_one] = 1.0
+        # position update: the rows of K^T, the pivots' logarithms, H P H^T
+        # next to x_pos; the multipliers and pivots repeated for the rows of
+        # K^T (``_Layout.mult_pivots_n``)
+        self.gather = padded(lay.gather_zero, 0.0)
+        self.s_tmp, self.gain_tmp = buf(), buf(n)
+        self.mult_pivots_n = buf(len(lay.mult_pivots_n))
+        self.h_cols = padded(pn, 0.0)
+        self.x1 = padded(b, -0.0, 1.0)
         # pseudo update
-        self.h, self.ph, self.g, self.mv, self.tn, self.dx1 = (buf(n) for _ in range(6))
-        self.g_matvec, self.g_outer = (buf(n, n), buf(n, n)), (buf(nn), buf(nn))
-        self.a_k_terms, self.a_k_rows, self.pos_terms = buf(2, n, p), buf(p), buf(p)
-        self.trace, self.a_k, self.h_val = buf(), buf(), buf()
-        # s1, innov1 and r_k, and each repeated over n rows
-        self.scalars, self.scalars_n = buf(3), buf(3 * n)
-        self.s1, self.innov1, self.r_k = self.scalars
+        self.a_k_rows = buf(p)
+        self.ph = buf(n + 1)
+        self.mv, self.tn, self.s1_n = padded(n, 0.0), buf(n), buf(n)  # s1 repeated over n rows
+
+    def gathered(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The gather buffers' leading rows, shaped like the tables ``index``."""
+        return tuple(g[: i.size].reshape(i.shape + (self.tracks,)) for g, i in zip(self.g, index))
 
     # a public stage binds only its own kernel
     predict = functools.cached_property(lambda self: _predict(self))
@@ -466,43 +601,45 @@ class _Workspace:
 
 
 def _symmetrize(ws: _Workspace, a: np.ndarray, out: np.ndarray) -> list:
-    """The calls of ``(a + a^T) / 2`` of covariance rows ``a`` into ``out``."""
+    """The calls of ``(a + a^T) / 2`` of block rows ``a`` into ``out``; ``x`` maps to itself."""
     return [(a.take, (ws.lay.transpose, 0, ws.tr, "clip")), (np.add, (a, ws.tr, out)),
             (np.multiply, (out, _HALF, out))]
 
 
 def _predict(ws: _Workspace):
-    """The time update ``predict(mean, cov, model)`` of the rows ``mean``, ``cov``.
+    """The time update ``predict(block, model)`` of the block rows ``block``.
 
-    Writes ``ws.x`` and ``ws.cov``.
+    Writes ``ws.block``.
 
-    ``phi = [[I, t I], [0, I]]`` acts on rows: ``A = phi P`` adds ``t`` times
-    the velocity rows to the position rows, and ``(A phi^T)^T = phi A^T``
-    is the same step on the rows of ``A^T``.
+    ``phi = [[I, t I], [0, I]]`` acts on rows: ``A = phi [P | x]`` adds
+    ``t`` times the velocity rows to the position rows, which steps the
+    mean too, and ``(A_P phi^T)^T = phi A_P^T`` is the same step on the
+    rows of ``A_P^T``, taken next to ``x``. Their velocity rows are taken
+    twice, once with ``-0.0`` in ``x``'s place, and ``x + t (-0.0) = x``.
     """
-    p, t, q, pn, tr, nn = ws.p, ws.t, ws.q, ws.p * ws.n, ws.tr, ws.nn
-    x_pos, x_vel, a_top, a_bottom = ws.x[:p], ws.x[p:], ws.a[:pn], ws.a[pn:]
+    p, n, t, q, b = ws.p, ws.n, ws.t, ws.q, ws.lay.block
+    top, bottom = slice(0, p * (n + 1)), slice(p * (n + 1), b)
+    a_top, a_bottom = ws.a_pad[top], ws.a_pad[bottom]
+    vel, nn = ws.w[top], ws.w[p * (n + 1) :]
     calls = [
-        (ws.a.take, (ws.lay.transpose, 0, tr, "clip")),
-        (np.multiply, (tr[pn:], t, nn[:pn])),
-        (np.add, (tr[:pn], nn[:pn], nn[:pn])),
-        (np.copyto, (nn[pn:], tr[pn:])),
+        (ws.a_pad.take, (ws.lay.predict, 0, ws.w, "clip")),
+        (np.multiply, (vel, t, vel)),
+        (np.add, (nn[top], vel, nn[top])),
         (np.add, (nn, q, nn)),
-        *_symmetrize(ws, nn, ws.cov),
+        *_symmetrize(ws, nn, ws.block),
     ]
     bound = None
 
-    def predict(mean, cov, model):
+    def predict(block, model):
         nonlocal bound
         if model is not bound:
-            bound, t[...], q[...] = model, model.t, model.process_noise_cov().reshape(-1, 1)
-        vel, cov_vel = mean[p:], cov[pn:]
-        np.multiply(vel, t, x_pos)
-        np.add(mean[:p], x_pos, x_pos)
-        np.copyto(x_vel, vel)
-        np.multiply(cov_vel, t, a_top)
-        np.add(cov[:pn], a_top, a_top)
-        np.copyto(a_bottom, cov_vel)
+            noise = np.full((n, n + 1), -0.0)  # -0.0 leaves x as it is
+            noise[:, :n] = model.process_noise_cov()
+            bound, t[...], q[...] = model, model.t, noise.reshape(-1, 1)
+        rates = block[bottom]
+        np.multiply(rates, t, a_top)
+        np.add(block[top], a_top, a_top)
+        np.copyto(a_bottom, rates)
         for f, args in calls:
             f(*args)
 
@@ -510,9 +647,9 @@ def _predict(ws: _Workspace):
 
 
 def _update_position(ws: _Workspace):
-    """The update of ``ws.x``, ``ws.cov`` with the position in the rows ``m``.
+    """The update of ``ws.block`` with the position in the rows ``m``.
 
-    ``update_position(m)`` writes ``ws.x1`` and ``ws.cov1``.
+    ``update_position(m)`` writes ``ws.x1``.
 
     ``K^T = S^-1 (H P) = L^-T D^-1 L^-1 (H P)`` comes from the LDL^T
     elimination of ``S = H P H^T + R`` (the operations of
@@ -525,23 +662,36 @@ def _update_position(ws: _Workspace):
     each unrolled for the workspace's ``p``. The substitution reads only
     final multipliers and pivots, so running it after the elimination
     changes no bit.
+
+    The innovation is formed negated, ``H x + (-z)`` in the add that forms
+    ``S``, so that ``x + K innov`` is ``x - K (H x - z)``, the ``x`` column
+    of ``[P | x] - K H [P | x]`` with ``z`` in the place of ``H x``: one
+    product and one subtract.
     """
-    p, n, lay, r, innov, x_pos = ws.p, ws.n, ws.lay, ws.r, ws.innov, ws.x[: ws.p]
-    nn, pn, cov_pos, pos = n * n, p * n, lay.cov_pos, lay.pos
-    s = [[ws.s[i * p + j] for j in range(i + 1)] for i in range(p)]
-    mult = [[ws.mult[i, k] for k in range(i)] for i in range(p)]
-    gain_log, gain_t, log_pivots = ws.gain_log, ws.gain_log[:pn], ws.gain_log[pn:]
+    p, n, lay, b = ws.p, ws.n, ws.lay, ws.lay.block
+    pn, q, r = p * n, p * p, ws.m[lay.cov_pos]
+    s_at = b + lay.kernel
+    gain_t, gain_log = ws.gather[:pn], ws.gather[: pn + p].reshape(-1)
+    log_pivots = ws.gather[pn : pn + p]
+    s_flat = ws.inputs[s_at : s_at + q]
+    mult_flat = ws.inputs[s_at + q + p :].reshape(p, p, ws.tracks)
+    s = [[s_flat[i * p + j] for j in range(i + 1)] for i in range(p)]
+    mult = [[mult_flat[i, k] for k in range(i)] for i in range(p)]
     gain, reps = gain_t.reshape(p, n, ws.tracks), ws.mult_pivots_n
-    mult_n = {ik: reps[b * n : (b + 1) * n] for b, ik in enumerate(lay.lower)}
+    mult_n = {ik: reps[c * n : (c + 1) * n] for c, ik in enumerate(lay.lower)}
     pivots_n, pivots = reps[len(lay.lower) * n : -p], reps[-p:]
-    calls = [(ws.cov.take, (lay.pp, 0, ws.s, "clip")), (np.add, (ws.s, r, ws.s))]  # S
+    calls = [
+        (ws.inputs.take, (lay.gather, 0, ws.gather[: lay.gather_zero], "clip")),
+        # S = H P H^T + R next to the negated innovation x_pos - z
+        (np.add, (ws.gather[pn + p : lay.gather_zero], ws.m[lay.r_innov],
+                  ws.inputs[s_at : s_at + q + p])),
+    ]
     for k in range(p):  # the elimination
         for i in range(k + 1, p):
             calls.append((np.divide, (s[i][k], s[k][k], mult[i][k])))
             for j in range(k + 1, i + 1):
                 calls += _less(s[i][j], mult[i][k], s[j][k], ws.s_tmp)
-    calls += [(ws.s_mult.take, (lay.mult_pivots_n, 0, reps, "clip")),
-              (np.copyto, (gain_t, ws.cov[:pn]))]
+    calls.append((ws.inputs.take, (lay.mult_pivots_n, 0, reps, "clip")))
     for i, k in lay.lower:  # forward substitution on the rows of H P
         calls += _less(gain[i], mult_n[i, k], gain[k], ws.gain_tmp)
     calls.append((np.divide, (gain_t, pivots_n, gain_t)))
@@ -549,16 +699,15 @@ def _update_position(ws: _Workspace):
         for i in range(c + 1, p):
             calls += _less(gain[c], mult_n[i, c], gain[i], ws.gain_tmp)
     calls.append((np.log, (pivots, log_pivots)))
-    khp, kr, dx = ws.khp_kr_dx[:nn], ws.khp_kr_dx[nn : nn + pn], ws.khp_kr_dx[nn + pn :]
+    khp, kr, h_cols = ws.nn[:b], ws.nn[b:], ws.h_cols[:pn]
     joseph = [
-        *_product(gain_t, ws.cov_r, lay.khp_kr_dx, ws.g_khp_kr_dx, ws.khp_kr_dx),
-        (np.add, (ws.x, dx, ws.x1)),
-        (np.subtract, (ws.cov, khp, ws.a)),  # A = P - K (H P)
-        (ws.a.take, (lay.h_cols, 0, ws.h_cols, "clip")),
-        (np.subtract, (ws.h_cols, kr, ws.h_cols)),  # A H^T - K R
-        *_product(ws.h_cols, gain_t, lay.krk, ws.g_krk, ws.nn),
-        (np.subtract, (ws.a, ws.nn, ws.nn)),
-        *_symmetrize(ws, ws.nn, ws.cov1),
+        *_product(ws, gain_t, ws.inputs, lay.khp_kr, ws.nn),
+        (np.subtract, (ws.block, khp, ws.a)),  # A = P - K (H P), x + K innov
+        (ws.a.take, (lay.h_cols, 0, h_cols, "clip")),
+        (np.subtract, (h_cols, kr, h_cols)),  # A H^T - K R
+        *_product(ws, ws.h_cols, ws.gather, lay.krk, khp),
+        (np.subtract, (ws.a, khp, khp)),
+        *_symmetrize(ws, khp, ws.x1[:b]),
     ]
 
     def solve_each():
@@ -567,23 +716,23 @@ def _update_position(ws: _Workspace):
         # collapsed (noise-free) covariance, where the minimum-norm gain is
         # the correct limit
         gain_t[:, bad] = _solve_each(
-            (ws.cov.take(lay.pp, 0)[:, bad] + r[:, bad]).T.reshape(-1, p, p),
-            ws.cov[:pn, bad].T.reshape(-1, p, n),
+            (ws.block.take(lay.pp, 0)[:, bad] + r[:, bad]).T.reshape(-1, p, p),
+            ws.block.take(lay.hp, 0)[:, bad].T.reshape(-1, p, n),
             lambda a, c: np.linalg.lstsq(a, c, rcond=None)[0],
         ).reshape(-1, pn).T
         if not np.isfinite(gain_t).all():
             raise DegenerateCovarianceError("position innovation covariance is singular")
 
     def update_position(m):
-        np.copyto(r, m[cov_pos])
+        np.copyto(ws.m, m)
         for f, args in calls:
             f(*args)
         # log d is finite exactly when the pivot d is positive and finite, so
-        # one finite sum passes the gain rows and the pivots together (NaN
-        # fails it); a finite sum that overflows sends the scan item by item
-        if not math.isfinite(np.add.reduce(gain_log, None)):
+        # one finite sum of squares passes the gain rows and the pivots
+        # together (NaN fails it); one that overflows sends the scan item by
+        # item. A dot product sums them faster than a reduction does
+        if not math.isfinite(np.dot(gain_log, gain_log)):
             solve_each()
-        np.subtract(m[pos], x_pos, innov)
         for f, args in joseph:
             f(*args)
 
@@ -591,78 +740,78 @@ def _update_position(ws: _Workspace):
 
 
 def _quadratic(ws: _Workspace) -> list:
-    """The calls of ``tr(P_pv)`` into ``ws.trace`` and ``a_k`` into ``ws.a_k``, for ``ws.cov1``."""
-    terms = ws.a_k_terms
+    """The calls of ``tr(P_pv)`` and ``a_k`` into ``ws.u``, for the block ``ws.x1``.
+
+    The same ``take`` gathers ``x1``'s halves into ``ws.u`` for the pseudo update.
+    """
+    lay, u = ws.lay, ws.u
+    terms = u[: lay.u_trace].reshape((2, ws.n, ws.p, ws.tracks))
     return [
-        *_adds([ws.cov1[i] for i in ws.lay.trace], ws.trace),
-        (ws.cov1.take, (ws.lay.a_k, 0, terms, "clip")),
-        (np.multiply, (terms[0], terms[1], terms[0])),
+        (ws.x1.take, (lay.quadratic, 0, u[: lay.u_one], "clip")),
+        *_adds([ws.x1[i] for i in lay.trace], u[lay.u_trace]),
+        (np.multiply, (_rows(terms[0]), _rows(terms[1]), _rows(terms[0]))),
         *_adds(terms[0], ws.a_k_rows),  # over j, then over i
-        *_adds(ws.a_k_rows, ws.a_k),
+        *_adds(ws.a_k_rows, u[lay.u_trace + 1]),
     ]
 
 
 def _update_pseudo(ws: _Workspace):
-    """The update of ``ws.x1``, ``ws.cov1`` with the pseudo in the rows ``m``.
+    """The update of ``ws.x1`` with the pseudo in the rows ``ws.m``.
 
-    ``update_pseudo(m, mean_out, cov_out)`` writes ``mean_out``, ``cov_out``.
+    ``update_pseudo(out)`` writes the block ``out``.
 
-    The scalars ``s1``, ``innov1`` and ``r_k`` are the rows of one buffer:
-    the Joseph list's first call, after the collapsed-variance patch,
-    repeats each over ``n`` rows, so that the gain, the mean step and
-    ``r g`` take operands of one shape.
+    The variance ``s1`` is a row of ``ws.u``: the Joseph list's first call,
+    after the collapsed-variance patch, repeats it over ``n`` rows, so that
+    the gain takes operands of one shape. The innovation is formed negated,
+    so that ``x1 + g innov1`` is the ``x`` column of ``[P | x] - g [(P h)^T
+    | -innov1]``, and ``r g`` is the last term of the product ``A h``,
+    subtracted.
     """
-    p, n, lay, x1, h, ph, g, tn, s1 = ws.p, ws.n, ws.lay, ws.x1, ws.h, ws.ph, ws.g, ws.tn, ws.s1
-    r_k, h_val, innov1, (gu, gv) = ws.r_k, ws.h_val, ws.innov1, ws.g_outer
-    s1_n, innov1_n, r_k_n = ws.scalars_n.reshape(3, n, ws.tracks)
-    x1_pos, x1_vel, h_pos, a_k, trace, dx1, nn, tr, cov1 = (
-        x1[:p], x1[p:], h[:p], ws.a_k, ws.trace, ws.dx1, ws.nn, ws.tr, ws.cov1
-    )
-    l_row, var, debiased, pseudo = lay.l_row, lay.var, lay.debiased, lay.pseudo
+    p, n, lay, u, b, m = ws.p, ws.n, ws.lay, ws.u, ws.lay.block, ws.m
+    x1, ph, mv, tn, nn, tr = ws.x1[:b], ws.ph, ws.mv, ws.tn, ws.nn[:b], ws.tr
+    gu, gv = ws.gathered(lay.outer_g_ph)
+    a, g = ws.ag[:b], ws.ag[b : b + n]
+    h, s1 = u[lay.u_h : lay.u_h + n], u[lay.u_s1]
+    r_k = u[lay.u_r_k]
+    a_k_x_vel, r_k_h_pos = u[lay.u_trace + 1 : lay.u_x_vel + p], u[lay.u_r_k : lay.u_h + p]
+    innov1 = ph[n]
 
-    def outer(u, v):  # the rows of u v^T, into gu
-        return [(u.take, (lay.outer[0], 0, gu, "clip")), (v.take, (lay.outer[1], 0, gv, "clip")),
+    def outer(v, w, index):  # the rows of v w^T next to the x column, into gu
+        return [(v.take, (index[0], 0, gu, "clip")), (w.take, (index[1], 0, gv, "clip")),
                 (np.multiply, (gu, gv, gu))]
 
-    first = [*_quadratic(ws), (np.copyto, (h[p:], x1_pos))]  # h = (l_row + vel, pos)
     variance = [
-        *_product(cov1, h, lay.matvec, ws.g_matvec, ph),  # P h
-        (np.multiply, (h, ph, tn)),
+        *_quadratic(ws),
+        # r_k = var_pseudo + a_k next to h_pos = l_row + x_vel
+        (np.add, (m[lay.var_l_row], a_k_x_vel, r_k_h_pos)),
+        # P h, then the innovation less the second-order mean correction
+        # delta2 / 2 = tr(P_pv), negated
+        *_product(ws, ws.x1, ws.inputs_u, lay.ph, ph),
+        (np.multiply, (h, ph[:n], tn)),
         *_adds(tn, s1),
         (np.add, (s1, r_k, s1)),
-        (np.multiply, (h_pos, x1_pos, ws.pos_terms)),
-        *_adds(ws.pos_terms, h_val),  # (l_row + vel) @ pos
     ]
     joseph = [
-        (ws.scalars.take, (lay.scalars_n, 0, ws.scalars_n, "clip")),
-        (np.divide, (ph, s1_n, g)),
-        (np.multiply, (g, innov1_n, dx1)),
-        *outer(g, ph),
-        (np.subtract, (cov1, gu, ws.a)),  # A = P - g (P h)^T
-        *_product(ws.a, h, lay.matvec, ws.g_matvec, ws.mv),
-        (np.multiply, (r_k_n, g, tn)),
-        (np.subtract, (ws.mv, tn, ws.mv)),  # A h - r g
-        *outer(ws.mv, g),
-        (np.subtract, (ws.a, gu, nn)),
+        (u.take, (lay.s1_n, 0, ws.s1_n, "clip")),
+        (np.divide, (ph[:n], ws.s1_n, g)),
+        *outer(ws.ag, ph, lay.outer_g_ph),
+        (np.subtract, (x1, gu, a)),  # A = P - g (P h)^T, x1 + g innov1
+        *_product(ws, ws.ag, u, lay.a_h_rg, mv[:n], minus=True),  # A h - r g
+        *outer(mv, ws.ag, lay.outer_mv_g),
+        (np.subtract, (a, gu, nn)),
         (nn.take, (lay.transpose, 0, tr, "clip")),
     ]
 
-    def update_pseudo(m, mean_out, cov_out):
-        for f, args in first:
-            f(*args)
-        np.add(x1_vel, m[l_row], h_pos)
-        np.add(m[var], a_k, r_k)
+    def update_pseudo(out):
         for f, args in variance:
             f(*args)
-        # less the second-order mean correction delta2 / 2 = tr(P_pv)
-        np.subtract(m[debiased], h_val, innov1)
-        np.subtract(innov1, trace, innov1)
         # the true variance is nonnegative for PSD inputs, so s <= 0 is a
         # collapsed (deterministic) measurement: a no-op when the innovation is
         # consistent, a genuine degeneracy otherwise; NaN also takes this branch
-        collapsed = None if s1.min() > 0 else s1 <= 0
+        collapsed = None if np.minimum.reduce(s1) > 0 else s1 <= 0
         if collapsed is not None:
-            scale = np.maximum(np.maximum(np.abs(m[pseudo]), np.abs(h_val)), 1.0)
+            h_val = _dot(h[:p], h[p:])  # (l_row + vel) @ pos
+            scale = np.maximum(np.maximum(np.abs(m[lay.pseudo]), np.abs(h_val)), 1.0)
             if np.any(collapsed & (np.abs(innov1) > 1e-9 * scale)):
                 raise DegenerateCovarianceError(
                     "pseudo-measurement innovation variance is not positive"
@@ -670,12 +819,10 @@ def _update_pseudo(ws: _Workspace):
             s1[collapsed] = 1.0
         for f, args in joseph:
             f(*args)
-        np.add(x1, dx1, mean_out)
-        np.add(nn, tr, cov_out)  # symmetrized
-        np.multiply(cov_out, _HALF, cov_out)
+        np.add(nn, tr, out)  # symmetrized
+        np.multiply(out, _HALF, out)
         if collapsed is not None:
-            np.copyto(mean_out, x1, where=collapsed)
-            np.copyto(cov_out, cov1, where=collapsed)
+            np.copyto(out, x1, where=collapsed)
 
     return update_pseudo
 
@@ -686,18 +833,29 @@ def _tracks(a, entry_axes: int) -> np.ndarray:
     return a.reshape((-1, math.prod(a.shape[a.ndim - entry_axes :]))).T
 
 
-def _items(rows: np.ndarray, batch: tuple[int, ...], entries: tuple[int, ...]) -> np.ndarray:
-    """Entry rows ``(entries, tracks)`` as an item-major ``batch + entries`` view."""
-    return rows.T.reshape(batch + entries)
+def _block_rows(belief: GaussianBelief) -> np.ndarray:
+    """A batch of beliefs as the block rows ``[P | x]``, ``(n * (n + 1), tracks)``."""
+    return _tracks(np.concatenate([belief.cov, belief.mean[..., None]], axis=-1), 2)
+
+
+def _belief(rows: np.ndarray, batch: tuple[int, ...]) -> GaussianBelief:
+    """Block rows ``[P | x]`` as an item-major ``batch`` of beliefs, both fields views."""
+    n = math.isqrt(rows.shape[0])
+    block = rows.T.reshape(batch + (n, n + 1))
+    return GaussianBelief(block[..., n], block[..., :n])
 
 
 def _measurement_rows(d: DecorrelatedMeasurement, batch: tuple[int, ...]) -> np.ndarray:
-    """The fields of ``d``, one measurement per belief of ``batch``, as rows ``(size, tracks)``."""
-    p = d.dim
+    """The kernel rows of ``d``, one measurement per belief of ``batch``, ``(kernel, tracks)``."""
+    lay = _layout(d.dim)
     _batch(d, batch, "the belief's")
-    parts = [np.reshape(d.cov_pos, d.cov_pos.shape[:-2] + (p * p,)), d.debiased_pos, d.l_row]
-    parts += [np.asarray(f)[..., None] for f in (d.var_pseudo, d.debiased_pseudo, d.pseudo)]
-    return np.concatenate([_tracks(f, 1) for f in parts])
+    rows = np.empty((lay.kernel, math.prod(batch)))
+    rows[lay.cov_pos], rows[lay.l_row] = _tracks(d.cov_pos, 2), _tracks(d.l_row, 1)
+    rows[lay.neg_pos] = -_tracks(d.debiased_pos, 1)
+    for i, f in (lay.var, d.var_pseudo), (lay.pseudo, d.pseudo):
+        rows[i] = np.reshape(f, -1)
+    rows[lay.neg_debiased] = -np.reshape(d.debiased_pseudo, -1)
+    return rows
 
 
 def _check_state(n: int, p: int, cov_shape: tuple[int, ...] | None = None) -> None:
@@ -714,8 +872,8 @@ def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
     _check_state(n, model.dim)
     ws = _Workspace(math.prod(batch), n)
-    ws.predict(_tracks(belief.mean, 1), _tracks(belief.cov, 2), model)
-    return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
+    ws.predict(_block_rows(belief), model)
+    return _belief(ws.block, batch)
 
 
 def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -728,10 +886,10 @@ def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Ga
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
     _check_state(n, d.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
-    ws.x[...], ws.cov[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
+    ws.block[...] = _block_rows(belief)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in filter_scans
         ws.update_position(_measurement_rows(d, batch))
-    return GaussianBelief(_items(ws.x1, batch, (n,)), _items(ws.cov1, batch, (n, n)))
+    return _belief(ws.x1[: ws.lay.block], batch)
 
 
 def pseudo_jacobian(state: np.ndarray, l_row: np.ndarray) -> np.ndarray:
@@ -759,9 +917,12 @@ def quadratic_correction(cov: np.ndarray):
     batch, n = cov.shape[:-2], cov.shape[-1]
     _check_state(n, n // 2, cov.shape)
     ws = _Workspace(math.prod(batch), n)
-    ws.cov1[...] = _tracks(cov, 2)
+    ws.x1[: ws.lay.block].reshape(n, n + 1, ws.tracks)[:, :n] = _tracks(cov, 2).reshape(
+        n, n, ws.tracks
+    )
     _run(_quadratic(ws))
-    return 2.0 * ws.trace.reshape(batch), ws.a_k.reshape(batch)
+    trace, a_k = ws.u[ws.lay.u_trace : ws.lay.u_trace + 2]
+    return 2.0 * trace.reshape(batch), a_k.reshape(batch)
 
 
 def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
@@ -775,9 +936,9 @@ def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> Gau
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
     _check_state(n, d.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
-    ws.x1[...], ws.cov1[...] = _tracks(belief.mean, 1), _tracks(belief.cov, 2)
-    ws.update_pseudo(_measurement_rows(d, batch), ws.x, ws.cov)
-    return GaussianBelief(_items(ws.x, batch, (n,)), _items(ws.cov, batch, (n, n)))
+    ws.x1[: ws.lay.block], ws.m[...] = _block_rows(belief), _measurement_rows(d, batch)
+    ws.update_pseudo(ws.block)
+    return _belief(ws.block, batch)
 
 
 def initialize_belief(
@@ -823,12 +984,12 @@ def filter_scans(
     ``(scans, *batch)`` and the mask of updated (scan, track) pairs.
 
     Every scan is decorrelated up front, into scan-major entry rows
-    ``(scans, entry, tracks)``. The outputs are stored scan-major too,
-    ``(scans, n, tracks)`` and ``(scans, n * n, tracks)``, and returned as
-    views in the item-major layout. Every scan, whether some or no tracks
-    update in it, runs the same kernels on every track, a track that does
-    not update on a neutral placeholder measurement, and then puts back
-    that track's prediction.
+    ``(scans, entry, tracks)``. The outputs are stored scan-major too, as
+    the block rows ``[P | x]``, ``(scans, n * (n + 1), tracks)``, and both
+    fields are returned as views of them in the item-major layout. Every
+    scan, whether some or no tracks update in it, runs the same kernels on
+    every track, a track that does not update on a neutral placeholder
+    measurement, and then puts back that track's prediction.
     """
     ok = np.asarray(ok, dtype=bool)
     scans, batch = ok.shape[0], ok.shape[1:]
@@ -852,28 +1013,25 @@ def filter_scans(
     update = ok.reshape(scans, tracks)
     every = update.all(axis=1).tolist()
     np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
-    means, covs = np.empty((scans, n, tracks)), np.empty((scans, n * n, tracks))
+    rows = rows[:, : lay.kernel]  # the rows the updates read
+    blocks = np.empty((scans, lay.block, tracks))
     ws = _Workspace(tracks, n)
     predict, update_position, update_pseudo = ws.predict, ws.update_position, ws.update_pseudo
-    mean, cov = _tracks(init.mean, 1), _tracks(init.cov, 2)
+    block = _block_rows(init)
     # zero pivots go to the gain's fallback, and so does an overflowing finiteness sum
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k, step in enumerate(steps):
-            predict(mean, cov, model)
-            mean, cov, m = means[k], covs[k], rows[k]  # this scan's output, the next one's input
+            predict(block, model)
+            block, m = blocks[k], rows[k]  # this scan's output, the next one's input
             try:
                 update_position(m)
-                update_pseudo(m, mean, cov)
+                update_pseudo(block)
             except (DegenerateCovarianceError, ValueError) as exc:
                 raise type(exc)(f"step {step}: {exc}") from exc
             if not every[k]:
-                keep = ~update[k]
-                np.copyto(mean, ws.x, where=keep)
-                np.copyto(cov, ws.cov, where=keep)
-    post = GaussianBelief(
-        np.moveaxis(means.reshape((scans, n) + batch), 1, -1),
-        np.moveaxis(covs.reshape((scans, n, n) + batch), (1, 2), (-2, -1)),
-    )
+                np.copyto(block, ws.block, where=~update[k])
+    items = np.moveaxis(blocks.reshape((scans, n, n + 1) + batch), (1, 2), (-2, -1))
+    post = GaussianBelief(items[..., n], items[..., :n])
     return post, ok
 
 

@@ -699,6 +699,24 @@ def test_cli_consistency_reads_numbers_as_yaml_1_2_does(tmp_path):
     assert grid == [0.5] + [float(k) for k in range(1, 11)]
 
 
+def test_cli_consistency_drawn_range_not_positive_exits_1(tmp_path, capsys):
+    # at 300 m and sigma_r 200 m some drawn ranges are not positive; the sweep
+    # once scored them and wrote an in-band average NES
+    config = tmp_path / "exp.yaml"
+    config.write_text(
+        "consistency: {geometry: {r_m: 300.0}, noise: {sigma_r_m: 200.0, sigma_theta_deg: 0.0}}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["consistency", "--config", str(config), "--out", str(out)]) == 1
+    assert re.search(
+        r"^rcmkf: error: sigma_theta 0\.5 deg, \d+ of 1000 draws: invalid measurement, "
+        r"range -[\d.e+]+ m is not positive$",
+        capsys.readouterr().err.strip(),
+    )
+    assert not (out / "consistency.csv").exists()
+
+
 def test_cli_consistency_nan_sigma_flag_exits_2(tmp_path, capsys):
     code = main(["consistency", "--sigma-theta-max", "nan", "--out", str(tmp_path)])
     assert code == 2

@@ -214,6 +214,21 @@ def test_consistency_sweep_nested_exits_at_large_noise():
     assert rep.avg_nes[0] > rep.upper
 
 
+def test_consistency_sweep_rejects_a_drawn_range_that_is_not_positive():
+    # at 300 m with sigma_r 200 m, 129 of these 2000 draws have a range <= 0;
+    # scored, they gave an in-band average NES of 2.85
+    near = dataclasses.replace(GEOMETRY, r=300.0)
+    noise = dataclasses.replace(SWEEP_NOISE, sigma_r=200.0)
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=r"^sigma_theta 1 deg, 129 of 2000 draws: invalid measurement, "
+        r"range -479\.884 m is not positive$",
+    ):
+        consistency_sweep(
+            tuple(ConversionMethod), near, noise, np.array([1.0]), 2000, np.random.default_rng(0)
+        )
+
+
 def test_consistency_sweep_empty_grid():
     with pytest.raises(ValueError):
         consistency_sweep(

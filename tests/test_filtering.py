@@ -896,15 +896,39 @@ def _off_the_fast_path(f, args) -> str | None:
     return None
 
 
+# The scan's call budget: the bound calls of predict, the position update and
+# the pseudo update, per position dimension. A scan also makes 6 calls on its
+# arguments and two checks (the module docstring lists them).
+_BOUND_CALLS = {1: (7, 20, 30), 2: (7, 27, 37), 3: (7, 45, 47)}
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_every_bound_kernel_call_takes_equal_shape_contiguous_operands(p):
     # a call that broadcasts a per-track row over a gain's rows, or reads a
     # strided view, costs about twice an equal-shape call of the same size
     ws = filtering._Workspace(5, 2 * p)
-    calls = [c for k in (ws.predict, ws.update_position, ws.update_pseudo) for c in _bound_calls(k)]
-    assert len(calls) > 60
+    stages = [_bound_calls(k) for k in (ws.predict, ws.update_position, ws.update_pseudo)]
+    assert tuple(len(calls) for calls in stages) == _BOUND_CALLS[p]
+    calls = [c for stage in stages for c in stage]
     assert {f for f, _ in calls} >= {np.add, np.subtract, np.multiply, np.divide, np.log}
     assert [why for why in (_off_the_fast_path(*c) for c in calls) if why] == []
+
+
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.5, -2.0**-1022,
+                     np.nextafter(2.0**1023, 0.0), -np.nextafter(2.0**1023, 0.0)])
+
+
+def test_padding_identities_keep_every_bit():
+    # the state column rides through calls on the covariance with these pads
+    x = np.concatenate([_SPECIAL, np.random.default_rng(0).standard_normal(50) * 1e3])
+    for got in (x + np.full_like(x, -0.0), x - np.zeros_like(x), x * np.ones_like(x),
+                (x + x) * np.array(0.5)):
+        assert got.tobytes() == x.tobytes()
+    # (x + x) / 2 needs |x| < 2**1023, and adding +0.0 turns -0.0 into +0.0
+    big = np.array([2.0**1023, -(2.0**1023)])
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal((big + big) * 0.5, [np.inf, -np.inf])
+    assert (np.array([-0.0]) + 0.0).tobytes() == np.array([0.0]).tobytes()
 
 
 def _scan_batch(rng, p, shape, scans):
@@ -997,6 +1021,28 @@ def test_filter_scans_gives_a_track_the_same_bits_alone(p, accel_std):
         np.testing.assert_array_equal(alone_updated, updated[key])
         assert alone.mean.tobytes() == post.mean[key].tobytes(), f"mean of track {i}"
         assert alone.cov.tobytes() == post.cov[key].tobytes(), f"covariance of track {i}"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_workspace_pads_keep_their_identities(monkeypatch, p):
+    # the tables read these constant rows as the state column's operands
+    init, z = _scan_batch(np.random.default_rng(p), p, (3, 2), 4)
+    made = []
+
+    class RecordingWorkspace(filtering._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(filtering, "_Workspace", RecordingWorkspace)
+    filter_scans(init, z, np.ones((4, 3, 2), dtype=bool), range(4), DynamicModel(p, 0.7, 2.0))
+    (ws,) = made
+    pads = {"a_pad": [-0.0], "x1": [-0.0, 1.0], "gather": [0.0], "h_cols": [0.0], "ag": [0.0],
+            "mv": [0.0]}
+    for name, values in pads.items():
+        rows = getattr(ws, name)[-len(values) :]
+        assert rows.tobytes() == np.repeat(values, ws.tracks).tobytes(), name
+    assert ws.u[ws.lay.u_one].tobytes() == np.ones(ws.tracks).tobytes()
 
 
 def _small_scan_batch(shape=(2, 2), scans=4):
