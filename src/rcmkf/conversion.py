@@ -58,18 +58,16 @@ truth the closed forms are tested against. It is a pipeline whose one unit
 of work is a block of draws: the calling thread only draws the next block
 of standard normals, while one worker thread turns each drawn block, in
 order, into its errors and product sums, which the caller adds in block
-order. It holds at most two block buffers (one on a single CPU), and its
-output bits do not depend on the number of CPUs. See FORMULA_NOTES.md for the
+order. It holds at most two block buffers on any host, and its output
+bits do not depend on the number of CPUs. See FORMULA_NOTES.md for the
 places where this implementation deviates from variants of these formulas
 that circulate with typographical slips.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -543,14 +541,6 @@ _ORACLE_BLOCK = 65_536
 _ORACLE_SUBTILE = 8_192
 
 
-def _oracle_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity query on this platform
-        return os.cpu_count() or 1
-
-
 def mc_moment_oracle(
     m: SphericalMeasurement,
     noise: NoiseSpec,
@@ -571,15 +561,15 @@ def mc_moment_oracle(
     ``standard_normal`` call (about 32 B per draw) whose columns are
     overwritten by their errors. One worker thread turns each block, in
     order, into its errors and centered product sums, centered on block 0's
-    mean error, so the calling thread only draws. The draws go into a ring
-    of at most two block buffers (one on a single CPU), and the caller takes
-    the oldest block's sums before it draws into that buffer again, so the
-    sums are added in block order. The memory is about 2 MB per buffer at
-    the default ``batch`` and about 0.3 MB of worker scratch, and the
-    results are the same bits on any number of CPUs. Raises
-    :class:`DegenerateCovarianceError` for a range that is not positive, by
-    the module's one rule, and ValueError for a 2D radar with an elevation
-    noise, as the closed forms do.
+    mean error, so the calling thread only draws. The caller draws block k
+    into one of two buffers while the worker sums block k - 1 in the other,
+    and takes block k - 1's sums before it submits block k, so the sums are
+    added in block order and no block is submitted after a failed one. The
+    memory is about 2 MB per buffer at the default ``batch`` and about 0.3
+    MB of worker scratch, and the results are the same bits on any number of
+    CPUs. Raises :class:`DegenerateCovarianceError` for a range that is not
+    positive, by the module's one rule, and ValueError for a 2D radar with
+    an elevation noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
@@ -610,23 +600,21 @@ def mc_moment_oracle(
 
     from concurrent.futures import ThreadPoolExecutor  # here: the import costs ~5 ms
 
-    # A second buffer lets the caller draw while the worker runs; on a single
-    # CPU it measured 3-11% slower (CHANGES.md).
-    buffers = 1 if _oracle_cpus() == 1 else min(2, -(-samples // batch))
-    ring = [np.empty(4 * min(batch, samples)) for _ in range(buffers)]
+    # At most two buffers: the caller draws into one while the worker sums the other.
+    ring = [np.empty(4 * min(batch, samples)) for _ in range(min(2, -(-samples // batch)))]
     # Block 0's mean error: the one worker runs the blocks in order, so block 0
     # sets it before any later block reads it.
     center = None
-    pending = collections.deque()  # the futures of the blocks in flight, oldest first
     parts = []  # each block's sum, product sum and squared-product sum, in block order
     with ThreadPoolExecutor(max_workers=1) as pool:
+        running = None  # the future of the block the worker holds
         for k, lo in enumerate(range(0, samples, batch)):
-            if len(pending) == len(ring):  # the oldest block in flight holds this buffer
-                parts.append(pending.popleft().result())
             z = ring[k % len(ring)][: 4 * min(batch, samples - lo)].reshape(4, -1)
             rng.standard_normal(out=z)
-            pending.append(pool.submit(block_sums, z, k == 0))
-        parts += [done.result() for done in pending]
+            if running is not None:  # block k - 1's sums first: a failed block stops the run
+                parts.append(running.result())
+            running = pool.submit(block_sums, z, k == 0)
+        parts.append(running.result())
 
     sum_c, sum_cc, sum_cc_sq = map(sum, zip(*parts))
     mean_c = sum_c / samples

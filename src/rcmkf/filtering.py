@@ -284,11 +284,10 @@ def _product_index(terms) -> tuple[np.ndarray, np.ndarray]:
 class _Layout:
     """Entry rows of a measurement and of a belief, and the kernels' tables, for one ``p``.
 
-    A measurement's rows are the position block ``cov_pos`` of its error
-    covariance (row-major) next to ``-debiased_pos``, ``var_pseudo`` next to
-    ``l_row``, ``-debiased_pseudo`` and ``pseudo``: the ``kernel`` rows the
-    updates read. ``debiased_pos`` and ``debiased_pseudo`` follow. The
-    negated rows let the updates form their innovations negated (see
+    A measurement's ``kernel`` rows are the position block ``cov_pos`` of
+    its error covariance (row-major) next to ``-debiased_pos``,
+    ``var_pseudo`` next to ``l_row``, ``-debiased_pseudo`` and ``pseudo``.
+    The negated rows let the updates form their innovations negated (see
     :func:`_update_position`).
     ``neutral`` is the placeholder of a track that does not update: with
     ``R = I``, ``var_pseudo = 1`` and zeros elsewhere every update is
@@ -307,9 +306,7 @@ class _Layout:
         self.var, self.l_row = q + p, slice(q + p + 1, q + 2 * p + 1)
         self.var_l_row, self.neg_debiased = slice(q + p, q + 2 * p + 1), q + 2 * p + 1
         self.neg_pos, self.pseudo, self.kernel = slice(q, q + p), q + 2 * p + 2, q + 2 * p + 3
-        self.pos, self.debiased = slice(q + 2 * p + 3, q + 3 * p + 3), q + 3 * p + 3
-        self.size = q + 3 * p + 4
-        self.neutral = np.zeros(self.size)
+        self.neutral = np.zeros(self.kernel)
         self.neutral[self.cov_pos] = np.eye(p).ravel()
         self.neutral[self.var] = 1.0
 
@@ -413,7 +410,7 @@ def _layout(p: int) -> _Layout:
 def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     """:func:`decorrelate` of every item of ``z`` into the entry rows ``out``.
 
-    ``out`` is ``(size,) + items`` in the row order of :class:`_Layout`; it
+    ``out`` is ``(kernel,) + items`` in the row order of :class:`_Layout`; it
     may be a strided view. Returns the per-item validity mask.
 
     The row comes in closed form, for all items at once, from the one LDL^T
@@ -456,11 +453,11 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
             var_eps[bad] = r_ee[bad] + _dot(l_row[..., bad], r_ep[..., bad])
     ok = np.isfinite(l_row).all(axis=0) & ~(var_eps <= -1e-9 * np.maximum(r_ee, 1.0))
     np.maximum(var_eps, 0.0, out=out[lay.var, ...])
-    np.subtract(position, mu[:p], out=out[lay.pos])
+    neg_pos, neg_debiased = out[lay.neg_pos], out[lay.neg_debiased, ...]
+    np.negative(np.subtract(position, mu[:p], out=neg_pos), out=neg_pos)
     pseudo = np.add(_dot(l_row, position), z.pseudo, out=out[lay.pseudo, ...])
-    np.subtract(pseudo, _dot(l_row, mu[:p]) + mu[p], out=out[lay.debiased, ...])
-    np.negative(out[lay.pos], out=out[lay.neg_pos])
-    np.negative(out[lay.debiased, ...], out=out[lay.neg_debiased, ...])
+    np.subtract(pseudo, _dot(l_row, mu[:p]) + mu[p], out=neg_debiased)
+    np.negative(neg_debiased, out=neg_debiased)
     return ok
 
 
@@ -475,7 +472,7 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     singular or the residual variance is negative beyond rounding.
     """
     p, lay, items = z.dim, _layout(z.dim), _batch(z)
-    rows = np.empty((lay.size,) + items)
+    rows = np.empty((lay.kernel,) + items)
     if not np.all(_decorrelate(z, rows)):
         raise DegenerateCovarianceError(
             "singular position error covariance or negative residual pseudo-measurement variance"
@@ -486,8 +483,8 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
         pseudo=rows[lay.pseudo],
         var_pseudo=rows[lay.var],
         l_row=np.moveaxis(rows[lay.l_row], 0, -1),
-        debiased_pos=np.moveaxis(rows[lay.pos], 0, -1),
-        debiased_pseudo=rows[lay.debiased],
+        debiased_pos=np.moveaxis(-rows[lay.neg_pos], 0, -1),
+        debiased_pseudo=-rows[lay.neg_debiased],
         dim=p,
     )
 
@@ -808,7 +805,7 @@ def _update_pseudo(ws: _Workspace):
         # the true variance is nonnegative for PSD inputs, so s <= 0 is a
         # collapsed (deterministic) measurement: a no-op when the innovation is
         # consistent, a genuine degeneracy otherwise; NaN also takes this branch
-        collapsed = None if np.minimum.reduce(s1) > 0 else s1 <= 0
+        collapsed = None if np.minimum.reduce(s1, initial=np.inf) > 0 else s1 <= 0
         if collapsed is not None:
             h_val = _dot(h[:p], h[p:])  # (l_row + vel) @ pos
             scale = np.maximum(np.maximum(np.abs(m[lay.pseudo]), np.abs(h_val)), 1.0)
@@ -1007,13 +1004,12 @@ def filter_scans(
         _check_state(n, model.dim)
     except ValueError as exc:  # every update would fail, from the first scan's on
         raise ValueError(f"step {steps[0]}: {exc}" if steps else str(exc)) from exc
-    rows = np.empty((scans, lay.size) + batch)
+    rows = np.empty((scans, lay.kernel) + batch)
     ok = ok & _decorrelate(z, np.moveaxis(rows, 1, 0))
-    rows = rows.reshape(scans, lay.size, tracks)
+    rows = rows.reshape(scans, lay.kernel, tracks)
     update = ok.reshape(scans, tracks)
     every = update.all(axis=1).tolist()
     np.copyto(rows, lay.neutral[:, None], where=~update[:, None])
-    rows = rows[:, : lay.kernel]  # the rows the updates read
     blocks = np.empty((scans, lay.block, tracks))
     ws = _Workspace(tracks, n)
     predict, update_position, update_pseudo = ws.predict, ws.update_position, ws.update_pseudo

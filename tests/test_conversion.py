@@ -510,9 +510,8 @@ def _serial_oracle(m, noise, samples, rng, batch):
         pytest.param(25.0, None, 65_537, id="25.0-default-65537"),
     ],
 )
-@pytest.mark.parametrize("cpus", [1, 2])  # a ring of one buffer, and of two
 def test_oracle_bytes_equal_the_serial_reference_off_the_calling_thread(
-    monkeypatch, cpus, phi_deg, batch, samples
+    monkeypatch, phi_deg, batch, samples
 ):
     sigma_phi = 0.0 if phi_deg is None else math.radians(8.0)
     noise = NoiseSpec(150.0, math.radians(12.0), 4.0, rho=0.6, sigma_phi=sigma_phi)
@@ -529,7 +528,6 @@ def test_oracle_bytes_equal_the_serial_reference_off_the_calling_thread(
         return cart(*args, **kwargs)
 
     monkeypatch.setattr(conversion, "_cart", recording_cart)
-    monkeypatch.setattr(conversion, "_oracle_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # threads switch often, so a shared-state slip would show
     try:
@@ -543,15 +541,14 @@ def test_oracle_bytes_equal_the_serial_reference_off_the_calling_thread(
 
 
 @pytest.mark.parametrize(
-    "fail_at, cpus, batch",
-    # a ring of one buffer, and of two (as on any host with more than one CPU)
+    "fail_at, batch",
     # blocks of 140000 draws: a sub-tile of the first block, or of the second
-    [pytest.param(f, c, 140_000, id=f"{f}-{c}") for c in (1, 3) for f in (4, 30)]
+    [pytest.param(f, 140_000, id=f"{f}") for f in (4, 30)]
     # the default blocks, 8 sub-tiles each: the first block, whose errors
     # give the centre, or a later one
-    + [pytest.param(f, c, None, id=f"{f}-{c}-default") for c in (1, 3) for f in (4, 30)],
+    + [pytest.param(f, None, id=f"{f}-default") for f in (4, 30)],
 )
-def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, cpus, batch):
+def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at, batch):
     calls = itertools.count(1)
     cart = conversion._cart
     error = RuntimeError("block failed")
@@ -562,7 +559,6 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
         return cart(*args, **kwargs)
 
     monkeypatch.setattr(conversion, "_cart", failing_cart)
-    monkeypatch.setattr(conversion, "_oracle_cpus", lambda: cpus)
     before = threading.active_count()
     rng = np.random.default_rng(0)
     kwargs = {} if batch is None else {"batch": batch}
@@ -570,14 +566,6 @@ def test_oracle_tile_error_propagates_and_leaves_no_thread(monkeypatch, fail_at,
         mc_moment_oracle(sph(20000.0, 60.0, -150.0), CASE_NOISE, 300_001, rng, **kwargs)
     assert info.value is error
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("count, cpus", [(1, 1), (3, 3), (16, 16), (None, 1)])
-def test_oracle_cpus_without_an_affinity_query(monkeypatch, count, cpus):
-    # a platform without sched_getaffinity counts every CPU, at least one
-    monkeypatch.delattr(conversion.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(conversion.os, "cpu_count", lambda: count)
-    assert conversion._oracle_cpus() == cpus
 
 
 def test_debias_correctness_under_reconstructed_truths():

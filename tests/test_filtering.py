@@ -213,7 +213,7 @@ def test_decorrelate_singular_block_valid_only_without_cross_row():
     cov = np.zeros((4, 3, 3))
     cov[:, :2, :2], cov[:, 2, :2], cov[:, :2, 2], cov[:, 2, 2] = blocks, cross, cross, 4.0
     z = ConvertedMeasurement(np.ones((4, 2)), np.ones(4), np.zeros((4, 3)), cov, 2)
-    rows = np.empty((filtering._layout(2).size, 4))
+    rows = np.empty((filtering._layout(2).kernel, 4))
     ok = filtering._decorrelate(z, rows)
     np.testing.assert_array_equal(ok, [True, False, True, False])
     d = decorrelate(z[ok])
@@ -340,6 +340,39 @@ def test_kf_predict_rejects_a_belief_of_another_size():
 def test_quadratic_correction_rejects_a_covariance_of_another_size(cov, message):
     with pytest.raises(ValueError, match=message):
         quadratic_correction(cov)
+
+
+def _zero_track_outputs(entry, batch):
+    """Each array ``entry`` returns for a ``batch`` without tracks, with its expected shape."""
+    prior = GaussianBelief(np.zeros(batch + (4,)), np.zeros(batch + (4, 4)))
+    if entry is decorrelate:
+        d = _decorrelated_batch(batch)
+        return [(d.cov_pos, batch + (2, 2)), (d.pseudo, batch), (d.var_pseudo, batch),
+                (d.l_row, batch + (2,)), (d.debiased_pos, batch + (2,)), (d.debiased_pseudo, batch)]
+    if entry is quadratic_correction:
+        return [(a, batch) for a in quadratic_correction(prior.cov)]
+    if entry is filter_scans:  # two scans
+        scans = (2,) + batch
+        z = ConvertedMeasurement(np.ones(scans + (2,)), np.zeros(scans), np.zeros(scans + (3,)),
+                                 np.broadcast_to(np.eye(3), scans + (3, 3)), 2)
+        post, ok = filter_scans(prior, z, np.ones(scans, bool), [1, 2], DynamicModel(2))
+        return [(post.mean, scans + (4,)), (post.cov, scans + (4, 4)), (ok, scans)]
+    if entry is kf_predict:
+        post = kf_predict(prior, DynamicModel(2))
+    else:  # an update stage
+        post = entry(prior, _decorrelated_batch(batch))
+    return [(post.mean, batch + (4,)), (post.cov, batch + (4, 4))]
+
+
+@pytest.mark.parametrize("batch", [(0,), (3, 0)], ids=["0", "3x0"])
+@pytest.mark.parametrize(
+    "entry",
+    [kf_predict, decorrelate, kf_update_position, quadratic_correction, ekf_update_pseudo, filter_scans],
+)
+def test_every_stage_returns_empty_outputs_for_no_tracks(entry, batch):
+    # the pseudo update's variance check once raised numpy's "zero-size array"
+    for got, shape in _zero_track_outputs(entry, batch):
+        assert np.shape(got) == shape
 
 
 def test_pseudo_jacobian_rejects_a_state_of_another_size():

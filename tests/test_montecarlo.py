@@ -92,9 +92,14 @@ def assert_ensembles_equal(a, b):
         np.testing.assert_array_equal(getattr(a, f), getattr(b, f), err_msg=f)
 
 
+# off t = 1 a matrix-product prediction rounds a single track (BLAS gemv)
+# apart from a batch (gemm); a track must give the same bits either way
+@pytest.mark.parametrize("t", [None, 0.1, 0.7, 1.3])  # None: the scenario's own interval
 @pytest.mark.parametrize("key", sorted(SCENARIOS))
-def test_batched_engine_matches_per_run_path(key):
+def test_batched_engine_matches_per_run_path(key, t):
     sc = dataclasses.replace(SCENARIOS[key], seed=42)
+    if t is not None:
+        sc = dataclasses.replace(sc, model=dataclasses.replace(sc.model, t=t))
     ens = run_ensemble(sc, VARIANTS)
     seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
     assert ens.variants == VARIANTS and len(ens.truth) == sc.runs
@@ -196,19 +201,6 @@ def test_run_filter_equals_the_engines_track_bit_for_bit(key):
         assert track.skipped_steps == [] and ens.updated[run, v].all()
         np.testing.assert_array_equal([b.mean for b in track.beliefs], ens.means[run, v])
         np.testing.assert_array_equal([b.cov for b in track.beliefs], ens.covs[run, v])
-
-
-@pytest.mark.parametrize("t", [0.1, 0.7, 1.3])
-@pytest.mark.parametrize("key", ["case2", "inline3d"])
-def test_per_run_filter_equals_its_batched_track_bit_for_bit(key, t):
-    # off t = 1 a matrix-product prediction rounds a single track (BLAS
-    # gemv) apart from a batch (gemm); a track must give the same bits either way
-    base = SCENARIOS[key]
-    sc = dataclasses.replace(base, runs=4, model=dataclasses.replace(base.model, t=t))
-    seeds = np.random.SeedSequence(sc.seed).spawn(sc.runs)
-    assert_ensembles_equal(
-        _filter_chunk(sc, VARIANTS, seeds), join([run_single(sc, VARIANTS, seed) for seed in seeds])
-    )
 
 
 def test_degenerate_scan_masks_only_its_own_run(monkeypatch):
