@@ -58,8 +58,7 @@ truth the closed forms are tested against. It is a pipeline whose one unit
 of work is a block of draws: the calling thread only draws the next block
 of standard normals, while one worker thread turns each drawn block, in
 order, into its errors and product sums, which the caller adds in block
-order. It holds at most two block buffers on any host, and its output
-bits do not depend on the number of CPUs. See FORMULA_NOTES.md for the
+order. Its docstring states its memory. See FORMULA_NOTES.md for the
 places where this implementation deviates from variants of these formulas
 that circulate with typographical slips.
 """
@@ -530,11 +529,9 @@ class OracleMoments:
     samples: int
 
 
-# Columns per oracle block, the default ``batch``: the calling thread draws
-# one block of normals at a time and the worker turns it into its errors and
-# sums, so the next block's draw overlaps this one's trigonometry. Few enough
-# blocks keep the per-allocation cost small where every allocation is traced
-# (tracemalloc).
+# Columns per oracle block, the default ``batch`` (see ``mc_moment_oracle``).
+# Few enough blocks keep the per-allocation cost small where every allocation
+# is traced (tracemalloc).
 _ORACLE_BLOCK = 65_536
 # Columns per step of a block's error pass: its truth scratch stays cache-sized.
 # The pass is elementwise, so this size changes no bits.
@@ -557,19 +554,20 @@ def mc_moment_oracle(
     covariance entries come from the sample variance of the centered
     products. Results are deterministic given the generator state.
 
-    The draws come in blocks of ``batch``, each one ``(4, batch)`` float64
-    ``standard_normal`` call (about 32 B per draw) whose columns are
-    overwritten by their errors. One worker thread turns each block, in
-    order, into its errors and centered product sums, centered on block 0's
-    mean error, so the calling thread only draws. The caller draws block k
-    into one of two buffers while the worker sums block k - 1 in the other,
-    and takes block k - 1's sums before it submits block k, so the sums are
-    added in block order and no block is submitted after a failed one. The
-    memory is about 2 MB per buffer at the default ``batch`` and about 0.3
-    MB of worker scratch, and the results are the same bits on any number of
-    CPUs. Raises :class:`DegenerateCovarianceError` for a range that is not
-    positive, by the module's one rule, and ValueError for a 2D radar with
-    an elevation noise, as the closed forms do.
+    The draws come in blocks of ``batch`` (65,536 by default), each one
+    ``(4, batch)`` float64 ``standard_normal`` call (about 32 B per draw,
+    about 2 MB a block at the default) whose columns are overwritten by
+    their errors. One worker thread turns each block, in order, into its
+    errors and centered product sums, centered on block 0's mean error, so
+    the calling thread only draws. The caller draws block k into one of two
+    buffers while the worker sums block k - 1 in the other, and takes block
+    k - 1's sums before it submits block k, so the sums are added in block
+    order and no block is submitted after a failed one. The memory is at
+    most these two buffers (about 4.2 MB at the default) and about 0.3 MB of
+    worker scratch on any host, and the results are the same bits on any
+    number of CPUs. Raises :class:`DegenerateCovarianceError` for a range
+    that is not positive, by the module's one rule, and ValueError for a 2D
+    radar with an elevation noise, as the closed forms do.
     """
     _check_no_2d_elevation(noise, m.dim)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):

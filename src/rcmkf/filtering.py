@@ -98,8 +98,9 @@ next predict reads. Every scan takes the one path, whether all, some or
 none of its tracks update: the same kernels run on every track, a track
 that does not update on a neutral placeholder measurement, and such a
 track's prediction is put back, one ``copyto`` of its block. Sizes are
-checked once, by :func:`filter_scans` and the public stages, which are
-thin wrappers that run the same kernels on a fresh workspace.
+checked once, by :func:`filter_scans` and the public stages, thin wrappers
+that take the conversion :func:`filter_scans` takes, decorrelate it alike
+and run the same kernels on a fresh workspace.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -165,8 +166,7 @@ class GaussianBelief:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        n = self.mean.shape[-1]
-        if self.cov.shape != self.mean.shape + (n,):
+        if self.mean.ndim == 0 or self.cov.shape != self.mean.shape + self.mean.shape[-1:]:
             raise ValueError("covariance shape does not match the state length")
 
     def __getitem__(self, key) -> "GaussianBelief":
@@ -183,7 +183,7 @@ class DecorrelatedMeasurement:
     ``debiased_pos`` and ``debiased_pseudo`` are the position and ``pseudo``
     less their hypothesized error means, the bias-compensated values the
     updates compare with the prediction. Fields may carry leading batch
-    axes, indexed with ``d[key]``.
+    axes.
     """
 
     cov_pos: np.ndarray
@@ -194,31 +194,22 @@ class DecorrelatedMeasurement:
     debiased_pseudo: float
     dim: int
 
-    def __getitem__(self, key) -> "DecorrelatedMeasurement":
-        return DecorrelatedMeasurement(
-            self.cov_pos[key], self.pseudo[key], self.var_pseudo[key], self.l_row[key],
-            self.debiased_pos[key], self.debiased_pseudo[key], self.dim,
-        )
+
+# Trailing entry axes of each array field of a converted measurement.
+_ENTRY_AXES = dict(position=1, pseudo=0, mu=1, cov=2)
 
 
-# Trailing entry axes of each array field of a converted or decorrelated measurement.
-_ENTRY_AXES = dict(position=1, pseudo=0, mu=1, cov=2, cov_pos=2, var_pseudo=0, l_row=1,
-                   debiased_pos=1, debiased_pseudo=0)
+def _batch(z: ConvertedMeasurement, items=None, of=None) -> tuple[int, ...]:
+    """The leading axes that every field of the conversion ``z`` carries.
 
-
-def _batch(m, items=None, of=None) -> tuple[int, ...]:
-    """The leading axes that every field of the measurement ``m`` carries.
-
-    ``m`` is a :class:`ConvertedMeasurement` or a
-    :class:`DecorrelatedMeasurement`. Each field must carry ``items``, which
-    ``of`` names, or when ``items`` is not given the first field's leading
-    axes. A field that would only broadcast to them raises
-    :class:`ValueError` naming both batches, as it would pair items with
-    other items' values.
+    Each field must carry ``items``, which ``of`` names, or when ``items``
+    is not given the first field's leading axes. A field that would only
+    broadcast to them raises :class:`ValueError` naming both batches, as it
+    would pair items with other items' values.
     """
-    for f in fields(m):
+    for f in fields(z):
         if f.name in _ENTRY_AXES:
-            shape = np.shape(getattr(m, f.name))[: -_ENTRY_AXES[f.name] or None]
+            shape = np.shape(getattr(z, f.name))[: -_ENTRY_AXES[f.name] or None]
             if items is None:
                 items, of = shape, f"the {f.name}'s"
             elif shape != items:
@@ -461,6 +452,20 @@ def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _kernel_rows(z: ConvertedMeasurement, beliefs=None) -> np.ndarray:
+    """The kernel rows ``(kernel,) + items`` of every item of ``z``, by :func:`_decorrelate`.
+
+    ``z`` must carry the batch ``beliefs``, if given (:func:`_batch`). Raises
+    :class:`DegenerateCovarianceError` when an item does not decorrelate.
+    """
+    rows = np.empty((_layout(z.dim).kernel,) + _batch(z, beliefs, "the belief's"))
+    if not np.all(_decorrelate(z, rows)):
+        raise DegenerateCovarianceError(
+            "singular position error covariance or negative residual pseudo-measurement variance"
+        )
+    return rows
+
+
 def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     """Remove the position/pseudo error correlation from a conversion.
 
@@ -469,14 +474,11 @@ def decorrelate(z: ConvertedMeasurement) -> DecorrelatedMeasurement:
     transformed pseudo error ``L @ pos_err + eta_err`` uncorrelated with the
     position errors; its variance is ``R_ee - R_ep inv(R_pp) R_ep^T``.
     Raises :class:`DegenerateCovarianceError` when the position block is
-    singular or the residual variance is negative beyond rounding.
+    singular while the cross row is nonzero, or the residual variance is
+    negative beyond rounding.
     """
-    p, lay, items = z.dim, _layout(z.dim), _batch(z)
-    rows = np.empty((lay.kernel,) + items)
-    if not np.all(_decorrelate(z, rows)):
-        raise DegenerateCovarianceError(
-            "singular position error covariance or negative residual pseudo-measurement variance"
-        )
+    p, lay, rows = z.dim, _layout(z.dim), _kernel_rows(z)
+    items = rows.shape[1:]
     # item-major views of the entry rows
     return DecorrelatedMeasurement(
         cov_pos=np.moveaxis(rows[lay.cov_pos].reshape((p, p) + items), (0, 1), (-2, -1)),
@@ -842,19 +844,6 @@ def _belief(rows: np.ndarray, batch: tuple[int, ...]) -> GaussianBelief:
     return GaussianBelief(block[..., n], block[..., :n])
 
 
-def _measurement_rows(d: DecorrelatedMeasurement, batch: tuple[int, ...]) -> np.ndarray:
-    """The kernel rows of ``d``, one measurement per belief of ``batch``, ``(kernel, tracks)``."""
-    lay = _layout(d.dim)
-    _batch(d, batch, "the belief's")
-    rows = np.empty((lay.kernel, math.prod(batch)))
-    rows[lay.cov_pos], rows[lay.l_row] = _tracks(d.cov_pos, 2), _tracks(d.l_row, 1)
-    rows[lay.neg_pos] = -_tracks(d.debiased_pos, 1)
-    for i, f in (lay.var, d.var_pseudo), (lay.pseudo, d.pseudo):
-        rows[i] = np.reshape(f, -1)
-    rows[lay.neg_debiased] = -np.reshape(d.debiased_pseudo, -1)
-    return rows
-
-
 def _check_state(n: int, p: int, cov_shape: tuple[int, ...] | None = None) -> None:
     """Raise :class:`ValueError` unless a state of size ``n`` holds a position and a
     velocity of dimension ``p`` and ``cov_shape``, if given, ends in ``(n, n)``."""
@@ -873,19 +862,21 @@ def kf_predict(belief: GaussianBelief, model: DynamicModel) -> GaussianBelief:
     return _belief(ws.block, batch)
 
 
-def kf_update_position(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
+def kf_update_position(belief: GaussianBelief, z: ConvertedMeasurement) -> GaussianBelief:
     """Linear measurement update with the converted position.
 
-    The innovation is compensated for the hypothesized conversion bias:
-    ``z - mu - H x``. Joseph form, in the factored product of the module
-    docstring, keeps the covariance PSD.
+    ``z`` holds one conversion per belief, decorrelated as in
+    :func:`decorrelate`. The innovation is compensated for the hypothesized
+    conversion bias: ``z - mu - H x``. Joseph form, in the factored product
+    of the module docstring, keeps the covariance PSD.
     """
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
-    _check_state(n, d.dim, belief.cov.shape)
+    _check_state(n, z.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
     ws.block[...] = _block_rows(belief)
+    rows = _kernel_rows(z, batch).reshape(ws.m.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in filter_scans
-        ws.update_position(_measurement_rows(d, batch))
+        ws.update_position(rows)
     return _belief(ws.x1[: ws.lay.block], batch)
 
 
@@ -922,18 +913,20 @@ def quadratic_correction(cov: np.ndarray):
     return 2.0 * trace.reshape(batch), a_k.reshape(batch)
 
 
-def ekf_update_pseudo(belief: GaussianBelief, d: DecorrelatedMeasurement) -> GaussianBelief:
+def ekf_update_pseudo(belief: GaussianBelief, z: ConvertedMeasurement) -> GaussianBelief:
     """Second-order extended update with the decorrelated pseudo-measurement.
 
-    Linearizes about the position-updated estimate; the innovation subtracts
-    the hypothesized bias and the second-order mean correction, and the gain
-    denominator carries the quadratic variance inflation on top of the
-    residual measurement variance.
+    ``z`` is as in :func:`kf_update_position`. Linearizes about the
+    position-updated estimate; the innovation subtracts the hypothesized bias
+    and the second-order mean correction, and the gain denominator carries
+    the quadratic variance inflation on top of the residual measurement
+    variance.
     """
     batch, n = belief.mean.shape[:-1], belief.mean.shape[-1]
-    _check_state(n, d.dim, belief.cov.shape)
+    _check_state(n, z.dim, belief.cov.shape)
     ws = _Workspace(math.prod(batch), n)
-    ws.x1[: ws.lay.block], ws.m[...] = _block_rows(belief), _measurement_rows(d, batch)
+    ws.x1[: ws.lay.block] = _block_rows(belief)
+    ws.m[...] = _kernel_rows(z, batch).reshape(ws.m.shape)
     ws.update_pseudo(ws.block)
     return _belief(ws.block, batch)
 

@@ -33,6 +33,9 @@ __all__ = ["Ensemble", "run_ensemble", "run_single"]
 
 
 def _check_variants(variants: tuple[FilterVariant, ...]) -> None:
+    for v in variants:
+        if not isinstance(v, FilterVariant):
+            raise ValueError(f"variant {v!r} is not one of {', '.join(FilterVariant.__members__)}")
     if not variants:
         raise ValueError("an ensemble needs at least one filter variant")
     if len(set(variants)) != len(variants):

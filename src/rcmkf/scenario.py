@@ -275,9 +275,8 @@ def _noise_matrix(noise: NoiseSpec, size, rng: np.random.Generator) -> np.ndarra
     One ``(4,) + size`` draw scaled in place by :func:`_scale_noise`. The
     consistency sweep and the nested reference use it; the measurement
     synthesis draws every run's block into one ``(runs, 4, steps)``
-    buffer, and the Monte Carlo oracle one ``(4, batch)`` float64 block
-    (about 32 B per draw) at a time into a ring of reused buffers, which it
-    scales a cache-sized run of columns at a time. Both scale with the same
+    buffer, and the Monte Carlo oracle draws block by block
+    (``rcmkf.conversion.mc_moment_oracle``). Both scale with the same
     helper, so every consumer sees the identical noise construction.
     """
     return _scale_noise(noise, rng.standard_normal((4,) + tuple(np.atleast_1d(size))))

@@ -48,6 +48,19 @@ def make_converted(cov, mu=None, position=None, pseudo=0.0, dim=None):
     )
 
 
+def position_only(position):
+    """Conversions of the positions ``(..., p)`` with a zero position block and cross row.
+
+    Each decorrelates to a zero ``R``, ``debiased_pos = position``, ``var_pseudo
+    = 1`` and zero ``l_row``, ``pseudo`` and ``debiased_pseudo``.
+    """
+    position = np.asarray(position, dtype=float)
+    batch, p = position.shape[:-1], position.shape[-1]
+    cov = np.zeros(batch + (p + 1, p + 1))
+    cov[..., p, p] = 1.0
+    return ConvertedMeasurement(position, np.zeros(batch), np.zeros(batch + (p + 1,)), cov, p)
+
+
 def random_spd(n, rng, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T + n * np.eye(n))
@@ -189,36 +202,57 @@ def test_position_gain_is_backward_stable(p):
     cov, _ = _spread_covs(np.random.default_rng(60 + p), n, 2000, "eigenvalues")
     m = len(cov) * p  # item i * p + k takes the innovation e_k
     prior = GaussianBelief(np.zeros((m, n)), np.repeat(cov, p, axis=0))
-    d = filtering.DecorrelatedMeasurement(
-        cov_pos=np.zeros((m, p, p)),
-        pseudo=np.zeros(m),
-        var_pseudo=np.ones(m),
-        l_row=np.zeros((m, p)),
-        debiased_pos=np.tile(np.eye(p), (len(cov), 1)),
-        debiased_pseudo=np.zeros(m),
-        dim=p,
-    )
-    gain_t = kf_update_position(prior, d).mean.reshape(len(cov), p, n)
+    z = position_only(np.tile(np.eye(p), (len(cov), 1)))
+    gain_t = kf_update_position(prior, z).mean.reshape(len(cov), p, n)
     s, hp = cov[:, :p, :p], cov[:, :p]
     resid = np.abs(s @ gain_t - hp).max(axis=(1, 2))
     scale = np.abs(s).max(axis=(1, 2)) * np.abs(gain_t).max(axis=(1, 2)) + np.abs(hp).max(axis=(1, 2))
     assert np.all(resid <= 1e-14 * scale)
 
 
-def test_decorrelate_singular_block_valid_only_without_cross_row():
-    # zero and rank-one position blocks, each with a zero and a nonzero cross
-    # row; the closed form's division by a zero pivot warns nothing
+def _singular_blocks():
+    """Zero and rank-one position blocks, each with a zero and a nonzero cross row."""
     blocks = [np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2))]
     cross = [np.zeros(2), np.array([0.5, 0.0]), np.zeros(2), np.array([1.0, 1.0])]
     cov = np.zeros((4, 3, 3))
     cov[:, :2, :2], cov[:, 2, :2], cov[:, :2, 2], cov[:, 2, 2] = blocks, cross, cross, 4.0
-    z = ConvertedMeasurement(np.ones((4, 2)), np.ones(4), np.zeros((4, 3)), cov, 2)
+    return ConvertedMeasurement(np.ones((4, 2)), np.ones(4), np.zeros((4, 3)), cov, 2)
+
+
+def test_decorrelate_singular_block_valid_only_without_cross_row():
+    # the closed form's division by a zero pivot warns nothing
+    z = _singular_blocks()
     rows = np.empty((filtering._layout(2).kernel, 4))
     ok = filtering._decorrelate(z, rows)
     np.testing.assert_array_equal(ok, [True, False, True, False])
     d = decorrelate(z[ok])
     np.testing.assert_array_equal(d.l_row, 0.0)
     np.testing.assert_array_equal(d.var_pseudo, 4.0)
+
+
+def test_a_stage_and_the_engine_refuse_the_same_conversion():
+    # a singular position block with a nonzero cross row does not decorrelate:
+    # each stage raises on it, and the engine leaves that track predict-only
+    # in that scan while the valid tracks update
+    z, rng = _singular_blocks(), np.random.default_rng(17)
+    covs = np.stack([random_spd(4, rng) for _ in range(4)])
+    prior = GaussianBelief(rng.standard_normal((4, 4)), covs)
+    model = DynamicModel(2, 1.0, 0.5)
+    for stage in kf_update_position, ekf_update_pseudo:
+        for i in [1, 3], [1], [3]:
+            with pytest.raises(DegenerateCovarianceError, match="singular position error covariance"):
+                stage(prior[i], z[i])
+    post, updated = filter_scans(prior, z[None], np.ones((1, 4), bool), [2], model)
+    np.testing.assert_array_equal(updated, [[True, False, True, False]])
+    predicted = kf_predict(prior, model)
+    for i in 1, 3:
+        assert post.mean[0, i].tobytes() == predicted.mean[i].tobytes()
+        assert post.cov[0, i].tobytes() == predicted.cov[i].tobytes()
+    for i in 0, 2:
+        upd = ekf_update_pseudo(kf_update_position(predicted[i], z[i]), z[i])
+        assert post.mean[0, i].tobytes() == upd.mean.tobytes()
+        assert post.cov[0, i].tobytes() == upd.cov.tobytes()
+        assert not np.array_equal(upd.mean, predicted.mean[i])
 
 
 def test_kf_predict_identity():
@@ -247,19 +281,17 @@ def test_kf_predict_additive_covariance():
 
 def test_kf_update_uninformative_measurement():
     prior = GaussianBelief(np.array([1.0, -1.0, 0.5, 0.2]), np.eye(4))
-    d = decorrelate(
-        make_converted(np.diag([1e12, 1e12, 1.0]), position=[500.0, -500.0], pseudo=0.0)
-    )
-    post = kf_update_position(prior, d)
+    z = make_converted(np.diag([1e12, 1e12, 1.0]), position=[500.0, -500.0], pseudo=0.0)
+    post = kf_update_position(prior, z)
     np.testing.assert_allclose(post.mean, prior.mean, atol=1e-6)
     np.testing.assert_allclose(post.cov, prior.cov, rtol=1e-6)
 
 
 def test_kf_update_halving_gain():
     prior = GaussianBelief(np.array([2.0, 3.0, 1.0, 1.0]), np.eye(4))
-    z = prior.mean[:2] + np.array([1.0, 0.0])
-    d = decorrelate(make_converted(np.diag([1.0, 1.0, 1.0]), position=z, pseudo=0.0))
-    post = kf_update_position(prior, d)
+    position = prior.mean[:2] + np.array([1.0, 0.0])
+    z = make_converted(np.diag([1.0, 1.0, 1.0]), position=position, pseudo=0.0)
+    post = kf_update_position(prior, z)
     np.testing.assert_allclose(post.mean, [2.5, 3.0, 1.0, 1.0], atol=1e-12)
 
 
@@ -268,10 +300,8 @@ def test_kf_update_bias_shift_invariance():
     prior = GaussianBelief(rng.standard_normal(4), random_spd(4, rng))
     cov = random_spd(3, rng)
     shift = np.array([10.0, -20.0])
-    a = decorrelate(make_converted(cov, mu=[1.0, 2.0, 0.0], position=[5.0, 6.0]))
-    b = decorrelate(
-        make_converted(cov, mu=[1.0 + shift[0], 2.0 + shift[1], 0.0], position=[5.0 + shift[0], 6.0 + shift[1]])
-    )
+    a = make_converted(cov, mu=[1.0, 2.0, 0.0], position=[5.0, 6.0])
+    b = make_converted(cov, mu=[1.0 + shift[0], 2.0 + shift[1], 0.0], position=[5.0 + shift[0], 6.0 + shift[1]])
     pa = kf_update_position(prior, a)
     pb = kf_update_position(prior, b)
     np.testing.assert_allclose(pa.mean, pb.mean, atol=1e-10)
@@ -282,22 +312,22 @@ def test_kf_update_loewner_decrease():
     rng = np.random.default_rng(5)
     for _ in range(20):
         prior = GaussianBelief(rng.standard_normal(4), random_spd(4, rng, scale=10.0))
-        d = decorrelate(make_converted(random_spd(3, rng), position=rng.standard_normal(2)))
-        post = kf_update_position(prior, d)
+        z = make_converted(random_spd(3, rng), position=rng.standard_normal(2))
+        post = kf_update_position(prior, z)
         diff = prior.cov - post.cov
         assert np.linalg.eigvalsh(diff).min() >= -1e-9 * np.trace(prior.cov)
         np.testing.assert_allclose(post.cov, post.cov.T, atol=1e-12)
 
 
-def _decorrelated_batch(batch):
-    """Decorrelated identity-covariance conversions, one per item of ``batch``."""
-    return decorrelate(ConvertedMeasurement(
+def _converted_batch(batch):
+    """Identity-covariance conversions, one per item of ``batch``."""
+    return ConvertedMeasurement(
         position=np.ones(batch + (2,)),
         pseudo=np.zeros(batch),
         mu=np.zeros(batch + (3,)),
         cov=np.broadcast_to(np.eye(3), batch + (3, 3)),
         dim=2,
-    ))
+    )
 
 
 @pytest.mark.parametrize("stage", [kf_update_position, ekf_update_pseudo])
@@ -312,8 +342,8 @@ def test_update_stages_reject_measurements_of_another_batch(stage, beliefs, meas
     # belief with another belief's measurement
     prior = GaussianBelief(np.zeros(beliefs + (4,)), np.broadcast_to(np.eye(4), beliefs + (4, 4)))
     with pytest.raises(ValueError, match=message):
-        stage(prior, _decorrelated_batch(measurements))
-    post = stage(prior, _decorrelated_batch(beliefs))
+        stage(prior, _converted_batch(measurements))
+    post = stage(prior, _converted_batch(beliefs))
     assert post.mean.shape == beliefs + (4,)
 
 
@@ -323,7 +353,7 @@ def test_update_stages_reject_a_state_of_another_size(stage, n):
     # a 3D or an odd state against a 2D measurement
     prior = GaussianBelief(np.zeros(n), np.eye(n))
     with pytest.raises(ValueError, match=f"state of size {n} is not .* of dimension 2"):
-        stage(prior, _decorrelated_batch(()))
+        stage(prior, _converted_batch(()))
 
 
 def test_kf_predict_rejects_a_belief_of_another_size():
@@ -346,7 +376,7 @@ def _zero_track_outputs(entry, batch):
     """Each array ``entry`` returns for a ``batch`` without tracks, with its expected shape."""
     prior = GaussianBelief(np.zeros(batch + (4,)), np.zeros(batch + (4, 4)))
     if entry is decorrelate:
-        d = _decorrelated_batch(batch)
+        d = decorrelate(_converted_batch(batch))
         return [(d.cov_pos, batch + (2, 2)), (d.pseudo, batch), (d.var_pseudo, batch),
                 (d.l_row, batch + (2,)), (d.debiased_pos, batch + (2,)), (d.debiased_pseudo, batch)]
     if entry is quadratic_correction:
@@ -360,7 +390,7 @@ def _zero_track_outputs(entry, batch):
     if entry is kf_predict:
         post = kf_predict(prior, DynamicModel(2))
     else:  # an update stage
-        post = entry(prior, _decorrelated_batch(batch))
+        post = entry(prior, _converted_batch(batch))
     return [(post.mean, batch + (4,)), (post.cov, batch + (4, 4))]
 
 
@@ -387,14 +417,11 @@ def test_position_gain_check_passes_finite_gains_whose_sum_overflows():
     cov = np.eye(4)
     cov[:2, 2:] = cov[2:, :2] = 6e307 * np.eye(2)
     prior = GaussianBelief(np.zeros((2, 4)), np.stack([cov, cov]))
-    d = filtering.DecorrelatedMeasurement(
-        cov_pos=np.zeros((2, 2, 2)), pseudo=np.zeros(2), var_pseudo=np.ones(2),
-        l_row=np.zeros((2, 2)), debiased_pos=np.ones((2, 2)), debiased_pseudo=np.zeros(2), dim=2,
-    )
-    post = kf_update_position(prior, d)
+    z = position_only(np.ones((2, 2)))
+    post = kf_update_position(prior, z)
     np.testing.assert_array_equal(post.mean[:, 2:], 6e307)
     for i in range(2):
-        alone = kf_update_position(prior[i], d[i])
+        alone = kf_update_position(prior[i], z[i])
         assert alone.mean.tobytes() == post.mean[i].tobytes()
         np.testing.assert_array_equal(alone.cov, post.cov[i])
 
@@ -481,12 +508,12 @@ def test_quadratic_moment_identities_monte_carlo():
 def test_ekf_update_nonpositive_innovation_variance():
     # zero predicted variance with a conflicting innovation is degenerate...
     b = GaussianBelief(np.zeros(4), np.zeros((4, 4)))
-    d = decorrelate(make_converted(np.zeros((3, 3)), position=np.zeros(2), pseudo=5.0))
+    z = make_converted(np.zeros((3, 3)), position=np.zeros(2), pseudo=5.0)
     with pytest.raises(DegenerateCovarianceError):
-        ekf_update_pseudo(b, d)
+        ekf_update_pseudo(b, z)
     # ...while a consistent deterministic measurement is a no-op
-    d0 = decorrelate(make_converted(np.zeros((3, 3)), position=np.zeros(2), pseudo=0.0))
-    out = ekf_update_pseudo(b, d0)
+    z0 = make_converted(np.zeros((3, 3)), position=np.zeros(2), pseudo=0.0)
+    out = ekf_update_pseudo(b, z0)
     np.testing.assert_array_equal(out.mean, b.mean)
 
 
@@ -659,8 +686,9 @@ def test_initialize_belief_rejects_measurements_of_different_dimensions():
 
 
 def test_gaussian_belief_rejects_a_covariance_of_another_size():
-    with pytest.raises(ValueError, match="covariance shape does not match the state length"):
-        GaussianBelief(np.zeros(4), np.eye(3))
+    for mean, cov in (np.zeros(4), np.eye(3)), (1.0, np.eye(1)):  # a 0-d mean has no length
+        with pytest.raises(ValueError, match="covariance shape does not match the state length"):
+            GaussianBelief(mean, cov)
 
 
 def test_initialize_belief_rejects_fields_of_different_batches():
@@ -817,7 +845,7 @@ def _stage_batches(draw):
         cov=np.reshape(joints, shape + (p + 1, p + 1)),
         dim=p,
     )
-    return belief, decorrelate(z), kinds
+    return belief, z, kinds
 
 
 def _assert_close(got, ref, what):
@@ -830,17 +858,17 @@ def _assert_close(got, ref, what):
 @settings(max_examples=300, deadline=None)
 @given(_stage_batches(), st.floats(0.1, 2.0), st.floats(0.0, 3.0))
 def test_filter_stages_match_dense_references(batch, t, accel_std):
-    belief, d, kinds = batch
-    p = d.dim
+    belief, z, kinds = batch
+    p, d = z.dim, decorrelate(z)
     model = DynamicModel(p, t, accel_std)
     predicted = kf_predict(belief, model)
-    position = kf_update_position(belief, d)
+    position = kf_update_position(belief, z)
     conflict = "conflict" in kinds
     if conflict:
         with pytest.raises(DegenerateCovarianceError):
-            ekf_update_pseudo(position, d)
+            ekf_update_pseudo(position, z)
     else:
-        pseudo = ekf_update_pseudo(position, d)
+        pseudo = ekf_update_pseudo(position, z)
     for i, kind in zip(np.ndindex(belief.mean.shape[:-1]), kinds):
         mean, cov = belief.mean[i], belief.cov[i]
         ref_mean, ref_cov = _predict_ref(mean, cov, model)
@@ -1013,14 +1041,13 @@ def test_filter_scans_equals_the_public_stages_scan_by_scan(monkeypatch, p, acce
     post, updated = filter_scans(init, z, ok, range(scans), model)
     np.testing.assert_array_equal(updated, ok)
 
-    d = decorrelate(z)
     belief = init
     for k in range(scans):
         belief = kf_predict(belief, model)
         sel = ok[k]
         if sel.any():
-            dk = d[k][sel]
-            upd = ekf_update_pseudo(kf_update_position(belief[sel], dk), dk)
+            zk = z[k][sel]
+            upd = ekf_update_pseudo(kf_update_position(belief[sel], zk), zk)
             belief.mean[sel], belief.cov[sel] = upd.mean, upd.cov
         assert post.mean[k].tobytes() == belief.mean.tobytes(), f"mean of scan {k}"
         assert post.cov[k].tobytes() == belief.cov.tobytes(), f"covariance of scan {k}"

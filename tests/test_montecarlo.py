@@ -436,6 +436,8 @@ def test_run_ensemble_rejects_no_variants(monkeypatch):
         run_ensemble(scenario, ())
     with pytest.raises(ValueError, match="distinct"):
         run_ensemble(scenario, (FilterVariant.RCMKF_D, FilterVariant.RCMKF_U, FilterVariant.RCMKF_D))
+    with pytest.raises(ValueError, match="variant 'rcmkf_u' is not one of RCMKF_U, RCMKF_D"):
+        run_ensemble(scenario, (FilterVariant.RCMKF_D, "rcmkf_u"))
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
