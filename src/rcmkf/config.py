@@ -220,6 +220,12 @@ def _validate_scenario(sc: ScenarioConfig) -> None:
     _require_size(sc.initial_velocity_mps, f"{path}.initial_velocity_mps", (dim,))
     for i, m in enumerate(sc.maneuvers):
         _require_size(m.accel_mps2, f"{path}.maneuvers[{i}].accel_mps2", (dim,))
+        # a maneuver acts on the transitions k -> k + 1 from its start step on,
+        # so one that starts after the last, steps - 2 -> steps - 1, never acts;
+        # steps <= 2 is left to the scenario's own check
+        if 0 < sc.steps - 2 < m.start_step:
+            raise ConfigError(f"{path}.maneuvers[{i}].start_step must be at most steps - 2 = "
+                              f"{sc.steps - 2}, the last transition's, got {m.start_step}")
 
 
 # Counts (runs, steps, samples) size arrays, so none may exceed numpy's

@@ -72,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .scenario import NoiseSpec, SphericalMeasurement, _check_no_2d_elevation, _noise_matrix
-from .scenario import _scale_noise
+from .scenario import NoiseSpec, SphericalMeasurement, _check_dim, _check_no_2d_elevation
+from .scenario import _noise_matrix, _scale_noise
 
 __all__ = [
     "ConversionMethod",
@@ -99,7 +99,7 @@ class ConversionMethod(enum.Enum):
 
 def _fields(m: SphericalMeasurement):
     """``(r, theta, phi, rdot)`` of a measurement; phi is zero for a 2D radar."""
-    return m.r, m.theta, (m.phi if m.dim == 3 else 0.0), m.rdot
+    return m.r, m.theta, m.phi, m.rdot
 
 
 def _bcast(*vals):
@@ -182,9 +182,9 @@ def _moments(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
     construction. ``conv`` is :func:`_cart`'s map, from the same cosines
     and sines as the moments. The trigonometry, the attenuations and the
     conditioned second moment are computed once and shared by the methods.
-    A 2D radar measures no elevation: ``phi`` is ignored (no elevation
-    trigonometry; ``r * cos(0)`` is exactly ``r``), and an elevation noise
-    (which 2D synthesis never draws) is rejected.
+    ``dim`` is 2 or 3 (``scenario._check_dim``). A 2D radar measures no
+    elevation: ``phi`` is not read (no elevation trigonometry; ``r *
+    cos(0)`` is exactly ``r``), and an elevation noise is rejected.
 
     With ``u`` the unit direction, ``d = (Lt Lp, Lt Lp, Lp)`` the
     attenuation of its components (2D: ``(Lt, Lt)``), ``D = diag(d)`` and
@@ -204,7 +204,8 @@ def _moments(methods, rm, theta, phi, rdot, noise: NoiseSpec, dim: int):
     is ``r u*(1 - d)`` with ``-rho s_r s_d`` for eta (nested:
     ``r u*d*(d - 1)`` with ``+rho s_r s_d``).
     """
-    _check_no_2d_elevation(noise, dim)
+    _check_dim(dim)
+    _check_no_2d_elevation(dim, "sigma_phi", noise.sigma_phi)
     rm, theta, phi, rdot = _bcast(rm, theta, phi, rdot)
     shape = rm.shape + (len(methods),)
     ct, st = np.cos(theta), np.sin(theta)
@@ -569,7 +570,7 @@ def mc_moment_oracle(
     that is not positive, by the module's one rule, and ValueError for a 2D
     radar with an elevation noise, as the closed forms do.
     """
-    _check_no_2d_elevation(noise, m.dim)
+    _check_no_2d_elevation(m.dim, "sigma_phi", noise.sigma_phi)
     for name, value, least in (("samples", samples, 10_000), ("batch", batch, 1)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"oracle {name} must be an integer >= {least}, got {value!r}")

@@ -190,8 +190,7 @@ def consistency_sweep(
     _raise_if_no_stats(geometry.r)
     dim = geometry.dim
     idx = _IDX_2D if dim == 2 else np.arange(4)
-    phi0 = geometry.phi if dim == 3 else 0.0
-    truth = _cart(geometry.r, geometry.theta, phi0, geometry.rdot)[idx, None]
+    truth = _cart(geometry.r, geometry.theta, geometry.phi, geometry.rdot)[idx, None]
     lower, upper = chi_square_bounds(dim + 1, samples, tail)
 
     averages = {method: np.empty(grid.size) for method in methods}
@@ -205,7 +204,7 @@ def consistency_sweep(
             where = f"sigma_theta {sig_deg:g} deg, {bad} of {samples} draws: "
             _raise_if_no_stats(low, where=where)
         thm = geometry.theta + draws[1]
-        phm = phi0 + draws[2]
+        phm = geometry.phi + draws[2]
         rdm = geometry.rdot + draws[3]
         ok, conv, mus, covs = _stats_batch(methods, rm, thm, phm, rdm, noise, dim)
         _raise_if_no_stats(geometry.r, ok)

@@ -100,7 +100,10 @@ that does not update on a neutral placeholder measurement, and such a
 track's prediction is put back, one ``copyto`` of its block. Sizes are
 checked once, by :func:`filter_scans` and the public stages, thin wrappers
 that take the conversion :func:`filter_scans` takes, decorrelate it alike
-and run the same kernels on a fresh workspace.
+and run the same kernels on a fresh workspace. The position dimension is 2
+or 3 and a state's length 4 or 6, by the library's one rule
+(``scenario._check_dim``): every entry checks it there, and the kernels'
+layouts exist for those two dimensions only.
 
 The two pipeline variants differ only in where their conversion statistics
 come from: RCMKF-U uses the measurement-conditioned moments, RCMKF-D the
@@ -121,7 +124,7 @@ from .conversion import ConversionMethod, ConvertedMeasurement, _convert_batch, 
 from .conversion import _back, _ldl
 from .conversion import convert  # unused; the tracer wraps it (test_benchmark_trace_hooks_resolve)
 from .errors import DegenerateCovarianceError
-from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _check_interval
+from .scenario import DynamicModel, NoiseSpec, SphericalMeasurement, _check_dim, _check_interval
 
 __all__ = [
     "DecorrelatedMeasurement",
@@ -239,8 +242,6 @@ def _adds(terms, out: np.ndarray) -> list:
     of tracks; a reduction over the entry axis would not, since numpy sums a
     contiguous axis (that of a single track) pairwise.
     """
-    if len(terms) == 1:
-        return [(np.copyto, (out, terms[0]))]
     return [(np.add, (terms[0], terms[1], out))] + [(np.add, (out, t, out)) for t in terms[2:]]
 
 
@@ -258,7 +259,7 @@ def _run(calls: list) -> None:
 
 
 # Indices exchanging the position and velocity halves of a state.
-_BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (1, 2, 3)}
+_BLOCK_SWAP = {p: np.r_[p : 2 * p, 0:p] for p in (2, 3)}
 
 
 def _product_index(terms) -> tuple[np.ndarray, np.ndarray]:
@@ -366,14 +367,14 @@ class _Layout:
                                np.zeros(p + 1, int), [x(i) for i in range(p)]]
         # P h next to -innov1 = h_pos @ x_pos - debiased_pseudo + tr(P_pv),
         # whose terms are added in that order, on ``x1`` and on ``inputs``
-        # followed by ``u``; the terms are padded with -0.0 * 1.0
-        h, u_one, inner = self.inputs + self.u_h, self.inputs + self.u_one, max(n, p + 2)
+        # followed by ``u``; each entry has n terms, the last one's padded
+        # with -0.0 * 1.0 (its p + 2 terms are at most n for p = 2 and 3)
+        h, u_one = self.inputs + self.u_h, self.inputs + self.u_one
         negd, trace = b + self.neg_debiased, self.inputs + self.u_trace
         self.ph = _product_index(
-            [[(entry(i, k), h + k) for k in range(n)] + [(neg0, u_one)] * (inner - n)
-             for i in range(n)]
+            [[(entry(i, k), h + k) for k in range(n)] for i in range(n)]
             + [[(x(k), h + k) for k in range(p)] + [(one, negd), (one, trace)]
-               + [(neg0, u_one)] * (inner - p - 2)]
+               + [(neg0, u_one)] * (n - p - 2)]
         )
         # A h - r g, on A followed by g and +0.0 (``ag``) and on ``u``: r g is
         # the last term, subtracted
@@ -393,9 +394,7 @@ class _Layout:
 @functools.cache
 def _layout(p: int) -> _Layout:
     """The layout of position dimension ``p``, built on first use."""
-    if p not in (1, 2, 3):
-        raise ValueError("position dimension must be 1, 2 or 3")
-    return _Layout(p)
+    return _Layout(_check_dim(p))
 
 
 def _decorrelate(z: ConvertedMeasurement, out: np.ndarray) -> np.ndarray:
@@ -845,8 +844,10 @@ def _belief(rows: np.ndarray, batch: tuple[int, ...]) -> GaussianBelief:
 
 
 def _check_state(n: int, p: int, cov_shape: tuple[int, ...] | None = None) -> None:
-    """Raise :class:`ValueError` unless a state of size ``n`` holds a position and a
+    """Raise :class:`ValueError` unless ``p`` passes the dimension rule
+    (``scenario._check_dim``), a state of size ``n`` holds a position and a
     velocity of dimension ``p`` and ``cov_shape``, if given, ends in ``(n, n)``."""
+    _check_dim(p)
     if n != 2 * p:
         raise ValueError(f"a state of size {n} is not a position and a velocity of dimension {p}")
     if cov_shape is not None and tuple(cov_shape[-2:]) != (n, n):
@@ -903,7 +904,7 @@ def quadratic_correction(cov: np.ndarray):
     """
     cov = np.asarray(cov, dtype=float)
     batch, n = cov.shape[:-2], cov.shape[-1]
-    _check_state(n, n // 2, cov.shape)
+    _check_state(n, _check_dim(state=n), cov.shape)
     ws = _Workspace(math.prod(batch), n)
     ws.x1[: ws.lay.block].reshape(n, n + 1, ws.tracks)[:, :n] = _tracks(cov, 2).reshape(
         n, n, ws.tracks

@@ -2,9 +2,15 @@
 
 Truth trajectories follow the discrete constant-velocity :class:`DynamicModel`
 with optional piecewise-constant maneuver accelerations applied through its
-deterministic input channel. The radar reports range, bearing, elevation (3D
-only) and range rate; range and range-rate errors are jointly Gaussian with
+deterministic input channel. The radar reports range, bearing, elevation and
+range rate; range and range-rate errors are jointly Gaussian with
 correlation coefficient ``rho``, the angle errors are independent Gaussians.
+
+A radar is 2D or 3D, and every entry that takes a dimension or a state
+checks it by one rule (:func:`_check_dim`). A 2D radar measures no
+elevation: its reports' ``phi`` and its noise's ``sigma_phi`` are 0
+(:func:`_check_no_2d_elevation`), so no consumer tests the dimension
+before it reads ``phi``.
 
 State vectors are plain numpy arrays ordered position-then-velocity:
 ``[x, y, vx, vy]`` in 2D and ``[x, y, z, vx, vy, vz]`` in 3D. Angles are
@@ -42,19 +48,31 @@ def _check_interval(t: float) -> None:
         raise ValueError(f"sampling interval must be positive and finite, got {t!r}")
 
 
-def _check_no_2d_elevation(noise: NoiseSpec, dim: int) -> None:
-    if dim == 2 and noise.sigma_phi != 0:
-        raise ValueError("a 2D radar measures no elevation: sigma_phi must be 0")
+def _check_dim(dim=None, *, state: int | None = None) -> int:
+    """The position dimension ``dim``, or that of a state of length ``state``.
+
+    The library's one rule for it: a radar is 2D or 3D, so a position has 2
+    or 3 components and a state (position, then velocity) 4 or 6. Every
+    entry that takes a dimension or a state checks it here. Raises
+    ValueError otherwise.
+    """
+    got = repr(dim) if state is None else f"a state of length {state}"
+    if state is not None:
+        dim = state / 2
+    if dim not in (2, 3):
+        raise ValueError(f"position dimension must be 2 or 3, got {got}")
+    return int(dim)
+
+
+def _check_no_2d_elevation(dim: int, name: str, value: float) -> None:
+    """Raise ValueError unless the elevation quantity ``name`` is 0 on a 2D radar."""
+    if dim == 2 and value != 0:
+        raise ValueError(f"a 2D radar measures no elevation: {name} must be 0")
 
 
 def position_dim(state: np.ndarray) -> int:
     """Spatial dimension (2 or 3) encoded by the length of a state vector."""
-    n = np.shape(state)[-1]
-    if n == 4:
-        return 2
-    if n == 6:
-        return 3
-    raise ValueError(f"state length must be 4 (2D) or 6 (3D), got {n}")
+    return _check_dim(state=np.shape(state)[-1])
 
 
 @dataclass(frozen=True)
@@ -72,8 +90,7 @@ class DynamicModel:
     accel_noise_std: float = 0.01
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim!r}")
+        _check_dim(self.dim)
         _check_interval(self.t)
         if not (math.isfinite(self.accel_noise_std) and self.accel_noise_std >= 0):
             raise ValueError(
@@ -163,8 +180,8 @@ class NoiseSpec:
 class SphericalMeasurement:
     """One radar report: range [m], bearing, elevation [rad], range rate [m/s].
 
-    ``dim`` is 2 for a polar (no elevation) radar, in which case ``phi`` is
-    zero and ignored by consumers.
+    ``dim`` is 2 for a polar radar, which measures no elevation: its ``phi``
+    must be 0.
     """
 
     r: float
@@ -175,11 +192,11 @@ class SphericalMeasurement:
     dim: int = 3
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
+        _check_dim(self.dim)
         for name in ("r", "theta", "rdot", "phi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        _check_no_2d_elevation(self.dim, "phi", self.phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +237,7 @@ class Scenario:
             )
         if any(np.shape(a) != (self.dim,) for _, a in self.maneuvers.entries):
             raise ValueError(f"maneuver accelerations must have shape ({self.dim},)")
-        _check_no_2d_elevation(self.noise, self.dim)
+        _check_no_2d_elevation(self.dim, "sigma_phi", self.noise.sigma_phi)
 
     @property
     def dim(self) -> int:
@@ -344,16 +361,16 @@ def _synthesize(truths: np.ndarray, noise: NoiseSpec, rngs) -> np.ndarray:
 
     Returns ``(runs, steps, 4)``; run ``i`` draws its ``(4, steps)`` noise
     from ``rngs[i]``, as :func:`_noise_matrix` would, into one buffer that
-    one :func:`_scale_noise` call scales. In 2D the phi column is zero.
+    one :func:`_scale_noise` call scales. A 2D radar measures no elevation,
+    so its noise has none and the phi column is ``+0.0 + 0.0 * z = +0.0``.
     """
+    _check_no_2d_elevation(position_dim(truths), "sigma_phi", noise.sigma_phi)
     draws = np.empty((len(rngs), 4, truths.shape[1]))
     for rng, run in zip(rngs, draws):
         rng.standard_normal(out=run)
     draws = _scale_noise(noise, draws.swapaxes(0, 1))  # (4, runs, steps)
     r, theta, phi, rdot = _spherical(truths)
-    if position_dim(truths) == 3:
-        phi = phi + draws[2]
-    return np.stack([r + draws[0], theta + draws[1], phi, rdot + draws[3]], axis=-1)
+    return np.stack([r + draws[0], theta + draws[1], phi + draws[2], rdot + draws[3]], axis=-1)
 
 
 def synthesize_measurements(

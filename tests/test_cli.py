@@ -241,14 +241,31 @@ def test_cli_unknown_case_exits_2(tmp_path, capsys):
     assert "unknown case" in capsys.readouterr().err
 
 
+SCENARIO_YAML = (
+    "case: null\n"
+    "scenario:\n"
+    "  steps: {steps}\n"
+    "  runs: {runs}\n"
+    "  initial_position_m: [10000.0, 20000.0]\n"
+    "  initial_velocity_mps: [10.0, -5.0]\n"
+    "  maneuvers: [{{start_step: {start}, accel_mps2: [1.0, 0.0]}}]\n"
+)
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
         ("variants: [foo]\n", "unknown filter variant 'foo'"),
         ("case: null\n", "either a case id or an inline scenario is required"),
         (None, "cannot read config file"),
+        # with 10 steps the last transition is 8 -> 9: a maneuver from step 9 never acts
+        (
+            SCENARIO_YAML.format(steps=10, runs=2, start=9),
+            "config.scenario.maneuvers[0].start_step must be at most steps - 2 = 8, "
+            "the last transition's, got 9",
+        ),
     ],
-    ids=["variant", "no-case", "missing-file"],
+    ids=["variant", "no-case", "missing-file", "maneuver-after-the-last-transition"],
 )
 def test_cli_bad_config_exits_2(tmp_path, capsys, config, message):
     path = tmp_path / "exp.yaml"
@@ -257,6 +274,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, config, message):
     code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_a_maneuver_at_the_last_transition():
+    config = yaml.safe_load(SCENARIO_YAML.format(steps=10, runs=2, start=8))
+    sc = build_scenario(config_from_dict(config))
+    assert sc.maneuvers.table(sc.steps, sc.dim)[-1].tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf"])
@@ -275,17 +299,6 @@ def test_cli_simulate_non_finite_noise_exits_2(tmp_path, capsys, value):
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "sigma_r must be finite" in capsys.readouterr().err
-
-
-SCENARIO_YAML = (
-    "case: null\n"
-    "scenario:\n"
-    "  steps: {steps}\n"
-    "  runs: {runs}\n"
-    "  initial_position_m: [10000.0, 20000.0]\n"
-    "  initial_velocity_mps: [10.0, -5.0]\n"
-    "  maneuvers: [{{start_step: {start}, accel_mps2: [1.0, 0.0]}}]\n"
-)
 
 
 @pytest.mark.parametrize(
@@ -665,6 +678,15 @@ def test_documented_schema_shows_the_defaults():
     assert data == config_to_dict(expected)  # every field shown, with its default
     assert _CASES[1] == ScenarioConfig()  # case 1 is the scenario defaults
     assert config_from_dict(yaml.safe_load(case2)).scenario == _CASES[2]
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("[ 2  3  4")  # the RMSE report's steps
+    assert "\n[0]\n" in out  # no predict-only scan
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from rcmkf.config import generate_case
+from rcmkf.conversion import ConversionMethod, ConvertedMeasurement, _convert_batch
 from rcmkf.errors import GeometryError
+from rcmkf.filtering import (
+    GaussianBelief,
+    decorrelate,
+    ekf_update_pseudo,
+    kf_update_position,
+    pseudo_jacobian,
+    quadratic_correction,
+)
 from rcmkf.scenario import (
     INIT_SCANS,
     DynamicModel,
@@ -104,11 +113,6 @@ def test_scenario_rejects_bad_runs_and_state(field, value, message):
         dataclasses.replace(generate_case(1), **{field: value})
 
 
-def test_position_dim_rejects_a_state_of_another_length():
-    with pytest.raises(ValueError, match=r"state length must be 4 \(2D\) or 6 \(3D\), got 5"):
-        position_dim(np.zeros(5))
-
-
 @pytest.mark.parametrize("std", [-1.0, -1e-300, math.nan, math.inf])
 def test_cv_model_rejects_bad_process_noise(std):
     with pytest.raises(ValueError, match="acceleration noise std"):
@@ -119,12 +123,6 @@ def test_cv_model_rejects_bad_process_noise(std):
 def test_cv_model_rejects_bad_interval(t):
     with pytest.raises(ValueError, match="sampling interval must be positive and finite"):
         DynamicModel(dim=2, t=t)
-
-
-@pytest.mark.parametrize("dim", [1, 4])
-def test_cv_model_rejects_bad_dimension(dim):
-    with pytest.raises(ValueError, match="dim must be 2 or 3"):
-        DynamicModel(dim=dim)
 
 
 def test_cv_model_replace_rebuilds_read_only_matrices():
@@ -327,10 +325,54 @@ def test_noise_spec_rejects_non_finite(field, value):
         NoiseSpec(**kwargs)
 
 
-@pytest.mark.parametrize("dim", [1, 4])
-def test_spherical_measurement_rejects_a_bad_dimension(dim):
-    with pytest.raises(ValueError, match="dim must be 2 or 3"):
-        SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, dim=dim)
+def _converted(dim):
+    return ConvertedMeasurement(np.zeros(dim), 0.0, np.zeros(dim + 1), np.eye(dim + 1), dim)
+
+
+def _belief(dim):
+    return GaussianBelief(np.zeros(2 * dim), np.eye(2 * dim))
+
+
+# Each entry that takes a position dimension, as a call on a dimension
+_BY_DIMENSION = {
+    "DynamicModel": lambda d: DynamicModel(dim=d),
+    "SphericalMeasurement": lambda d: SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, dim=d),
+    "_convert_batch": lambda d: _convert_batch(
+        np.array([1000.0, 0.5, 0.0, 10.0]), NoiseSpec(100.0, 0.01, 1.0),
+        [ConversionMethod.MEASUREMENT_CONDITIONED], d,
+    ),
+    "decorrelate": lambda d: decorrelate(_converted(d)),
+    "kf_update_position": lambda d: kf_update_position(_belief(d), _converted(d)),
+    "ekf_update_pseudo": lambda d: ekf_update_pseudo(_belief(d), _converted(d)),
+    "pseudo_jacobian": lambda d: pseudo_jacobian(np.ones(2 * d), np.ones(d)),
+}
+# Each entry that reads the dimension from a state's length, as a call on a length
+_BY_STATE_LENGTH = {
+    "position_dim": lambda n: position_dim(np.zeros(n)),
+    "quadratic_correction": lambda n: quadratic_correction(np.eye(n)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, size",
+    [(e, d) for e in _BY_DIMENSION for d in (1, 4)]
+    + [(e, n) for e in _BY_STATE_LENGTH for n in (2, 3, 5, 8)],
+)
+def test_every_entry_rejects_a_dimension_other_than_2_or_3(entry, size):
+    # one rule, in one wording: a KeyError, an accepted 1-D case or a
+    # message of its own at any entry fails here
+    call = {**_BY_DIMENSION, **_BY_STATE_LENGTH}[entry]
+    got = f"a state of length {size}" if entry in _BY_STATE_LENGTH else str(size)
+    with pytest.raises(ValueError, match=f"^position dimension must be 2 or 3, got {got}$"):
+        call(size)
+
+
+def test_a_2d_report_carries_no_elevation():
+    with pytest.raises(ValueError, match="^a 2D radar measures no elevation: phi must be 0$"):
+        SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, phi=0.3, dim=2)
+    for phi in (0.0, -0.0):
+        assert SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, phi=phi, dim=2).phi == 0.0
+    assert SphericalMeasurement(r=1000.0, theta=0.5, rdot=10.0, phi=0.3, dim=3).phi == 0.3
 
 
 @pytest.mark.parametrize("field", ["r", "theta", "rdot", "phi"])
